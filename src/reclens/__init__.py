@@ -11,6 +11,7 @@ from .datamodel import (
 )
 from .errors import (
     EstimatorMismatchError,
+    FormatError,
     InsufficientDataError,
     ParseError,
     ReclensError,

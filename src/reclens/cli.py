@@ -11,7 +11,8 @@ import difflib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -192,7 +193,15 @@ def cmd_explain(args) -> int:
     if args.user_aggregate:
         scope = ItemSet(tuple(int(i) for i in shadow.item_indices))
     else:
-        scope = SingleItem(_lookup_id("item", args.item, shadow.item_ids))
+        item = _lookup_id("item", args.item, shadow.item_ids)
+        try:
+            shadow.row_of_item(item)
+        except IndexError:
+            raise ValidationError(
+                f"item {args.item!r} is pruned (it kept no metadata features) "
+                "or unknown to the shadow model"
+            ) from None
+        scope = SingleItem(item)
     query = InfluenceQuery(user=user, scope=scope)
     baseline = load_model(args.model) if args.model else None
     report = explain(shadow, meta, query, top_k=args.top_k, baseline=baseline)
@@ -209,7 +218,12 @@ def cmd_explain(args) -> int:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes of the parameter sweep; depth/bins apply to tree cells only."""
+    """Axes of the parameter sweep; depth/bins apply to tree cells only.
+
+    ``bins`` only affects non-0/1 columns.  Metadata is 0/1, so tree cells
+    that differ only in bins get identical results and ``run_sweep`` fits
+    them once.
+    """
 
     ranks: tuple[int, ...] = (12, 20, 50)
     lambdas: tuple[float, ...] = (0.1,)
@@ -226,14 +240,32 @@ class SweepGrid:
         for kind in self.kinds:
             if kind not in ("linear", "tree"):
                 raise ValidationError(f"unknown shadow kind {kind!r}")
+        for name, types in (("ranks", Integral), ("lambdas", Real),
+                            ("depths", Integral), ("bins", Integral)):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not isinstance(value, types):
+                    raise ValidationError(
+                        f"sweep grid axis {name} holds {value!r}, not a number"
+                    )
 
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepGrid":
-        kwargs = {}
-        for key in ("ranks", "lambdas", "kinds", "depths", "bins"):
-            if key in doc:
-                kwargs[key] = tuple(doc[key])
-        return cls(**kwargs)
+        """Parse a grid config strictly: every key must name an axis and
+        hold a list."""
+        if not isinstance(doc, dict):
+            raise ValidationError("sweep grid must be a JSON object of axes")
+        axes = [f.name for f in fields(cls)]
+        for key, values in doc.items():
+            if key not in axes:
+                near = difflib.get_close_matches(key, axes, n=1)
+                hint = (
+                    f"; did you mean {near[0]!r}?" if near
+                    else f"; axes are {', '.join(axes)}"
+                )
+                raise ValidationError(f"unknown sweep grid key {key!r}{hint}")
+            if not isinstance(values, list):
+                raise ValidationError(f"sweep grid axis {key!r} must be a list")
+        return cls(**{key: tuple(values) for key, values in doc.items()})
 
     def cells(self, ridge: float) -> list[dict]:
         out = []
@@ -267,9 +299,11 @@ def run_sweep(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    """Train one baseline per (rank, lambda) and one shadow per grid cell;
-    report latent and observational agreement for each cell.
+    """Train one baseline per (rank, lambda) and one shadow per distinct
+    grid cell; report latent and observational agreement for each cell.
 
+    Tree cells that differ only in ``bins`` share one shadow: bins only
+    places thresholds on non-0/1 columns, and metadata columns are 0/1.
     Per-cell failures are recorded in the row and the sweep continues.
     Rows come back in grid order regardless of the worker count.
     """
@@ -287,45 +321,69 @@ def run_sweep(
                                seed=als_seed)
         )
 
-    def run_cell(cell):
-        try:
-            model = baselines[(cell["rank"], cell["lambda"])]
-            if isinstance(model, Exception):
-                raise model
-            if cell["kind"] == "linear":
-                kind = LinearKind(ridge=cell["ridge"])
-            else:
-                kind = TreeKind(TreeParams(cell["depth"], cell["bins"]))
-            shadow = train_shadow(
-                model, meta, kind, split=(split, seed), item_indices=item_indices
-            )
-            report = measure_agreement(shadow, model, meta, item_set=measure,
-                                       seed=seed)
-            return {
-                "cell": cell,
-                "mean_latent_mae": report.mean_latent_mae,
-                "observational_mae": report.observational_mae,
-                "error": None,
-            }
-        except (ReclensError, np.linalg.LinAlgError) as exc:
-            return {"cell": cell, "mean_latent_mae": None,
-                    "observational_mae": None, "error": str(exc)}
-
     def safe_base(key):
         try:
             return train_base(key)
         except ReclensError as exc:
             return exc
 
+    def cell_kind(cell):
+        """The cell's shadow kind, or the error that stops the cell."""
+        try:
+            model = baselines[(cell["rank"], cell["lambda"])]
+            if isinstance(model, Exception):
+                raise model
+            if cell["kind"] == "linear":
+                return LinearKind(ridge=cell["ridge"])
+            return TreeKind(TreeParams(cell["depth"], cell["bins"]))
+        except ReclensError as exc:
+            return exc
+
+    def fit_key(cell):
+        return (cell["rank"], cell["lambda"], cell["kind"], cell.get("ridge"),
+                cell.get("depth"))
+
+    def failed(exc):
+        return {"mean_latent_mae": None, "observational_mae": None,
+                "error": str(exc)}
+
+    def fit_and_measure(cell_and_kind):
+        cell, kind = cell_and_kind
+        try:
+            model = baselines[(cell["rank"], cell["lambda"])]
+            shadow = train_shadow(
+                model, meta, kind, split=(split, seed), item_indices=item_indices
+            )
+            report = measure_agreement(shadow, model, meta, item_set=measure,
+                                       seed=seed)
+            return {
+                "mean_latent_mae": report.mean_latent_mae,
+                "observational_mae": report.observational_mae,
+                "error": None,
+            }
+        except (ReclensError, np.linalg.LinAlgError) as exc:
+            return failed(exc)
+
+    def run_all(run):
+        baselines.update(zip(base_keys, run(safe_base, base_keys)))
+        kinds = [cell_kind(cell) for cell in cells]
+        fits = {}
+        for cell, kind in zip(cells, kinds):
+            if not isinstance(kind, Exception):
+                fits.setdefault(fit_key(cell), (cell, kind))
+        results = dict(zip(fits, run(fit_and_measure, fits.values())))
+        return [
+            {"cell": cell,
+             **(failed(kind) if isinstance(kind, Exception)
+                else results[fit_key(cell)])}
+            for cell, kind in zip(cells, kinds)
+        ]
+
+    baselines = {}
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            trained = list(pool.map(safe_base, base_keys))
-            baselines = dict(zip(base_keys, trained))
-            rows = list(pool.map(run_cell, cells))
-    else:
-        baselines = {key: safe_base(key) for key in base_keys}
-        rows = [run_cell(cell) for cell in cells]
-    return rows
+            return run_all(pool.map)
+    return run_all(map)
 
 
 def _cell_label(cell: dict) -> str:

@@ -6,13 +6,14 @@ so they can be shared freely across threads.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import FormatError, ValidationError
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -211,3 +212,27 @@ def dense_attribute_row(meta: MetadataMatrix, item: int) -> np.ndarray:
         if item in col:
             row[j] = 1.0
     return row
+
+
+def load_artifact(path, fmt: str, version: int, build):
+    """Read a versioned JSON artifact and turn it into an object with
+    ``build(doc)``.
+
+    Bad JSON, a missing or mistyped field, and a value its type rejects all
+    raise one ``FormatError`` that names the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValidationError(f"{path}: not a {fmt} file")
+    if doc.get("version") != version:
+        raise ValidationError(f"{path}: unsupported version {doc.get('version')}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise FormatError(f"{path}: {fmt} file lacks field {exc}") from None
+    except (TypeError, ValueError, IndexError, ValidationError) as exc:
+        raise FormatError(f"{path}: malformed {fmt} file: {exc}") from None

@@ -13,6 +13,11 @@ class ValidationError(ReclensError):
     """A value, configuration, or data structure violates its contract."""
 
 
+class FormatError(ReclensError):
+    """A saved model or shadow file is truncated, is not JSON, or lacks or
+    mistypes a field; the message names the file."""
+
+
 class SolverError(ReclensError):
     """A linear system could not be solved (typically singular at zero
     regularization)."""

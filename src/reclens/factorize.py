@@ -9,7 +9,7 @@ from typing import Callable
 
 import numpy as np
 
-from .datamodel import FactorModel, RatingsMatrix
+from .datamodel import FactorModel, RatingsMatrix, load_artifact
 from .errors import SolverError, ValidationError
 
 MODEL_FORMAT = "reclens-factor-model"
@@ -146,21 +146,18 @@ def save_model(model: FactorModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> FactorModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"{path}: not a {MODEL_FORMAT} file")
-    if doc.get("version") != MODEL_VERSION:
-        raise ValidationError(f"{path}: unsupported version {doc.get('version')}")
-    return FactorModel(
-        rank=doc["rank"],
-        lam=doc["lambda"],
-        user_factors=np.array(doc["user_factors"], dtype=np.float64).reshape(
-            doc["n_users"], doc["rank"]
-        ),
-        item_factors=np.array(doc["item_factors"], dtype=np.float64).reshape(
-            doc["n_items"], doc["rank"]
-        ),
-        user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,
-        item_ids=tuple(doc["item_ids"]) if doc.get("item_ids") is not None else None,
-    )
+    def build(doc):
+        return FactorModel(
+            rank=doc["rank"],
+            lam=doc["lambda"],
+            user_factors=np.array(doc["user_factors"], dtype=np.float64).reshape(
+                doc["n_users"], doc["rank"]
+            ),
+            item_factors=np.array(doc["item_factors"], dtype=np.float64).reshape(
+                doc["n_items"], doc["rank"]
+            ),
+            user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,
+            item_ids=tuple(doc["item_ids"]) if doc.get("item_ids") is not None else None,
+        )
+
+    return load_artifact(path, MODEL_FORMAT, MODEL_VERSION, build)

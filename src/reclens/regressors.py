@@ -1,4 +1,4 @@
-"""Per-factor predictor families: ridge linear regression and binned
+"""Per-factor predictor families: ridge linear regression and CART
 regression trees.
 
 Both are deterministic: identical inputs always produce identical models.
@@ -74,6 +74,14 @@ def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> LinearRegressor:
 
 @dataclass(frozen=True)
 class TreeParams:
+    """CART settings.
+
+    ``bins`` is the number of quantile bins whose boundaries become the
+    candidate thresholds of a column with more than two distinct values.
+    It only affects non-0/1 columns: a 0/1 column has the single split 0.5
+    whatever the bin count.
+    """
+
     max_depth: int
     bins: int = 32
     min_leaf: int = 1
@@ -109,9 +117,54 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class RegressionTree:
+    """A fitted tree.  ``root`` is the stored and serialized form; the flat
+    arrays that ``predict_batch`` walks are built from it at construction,
+    so threads that share a tree never race to build them."""
+
     root: TreeNode
     params: TreeParams
     n_features: int
+
+    def __post_init__(self):
+        # Breadth-first node arrays.  A leaf's children are the leaf itself,
+        # so rows that reach a shallow leaf stay there for the later levels.
+        nodes, levels = [self.root], [0]
+        feature, threshold, left, right, value = [], [], [], [], []
+        for i, node in enumerate(nodes):  # nodes grows while it is walked
+            if node.is_leaf:
+                feature.append(0)
+                threshold.append(0.0)
+                left.append(i)
+                right.append(i)
+                value.append(node.value)
+                continue
+            if (
+                node.left is None
+                or node.right is None
+                or node.threshold is None
+                or not isinstance(node.feature, (int, np.integer))
+                or not 0 <= node.feature < self.n_features
+            ):
+                raise ValidationError(
+                    f"tree node {i} is neither a leaf nor a split on one of "
+                    f"{self.n_features} features"
+                )
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(len(nodes))
+            right.append(len(nodes) + 1)
+            value.append(np.nan)
+            nodes += [node.left, node.right]
+            levels += [levels[i] + 1] * 2
+        for name, values, dtype in (
+            ("_feature", feature, np.intp),
+            ("_threshold", threshold, np.float64),
+            ("_left", left, np.intp),
+            ("_right", right, np.intp),
+            ("_value", value, np.float64),
+        ):
+            object.__setattr__(self, name, np.array(values, dtype=dtype))
+        object.__setattr__(self, "_depth", max(levels))
 
     def predict(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=np.float64)
@@ -125,22 +178,18 @@ class RegressionTree:
         return float(node.value)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Route every row one level per step, ``depth`` steps in all."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
                 f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
             )
-        out = np.empty(len(X), dtype=np.float64)
-        self._fill(self.root, X, np.arange(len(X)), out)
-        return out
-
-    def _fill(self, node: TreeNode, X, idx, out):
-        if node.is_leaf:
-            out[idx] = node.value
-            return
-        go_left = X[idx, node.feature] <= node.threshold
-        self._fill(node.left, X, idx[go_left], out)
-        self._fill(node.right, X, idx[~go_left], out)
+        rows = np.arange(len(X))
+        node = np.zeros(len(X), dtype=np.intp)
+        for _ in range(self._depth):
+            go_left = X[rows, self._feature[node]] <= self._threshold[node]
+            node = np.where(go_left, self._left[node], self._right[node])
+        return self._value[node]
 
 
 def _candidate_thresholds(x: np.ndarray, bins: int) -> np.ndarray:
@@ -170,6 +219,8 @@ def _best_split(X, y, rows, params):
 
     Ties break to the lowest feature index, then the lowest threshold
     (guaranteed by ascending iteration with a strict improvement test).
+    Serves columns that are not all 0/1, and is the reference that
+    ``_binary_split`` is tested against.
     """
     n = len(rows)
     parent_sse = _sse(y[rows])
@@ -189,11 +240,35 @@ def _best_split(X, y, rows, params):
     return best
 
 
-def _grow(X, y, rows, depth, params) -> TreeNode:
+def _binary_split(X, y, rows, params):
+    """(feature, 0.5) maximizing variance reduction over boolean X, or None.
+
+    One pass scores every feature.  With targets centred on the node mean,
+    a split that puts n1 of the n rows on one side with target sum s1
+    lowers the SSE by s1^2 * n / (n0 * n1).  Each column is first oriented
+    so that the node's first row reads 0, and the sums run row by row, so a
+    column and its complement score bit-identically and ``argmax`` keeps
+    the lowest feature index among ties.
+    """
+    Xr = X[rows]
+    Xo = Xr != Xr[0]
+    n = len(rows)
+    n1 = Xo.sum(axis=0)
+    n0 = n - n1
+    candidates = np.flatnonzero((n1 >= params.min_leaf) & (n0 >= params.min_leaf))
+    if len(candidates) == 0:
+        return None
+    targets = y[rows]
+    s1 = ((targets - targets.mean())[:, None] * Xo).sum(axis=0)[candidates]
+    gain = s1 * s1 * n / (n0[candidates] * n1[candidates])
+    return int(candidates[np.argmax(gain)]), 0.5
+
+
+def _grow(X, y, rows, depth, params, split_fn) -> TreeNode:
     targets = y[rows]
     if depth >= params.max_depth or np.ptp(targets) == 0.0:
         return TreeNode(value=float(targets.mean()))
-    split = _best_split(X, y, rows, params)
+    split = split_fn(X, y, rows, params)
     if split is None:
         return TreeNode(value=float(targets.mean()))
     feature, threshold = split
@@ -201,14 +276,18 @@ def _grow(X, y, rows, depth, params) -> TreeNode:
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_grow(X, y, rows[go_left], depth + 1, params),
-        right=_grow(X, y, rows[~go_left], depth + 1, params),
+        left=_grow(X, y, rows[go_left], depth + 1, params, split_fn),
+        right=_grow(X, y, rows[~go_left], depth + 1, params, split_fn),
     )
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
-    """Greedy CART regression: quantile-binned thresholds, variance-reduction
-    splits, mean-valued leaves.
+    """Greedy CART regression: variance-reduction splits, mean-valued leaves.
+
+    When every entry of X is 0 or 1, each column's only split is 0.5 and
+    one sufficient-statistics pass per node scores all features at once;
+    otherwise thresholds come from quantile bins.  Both searches break ties
+    to the lowest feature index.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split
@@ -218,7 +297,11 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
-    root = _grow(X, y, np.arange(len(y)), 0, params)
+    rows = np.arange(len(y))
+    if np.all((X == 0.0) | (X == 1.0)):
+        root = _grow(X == 1.0, y, rows, 0, params, _binary_split)
+    else:
+        root = _grow(X, y, rows, 0, params, _best_split)
     return RegressionTree(root=root, params=params, n_features=X.shape[1])
 
 

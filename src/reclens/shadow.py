@@ -11,7 +11,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix
+from .datamodel import FactorModel, MetadataMatrix, load_artifact
 from .errors import InsufficientDataError, ValidationError
 from .regressors import (
     LinearRegressor,
@@ -402,30 +402,27 @@ def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
 
 
 def load_shadow(path: str | Path) -> ShadowModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != SHADOW_FORMAT:
-        raise ValidationError(f"{path}: not a {SHADOW_FORMAT} file")
-    if doc.get("version") != SHADOW_VERSION:
-        raise ValidationError(f"{path}: unsupported version {doc.get('version')}")
-    kind_doc = doc["kind"]
-    if kind_doc["type"] == "linear":
-        kind: ShadowKind = LinearKind(ridge=kind_doc["ridge"])
-    else:
-        kind = TreeKind(
-            TreeParams(kind_doc["max_depth"], kind_doc["bins"], kind_doc["min_leaf"])
+    def build(doc):
+        kind_doc = doc["kind"]
+        if kind_doc["type"] == "linear":
+            kind: ShadowKind = LinearKind(ridge=kind_doc["ridge"])
+        else:
+            kind = TreeKind(
+                TreeParams(kind_doc["max_depth"], kind_doc["bins"], kind_doc["min_leaf"])
+            )
+        return ShadowModel(
+            factor_predictors=tuple(
+                _predictor_from_dict(p) for p in doc["predictors"]
+            ),
+            user_factors=np.array(doc["user_factors"], dtype=np.float64),
+            feature_names=tuple(doc["feature_names"]),
+            item_indices=np.array(doc["item_indices"], dtype=np.int64),
+            train_items=np.array(doc["train_items"], dtype=np.int64),
+            eval_items=np.array(doc["eval_items"], dtype=np.int64),
+            kind=kind,
+            eval_is_train=doc["eval_is_train"],
+            user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,
+            item_ids=tuple(doc["item_ids"]) if doc.get("item_ids") is not None else None,
         )
-    return ShadowModel(
-        factor_predictors=tuple(
-            _predictor_from_dict(p) for p in doc["predictors"]
-        ),
-        user_factors=np.array(doc["user_factors"], dtype=np.float64),
-        feature_names=tuple(doc["feature_names"]),
-        item_indices=np.array(doc["item_indices"], dtype=np.int64),
-        train_items=np.array(doc["train_items"], dtype=np.int64),
-        eval_items=np.array(doc["eval_items"], dtype=np.int64),
-        kind=kind,
-        eval_is_train=doc["eval_is_train"],
-        user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,
-        item_ids=tuple(doc["item_ids"]) if doc.get("item_ids") is not None else None,
-    )
+
+    return load_artifact(path, SHADOW_FORMAT, SHADOW_VERSION, build)

@@ -252,6 +252,28 @@ class TestExplain:
         err = capsys.readouterr().err
         assert "m99" in err and "nearest" in err
 
+    def test_pruned_item_is_one_error_line(self, tmp_path, trained_fixture, capsys):
+        _, meta, model_path = trained_fixture
+        # m0 keeps no metadata feature, so the shadow prunes it
+        records = [json.loads(line) for line in meta.read_text().splitlines()]
+        records[0]["attributes"] = {}
+        pruned_meta = tmp_path / "pruned.jsonl"
+        pruned_meta.write_text("".join(json.dumps(r) + "\n" for r in records))
+        shadow_path = tmp_path / "pruned_shadow.json"
+        assert main([
+            "shadow", "--model", str(model_path), "--metadata", str(pruned_meta),
+            "--kind", "tree", "--depth", "3", "--out", str(shadow_path),
+        ]) == 0
+        capsys.readouterr()
+        code = main([
+            "explain", "--shadow", str(shadow_path), "--metadata", str(pruned_meta),
+            "--user", "u0", "--item", "m0",
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1 and err_lines[0].startswith("error: ")
+        assert "'m0'" in err_lines[0] and "pruned" in err_lines[0]
+
     def test_item_or_aggregate_required(self, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         with pytest.raises(SystemExit) as exc:
@@ -260,6 +282,57 @@ class TestExplain:
                 "--metadata", str(meta), "--user", "u0",
             ])
         assert exc.value.code == 2
+
+
+def _edit_json(src, dst, edit):
+    doc = json.loads(src.read_text())
+    edit(doc)
+    dst.write_text(json.dumps(doc))
+    return dst
+
+
+class TestBrokenFiles:
+    """A damaged model or shadow file ends in exit 1 and one error line
+    that names the file."""
+
+    def _assert_one_error(self, capsys, argv, path, detail):
+        capsys.readouterr()
+        assert main(argv) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: {path}: ")
+        assert detail in err_lines[0]
+
+    def test_model_missing_rank(self, tmp_path, shadow_fixture, capsys):
+        meta, model_path, _ = shadow_fixture
+        bad = _edit_json(model_path, tmp_path / "norank.json",
+                         lambda doc: doc.pop("rank"))
+        self._assert_one_error(capsys, [
+            "shadow", "--model", str(bad), "--metadata", str(meta),
+            "--out", str(tmp_path / "s.json"),
+        ], bad, "'rank'")
+
+    def test_truncated_model(self, tmp_path, shadow_fixture, capsys):
+        meta, model_path, shadow_path = shadow_fixture
+        text = model_path.read_text()
+        bad = tmp_path / "truncated.json"
+        bad.write_text(text[: len(text) // 2])
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(shadow_path), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1", "--model", str(bad),
+        ], bad, "not valid JSON")
+
+    def test_tree_node_without_threshold(self, tmp_path, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+
+        def break_root(doc):
+            doc["predictors"][0]["root"] = {"feature": 0}
+
+        bad = _edit_json(shadow_path, tmp_path / "badnode.json", break_root)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, "'threshold'")
 
 
 class TestSweep:
@@ -352,6 +425,70 @@ class TestSweep:
     def test_invalid_grid(self):
         with pytest.raises(ValidationError):
             SweepGrid(ranks=())
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"rank": [2]}, "did you mean 'ranks'"),
+            ({"ranks": [2], "colour": [1]}, "axes are ranks, lambdas"),
+            ({"depths": 3}, "'depths' must be a list"),
+            ({"ranks": ["a"]}, "ranks holds 'a', not a number"),
+            ([2, 3], "JSON object"),
+        ],
+    )
+    def test_grid_dict_parsed_strictly(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            SweepGrid.from_dict(doc)
+
+    def test_misspelled_grid_key_is_one_error_line(self, tmp_path, rng, capsys):
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"rank": [2]}))
+        code = main([
+            "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+            "--grid", str(grid_path),
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert err_lines == [
+            "error: unknown sweep grid key 'rank'; did you mean 'ranks'?"
+        ]
+
+    def test_bins_variants_share_one_tree_fit(self, tmp_path, rng, monkeypatch):
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "parity")
+        from reclens import shadow as shadow_mod
+        from reclens.ingest import encode_one_hot, load_metadata, load_ratings
+
+        rm = load_ratings(ratings)
+        records = load_metadata(meta)
+        item_index = {iid: i for i, iid in enumerate(rm.item_ids)}
+        enc = encode_one_hot(records, item_index=item_index, n_items=rm.n_items)
+        fits = []
+        fit_tree = shadow_mod.fit_tree
+
+        def counting_fit_tree(X, y, params):
+            fits.append(params)
+            return fit_tree(X, y, params)
+
+        monkeypatch.setattr(shadow_mod, "fit_tree", counting_fit_tree)
+
+        def sweep(bins):
+            grid = SweepGrid(ranks=(2, 3), lambdas=(1e-3,), kinds=("tree",),
+                             depths=(2, 3), bins=bins)
+            return run_sweep(rm, enc, np.arange(rm.n_items), grid,
+                             iters=10, split=0.75, seed=0)
+
+        shared = sweep((2, 8, 1))
+        # rank x depth shadows, one regressor per factor: (2 + 3) x 2
+        assert len(fits) == 10
+        alone = {b: sweep((b,)) for b in (2, 8)}
+        for row in shared:
+            bins = row["cell"]["bins"]
+            if bins == 1:
+                assert row["error"] == "bins must be >= 2"
+                continue
+            twin = next(r for r in alone[bins] if r["cell"] == row["cell"])
+            assert row == twin
 
 
 class TestSynthCommand:

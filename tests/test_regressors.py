@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reclens.errors import SolverError, ValidationError
 from reclens.regressors import (
     LinearRegressor,
+    RegressionTree,
+    TreeNode,
     TreeParams,
+    _best_split,
+    _grow,
+    _sse,
     fit_linear,
     fit_tree,
     predict,
@@ -189,6 +195,23 @@ class TestFitTree:
         tree = fit_tree(X, y, TreeParams(max_depth=1))
         assert tree.root.feature == 0
 
+    @pytest.mark.parametrize(
+        "column, y",
+        [
+            # subtracting the two child SSEs in either order rounds apart
+            ([1, 0, 1, 0], [87.0, 39.1, 43.8, 37.3]),
+            # the centred target sums over either side round apart
+            ([0, 1, 1], [1.7, 81.3, 91.3]),
+        ],
+    )
+    def test_complement_tie_breaks_to_lowest_feature(self, column, y):
+        # column 1 is the complement of column 0: the same partition, whose
+        # gain must not depend on which side is counted
+        x = np.array(column, dtype=float)
+        X = np.column_stack([x, 1.0 - x])
+        tree = fit_tree(X, np.array(y), TreeParams(max_depth=1))
+        assert tree.root.feature == 0
+
     def test_deterministic(self, rng):
         X = (rng.random((20, 4)) < 0.5).astype(float)
         y = rng.normal(size=20)
@@ -201,6 +224,78 @@ class TestFitTree:
         y = (X[:, 0] >= 50).astype(float)
         tree = fit_tree(X, y, TreeParams(max_depth=1, bins=4))
         assert tree_mae(tree, X, y) <= 0.25
+
+
+@st.composite
+def binary_problems(draw):
+    """0/1 design with duplicated and complemented columns shuffled in,
+    continuous targets, and a random depth and minimum leaf size."""
+    n = draw(st.integers(2, 40))
+    n_base = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (rng.random((n, n_base)) < draw(st.floats(0.1, 0.9))).astype(float)
+    copies = draw(st.lists(
+        st.tuples(st.integers(0, n_base - 1), st.booleans()), max_size=4
+    ))
+    X = np.column_stack([X] + [1.0 - X[:, j] if flip else X[:, j]
+                               for j, flip in copies])
+    X = X[:, rng.permutation(X.shape[1])]
+    params = TreeParams(
+        max_depth=draw(st.integers(0, 5)), min_leaf=draw(st.integers(1, 3))
+    )
+    return X, rng.normal(size=n), params
+
+
+class TestBinarySplitAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(binary_problems())
+    def test_gains_and_predictions_match_quantile_search(self, problem):
+        X, y, params = problem
+        fast = fit_tree(X, y, params)
+        oracle = RegressionTree(
+            root=_grow(X, y, np.arange(len(y)), 0, params, _best_split),
+            params=params,
+            n_features=X.shape[1],
+        )
+        np.testing.assert_array_equal(fast.predict_batch(X), oracle.predict_batch(X))
+
+        def gain(rows, feature):
+            left = X[rows, feature] <= 0.5
+            return _sse(y[rows]) - _sse(y[rows[left]]) - _sse(y[rows[~left]])
+
+        def check(node, rows, depth):
+            expected = None
+            if depth < params.max_depth and np.ptp(y[rows]) > 0.0:
+                expected = _best_split(X, y, rows, params)
+            if node.is_leaf:
+                assert expected is None
+                return
+            assert expected is not None and node.threshold == 0.5
+            assert gain(rows, node.feature) == pytest.approx(
+                gain(rows, expected[0]), rel=1e-9
+            )
+            left = X[rows, node.feature] <= node.threshold
+            check(node.left, rows[left], depth + 1)
+            check(node.right, rows[~left], depth + 1)
+
+        check(fast.root, np.arange(len(y)), 0)
+
+
+class TestTreeStructure:
+    @pytest.mark.parametrize(
+        "root",
+        [
+            TreeNode(feature=0, threshold=0.5, value=None),
+            TreeNode(feature=2, threshold=0.5, left=TreeNode(value=1.0),
+                     right=TreeNode(value=2.0)),
+            TreeNode(feature=-1, threshold=0.5, left=TreeNode(value=1.0),
+                     right=TreeNode(value=2.0)),
+        ],
+        ids=["no-children", "feature-past-end", "negative-feature"],
+    )
+    def test_malformed_node_rejected(self, root):
+        with pytest.raises(ValidationError, match="neither a leaf nor a split"):
+            RegressionTree(root=root, params=TreeParams(max_depth=1), n_features=2)
 
 
 class TestPredict:
@@ -225,9 +320,25 @@ class TestPredict:
         y = rng.normal(size=15)
         tree = fit_tree(X, y, TreeParams(max_depth=3))
         linear = fit_linear(X, y, ridge=0.1)
-        for model in (tree, linear):
-            np.testing.assert_allclose(
-                model.predict_batch(X), [model.predict(row) for row in X]
+        # numeric thresholds with uneven leaf depths, and a bare leaf
+        Xn = rng.normal(size=(60, 3))
+        yn = np.sin(3 * Xn[:, 0]) + (Xn[:, 1] > 0.3)
+        numeric = fit_tree(Xn, yn, TreeParams(max_depth=5, bins=6, min_leaf=4))
+
+        def leaf_depths(node, depth=0):
+            if node.is_leaf:
+                return {depth}
+            return leaf_depths(node.left, depth + 1) | leaf_depths(node.right, depth + 1)
+
+        assert len(leaf_depths(numeric.root)) > 1
+        assert numeric.root.threshold != 0.5
+        stump = fit_tree(Xn, yn, TreeParams(max_depth=0))
+        assert stump.root.is_leaf
+        for model, data in (
+            (tree, X), (linear, X), (numeric, Xn), (stump, Xn), (stump, Xn[:0])
+        ):
+            np.testing.assert_array_equal(
+                model.predict_batch(data), [model.predict(row) for row in data]
             )
 
     def test_tree_dimension_error(self):
