@@ -21,11 +21,9 @@ from .errors import (
 )
 from .factorize import AlsConfig, load_model, save_model, train_als, training_rmse
 from .influence import (
-    ExactBinary,
     InfluenceQuery,
     InfluenceReport,
     ItemSet,
-    MonteCarlo,
     SingleItem,
     explain,
     qii_exact_binary,

@@ -16,7 +16,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix
+from .datamodel import FactorModel, MetadataMatrix, read_json
 from .errors import ReclensError, ValidationError
 from .factorize import AlsConfig, load_model, save_model, train_als
 from .influence import InfluenceQuery, ItemSet, SingleItem, explain, write_svg
@@ -71,6 +71,27 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     def fmt(cells):
         return "  ".join(c.ljust(w) for c, w in zip(cells, widths)).rstrip()
     return "\n".join([fmt(headers)] + [fmt(r) for r in rows])
+
+
+def _check_keys(doc, what: str, required=(), optional=(), listing="keys"):
+    """Reject a config object that is not a JSON object, holds a key outside
+    ``required`` + ``optional`` (with a did-you-mean hint), or lacks a
+    required key."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object")
+    allowed = (*required, *optional)
+    for key in doc:
+        if key not in allowed:
+            near = difflib.get_close_matches(key, allowed, n=1)
+            hint = (
+                f"; did you mean {near[0]!r}?" if near
+                else f"; {listing} are {', '.join(allowed)}"
+            )
+            raise ValidationError(f"unknown {what} key {key!r}{hint}")
+    for key in required:
+        if key not in doc:
+            raise ValidationError(f"{what} lacks required key {key!r}")
+    return doc
 
 
 def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
@@ -252,17 +273,9 @@ class SweepGrid:
     def from_dict(cls, doc: dict) -> "SweepGrid":
         """Parse a grid config strictly: every key must name an axis and
         hold a list."""
-        if not isinstance(doc, dict):
-            raise ValidationError("sweep grid must be a JSON object of axes")
         axes = [f.name for f in fields(cls)]
+        _check_keys(doc, "sweep grid", optional=axes, listing="axes")
         for key, values in doc.items():
-            if key not in axes:
-                near = difflib.get_close_matches(key, axes, n=1)
-                hint = (
-                    f"; did you mean {near[0]!r}?" if near
-                    else f"; axes are {', '.join(axes)}"
-                )
-                raise ValidationError(f"unknown sweep grid key {key!r}{hint}")
             if not isinstance(values, list):
                 raise ValidationError(f"sweep grid axis {key!r} must be a list")
         return cls(**{key: tuple(values) for key, values in doc.items()})
@@ -405,8 +418,7 @@ def cmd_sweep(args) -> int:
     )
     meta, mask = prune_items(meta, min_features=args.min_features)
     if args.grid:
-        with open(args.grid, "r", encoding="utf-8") as fh:
-            grid = SweepGrid.from_dict(json.load(fh))
+        grid = SweepGrid.from_dict(read_json(args.grid))
     else:
         grid = SweepGrid()
     rows = run_sweep(
@@ -441,8 +453,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = read_json(args.config)
     cfg = experiment_config_from_dict(
         doc,
         threads=args.threads,
@@ -474,56 +485,88 @@ def cmd_synth(args) -> int:
     return 0
 
 
+_SIM_REQUIRED = ("n_profiles", "features_per_profile", "n_users",
+                 "ratings_per_user")
+_SIM_OPTIONAL = ("base_rating", "delta", "scale_bounds", "feature_pool", "seed")
+_EXPERIMENT_OPTIONAL = ("shadow", "n_reps", "users_per_rep", "n_items",
+                        "n_meta_features", "keep_fraction", "direct_encode",
+                        "score_by_magnitude", "seed")
+_SHADOW_KEYS = {"linear": ("ridge",), "tree": ("max_depth", "bins", "min_leaf")}
+
+
 def experiment_config_from_dict(
     doc: dict,
     threads: int = 1,
     seed: int | None = None,
     direct_encode: bool | None = None,
 ) -> ExperimentConfig:
-    sim_doc = dict(doc["sim"])
-    pool_doc = sim_doc.pop("feature_pool", {"kind": "top_k_entropy", "value": 15})
-    sim = SimConfig(
-        feature_pool=FeatureFilterSpec(pool_doc["kind"], pool_doc["value"]),
-        scale_bounds=tuple(sim_doc.pop("scale_bounds", (1.0, 5.0))),
-        **sim_doc,
+    """Parse a synth config strictly: ``sim`` and ``als`` are required, and
+    an unknown key at any level is an error with a did-you-mean hint."""
+    _check_keys(doc, "synth config", ("sim", "als"), _EXPERIMENT_OPTIONAL)
+    sim_doc = dict(_check_keys(doc["sim"], "sim", _SIM_REQUIRED, _SIM_OPTIONAL))
+    pool_doc = _check_keys(
+        sim_doc.pop("feature_pool", {"kind": "top_k_entropy", "value": 15}),
+        "sim.feature_pool", ("kind", "value"),
     )
-    als_doc = dict(doc["als"])
-    als = AlsConfig(
-        rank=als_doc["rank"],
-        lam=als_doc.get("lambda", als_doc.get("lam", 0.1)),
-        max_iterations=als_doc.get("max_iterations", 20),
-        convergence_tol=als_doc.get("convergence_tol", 1e-4),
-        seed=als_doc.get("seed", 0),
+    als_doc = _check_keys(
+        doc["als"], "als", ("rank",),
+        ("lambda", "lam", "max_iterations", "convergence_tol", "seed"),
     )
-    shadow_doc = doc.get("shadow", {"kind": "tree"})
-    if shadow_doc.get("kind") == "linear":
-        kind = LinearKind(ridge=shadow_doc.get("ridge", 0.1))
-    else:
-        kind = TreeKind(
-            TreeParams(
-                max_depth=shadow_doc.get("max_depth", 5),
-                bins=shadow_doc.get("bins", 32),
-                min_leaf=shadow_doc.get("min_leaf", 1),
-            )
+    if "lambda" in als_doc and "lam" in als_doc:
+        raise ValidationError("als holds both 'lambda' and 'lam'; keep one")
+    shadow_doc = doc.get("shadow", {})
+    kind_name = (
+        shadow_doc.get("kind", "tree") if isinstance(shadow_doc, dict) else "tree"
+    )
+    if kind_name not in ("linear", "tree"):
+        raise ValidationError(
+            f"unknown shadow kind {kind_name!r}; kinds are linear, tree"
         )
-    return ExperimentConfig(
-        sim=sim,
-        als=als,
-        shadow_kind=kind,
-        n_reps=doc.get("n_reps", 20),
-        users_per_rep=doc.get("users_per_rep", 1),
-        n_items=doc.get("n_items", 200),
-        n_meta_features=doc.get("n_meta_features", 200),
-        keep_fraction=doc.get("keep_fraction", 0.5),
-        direct_encode=(
-            direct_encode
-            if direct_encode
-            else doc.get("direct_encode", False)
-        ),
-        score_by_magnitude=doc.get("score_by_magnitude", True),
-        threads=threads,
-        seed=seed if seed is not None else doc.get("seed", 0),
-    )
+    _check_keys(shadow_doc, f"{kind_name} shadow",
+                optional=("kind", *_SHADOW_KEYS[kind_name]))
+    try:
+        sim = SimConfig(
+            feature_pool=FeatureFilterSpec(pool_doc["kind"], pool_doc["value"]),
+            scale_bounds=tuple(sim_doc.pop("scale_bounds", (1.0, 5.0))),
+            **sim_doc,
+        )
+        als = AlsConfig(
+            rank=als_doc["rank"],
+            lam=als_doc.get("lambda", als_doc.get("lam", 0.1)),
+            max_iterations=als_doc.get("max_iterations", 20),
+            convergence_tol=als_doc.get("convergence_tol", 1e-4),
+            seed=als_doc.get("seed", 0),
+        )
+        if kind_name == "linear":
+            kind = LinearKind(ridge=shadow_doc.get("ridge", 0.1))
+        else:
+            kind = TreeKind(
+                TreeParams(
+                    max_depth=shadow_doc.get("max_depth", 5),
+                    bins=shadow_doc.get("bins", 32),
+                    min_leaf=shadow_doc.get("min_leaf", 1),
+                )
+            )
+        return ExperimentConfig(
+            sim=sim,
+            als=als,
+            shadow_kind=kind,
+            n_reps=doc.get("n_reps", 20),
+            users_per_rep=doc.get("users_per_rep", 1),
+            n_items=doc.get("n_items", 200),
+            n_meta_features=doc.get("n_meta_features", 200),
+            keep_fraction=doc.get("keep_fraction", 0.5),
+            direct_encode=(
+                direct_encode
+                if direct_encode
+                else doc.get("direct_encode", False)
+            ),
+            score_by_magnitude=doc.get("score_by_magnitude", True),
+            threads=threads,
+            seed=seed if seed is not None else doc.get("seed", 0),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"synth config holds a mistyped value: {exc}") from None
 
 
 # ----------------------------------------------------------------- main
@@ -612,8 +655,15 @@ def main(argv=None) -> int:
             parser.error("explain requires --item or --user-aggregate")
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        _eprint(f"error: cannot read {exc.filename}")
+    except OSError as exc:
+        if exc.filename is None:
+            _eprint(f"error: {exc}")
+            return 1
+        outputs = [str(p) for p in (getattr(args, "out", None),
+                                    getattr(args, "svg", None)) if p]
+        outputs += [p + ".report.json" for p in outputs]
+        verb = "write" if str(exc.filename) in outputs else "read"
+        _eprint(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}")
         return 1
     except ReclensError as exc:
         _eprint(f"error: {exc}")

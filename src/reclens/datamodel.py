@@ -214,6 +214,16 @@ def dense_attribute_row(meta: MetadataMatrix, item: int) -> np.ndarray:
     return row
 
 
+def read_json(path):
+    """The JSON document in ``path``; a ``FormatError`` naming the file if it
+    is not valid JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
 def load_artifact(path, fmt: str, version: int, build):
     """Read a versioned JSON artifact and turn it into an object with
     ``build(doc)``.
@@ -221,11 +231,7 @@ def load_artifact(path, fmt: str, version: int, build):
     Bad JSON, a missing or mistyped field, and a value its type rejects all
     raise one ``FormatError`` that names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from None
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     if doc.get("version") != version:

@@ -1,15 +1,21 @@
 """Quantitative input influence of metadata features on shadow ratings.
 
 The influence of a feature is the expected drop in the model's output when
-that feature alone is resampled from its marginal distribution.  For binary
-features the expectation has a closed form (``qii_exact_binary``); the
-Monte-Carlo estimator exists for numeric metadata and for cross-checking.
+that feature alone is resampled from its marginal distribution
+(``qii_exact_binary``).  ``explain`` evaluates it in the equivalent form
+(x_f - p_f) * (m(x|f=1) - m(x|f=0)), only where it can be nonzero: a tree
+shadow's rating moves only with the features that some factor tree tests
+on the item's path, so every other feature reports exactly 0.0 and sorts
+by name.  A linear shadow's flip effect is the same for every item, so its
+item-set influence is (mean(x) - p) times that effect, and over the whole
+item universe it is exactly 0.0 for every feature.  ``qii_monte_carlo``
+samples from an empirical value pool and serves as a cross-check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -17,6 +23,7 @@ import numpy as np
 
 from .datamodel import FactorModel, MetadataMatrix, predict_rating
 from .errors import EstimatorMismatchError, ValidationError
+from .regressors import RegressionTree
 from .shadow import ShadowModel
 
 RatingFn = Callable[[np.ndarray], float]
@@ -38,25 +45,9 @@ class ItemSet:
 
 
 @dataclass(frozen=True)
-class ExactBinary:
-    pass
-
-
-@dataclass(frozen=True)
-class MonteCarlo:
-    samples: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.samples < 1:
-            raise ValidationError("samples must be >= 1")
-
-
-@dataclass(frozen=True)
 class InfluenceQuery:
     user: int
     scope: SingleItem | ItemSet
-    estimator: ExactBinary | MonteCarlo = field(default_factory=ExactBinary)
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,6 @@ class InfluenceReport:
 
     def to_dict(self) -> dict:
         scope = self.query.scope
-        est = self.query.estimator
         return {
             "user": self.query.user,
             "scope": (
@@ -81,11 +71,7 @@ class InfluenceReport:
                 if isinstance(scope, SingleItem)
                 else {"item_set": list(scope.items)}
             ),
-            "estimator": (
-                "exact_binary"
-                if isinstance(est, ExactBinary)
-                else {"monte_carlo": {"samples": est.samples, "seed": est.seed}}
-            ),
+            "estimator": "exact_binary",
             "influences": [[name, value] for name, value in self.influences],
             "shadow_rating": self.shadow_rating,
             "baseline_rating": self.baseline_rating,
@@ -151,45 +137,31 @@ def qii_monte_carlo(
     return float(total / samples)
 
 
-def _exact_influences(shadow, meta, user, rows):
-    """Vectorized exact-binary influence of every feature, averaged over
-    the given metadata rows (one row = single-item scope)."""
-    X = meta.dense[rows]
+def _influences(shadow, X, user, marginals):
+    """Exact-binary influence of every feature, averaged over the rows of X:
+    mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0)).
+
+    A tree contributes only for the features tested on a row's path; any
+    other flip leaves its prediction unchanged.  A linear factor's flip
+    effect is its weight, whatever the row.
+    """
     u = shadow.user_factors[user]
-    base = shadow.predicted_factors_batch(X) @ u
-    out = np.empty(meta.n_features)
-    for f in range(meta.n_features):
-        p = meta.marginals[f]
-        x1 = X.copy()
-        x1[:, f] = 1.0
-        x0 = X.copy()
-        x0[:, f] = 0.0
-        r1 = shadow.predicted_factors_batch(x1) @ u
-        r0 = shadow.predicted_factors_batch(x0) @ u
-        out[f] = float(np.mean(base - (p * r1 + (1.0 - p) * r0)))
-    return out, float(base.mean())
-
-
-def _monte_carlo_influences(shadow, meta, user, rows, estimator):
-    out = np.zeros(meta.n_features)
-    ratings = []
-    for row in rows:
-        x = meta.dense[row]
-        fn = lambda a: shadow.predict(user, a)
-        ratings.append(fn(x))
-        for f in range(meta.n_features):
-            out[f] += qii_monte_carlo(
-                fn,
-                x,
-                f,
-                meta.dense[:, f],
-                estimator.samples,
-                seed=np.random.SeedSequence(
-                    entropy=(estimator.seed, int(row), f)
-                ).generate_state(1)[0],
-            )
-    out /= len(rows)
-    return out, float(np.mean(ratings))
+    out = np.zeros(X.shape[1])
+    linear = []
+    for j, predictor in enumerate(shadow.factor_predictors):
+        if isinstance(predictor, RegressionTree):
+            rows, features = predictor.path_features(X)
+            effect = u[j] * predictor.flip_effect(X, rows, features)
+            lean = X[rows, features] - marginals[features]
+            out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
+        else:
+            linear.append(j)
+    if linear:
+        weights = np.column_stack(
+            [shadow.factor_predictors[j].weights for j in linear]
+        )
+        out += (X.mean(axis=0) - marginals) * (weights @ u[linear])
+    return out
 
 
 def explain(
@@ -204,7 +176,8 @@ def explain(
     single_item answers "why this recommendation"; item_set averages the
     per-item influences, answering "what does the model think this user
     likes".  Features sort by descending |influence| with a name tie-break
-    and the list is cut to ``top_k`` only after the full sort.
+    and the list is cut to ``top_k`` only after the full sort.  A feature
+    that no factor tree tests on the items' paths reports exactly 0.0.
     """
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
@@ -227,12 +200,10 @@ def explain(
             f"{len(outside)} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
-    if isinstance(query.estimator, ExactBinary):
-        values, shadow_rating = _exact_influences(shadow, meta, query.user, rows)
-    else:
-        values, shadow_rating = _monte_carlo_influences(
-            shadow, meta, query.user, rows, query.estimator
-        )
+    X = meta.dense[rows]
+    values = _influences(shadow, X, query.user, meta.marginals)
+    base = shadow.predicted_factors_batch(X) @ shadow.user_factors[query.user]
+    shadow_rating = float(base.mean())
     order = sorted(
         range(meta.n_features),
         key=lambda f: (-abs(values[f]), meta.feature_names[f]),

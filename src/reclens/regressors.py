@@ -177,19 +177,60 @@ class RegressionTree:
             node = node.left if a[node.feature] <= node.threshold else node.right
         return float(node.value)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Route every row one level per step, ``depth`` steps in all."""
+    def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
                 f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
             )
-        rows = np.arange(len(X))
-        node = np.zeros(len(X), dtype=np.intp)
+        return X
+
+    def _route(self, X, rows, flipped=None, value=0.0, visited=None):
+        """Leaf node of each row ``X[rows[i]]``, one level per step.  With
+        ``flipped``, row i reads ``value`` in column ``flipped[i]``; with
+        ``visited``, the node array of every level is appended to it."""
+        node = np.zeros(len(rows), dtype=np.intp)
         for _ in range(self._depth):
-            go_left = X[rows, self._feature[node]] <= self._threshold[node]
-            node = np.where(go_left, self._left[node], self._right[node])
-        return self._value[node]
+            if visited is not None:
+                visited.append(node)
+            tested = self._feature[node]
+            x = X[rows, tested]
+            if flipped is not None:
+                x = np.where(tested == flipped, value, x)
+            node = np.where(
+                x <= self._threshold[node], self._left[node], self._right[node]
+            )
+        return node
+
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Route every row one level per step, ``depth`` steps in all."""
+        X = self._checked(X)
+        return self._value[self._route(X, np.arange(len(X)))]
+
+    def path_features(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, features): every feature tested on the path of each row of
+        X, once per row, ordered by row then feature.  No other feature can
+        change the row's prediction."""
+        X = self._checked(X)
+        rows = np.arange(len(X))
+        visited = []
+        self._route(X, rows, visited=visited)
+        keys = []
+        for node in visited:
+            split = self._left[node] != node
+            keys.append(rows[split] * self.n_features + self._feature[node[split]])
+        keys = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.intp)
+        return keys // self.n_features, keys % self.n_features
+
+    def flip_effect(
+        self, X: np.ndarray, rows: np.ndarray, features: np.ndarray
+    ) -> np.ndarray:
+        """f(x | x_j = 1) - f(x | x_j = 0) for each pair x = X[rows[i]],
+        j = features[i]."""
+        X = self._checked(X)
+        on = self._value[self._route(X, rows, features, 1.0)]
+        off = self._value[self._route(X, rows, features, 0.0)]
+        return on - off
 
 
 def _candidate_thresholds(x: np.ndarray, bins: int) -> np.ndarray:

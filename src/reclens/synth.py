@@ -17,7 +17,6 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import stdtr
 
 from .datamodel import FactorModel, MetadataMatrix, RatingsMatrix
 from .errors import ReclensError, StatsError, ValidationError
@@ -294,6 +293,10 @@ def direct_encode_model(
 def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Welch's unequal-variance t statistic and two-sided p-value, with
     Welch-Satterthwaite degrees of freedom."""
+    # scipy is imported here, not at module level, to keep it off the
+    # import path of every other command.
+    from scipy.special import stdtr
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
@@ -376,6 +379,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_reps < 1 or self.users_per_rep < 1:
             raise ValidationError("n_reps and users_per_rep must be >= 1")
+        if self.n_items < 1 or self.n_meta_features < 1:
+            raise ValidationError("n_items and n_meta_features must be >= 1")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
 

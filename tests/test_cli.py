@@ -1,9 +1,15 @@
+import ast
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reclens.cli import SweepGrid, main, run_sweep
+from reclens.cli import SweepGrid, experiment_config_from_dict, main, run_sweep
 from reclens.errors import ValidationError
 from reclens.factorize import load_model
 from reclens.shadow import load_shadow
@@ -335,6 +341,34 @@ class TestBrokenFiles:
         ], bad, "'threshold'")
 
 
+    @pytest.mark.parametrize("flag", ["--shadow", "--model"])
+    def test_directory_argument(self, tmp_path, shadow_fixture, capsys, flag):
+        meta, _, shadow_path = shadow_fixture
+        argv = {"--shadow": str(shadow_path)}
+        argv[flag] = str(tmp_path)
+        capsys.readouterr()
+        code = main([
+            "explain", "--metadata", str(meta), "--user", "u0", "--item", "m1",
+            *(x for pair in argv.items() for x in pair),
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: cannot read {tmp_path}: ")
+
+    def test_unwritable_output(self, tmp_path, shadow_fixture, capsys):
+        meta, model_path, _ = shadow_fixture
+        capsys.readouterr()
+        code = main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: cannot write {tmp_path}: ")
+
+
 class TestSweep:
     def test_single_cell_grid(self, tmp_path, rng, capsys):
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
@@ -522,3 +556,72 @@ class TestSynthCommand:
         assert main(["synth", "--config", str(config), "--out", str(out1)]) == 0
         assert main(["synth", "--config", str(config), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.pop("sim"), "synth config lacks required key 'sim'"),
+            (lambda d: d.update(n_rep=3), "did you mean 'n_reps'?"),
+            (lambda d: d["sim"].update(n_user=3), "did you mean 'n_users'?"),
+            (lambda d: d["sim"].pop("n_users"), "sim lacks required key 'n_users'"),
+            (lambda d: d["sim"]["feature_pool"].update(kinds=1),
+             "unknown sim.feature_pool key 'kinds'"),
+            (lambda d: d["als"].update(rnak=2), "did you mean 'rank'?"),
+            (lambda d: d["als"].update(lam=0.2), "both 'lambda' and 'lam'"),
+            (lambda d: d["shadow"].update(ridge=1.0),
+             "unknown tree shadow key 'ridge'"),
+            (lambda d: d["shadow"].update(kind="forest"),
+             "unknown shadow kind 'forest'"),
+            (lambda d: d.update(sim=[1]), "sim must be a JSON object"),
+            (lambda d: d.update(n_reps="many"), "mistyped value"),
+            (lambda d: d.update(n_items="many"), "mistyped value"),
+            (lambda d: d.update(n_meta_features=0), "must be >= 1"),
+        ],
+    )
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):
+        config = synth_config(tmp_path)
+        _edit_json(config, config, edit)
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith("error: ")
+        assert message in err_lines[0]
+
+    def test_config_not_json(self, tmp_path, capsys):
+        config = tmp_path / "synth.json"
+        config.write_text('{"sim": ')
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: {config}: not valid JSON")
+
+    def test_documented_configs_parse(self):
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text()
+        block = re.search(r"```json\n(\{\n  \"sim\".*?)```", readme, re.S)
+        docs = [json.loads(block.group(1))]
+        tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and node.targets[0].id == "SYNTH_CONFIG":
+                docs += ast.literal_eval(node.value).values()
+        assert len(docs) == 3
+        for doc in docs:
+            cfg = experiment_config_from_dict(doc)
+            assert cfg.als.lam == doc["als"]["lambda"]
+            assert cfg.shadow_kind.params.bins == doc["shadow"]["bins"]
+        linear = dict(docs[0], shadow={"kind": "linear", "ridge": 0.5},
+                      als={"rank": 2, "lam": 0.3})
+        cfg = experiment_config_from_dict(linear)
+        assert cfg.shadow_kind.ridge == 0.5 and cfg.als.lam == 0.3
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, reclens.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"

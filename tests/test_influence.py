@@ -1,14 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reclens.datamodel import FactorModel
 from reclens.errors import EstimatorMismatchError, ValidationError
 from reclens.influence import (
     InfluenceQuery,
     ItemSet,
-    MonteCarlo,
     SingleItem,
     explain,
     influence_report_svg,
@@ -17,7 +18,7 @@ from reclens.influence import (
     write_svg,
 )
 from reclens.regressors import LinearRegressor, TreeParams, fit_tree
-from reclens.shadow import train_shadow, TreeKind
+from reclens.shadow import LinearKind, train_shadow, TreeKind
 
 from conftest import identity_meta, leaf_tree, make_meta, manual_shadow
 
@@ -211,17 +212,40 @@ class TestExplain:
 
     def test_monte_carlo_estimator_agrees(self):
         shadow, meta = linear_shadow_three_features()
-        exact = explain(shadow, meta, InfluenceQuery(0, SingleItem(0)), top_k=3)
-        mc = explain(
-            shadow,
-            meta,
-            InfluenceQuery(0, SingleItem(0), MonteCarlo(samples=60_000, seed=5)),
-            top_k=3,
+        report = explain(shadow, meta, InfluenceQuery(0, SingleItem(0)), top_k=3)
+        fn = lambda a: shadow.predict(0, a)
+        for name, value in report.influences:
+            f = meta.feature_index(name)
+            mc = qii_monte_carlo(
+                fn, meta.dense[0], f, meta.dense[:, f], samples=60_000, seed=5
+            )
+            assert mc == pytest.approx(value, abs=0.03)
+
+    def test_linear_universe_aggregate_is_exactly_zero(self, rng):
+        # The mean over every item of a 0/1 column is its marginal, bit for
+        # bit, whatever the item order; a linear flip effect does not
+        # depend on the item, so nothing is left to average.
+        shadow, meta = linear_shadow_three_features()
+        report = explain(
+            shadow, meta, InfluenceQuery(1, ItemSet((3, 1, 0, 2))), top_k=3
         )
-        for (_, ev), (_, mv) in zip(
-            sorted(exact.influences), sorted(mc.influences)
-        ):
-            assert mv == pytest.approx(ev, abs=0.03)
+        assert report.influences == (("fa", 0.0), ("fb", 0.0), ("fc", 0.0))
+        n_items, d = 40, 7
+        X = (rng.random((n_items, d)) < 0.4).astype(float)
+        meta = make_meta(n_items, {
+            f"h{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+        })
+        baseline = FactorModel(
+            rank=3, lam=0.0,
+            user_factors=rng.normal(size=(2, 3)),
+            item_factors=rng.normal(size=(n_items, 3)),
+        )
+        shadow = train_shadow(baseline, meta, LinearKind(0.1), split=(0.8, 0))
+        everything = ItemSet(tuple(rng.permutation(n_items).tolist()))
+        report = explain(shadow, meta, InfluenceQuery(0, everything), top_k=d)
+        assert [v for _, v in report.influences] == [0.0] * d
+        assert all(math.copysign(1.0, v) == 1.0 for _, v in report.influences)
+        assert [n for n, _ in report.influences] == sorted(meta.feature_names)
 
     def test_report_is_full_permutation_sorted_by_magnitude(self, rng):
         n_items, d = 10, 6
@@ -298,6 +322,94 @@ class TestExplain:
         other = make_meta(4, {"x": {0}, "y": {1}, "z": {2}})
         with pytest.raises(ValidationError):
             explain(shadow, other, InfluenceQuery(0, SingleItem(0)), top_k=1)
+
+
+def exact_influences_oracle(shadow, meta, user, rows):
+    """m(x) - [p m(x|f=1) + (1-p) m(x|f=0)] for every feature, averaged over
+    the rows, by two batch predictions per feature."""
+    X = meta.dense[rows]
+    u = shadow.user_factors[user]
+    base = shadow.predicted_factors_batch(X) @ u
+    out = np.empty(meta.n_features)
+    for f in range(meta.n_features):
+        p = meta.marginals[f]
+        x1 = X.copy()
+        x1[:, f] = 1.0
+        x0 = X.copy()
+        x0[:, f] = 0.0
+        r1 = shadow.predicted_factors_batch(x1) @ u
+        r0 = shadow.predicted_factors_batch(x0) @ u
+        out[f] = float(np.mean(base - (p * r1 + (1.0 - p) * r0)))
+    return out
+
+
+def features_on_paths(tree, X):
+    """Features tested on the path of any row of X, walking the node objects."""
+    found = set()
+    for x in X:
+        node = tree.root
+        while not node.is_leaf:
+            found.add(node.feature)
+            node = node.left if x[node.feature] <= node.threshold else node.right
+    return found
+
+
+@st.composite
+def explain_problems(draw):
+    """Random 0/1 metadata, a tree or linear shadow fitted to random item
+    factors, and a single-item or item-set query."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_items = draw(st.integers(2, 30))
+    d = draw(st.integers(1, 12))
+    X = (rng.random((n_items, d)) < draw(st.floats(0.1, 0.9))).astype(float)
+    meta = make_meta(n_items, {
+        f"f{j:02d}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+    })
+    rank = draw(st.integers(1, 3))
+    baseline = FactorModel(
+        rank=rank, lam=0.0,
+        user_factors=rng.normal(size=(2, rank)),
+        item_factors=rng.normal(size=(n_items, rank)),
+    )
+    if draw(st.booleans()):
+        kind = LinearKind(ridge=0.1)
+    else:
+        kind = TreeKind(TreeParams(
+            max_depth=draw(st.integers(0, 4)), min_leaf=draw(st.integers(1, 3))
+        ))
+    shadow = train_shadow(baseline, meta, kind, split=(1.0, 0))
+    items = st.integers(0, n_items - 1)
+    if draw(st.booleans()):
+        scope = SingleItem(draw(items))
+    else:
+        scope = ItemSet(tuple(draw(st.lists(items, min_size=1, max_size=12))))
+    return shadow, meta, InfluenceQuery(draw(st.integers(0, 1)), scope)
+
+
+class TestExplainAgainstOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(explain_problems())
+    def test_matches_oracle_and_zeros_are_exact(self, problem):
+        shadow, meta, query = problem
+        scope = query.scope
+        items = [scope.item] if isinstance(scope, SingleItem) else scope.items
+        rows = np.array(items)
+        report = explain(shadow, meta, query, top_k=meta.n_features)
+        values = dict(report.influences)
+        oracle = exact_influences_oracle(shadow, meta, query.user, rows)
+        for f, name in enumerate(meta.feature_names):
+            assert abs(values[name] - oracle[f]) <= 1e-12
+        if isinstance(shadow.kind, TreeKind):
+            movable = set()
+            for tree in shadow.factor_predictors:
+                movable |= features_on_paths(tree, meta.dense[rows])
+            for f, name in enumerate(meta.feature_names):
+                if f not in movable:
+                    assert values[name] == 0.0
+                    assert math.copysign(1.0, values[name]) == 1.0
+        zeros = [name for name, v in report.influences if v == 0.0]
+        assert zeros == sorted(zeros)
+        assert [n for n, _ in report.influences[len(values) - len(zeros):]] == zeros
 
 
 class TestReportSerialization:

@@ -16,6 +16,8 @@ from reclens.regressors import (
     predict,
 )
 
+from conftest import leaf_tree
+
 
 def best_tree_mae_oracle(X, y, depth: int) -> float:
     """Exhaustive search over axis-aligned binary trees up to ``depth``.
@@ -296,6 +298,45 @@ class TestTreeStructure:
     def test_malformed_node_rejected(self, root):
         with pytest.raises(ValidationError, match="neither a leaf nor a split"):
             RegressionTree(root=root, params=TreeParams(max_depth=1), n_features=2)
+
+
+class TestPaths:
+    # x0 at the root; x2 under its left child, x0 again under its right
+    TREE = RegressionTree(
+        root=TreeNode(
+            feature=0, threshold=0.5,
+            left=TreeNode(feature=2, threshold=0.5, left=TreeNode(value=1.0),
+                          right=TreeNode(value=2.0)),
+            right=TreeNode(feature=0, threshold=0.5, left=TreeNode(value=3.0),
+                           right=TreeNode(value=4.0)),
+        ),
+        params=TreeParams(max_depth=2),
+        n_features=4,
+    )
+
+    def test_path_features_per_row_once(self):
+        X = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
+        rows, features = self.TREE.path_features(X)
+        assert rows.tolist() == [0, 0, 1]
+        assert features.tolist() == [0, 2, 0]
+
+    def test_leaf_has_no_path(self):
+        rows, features = leaf_tree(0.5, 4).path_features(np.ones((3, 4)))
+        assert len(rows) == 0 and len(features) == 0
+
+    def test_flip_effect_matches_predict_batch(self, rng):
+        X = (rng.random((20, 4)) < 0.5).astype(float)
+        tree = fit_tree(X, rng.normal(size=20), TreeParams(max_depth=4))
+        rows = np.repeat(np.arange(20), 4)
+        features = np.tile(np.arange(4), 20)
+        flipped = []
+        for value in (1.0, 0.0):
+            Xf = X[rows].copy()
+            Xf[np.arange(len(rows)), features] = value
+            flipped.append(tree.predict_batch(Xf))
+        np.testing.assert_array_equal(
+            tree.flip_effect(X, rows, features), flipped[0] - flipped[1]
+        )
 
 
 class TestPredict:
