@@ -57,7 +57,6 @@ from .shadow import (
     measure_agreement,
     observational_agreement,
     save_shadow,
-    shadow_predict,
     train_shadow,
 )
 from .synth import (

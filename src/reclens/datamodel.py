@@ -240,5 +240,6 @@ def load_artifact(path, fmt: str, version: int, build):
         return build(doc)
     except KeyError as exc:
         raise FormatError(f"{path}: {fmt} file lacks field {exc}") from None
-    except (TypeError, ValueError, IndexError, ValidationError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError,
+            ValidationError) as exc:
         raise FormatError(f"{path}: malformed {fmt} file: {exc}") from None

@@ -35,18 +35,46 @@ class AlsConfig:
             raise ValidationError("convergence_tol must be >= 0")
 
 
-def _solve_half(n_rows, idx_row, idx_other, vals, other, lam, k):
-    """Solve every row's regularized normal equations in one batched call.
+def _row_groups(n_rows, idx_row, idx_other, vals):
+    """The ratings grouped for :func:`_solve_half`, built once per side.
 
-    The diagonal carries lam * n_row (count-weighted regularization), so the
-    k x k systems are positive definite whenever lam > 0.
+    A stable argsort puts each row's ratings in one contiguous slice.  Rows
+    are then bucketed by rating count, so that every bucket is a dense
+    (rows, count) block of other-side indices and values.  Returns the
+    per-row counts and one ``(rows, other_idx, vals)`` triple per distinct
+    count; together they take O(nnz) memory.
     """
-    F = other[idx_other]
-    A = np.zeros((n_rows, k, k))
-    b = np.zeros((n_rows, k))
-    np.add.at(A, idx_row, F[:, :, None] * F[:, None, :])
-    np.add.at(b, idx_row, F * vals[:, None])
+    order = np.argsort(idx_row, kind="stable")
     counts = np.bincount(idx_row, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    idx_other, vals = idx_other[order], vals[order]
+    buckets = []
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        at = starts[rows][:, None] + np.arange(count)
+        buckets.append((rows, idx_other[at], vals[at]))
+    return counts, buckets
+
+
+def _solve_half(groups, other, lam):
+    """Solve every row's regularized normal equations.
+
+    Row r's system is ``(F_r^T F_r + lam * n_r * I) x = F_r^T v_r``, where
+    F_r holds the other-side factors of the n_r entries row r rated and v_r
+    their ratings.  The Gram matrices are formed one count bucket of
+    :func:`_row_groups` at a time as (rows, n_r, k) batched products, so
+    memory stays O(nnz * k + rows * k^2); one batched solve follows.  The
+    diagonal carries lam * n_r (count-weighted regularization, ALS-WR), so
+    the k x k systems are positive definite whenever lam > 0.
+    """
+    counts, buckets = groups
+    n_rows, k = len(counts), other.shape[1]
+    A = np.empty((n_rows, k, k))
+    b = np.empty((n_rows, k))
+    for rows, idx_other, vals in buckets:
+        F = other[idx_other]
+        A[rows] = np.matmul(F.transpose(0, 2, 1), F)
+        b[rows] = np.matmul(vals[:, None, :], F)[:, 0]
     A[:, np.arange(k), np.arange(k)] += lam * counts[:, None]
     try:
         return np.linalg.solve(A, b[..., None])[..., 0]
@@ -84,16 +112,16 @@ def train_als(
     rng = np.random.default_rng(cfg.seed)
     item_factors = rng.random((ratings.n_items, k)) / np.sqrt(k)
     user_factors = np.zeros((ratings.n_users, k))
+    by_user = _row_groups(
+        ratings.n_users, ratings.users, ratings.items, ratings.ratings
+    )
+    by_item = _row_groups(
+        ratings.n_items, ratings.items, ratings.users, ratings.ratings
+    )
     prev_rmse = np.inf
     for iteration in range(cfg.max_iterations):
-        user_factors = _solve_half(
-            ratings.n_users, ratings.users, ratings.items,
-            ratings.ratings, item_factors, cfg.lam, k,
-        )
-        item_factors = _solve_half(
-            ratings.n_items, ratings.items, ratings.users,
-            ratings.ratings, user_factors, cfg.lam, k,
-        )
+        user_factors = _solve_half(by_user, item_factors, cfg.lam)
+        item_factors = _solve_half(by_item, user_factors, cfg.lam)
         pred = np.einsum(
             "ij,ij->i", user_factors[ratings.users], item_factors[ratings.items]
         )

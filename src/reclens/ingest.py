@@ -74,6 +74,15 @@ class FeatureFilterSpec:
         return cls("min_support", int(count))
 
 
+def _text_lines(fh, path):
+    """The lines of the open text file ``fh``; a ``ParseError`` naming
+    ``path`` if its bytes are not valid UTF-8."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+
+
 def load_ratings(
     path: str | Path,
     scale: tuple[float, float] = (1.0, 5.0),
@@ -91,10 +100,11 @@ def load_ratings(
     cells: dict[tuple[int, int], float] = {}
     lo, hi = scale
     with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
+        lines = _text_lines(fh, path)
+        header = next(lines, "")
         if not header.lower().lstrip("\ufeff").startswith("userid"):
             raise ParseError(f"{path}:1: expected a header line starting with userId")
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             line = line.strip()
             if not line:
                 continue
@@ -144,7 +154,7 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
     path = Path(path)
     records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(_text_lines(fh, path), start=1):
             line = line.strip()
             if not line:
                 continue

@@ -27,6 +27,10 @@ SHADOW_VERSION = 1
 
 FAITHFULNESS_EPS = 1e-12
 
+# Eval items per block in measure_agreement: its working set is a few
+# (users x block) float64 matrices.
+AGREEMENT_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class LinearKind:
@@ -102,10 +106,6 @@ class ShadowModel:
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} out of range [0, {self.n_users})")
         return float(self.user_factors[user] @ self.predicted_factors(a))
-
-
-def shadow_predict(shadow: ShadowModel, user: int, a: np.ndarray) -> float:
-    return shadow.predict(user, a)
 
 
 def train_shadow(
@@ -197,11 +197,12 @@ def latent_agreement(
 
 
 def _pair_predictions(shadow, baseline, meta, pairs):
-    pairs = [(int(u), int(i)) for u, i in pairs]
-    if not pairs:
+    if not isinstance(pairs, (np.ndarray, Sequence)):
+        pairs = list(pairs)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs) == 0:
         raise ValidationError("agreement over an empty pair set is undefined")
-    users = np.array([u for u, _ in pairs], dtype=np.int64)
-    items = np.array([i for _, i in pairs], dtype=np.int64)
+    users, items = pairs[:, 0], pairs[:, 1]
     rows = _rows_for_items(shadow, items)
     factors = shadow.predicted_factors_batch(meta.dense[rows])
     shadow_pred = np.einsum("ij,ij->i", shadow.user_factors[users], factors)
@@ -209,6 +210,17 @@ def _pair_predictions(shadow, baseline, meta, pairs):
         "ij,ij->i", baseline.user_factors[users], baseline.item_factors[items]
     )
     return users, items, shadow_pred, base_pred
+
+
+def _random_factors(shadow, baseline, distinct, seed):
+    """faithfulness's randomized latent vectors, one per distinct item: a
+    per-factor uniform draw from that factor's range over the shadow's
+    items."""
+    universe = baseline.item_factors[shadow.item_indices]
+    lo = universe.min(axis=0)
+    hi = universe.max(axis=0)
+    rng = np.random.default_rng(seed)
+    return lo + rng.random((len(distinct), shadow.rank)) * (hi - lo)
 
 
 def observational_agreement(
@@ -244,16 +256,12 @@ def faithfulness(
         shadow, baseline, meta, pairs
     )
     mse_shadow = float(np.mean((base_pred - shadow_pred) ** 2))
-    universe = baseline.item_factors[shadow.item_indices]
-    lo = universe.min(axis=0)
-    hi = universe.max(axis=0)
-    rng = np.random.default_rng(seed)
     distinct = np.unique(items)
-    random_factors = lo + rng.random((len(distinct), shadow.rank)) * (hi - lo)
-    slot = {int(i): r for r, i in enumerate(distinct)}
-    rand_rows = np.array([slot[int(i)] for i in items])
+    random_factors = _random_factors(shadow, baseline, distinct, seed)
     rand_pred = np.einsum(
-        "ij,ij->i", shadow.user_factors[users], random_factors[rand_rows]
+        "ij,ij->i",
+        shadow.user_factors[users],
+        random_factors[np.searchsorted(distinct, items)],
     )
     mse_random = float(np.mean((base_pred - rand_pred) ** 2))
     return mse_random / max(mse_shadow, FAITHFULNESS_EPS)
@@ -294,7 +302,15 @@ def measure_agreement(
     seed: int = 0,
 ) -> AgreementReport:
     """Bundle latent and observational agreement over a named item set
-    ("eval", "train" or "all"); pairs are all users x those items."""
+    ("eval", "train" or "all"); pairs are all users x those items.
+
+    The observational MAE/MSE and the faithfulness ratio equal
+    :func:`observational_agreement` and :func:`faithfulness` over that pair
+    grid (same random draw for the same seed), but are accumulated over
+    blocks of ``AGREEMENT_BLOCK`` items as ``U @ V_blockᵀ`` matrix
+    products, so memory is O(users x block) rather than a list of every
+    pair.
+    """
     if item_set == "eval":
         items = shadow.eval_items
     elif item_set == "train":
@@ -304,16 +320,28 @@ def measure_agreement(
     else:
         raise ValidationError(f"unknown item set {item_set!r}")
     per_factor, mean_mae = latent_agreement(shadow, baseline, meta, items)
-    users = np.arange(shadow.n_users, dtype=np.int64)
-    pairs = [(u, i) for i in items for u in users]
-    mae, mse = observational_agreement(shadow, baseline, meta, pairs)
-    faith = faithfulness(shadow, baseline, meta, pairs, seed=seed)
+    distinct = np.unique(items)
+    random_factors = _random_factors(shadow, baseline, distinct, seed)
+    abs_sum = sq_sum = rand_sq_sum = 0.0
+    for start in range(0, len(items), AGREEMENT_BLOCK):
+        block = items[start:start + AGREEMENT_BLOCK]
+        predicted = shadow.predicted_factors_batch(
+            meta.dense[_rows_for_items(shadow, block)]
+        )
+        base = baseline.user_factors @ baseline.item_factors[block].T
+        resid = base - shadow.user_factors @ predicted.T
+        abs_sum += float(np.abs(resid).sum())
+        sq_sum += float((resid**2).sum())
+        rand = random_factors[np.searchsorted(distinct, block)]
+        rand_sq_sum += float(((base - shadow.user_factors @ rand.T) ** 2).sum())
+    n_pairs = shadow.n_users * len(items)
+    mse = sq_sum / n_pairs
     return AgreementReport(
         per_factor_mae=tuple(float(v) for v in per_factor),
         mean_latent_mae=mean_mae,
-        observational_mae=mae,
+        observational_mae=abs_sum / n_pairs,
         observational_mse=mse,
-        faithfulness=faith,
+        faithfulness=(rand_sq_sum / n_pairs) / max(mse, FAITHFULNESS_EPS),
     )
 
 

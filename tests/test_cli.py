@@ -1,13 +1,17 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reclens.cli import SweepGrid, experiment_config_from_dict, main, run_sweep
 from reclens.errors import ValidationError
@@ -340,6 +344,32 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, "'threshold'")
 
+    def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+        bad = tmp_path / "inf.json"
+        bad.write_text(shadow_path.read_text().replace(
+            '"train_items": [', '"train_items": [1e999, '))
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, "infinity")
+
+    def test_ratings_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "r.csv"
+        bad.write_bytes(b"userId,movieId,rating\n1,2,\xff\xfe\n")
+        self._assert_one_error(capsys, [
+            "train", "--ratings", str(bad), "--rank", "2",
+            "--out", str(tmp_path / "m.json"),
+        ], bad, "not valid UTF-8")
+
+    def test_metadata_not_utf8(self, tmp_path, shadow_fixture, capsys):
+        meta, model_path, _ = shadow_fixture
+        bad = tmp_path / "meta.jsonl"
+        bad.write_bytes(meta.read_bytes() + b'{"item_id": "m1\xff"}\n')
+        self._assert_one_error(capsys, [
+            "shadow", "--model", str(model_path), "--metadata", str(bad),
+            "--out", str(tmp_path / "s.json"),
+        ], bad, "not valid UTF-8")
 
     @pytest.mark.parametrize("flag", ["--shadow", "--model"])
     def test_directory_argument(self, tmp_path, shadow_fixture, capsys, flag):
@@ -625,3 +655,100 @@ def test_cli_import_leaves_scipy_unloaded():
         env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert out.stdout.strip() == "False"
+
+
+# ------------------------------------------------------------------ fuzz
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small valid input files for every CLI file argument, as bytes."""
+    d = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(5)
+    write_ratings_csv(d / "ratings.csv", [
+        (f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+        for u in range(4) for i in range(5)
+    ])
+    write_metadata_jsonl(d / "meta.jsonl", {
+        f"m{i}": {"genre": ["a", "b"][: 1 + i % 2], "era": [f"e{i % 3}"]}
+        for i in range(5)
+    })
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["train", "--ratings", str(d / "ratings.csv"), "--rank", "2",
+                     "--iters", "3", "--out", str(d / "model.json")]) == 0
+        assert main(["shadow", "--model", str(d / "model.json"),
+                     "--metadata", str(d / "meta.jsonl"), "--kind", "tree",
+                     "--depth", "2", "--out", str(d / "shadow.json")]) == 0
+    return {name: (d / name).read_bytes() for name in
+            ("ratings.csv", "meta.jsonl", "model.json", "shadow.json")}
+
+
+# Which command reads each damaged file; {d} is a scratch directory that
+# holds the intact files.
+FUZZ_COMMANDS = {
+    "ratings.csv": ["train", "--ratings", "{d}/ratings.csv", "--rank", "2",
+                    "--iters", "3", "--out", "{d}/out.json"],
+    "meta.jsonl": ["shadow", "--model", "{d}/model.json", "--metadata",
+                   "{d}/meta.jsonl", "--kind", "tree", "--depth", "2",
+                   "--out", "{d}/out.json"],
+    "model.json": ["shadow", "--model", "{d}/model.json", "--metadata",
+                   "{d}/meta.jsonl", "--out", "{d}/out.json"],
+    "shadow.json": ["explain", "--shadow", "{d}/shadow.json", "--metadata",
+                    "{d}/meta.jsonl", "--user", "u1", "--item", "m2",
+                    "--model", "{d}/model.json"],
+}
+
+# Values a "token" edit puts in place of a number, name or bracket.
+FUZZ_TOKENS = (b"null", b"1e999", b"-1e999", b"NaN", b"[]", b"{}", b"-1",
+               b"0", b"1.5", b"true", b'"x"', b"99999999999999999999", b"[1]")
+FUZZ_TOKEN = re.compile(rb"-?[0-9][0-9.eE+-]*|[A-Za-z_]\w*|[\[{]")
+
+byte_edits = st.lists(
+    st.tuples(st.sampled_from(["truncate", "replace", "insert", "delete", "token"]),
+              st.integers(0, 10**6), st.integers(0, 255)),
+    min_size=1, max_size=3,
+)
+
+
+def apply_edits(data: bytes, edits) -> bytes:
+    for op, at, value in edits:
+        at %= len(data) + 1
+        if op == "truncate":
+            data = data[:at]
+        elif op == "replace":
+            data = data[:at] + bytes([value]) + data[at + 1:]
+        elif op == "insert":
+            data = data[:at] + bytes([value]) + data[at:]
+        elif op == "delete":
+            data = data[:at] + data[at + 1:]
+        else:
+            tokens = list(FUZZ_TOKEN.finditer(data))
+            if tokens:
+                m = tokens[at % len(tokens)]
+                new = FUZZ_TOKENS[value % len(FUZZ_TOKENS)]
+                data = data[:m.start()] + new + data[m.end():]
+    return data
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(target=st.sampled_from(sorted(FUZZ_COMMANDS)), edits=byte_edits)
+def test_damaged_input_ends_cleanly(fuzz_inputs, target, edits):
+    """A truncated or byte-edited input either still works or ends in exit
+    1 with exactly one error line, never a traceback."""
+    with tempfile.TemporaryDirectory() as d:
+        for name, data in fuzz_inputs.items():
+            Path(d, name).write_bytes(data)
+        Path(d, target).write_bytes(apply_edits(fuzz_inputs[target], edits))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([arg.format(d=d) for arg in FUZZ_COMMANDS[target]])
+    errors = [line for line in err.getvalue().splitlines()
+              if line.startswith("error:")]
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert len(errors) == 1, err.getvalue()
+    else:
+        assert errors == []

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reclens.datamodel import RatingsMatrix, predict_rating
 from reclens.errors import SolverError, ValidationError
 from reclens.factorize import (
     AlsConfig,
+    _row_groups,
+    _solve_half,
     load_model,
     save_model,
     train_als,
@@ -29,6 +32,55 @@ def best_rank_k_rmse_oracle(R, k) -> float:
     u, s, vt = np.linalg.svd(R, full_matrices=False)
     approx = (u[:, :k] * s[:k]) @ vt[:k]
     return float(np.sqrt(np.mean((R - approx) ** 2)))
+
+
+def solve_half_oracle(n_rows, idx_row, idx_other, vals, other, lam, k):
+    """One ALS half-step the direct way: stack all nnz outer products
+    F_e F_e^T and scatter-add them into each row's normal equations."""
+    F = other[idx_other]
+    A = np.zeros((n_rows, k, k))
+    b = np.zeros((n_rows, k))
+    np.add.at(A, idx_row, F[:, :, None] * F[:, None, :])
+    np.add.at(b, idx_row, F * vals[:, None])
+    counts = np.bincount(idx_row, minlength=n_rows)
+    A[:, np.arange(k), np.arange(k)] += lam * counts[:, None]
+    return np.linalg.solve(A, b[..., None])[..., 0]
+
+
+@st.composite
+def half_step_problems(draw):
+    """Random sparse (row, other, value) triplets in which every row has at
+    least one entry; with few extra entries most rows have exactly one."""
+    n_rows = draw(st.integers(1, 12))
+    n_other = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 8))
+    extra = draw(st.integers(0, 40))
+    lam = draw(st.floats(0.01, 10.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx_row = rng.permutation(
+        np.concatenate([np.arange(n_rows), rng.integers(0, n_rows, extra)])
+    )
+    idx_other = rng.integers(0, n_other, len(idx_row))
+    vals = rng.uniform(1.0, 5.0, len(idx_row))
+    other = rng.normal(size=(n_other, k))
+    return n_rows, idx_row, idx_other, vals, other, lam, k
+
+
+class TestSolveHalf:
+    @settings(max_examples=150, deadline=None)
+    @given(half_step_problems())
+    def test_matches_outer_product_oracle(self, problem):
+        n_rows, idx_row, idx_other, vals, other, lam, k = problem
+        groups = _row_groups(n_rows, idx_row, idx_other, vals)
+        got = _solve_half(groups, other, lam)
+        want = solve_half_oracle(*problem)
+        assert got.shape == want.shape == (n_rows, k)
+        assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_unrated_row_is_singular(self):
+        groups = _row_groups(2, np.array([0]), np.array([0]), np.array([3.0]))
+        with pytest.raises(SolverError, match="lambda > 0"):
+            _solve_half(groups, np.ones((1, 2)), 0.1)
 
 
 class TestTrainAls:

@@ -4,7 +4,9 @@ import pytest
 from reclens.datamodel import FactorModel, predict_rating
 from reclens.errors import InsufficientDataError, ValidationError
 from reclens.regressors import TreeParams
+from reclens import shadow as shadow_module
 from reclens.shadow import (
+    AGREEMENT_BLOCK,
     LinearKind,
     TreeKind,
     faithfulness,
@@ -13,7 +15,6 @@ from reclens.shadow import (
     measure_agreement,
     observational_agreement,
     save_shadow,
-    shadow_predict,
     train_shadow,
 )
 
@@ -175,7 +176,7 @@ class TestShadowPredict:
             np.array([[1.0, 2.0]]),
             meta,
         )
-        assert shadow_predict(shadow, 0, np.array([0.0, 1.0])) == 2.5
+        assert shadow.predict(0, np.array([0.0, 1.0])) == 2.5
 
     def test_linear_in_user_row(self, rng):
         meta = make_meta(3, {"a": {0}, "b": {1, 2}})
@@ -369,6 +370,66 @@ class TestMeasureAgreement:
         )
         with pytest.raises(ValidationError):
             measure_agreement(shadow, baseline, meta, item_set="bogus")
+
+
+class TestBlockedAgreement:
+    """measure_agreement's item-block sums against the pair-list functions
+    on the full users x items grid."""
+
+    def problem(self, rng, n_items, split, kind):
+        # a pruned, shuffled item universe over a larger baseline, so that
+        # metadata rows, baseline items and eval order all differ
+        n_users, n_base, rank = 30, n_items + 15, 3
+        baseline = random_model(rng, n_users, n_base, rank)
+        item_indices = rng.permutation(n_base)[:n_items]
+        meta = make_meta(n_items, {
+            f"f{j}": set(np.flatnonzero(rng.random(n_items) < 0.4).tolist())
+            for j in range(10)
+        })
+        shadow = train_shadow(
+            baseline, meta, kind, split=split, item_indices=item_indices
+        )
+        return shadow, baseline, meta
+
+    def assert_matches_oracle(self, shadow, baseline, meta, item_set, seed):
+        items = {"eval": shadow.eval_items, "train": shadow.train_items,
+                 "all": shadow.item_indices}[item_set]
+        pairs = [(u, int(i)) for i in items for u in range(shadow.n_users)]
+        report = measure_agreement(
+            shadow, baseline, meta, item_set=item_set, seed=seed
+        )
+        mae, mse = observational_agreement(shadow, baseline, meta, pairs)
+        faith = faithfulness(shadow, baseline, meta, pairs, seed=seed)
+        assert report.observational_mae == pytest.approx(mae, rel=1e-12)
+        assert report.observational_mse == pytest.approx(mse, rel=1e-12)
+        assert report.faithfulness == pytest.approx(faith, rel=1e-12)
+        per_factor, mean_mae = latent_agreement(shadow, baseline, meta, items)
+        assert report.per_factor_mae == tuple(per_factor)
+        assert report.mean_latent_mae == mean_mae
+
+    @pytest.mark.parametrize("item_set", ["eval", "train", "all"])
+    @pytest.mark.parametrize("kind", [
+        LinearKind(ridge=0.1), TreeKind(TreeParams(max_depth=3)),
+    ])
+    @pytest.mark.parametrize("block", [4, AGREEMENT_BLOCK])
+    def test_matches_pair_functions(self, rng, monkeypatch, item_set, kind, block):
+        monkeypatch.setattr(shadow_module, "AGREEMENT_BLOCK", block)
+        shadow, baseline, meta = self.problem(
+            rng, 2 * AGREEMENT_BLOCK + 90, (0.4, 5), kind
+        )
+        assert len(shadow.eval_items) > AGREEMENT_BLOCK
+        self.assert_matches_oracle(shadow, baseline, meta, item_set, seed=3)
+
+    def test_eval_is_train(self, rng, monkeypatch):
+        monkeypatch.setattr(shadow_module, "AGREEMENT_BLOCK", 4)
+        shadow, baseline, meta = self.problem(
+            rng, 21, (1.0, 0), LinearKind(ridge=0.1)
+        )
+        assert shadow.eval_is_train
+        self.assert_matches_oracle(shadow, baseline, meta, "eval", seed=0)
+        assert measure_agreement(shadow, baseline, meta, "eval") == (
+            measure_agreement(shadow, baseline, meta, "train")
+        )
 
 
 class TestPersistence:
