@@ -6,7 +6,6 @@ from .datamodel import (
     FactorModel,
     MetadataMatrix,
     RatingsMatrix,
-    dense_attribute_row,
     predict_rating,
 )
 from .errors import (

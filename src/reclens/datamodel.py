@@ -203,17 +203,6 @@ class MetadataMatrix:
             raise KeyError(f"unknown feature {name!r}") from None
 
 
-def dense_attribute_row(meta: MetadataMatrix, item: int) -> np.ndarray:
-    """The item's attribute vector: 1.0 where the item holds a feature."""
-    if not 0 <= item < meta.n_items:
-        raise IndexError(f"item index {item} out of range [0, {meta.n_items})")
-    row = np.zeros(meta.n_features, dtype=np.float64)
-    for j, col in enumerate(meta.columns):
-        if item in col:
-            row[j] = 1.0
-    return row
-
-
 def read_json(path):
     """The JSON document in ``path``; a ``FormatError`` naming the file if it
     is not valid JSON."""

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type check that
+configuration objects run on their fields."""
+
+import math
+from numbers import Integral, Real
 
 
 class ReclensError(Exception):
@@ -33,3 +37,29 @@ class InsufficientDataError(ReclensError):
 
 class StatsError(ReclensError):
     """A statistical test received degenerate samples."""
+
+
+def is_finite_real(value) -> bool:
+    """True for a finite int or float; bools are not numbers here."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def check_types(owner, integers=(), reals=(), flags=()):
+    """Raise ``ValidationError`` unless every named attribute of ``owner``
+    has its type: each of ``integers`` an int, each of ``reals`` a finite
+    int or float, each of ``flags`` a bool.  A bool is neither an integer
+    nor a real here, so ``true`` in a config file is no count."""
+    checks = (
+        (integers, "an integer",
+         lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
+        (reals, "a finite number", is_finite_real),
+        (flags, "true or false", lambda v: isinstance(v, bool)),
+    )
+    for names, what, ok in checks:
+        for name in names:
+            value = getattr(owner, name)
+            if not ok(value):
+                raise ValidationError(
+                    f"mistyped value for {name}: {value!r} is not {what}"
+                )

@@ -10,7 +10,7 @@ from typing import Callable
 import numpy as np
 
 from .datamodel import FactorModel, RatingsMatrix, load_artifact
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, check_types
 
 MODEL_FORMAT = "reclens-factor-model"
 MODEL_VERSION = 1
@@ -25,6 +25,8 @@ class AlsConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(self, integers=("rank", "max_iterations", "seed"),
+                    reals=("lam", "convergence_tol"))
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.lam < 0:
@@ -33,6 +35,8 @@ class AlsConfig:
             raise ValidationError("max_iterations must be >= 1")
         if self.convergence_tol < 0:
             raise ValidationError("convergence_tol must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 def _row_groups(n_rows, idx_row, idx_other, vals):

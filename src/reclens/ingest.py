@@ -19,7 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .datamodel import MetadataMatrix, RatingsMatrix
-from .errors import InsufficientDataError, ParseError, ValidationError
+from .errors import (
+    InsufficientDataError,
+    ParseError,
+    ValidationError,
+    is_finite_real,
+)
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,11 @@ class FeatureFilterSpec:
     def __post_init__(self):
         if self.kind not in _FILTER_KINDS:
             raise ValidationError(f"unknown filter kind {self.kind!r}")
+        if not is_finite_real(self.value):
+            raise ValidationError(
+                f"mistyped value for {self.kind}: {self.value!r} is not a "
+                "finite number"
+            )
         if self.kind == "entropy_threshold":
             if self.value < 0:
                 raise ValidationError("entropy threshold must be >= 0")

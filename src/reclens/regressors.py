@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, check_types
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,7 @@ class TreeParams:
     min_leaf: int = 1
 
     def __post_init__(self):
+        check_types(self, integers=("max_depth", "bins", "min_leaf"))
         if self.max_depth < 0:
             raise ValidationError("max_depth must be >= 0")
         if self.bins < 2:

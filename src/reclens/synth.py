@@ -19,7 +19,13 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .datamodel import FactorModel, MetadataMatrix, RatingsMatrix
-from .errors import ReclensError, StatsError, ValidationError
+from .errors import (
+    ReclensError,
+    StatsError,
+    ValidationError,
+    check_types,
+    is_finite_real,
+)
 from .factorize import AlsConfig, train_als
 from .influence import InfluenceQuery, InfluenceReport, ItemSet, explain
 from .ingest import FeatureFilterSpec, filter_features
@@ -63,13 +69,23 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_profiles", "features_per_profile", "n_users",
-                     "ratings_per_user"):
+        counts = ("n_profiles", "features_per_profile", "n_users",
+                  "ratings_per_user")
+        check_types(self, integers=(*counts, "seed"),
+                    reals=("base_rating", "delta"))
+        for name in counts:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if self.n_users <= self.n_profiles:
             raise ValidationError("n_users must exceed n_profiles")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
         lo, hi = self.scale_bounds
+        if not (is_finite_real(lo) and is_finite_real(hi)):
+            raise ValidationError(
+                f"mistyped value for scale_bounds: {self.scale_bounds!r} "
+                "is not two finite numbers"
+            )
         if not lo < hi:
             raise ValidationError("scale_bounds must satisfy low < high")
 
@@ -131,7 +147,13 @@ def simulate_ratings(
 ) -> tuple[RatingsMatrix, dict[int, int]]:
     """Assign profiles to users (round-robin first so every profile is
     used, uniform after) and rate a uniform sample of distinct items per
-    user."""
+    user.
+
+    The ratings come back grouped by user, each user's items in ascending
+    order.  They follow :func:`profile_rating`, evaluated once per
+    (profile, item) pair over ``meta.dense``; every profile feature must
+    index a column of ``meta``.
+    """
     if meta.n_items < 1:
         raise ValidationError("metadata must contain at least one item")
     if cfg.ratings_per_user > meta.n_items:
@@ -139,33 +161,57 @@ def simulate_ratings(
             f"ratings_per_user {cfg.ratings_per_user} exceeds the "
             f"{meta.n_items}-item universe"
         )
+    if not profiles:
+        raise ValidationError("at least one profile is required")
+    for profile in profiles:
+        outside = sorted(f for f in profile.features
+                         if not 0 <= f < meta.n_features)
+        if outside:
+            raise ValidationError(
+                f"profile features {outside} lie outside the "
+                f"{meta.n_features}-feature metadata"
+            )
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    item_features = [
-        frozenset(j for j, col in enumerate(meta.columns) if i in col)
-        for i in range(meta.n_items)
-    ]
-    assignment: dict[int, int] = {}
-    users, items, values = [], [], []
+    n_profiles = len(profiles)
+    profile_of_user = np.empty(cfg.n_users, dtype=np.int64)
+    rated = np.empty((cfg.n_users, cfg.ratings_per_user), dtype=np.int64)
     for user in range(cfg.n_users):
-        if user < len(profiles):
+        if user < n_profiles:
             p_idx = user
         else:
-            p_idx = int(rng.integers(0, len(profiles)))
-        assignment[user] = p_idx
-        rated = rng.choice(meta.n_items, size=cfg.ratings_per_user, replace=False)
-        for item in sorted(int(i) for i in rated):
-            users.append(user)
-            items.append(item)
-            values.append(profile_rating(profiles[p_idx], item_features[item], cfg))
+            p_idx = int(rng.integers(0, n_profiles))
+        profile_of_user[user] = p_idx
+        rated[user] = rng.choice(meta.n_items, size=cfg.ratings_per_user,
+                                 replace=False)
+    rated.sort(axis=1)
+    liked = np.zeros((n_profiles, meta.n_features))
+    disliked = np.zeros((n_profiles, meta.n_features))
+    for k, profile in enumerate(profiles):
+        liked[k, sorted(profile.liked)] = 1.0
+        disliked[k, sorted(profile.disliked)] = 1.0
+    # match counts are small integers, exact in float64, so this is
+    # profile_rating's arithmetic in its order, one (profile, item) cell
+    # at a time
+    held = meta.dense.T
+    lo, hi = cfg.scale_bounds
+    table = np.minimum(
+        np.maximum(
+            cfg.base_rating + cfg.delta * (liked @ held)
+            - cfg.delta * (disliked @ held),
+            lo,
+        ),
+        hi,
+    )
     matrix = RatingsMatrix(
         n_users=cfg.n_users,
         n_items=meta.n_items,
-        users=np.array(users, dtype=np.int64),
-        items=np.array(items, dtype=np.int64),
-        ratings=np.array(values, dtype=np.float64),
+        users=np.repeat(np.arange(cfg.n_users), cfg.ratings_per_user),
+        items=rated.ravel(),
+        ratings=table[profile_of_user[:, None], rated].ravel(),
         scale=cfg.scale_bounds,
     )
+    assignment = dict(enumerate(profile_of_user.tolist()))
     return matrix, assignment
 
 
@@ -270,9 +316,7 @@ def direct_encode_model(
     rank = len(pool) + 1
     n_users = max(assignment) + 1
     item_factors = np.zeros((meta.n_items, rank))
-    for t, f in enumerate(pool):
-        for i in meta.columns[f]:
-            item_factors[i, t] = 1.0
+    item_factors[:, :-1] = meta.dense[:, pool]
     item_factors[:, -1] = 1.0
     user_factors = np.zeros((n_users, rank))
     slot = {f: t for t, f in enumerate(pool)}
@@ -377,12 +421,21 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(
+            self,
+            integers=("n_reps", "users_per_rep", "n_items", "n_meta_features",
+                      "threads", "seed"),
+            reals=("keep_fraction",),
+            flags=("direct_encode", "score_by_magnitude"),
+        )
         if self.n_reps < 1 or self.users_per_rep < 1:
             raise ValidationError("n_reps and users_per_rep must be >= 1")
         if self.n_items < 1 or self.n_meta_features < 1:
             raise ValidationError("n_items and n_meta_features must be >= 1")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -434,14 +487,14 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, meta: MetadataMatrix | None
     chosen_users = eval_rng.choice(
         cfg.sim.n_users, size=min(cfg.users_per_rep, cfg.sim.n_users), replace=False
     )
-    rated_by_user: dict[int, list[int]] = {}
-    for u, i in zip(ratings.users, ratings.items):
-        rated_by_user.setdefault(int(u), []).append(int(i))
+    # simulate_ratings groups the ratings by user in ascending item order,
+    # so each user's rated items are one slice
     samples = []
     for user in sorted(int(u) for u in chosen_users):
         profile = profiles[assignment[user]]
+        start, stop = np.searchsorted(ratings.users, [user, user + 1])
         query = InfluenceQuery(
-            user=user, scope=ItemSet(tuple(sorted(rated_by_user[user])))
+            user=user, scope=ItemSet(tuple(ratings.items[start:stop].tolist()))
         )
         report = explain(shadow, meta, query, top_k=meta.n_features)
         semi = control_profiles(

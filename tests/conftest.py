@@ -6,10 +6,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
 from reclens.regressors import RegressionTree, TreeNode, TreeParams
 from reclens.shadow import ShadowModel, TreeKind
+
+# Property tests draw the same examples on every run, so a tier-1 result is
+# repeatable; no deadline, because example run times vary with machine load.
+settings.register_profile("reclens", derandomize=True, deadline=None)
+settings.load_profile("reclens")
 
 
 def identity_meta(n_items: int) -> MetadataMatrix:

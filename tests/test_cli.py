@@ -143,6 +143,18 @@ class TestTrain:
         assert code == 1
         assert "rank" in capsys.readouterr().err
 
+    def test_negative_seed_is_one_error_line(self, tmp_path, rng, capsys):
+        ratings, _ = make_identity_fixture(tmp_path, rng)
+        capsys.readouterr()
+        code = main([
+            "train", "--ratings", str(ratings), "--rank", "2", "--seed", "-1",
+            "--out", str(tmp_path / "m.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed must be >= 0"
+        ]
+
 
 @pytest.fixture
 def trained_fixture(tmp_path, rng):
@@ -606,6 +618,7 @@ class TestSynthCommand:
             (lambda d: d.update(n_reps="many"), "mistyped value"),
             (lambda d: d.update(n_items="many"), "mistyped value"),
             (lambda d: d.update(n_meta_features=0), "must be >= 1"),
+            (lambda d: d.update(seed=-1), "seed must be >= 0"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):
@@ -617,6 +630,49 @@ class TestSynthCommand:
         assert len(err_lines) == 1
         assert err_lines[0].startswith("error: ")
         assert message in err_lines[0]
+
+    @pytest.mark.parametrize(
+        "section, key, value, expected",
+        [
+            ("sim", "n_users", 500.5, "an integer"),
+            ("sim", "n_profiles", 3.0, "an integer"),
+            ("sim", "ratings_per_user", 2.5, "an integer"),
+            (None, "n_reps", 2.5, "an integer"),
+            (None, "n_items", 200.5, "an integer"),
+            (None, "users_per_rep", 1.5, "an integer"),
+            ("als", "rank", 2.5, "an integer"),
+            ("shadow", "max_depth", 2.5, "an integer"),
+            ("sim", "n_users", True, "an integer"),
+            ("sim", "base_rating", "x", "a finite number"),
+            ("sim", "delta", None, "a finite number"),
+            (None, "keep_fraction", "x", "a finite number"),
+            (None, "score_by_magnitude", "no", "true or false"),
+        ],
+    )
+    def test_mistyped_value_is_one_error_line(
+        self, tmp_path, capsys, section, key, value, expected
+    ):
+        config = synth_config(tmp_path)
+        _edit_json(config, config,
+                   lambda d: (d[section] if section else d).update({key: value}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: mistyped value for {key}: {value!r} is not {expected}"
+        ]
+
+    @pytest.mark.parametrize("value", [True, float("inf")])
+    def test_mistyped_feature_pool_is_one_error_line(self, tmp_path, capsys,
+                                                     value):
+        config = synth_config(tmp_path)
+        _edit_json(config, config,
+                   lambda d: d["sim"]["feature_pool"].update(value=value))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: mistyped value for top_k_entropy: {value!r} is not a "
+            "finite number"
+        ]
 
     def test_config_not_json(self, tmp_path, capsys):
         config = tmp_path / "synth.json"
@@ -731,7 +787,7 @@ def apply_edits(data: bytes, edits) -> bytes:
     return data
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(target=st.sampled_from(sorted(FUZZ_COMMANDS)), edits=byte_edits)
 def test_damaged_input_ends_cleanly(fuzz_inputs, target, edits):
     """A truncated or byte-edited input either still works or ends in exit

@@ -6,7 +6,6 @@ from reclens.datamodel import (
     FactorModel,
     MetadataMatrix,
     RatingsMatrix,
-    dense_attribute_row,
     predict_rating,
 )
 from reclens.errors import ValidationError
@@ -90,22 +89,20 @@ class TestFactorModel:
 class TestDenseAttributeRow:
     def test_partial_support(self):
         meta = make_meta(1, {"a": {0}, "b": set(), "c": {0}, "d": set()})
-        np.testing.assert_array_equal(
-            dense_attribute_row(meta, 0), [1.0, 0.0, 1.0, 0.0]
-        )
+        np.testing.assert_array_equal(meta.dense[0], [1.0, 0.0, 1.0, 0.0])
 
     def test_empty_support(self):
         meta = make_meta(2, {"a": {0}, "b": {0}})
-        np.testing.assert_array_equal(dense_attribute_row(meta, 1), [0.0, 0.0])
+        np.testing.assert_array_equal(meta.dense[1], [0.0, 0.0])
 
     def test_full_support(self):
         meta = make_meta(1, {"a": {0}, "b": {0}, "c": {0}})
-        np.testing.assert_array_equal(dense_attribute_row(meta, 0), [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(meta.dense[0], [1.0, 1.0, 1.0])
 
     def test_out_of_range(self):
         meta = make_meta(1, {"a": {0}})
         with pytest.raises(IndexError):
-            dense_attribute_row(meta, 1)
+            meta.dense[1]
 
     def test_sparse_dense_round_trip(self, rng):
         n_items, n_features = 7, 5
@@ -115,14 +112,16 @@ class TestDenseAttributeRow:
         }
         meta = make_meta(n_items, columns)
         for i in range(n_items):
-            row = dense_attribute_row(meta, i)
+            row = meta.dense[i]
             back = {meta.feature_names[j] for j in np.flatnonzero(row)}
             expected = {name for name, col in columns.items() if i in col}
             assert back == expected
-        # dense cache agrees with per-row construction
-        np.testing.assert_array_equal(
-            meta.dense, np.stack([dense_attribute_row(meta, i) for i in range(n_items)])
-        )
+        # dense cache agrees with a cell-by-cell construction
+        expected = np.zeros((n_items, n_features))
+        for j, name in enumerate(meta.feature_names):
+            for i in columns[name]:
+                expected[i, j] = 1.0
+        np.testing.assert_array_equal(meta.dense, expected)
 
 
 class TestMetadataMatrix:

@@ -67,7 +67,7 @@ def half_step_problems(draw):
 
 
 class TestSolveHalf:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(half_step_problems())
     def test_matches_outer_product_oracle(self, problem):
         n_rows, idx_row, idx_other, vals, other, lam, k = problem

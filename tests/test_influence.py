@@ -387,7 +387,7 @@ def explain_problems(draw):
 
 
 class TestExplainAgainstOracle:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(explain_problems())
     def test_matches_oracle_and_zeros_are_exact(self, problem):
         shadow, meta, query = problem

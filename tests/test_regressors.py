@@ -249,7 +249,7 @@ def binary_problems(draw):
 
 
 class TestBinarySplitAgainstOracle:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(binary_problems())
     def test_gains_and_predictions_match_quantile_search(self, problem):
         X, y, params = problem

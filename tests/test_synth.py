@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as scipy_stats
 
-from reclens.datamodel import predict_rating
+from reclens import synth
+from reclens.datamodel import RatingsMatrix, predict_rating
 from reclens.errors import StatsError, ValidationError
 from reclens.factorize import AlsConfig
 from reclens.influence import InfluenceQuery, InfluenceReport, SingleItem
@@ -45,6 +46,71 @@ def sim_config(**overrides):
     )
     base.update(overrides)
     return SimConfig(**base)
+
+
+def simulate_ratings_oracle(profiles, meta, cfg, rng=None):
+    """The reference simulation: one :func:`profile_rating` call per rating,
+    on the item's feature set."""
+    if rng is None:
+        rng = np.random.default_rng(cfg.seed)
+    item_features = [
+        frozenset(j for j, col in enumerate(meta.columns) if i in col)
+        for i in range(meta.n_items)
+    ]
+    assignment = {}
+    users, items, values = [], [], []
+    for user in range(cfg.n_users):
+        if user < len(profiles):
+            p_idx = user
+        else:
+            p_idx = int(rng.integers(0, len(profiles)))
+        assignment[user] = p_idx
+        rated = rng.choice(meta.n_items, size=cfg.ratings_per_user, replace=False)
+        for item in sorted(int(i) for i in rated):
+            users.append(user)
+            items.append(item)
+            values.append(profile_rating(profiles[p_idx], item_features[item], cfg))
+    matrix = RatingsMatrix(
+        n_users=cfg.n_users,
+        n_items=meta.n_items,
+        users=np.array(users, dtype=np.int64),
+        items=np.array(items, dtype=np.int64),
+        ratings=np.array(values, dtype=np.float64),
+        scale=cfg.scale_bounds,
+    )
+    return matrix, assignment
+
+
+@st.composite
+def simulation_cases(draw):
+    """Random metadata, profiles over its features and a simulation config
+    whose delta is often large enough to clamp at either scale bound."""
+    n_items = draw(st.integers(1, 10))
+    n_features = draw(st.integers(1, 8))
+    meta = make_meta(n_items, {
+        f"f{j}": draw(st.sets(st.integers(0, n_items - 1)))
+        for j in range(n_features)
+    })
+    profiles = []
+    for _ in range(draw(st.integers(1, 4))):
+        feats = draw(st.lists(st.integers(0, n_features - 1), min_size=1,
+                              max_size=n_features, unique=True))
+        signs = draw(st.lists(st.booleans(), min_size=len(feats),
+                              max_size=len(feats)))
+        profiles.append(PreferenceProfile(
+            liked=frozenset(f for f, s in zip(feats, signs) if s),
+            disliked=frozenset(f for f, s in zip(feats, signs) if not s),
+        ))
+    cfg = sim_config(
+        n_profiles=len(profiles),
+        n_users=len(profiles) + draw(st.integers(1, 12)),
+        ratings_per_user=draw(
+            st.one_of(st.just(n_items), st.integers(1, n_items))
+        ),
+        base_rating=draw(st.floats(1.0, 5.0)),
+        delta=draw(st.floats(-4.0, 4.0)),
+    )
+    return profiles, meta, cfg, draw(st.integers(0, 2**32 - 1))
 
 
 def report_from_values(values: dict[str, float]) -> InfluenceReport:
@@ -153,6 +219,41 @@ class TestSimulateRatings:
         profiles = [PreferenceProfile(frozenset({0}), frozenset())]
         with pytest.raises(ValidationError):
             simulate_ratings(profiles, meta, cfg)
+
+    @given(simulation_cases())
+    def test_matches_per_rating_oracle(self, case):
+        profiles, meta, cfg, seed = case
+        rng = np.random.default_rng(seed)
+        oracle_rng = np.random.default_rng(seed)
+        got, got_assignment = simulate_ratings(profiles, meta, cfg, rng=rng)
+        want, want_assignment = simulate_ratings_oracle(
+            profiles, meta, cfg, rng=oracle_rng
+        )
+        for name in ("users", "items", "ratings"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert got_assignment == want_assignment
+        # the generator is left where the oracle leaves it
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_grouped_by_user_in_item_order(self, rng):
+        meta = random_metadata(30, 8, rng=rng)
+        cfg = sim_config(n_profiles=3, n_users=25, ratings_per_user=9)
+        profiles = generate_profiles(range(8), cfg, rng=rng)
+        ratings, _ = simulate_ratings(profiles, meta, cfg, rng=rng)
+        np.testing.assert_array_equal(ratings.users, np.repeat(np.arange(25), 9))
+        assert np.all(np.diff(ratings.items.reshape(25, 9), axis=1) > 0)
+
+    @pytest.mark.parametrize("feature", [-1, 3])
+    def test_profile_feature_outside_metadata(self, feature):
+        meta = self.three_feature_meta()
+        profiles = [PreferenceProfile(frozenset({0}), frozenset({feature}))]
+        with pytest.raises(ValidationError, match="outside the 3-feature"):
+            simulate_ratings(profiles, meta, sim_config(ratings_per_user=3))
+
+    def test_no_profiles(self):
+        meta = self.three_feature_meta()
+        with pytest.raises(ValidationError, match="at least one profile"):
+            simulate_ratings([], meta, sim_config(ratings_per_user=3))
 
     def test_reproducible(self):
         meta = self.three_feature_meta()
@@ -449,6 +550,12 @@ class TestHypothesisExperiment:
         r1 = run_hypothesis_experiment(cfg)
         r2 = run_hypothesis_experiment(cfg)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_same_result_with_oracle_simulation(self, monkeypatch):
+        cfg = fast_experiment_config()
+        fast = run_hypothesis_experiment(cfg).to_dict()
+        monkeypatch.setattr(synth, "simulate_ratings", simulate_ratings_oracle)
+        assert run_hypothesis_experiment(cfg).to_dict() == fast
 
     def test_thread_count_does_not_change_results(self):
         cfg = fast_experiment_config()
