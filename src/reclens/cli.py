@@ -7,39 +7,23 @@ files and standard output, diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
-import difflib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix, read_json
-from .errors import ReclensError, ValidationError
-from .factorize import AlsConfig, load_model, save_model, train_als
-from .influence import InfluenceQuery, ItemSet, SingleItem, explain, write_svg
-from .ingest import (
-    FeatureFilterSpec,
-    encode_one_hot,
-    filter_features,
-    load_metadata,
-    load_ratings,
-    prune_items,
-    restrict_items,
-    select_features,
-)
-from .regressors import TreeParams
-from .shadow import (
-    LinearKind,
-    TreeKind,
-    load_shadow,
-    measure_agreement,
-    save_shadow,
-    train_shadow,
-)
-from .synth import ExperimentConfig, SimConfig, run_hypothesis_experiment
+# Each command imports the modules it runs inside its own body, so a
+# process pays only for the command it is: ``train`` never loads the
+# shadow, influence or synth modules, only ``sweep``/``synth`` load
+# ``concurrent.futures``, and ``difflib`` loads only to word an error.
+from .datamodel import FactorModel, MetadataMatrix, read_json, write_json
+from .errors import ReclensError, ValidationError, check_seed
+
+if TYPE_CHECKING:
+    from .synth import ExperimentConfig
 
 
 def _eprint(*args):
@@ -48,12 +32,6 @@ def _eprint(*args):
 
 def _emit(record: dict):
     print(json.dumps(record, sort_keys=True))
-
-
-def _write_json(doc, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def _write_jsonl(rows, path):
@@ -82,7 +60,9 @@ def _check_keys(doc, what: str, required=(), optional=(), listing="keys"):
     allowed = (*required, *optional)
     for key in doc:
         if key not in allowed:
-            near = difflib.get_close_matches(key, allowed, n=1)
+            from difflib import get_close_matches
+
+            near = get_close_matches(key, allowed, n=1)
             hint = (
                 f"; did you mean {near[0]!r}?" if near
                 else f"; {listing} are {', '.join(allowed)}"
@@ -106,7 +86,9 @@ def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
     try:
         return ids.index(wanted)
     except ValueError:
-        near = difflib.get_close_matches(wanted, ids, n=5)
+        from difflib import get_close_matches
+
+        near = get_close_matches(wanted, ids, n=5)
         hint = f"; nearest: {', '.join(near)}" if near else ""
         raise ValidationError(f"unknown {kind} id {wanted!r}{hint}") from None
 
@@ -114,6 +96,14 @@ def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
 def _prepare_metadata(model: FactorModel, args):
     """Load, encode, filter and prune the metadata against the model's item
     indexing; returns (meta, item_indices)."""
+    from .ingest import (
+        FeatureFilterSpec,
+        encode_one_hot,
+        filter_features,
+        load_metadata,
+        prune_items,
+    )
+
     if model.item_ids is None:
         raise ValidationError("model file carries no item ids")
     records = load_metadata(args.metadata)
@@ -127,6 +117,9 @@ def _prepare_metadata(model: FactorModel, args):
 
 
 def _shadow_kind(args):
+    from .regressors import TreeParams
+    from .shadow import LinearKind, TreeKind
+
     if args.kind == "linear":
         if args.depth is not None or args.bins is not None:
             _eprint("warning: --depth/--bins are tree-only flags; ignored for linear")
@@ -144,6 +137,9 @@ def _shadow_kind(args):
 
 
 def cmd_train(args) -> int:
+    from .factorize import AlsConfig, save_model, train_als
+    from .ingest import load_ratings
+
     cfg = AlsConfig(
         rank=args.rank,
         lam=args.lam,
@@ -176,6 +172,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_shadow(args) -> int:
+    from .factorize import load_model
+    from .shadow import measure_agreement, save_shadow, train_shadow
+
     model = load_model(args.model)
     meta, item_indices = _prepare_metadata(model, args)
     kind = _shadow_kind(args)
@@ -190,7 +189,7 @@ def cmd_shadow(args) -> int:
     if args.measure == "eval" and shadow.eval_is_train:
         label = "train-set"
     doc = {"command": "shadow", "measured_on": label, **report.to_dict()}
-    _write_json(doc, str(args.out) + ".report.json")
+    write_json(doc, str(args.out) + ".report.json")
     _emit(doc)
     return 0
 
@@ -199,6 +198,10 @@ def cmd_shadow(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from .influence import InfluenceQuery, ItemSet, SingleItem, explain, write_svg
+    from .ingest import encode_one_hot, load_metadata, restrict_items, select_features
+    from .shadow import load_shadow
+
     shadow = load_shadow(args.shadow)
     records = load_metadata(args.metadata)
     if shadow.item_ids is None:
@@ -224,7 +227,11 @@ def cmd_explain(args) -> int:
             ) from None
         scope = SingleItem(item)
     query = InfluenceQuery(user=user, scope=scope)
-    baseline = load_model(args.model) if args.model else None
+    baseline = None
+    if args.model:
+        from .factorize import load_model
+
+        baseline = load_model(args.model)
     report = explain(shadow, meta, query, top_k=args.top_k, baseline=baseline)
     for w in report.warnings:
         _eprint(f"warning: {w}")
@@ -320,6 +327,13 @@ def run_sweep(
     Per-cell failures are recorded in the row and the sweep continues.
     Rows come back in grid order regardless of the worker count.
     """
+    from .factorize import AlsConfig, train_als
+    from .regressors import TreeParams
+    from .shadow import LinearKind, TreeKind, measure_agreement, train_shadow
+
+    check_seed(seed)
+    if threads < 1:
+        raise ValidationError("threads must be >= 1")
     cells = grid.cells(ridge)
     base_keys = sorted({(c["rank"], c["lambda"]) for c in cells})
 
@@ -394,6 +408,8 @@ def run_sweep(
 
     baselines = {}
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return run_all(pool.map)
     return run_all(map)
@@ -409,6 +425,15 @@ def _cell_label(cell: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
+    from .ingest import (
+        FeatureFilterSpec,
+        encode_one_hot,
+        filter_features,
+        load_metadata,
+        load_ratings,
+        prune_items,
+    )
+
     ratings = load_ratings(args.ratings, scale=(args.scale_min, args.scale_max))
     records = load_metadata(args.metadata)
     item_index = {iid: i for i, iid in enumerate(ratings.item_ids)}
@@ -453,6 +478,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import run_hypothesis_experiment
+
     doc = read_json(args.config)
     cfg = experiment_config_from_dict(
         doc,
@@ -462,7 +489,7 @@ def cmd_synth(args) -> int:
     )
     result = run_hypothesis_experiment(cfg)
     if args.out:
-        _write_json(
+        write_json(
             {"config": doc, "direct_encode": cfg.direct_encode, **result.to_dict()},
             args.out,
         )
@@ -502,6 +529,12 @@ def experiment_config_from_dict(
 ) -> ExperimentConfig:
     """Parse a synth config strictly: ``sim`` and ``als`` are required, and
     an unknown key at any level is an error with a did-you-mean hint."""
+    from .factorize import AlsConfig
+    from .ingest import FeatureFilterSpec
+    from .regressors import TreeParams
+    from .shadow import LinearKind, TreeKind
+    from .synth import ExperimentConfig, SimConfig
+
     _check_keys(doc, "synth config", ("sim", "als"), _EXPERIMENT_OPTIONAL)
     sim_doc = dict(_check_keys(doc["sim"], "sim", _SIM_REQUIRED, _SIM_OPTIONAL))
     pool_doc = _check_keys(

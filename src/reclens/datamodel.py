@@ -55,8 +55,8 @@ class RatingsMatrix:
                 raise ValidationError("item index out of range")
             if self.ratings.min() < lo or self.ratings.max() > hi:
                 raise ValidationError(f"rating outside declared scale {self.scale}")
-            pairs = self.users * self.n_items + self.items
-            if len(np.unique(pairs)) != len(pairs):
+            pairs = np.sort(self.users * self.n_items + self.items)
+            if (pairs[1:] == pairs[:-1]).any():
                 raise ValidationError("duplicate (user, item) pair")
 
     @property
@@ -211,6 +211,15 @@ def read_json(path):
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+def write_json(doc, path) -> None:
+    """Write ``doc`` to ``path`` as one line of sorted-key JSON.
+    ``json.dumps`` runs the C encoder; ``json.dump`` to a file would run
+    the pure-Python one, for the same bytes."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, sort_keys=True))
+        fh.write("\n")
 
 
 def load_artifact(path, fmt: str, version: int, build):

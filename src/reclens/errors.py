@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the type check that
-configuration objects run on their fields."""
+"""Exception types shared across the package, and the type and seed
+checks that configuration objects run on their fields."""
 
 import math
 from numbers import Integral, Real
@@ -63,3 +63,10 @@ def check_types(owner, integers=(), reals=(), flags=()):
                 raise ValidationError(
                     f"mistyped value for {name}: {value!r} is not {what}"
                 )
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValidationError`` for a negative seed, which numpy's
+    generators reject with a bare ``ValueError``."""
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")

@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .datamodel import FactorModel, RatingsMatrix, load_artifact
-from .errors import SolverError, ValidationError, check_types
+from .datamodel import FactorModel, RatingsMatrix, load_artifact, write_json
+from .errors import SolverError, ValidationError, check_seed, check_types
 
 MODEL_FORMAT = "reclens-factor-model"
 MODEL_VERSION = 1
@@ -35,8 +34,7 @@ class AlsConfig:
             raise ValidationError("max_iterations must be >= 1")
         if self.convergence_tol < 0:
             raise ValidationError("convergence_tol must be >= 0")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 def _row_groups(n_rows, idx_row, idx_other, vals):
@@ -172,9 +170,7 @@ def save_model(model: FactorModel, path: str | Path) -> None:
         "user_ids": list(model.user_ids) if model.user_ids is not None else None,
         "item_ids": list(model.item_ids) if model.item_ids is not None else None,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_model(path: str | Path) -> FactorModel:

@@ -13,6 +13,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -93,6 +94,12 @@ def _text_lines(fh, path):
         raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
 
 
+# Data lines per block of the vectorized ratings parser: large enough that
+# the per-block numpy calls are amortized, small enough that a block's
+# strings stay a small part of the process's peak memory.
+RATINGS_BLOCK = 4096
+
+
 def load_ratings(
     path: str | Path,
     scale: tuple[float, float] = (1.0, 5.0),
@@ -103,8 +110,108 @@ def load_ratings(
     (user, item) rows keep the last occurrence.  Users and items are
     re-indexed in order of first appearance; the external ids are kept on
     the returned matrix.
+
+    The file is parsed ``RATINGS_BLOCK`` lines at a time with one split per
+    block.  A file that is irregular in any way (a bad header, field count,
+    id or rating, or bytes that are not UTF-8) is parsed again line by line
+    by :func:`_load_ratings_lines`, which names the offending line, so the
+    errors are those of the per-line parser.
     """
     path = Path(path)
+    try:
+        parsed = _parse_ratings_blocks(path, scale)
+    except UnicodeDecodeError:
+        parsed = None
+    if parsed is None:
+        return _load_ratings_lines(path, scale)
+    user_index, item_index, users, items, ratings = parsed
+    keys = users * len(item_index) + items
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    if not first.all():
+        # A repeated pair keeps the position of its first row and the
+        # rating of its last, as a dict assigned row by row would.
+        last = np.concatenate((first[1:], [True]))
+        ratings[order[first]] = ratings[order[last]]
+        keep = np.sort(order[first])
+        users, items, ratings = users[keep], items[keep], ratings[keep]
+    return RatingsMatrix(
+        n_users=len(user_index),
+        n_items=len(item_index),
+        users=users,
+        items=items,
+        ratings=ratings,
+        scale=scale,
+        user_ids=tuple(user_index),
+        item_ids=tuple(item_index),
+    )
+
+
+def _dense_codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
+    """The index of each key, adding unseen keys in order of first
+    appearance."""
+    try:
+        return np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    except KeyError:
+        for key in dict.fromkeys(keys):
+            index.setdefault(key, len(index))
+        return _dense_codes(index, keys)
+
+
+def _parse_ratings_blocks(path: Path, scale: tuple[float, float]):
+    """(user_index, item_index, users, items, ratings) with every row kept,
+    duplicates included; None if the file is irregular anywhere."""
+    lo, hi = scale
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    users, items = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    ratings = [np.empty(0)]
+    with open(path, "r", encoding="utf-8") as fh:
+        if not fh.readline().lower().lstrip("\ufeff").startswith("userid"):
+            return None
+        while lines := list(islice(fh, RATINGS_BLOCK)):
+            commas = [line.count(",") for line in lines]
+            if not 2 <= min(commas) <= max(commas) <= 3:
+                lines = [line for line in lines if line.strip()]
+                if not lines:
+                    continue
+                commas = [line.count(",") for line in lines]
+                if not 2 <= min(commas) <= max(commas) <= 3:
+                    return None
+            if min(commas) != max(commas):
+                # Pad 3-field rows with an empty timestamp field.
+                lines = [line if c == 3 else line + ","
+                         for line, c in zip(lines, commas)]
+            stride = max(commas) + 1
+            fields = ",".join(lines).split(",")
+            uids = list(map(str.strip, fields[0::stride]))
+            iids = list(map(str.strip, fields[1::stride]))
+            if "" in uids or "" in iids:
+                return None
+            try:
+                # float ignores the whitespace that str.strip removes, bar
+                # \x1c-\x1f, on which it raises and the file falls back.
+                block = np.fromiter(map(float, fields[2::stride]), np.float64,
+                                    len(lines))
+            except ValueError:
+                return None
+            if not ((block >= lo) & (block <= hi)).all():
+                return None
+            users.append(_dense_codes(user_index, uids))
+            items.append(_dense_codes(item_index, iids))
+            ratings.append(block)
+    return (user_index, item_index, np.concatenate(users), np.concatenate(items),
+            np.concatenate(ratings))
+
+
+def _load_ratings_lines(
+    path: Path,
+    scale: tuple[float, float] = (1.0, 5.0),
+) -> RatingsMatrix:
+    """:func:`load_ratings` one line at a time: the error path, whose
+    messages name the offending line, and the reference the block parser
+    is tested against."""
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
     cells: dict[tuple[int, int], float] = {}

@@ -52,9 +52,25 @@ class LinearRegressor:
 def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> LinearRegressor:
     """Minimize ||Xw + b - y||^2 + ridge*||w||^2 via the normal equations
     on the intercept-augmented system."""
-    X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
+    if y.ndim != 1:
+        raise ValidationError("X must be 2-d with one row per target value")
+    return fit_linear_columns(X, y[:, None], ridge)[0]
+
+
+def fit_linear_columns(
+    X: np.ndarray, Y: np.ndarray, ridge: float
+) -> tuple[LinearRegressor, ...]:
+    """:func:`fit_linear` for each column of Y, forming the Gram matrix of
+    the intercept-augmented X once for all of them.
+
+    Each column gets its own right-hand side and its own solve, so every
+    regressor is bit-identical to a separate :func:`fit_linear` call; one
+    solve with all columns at once would not be.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y) or len(Y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
     if ridge < 0:
         raise ValidationError("ridge must be >= 0")
@@ -62,14 +78,18 @@ def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> LinearRegressor:
     A = np.hstack([X, np.ones((n, 1))])
     G = A.T @ A
     G[np.diag_indices(d)] += ridge  # intercept column left unpenalized
-    c = A.T @ y
-    try:
-        z = np.linalg.solve(G, c)
-    except np.linalg.LinAlgError:
-        raise SolverError(
-            "normal equations are singular; use ridge > 0 to regularize"
-        ) from None
-    return LinearRegressor(weights=z[:d], intercept=float(z[d]), ridge=float(ridge))
+    regressors = []
+    for j in range(Y.shape[1]):
+        try:
+            z = np.linalg.solve(G, A.T @ Y[:, j])
+        except np.linalg.LinAlgError:
+            raise SolverError(
+                "normal equations are singular; use ridge > 0 to regularize"
+            ) from None
+        regressors.append(
+            LinearRegressor(weights=z[:d], intercept=float(z[d]), ridge=float(ridge))
+        )
+    return tuple(regressors)
 
 
 @dataclass(frozen=True)

@@ -4,21 +4,20 @@ combined with the baseline's user factors, plus its agreement metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix, load_artifact
-from .errors import InsufficientDataError, ValidationError
+from .datamodel import FactorModel, MetadataMatrix, load_artifact, write_json
+from .errors import InsufficientDataError, ValidationError, check_seed
 from .regressors import (
     LinearRegressor,
     RegressionTree,
     TreeNode,
     TreeParams,
-    fit_linear,
+    fit_linear_columns,
     fit_tree,
 )
 
@@ -140,6 +139,7 @@ def train_shadow(
     train_fraction, seed = split
     if not 0.0 < train_fraction <= 1.0:
         raise ValidationError("train_fraction must be in (0, 1]")
+    check_seed(seed)
     n = meta.n_items
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
@@ -155,14 +155,14 @@ def train_shadow(
         eval_rows = train_rows
     X = meta.dense[train_rows]
     Y = baseline.item_factors[item_indices[train_rows]]
-    predictors = []
-    for j in range(baseline.rank):
-        if isinstance(kind, LinearKind):
-            predictors.append(fit_linear(X, Y[:, j], kind.ridge))
-        else:
-            predictors.append(fit_tree(X, Y[:, j], kind.params))
+    if isinstance(kind, LinearKind):
+        predictors = fit_linear_columns(X, Y, kind.ridge)
+    else:
+        predictors = tuple(
+            fit_tree(X, Y[:, j], kind.params) for j in range(baseline.rank)
+        )
     return ShadowModel(
-        factor_predictors=tuple(predictors),
+        factor_predictors=predictors,
         user_factors=baseline.user_factors,
         feature_names=meta.feature_names,
         item_indices=item_indices,
@@ -319,6 +319,7 @@ def measure_agreement(
         items = shadow.item_indices
     else:
         raise ValidationError(f"unknown item set {item_set!r}")
+    check_seed(seed)
     per_factor, mean_mae = latent_agreement(shadow, baseline, meta, items)
     distinct = np.unique(items)
     random_factors = _random_factors(shadow, baseline, distinct, seed)
@@ -424,9 +425,7 @@ def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
         "user_ids": list(shadow.user_ids) if shadow.user_ids is not None else None,
         "item_ids": list(shadow.item_ids) if shadow.item_ids is not None else None,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_shadow(path: str | Path) -> ShadowModel:

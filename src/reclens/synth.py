@@ -23,6 +23,7 @@ from .errors import (
     ReclensError,
     StatsError,
     ValidationError,
+    check_seed,
     check_types,
     is_finite_real,
 )
@@ -78,8 +79,7 @@ class SimConfig:
                 raise ValidationError(f"{name} must be >= 1")
         if self.n_users <= self.n_profiles:
             raise ValidationError("n_users must exceed n_profiles")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
         lo, hi = self.scale_bounds
         if not (is_finite_real(lo) and is_finite_real(hi)):
             raise ValidationError(
@@ -434,8 +434,7 @@ class ExperimentConfig:
             raise ValidationError("n_items and n_meta_features must be >= 1")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be >= 0")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

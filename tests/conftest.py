@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
-from reclens.regressors import RegressionTree, TreeNode, TreeParams
+from reclens.regressors import LinearRegressor, RegressionTree, TreeNode, TreeParams
 from reclens.shadow import ShadowModel, TreeKind
 
 # Property tests draw the same examples on every run, so a tier-1 result is
@@ -102,6 +102,16 @@ def manual_shadow(
         kind=TreeKind(TreeParams(max_depth=0)),
         eval_is_train=True,
     )
+
+
+def fit_linear_oracle(X, y, ridge) -> LinearRegressor:
+    """The ridge normal equations formed and solved for one target alone."""
+    n, d = X.shape
+    A = np.hstack([X, np.ones((n, 1))])
+    G = A.T @ A
+    G[np.diag_indices(d)] += ridge
+    z = np.linalg.solve(G, A.T @ y)
+    return LinearRegressor(weights=z[:d], intercept=float(z[d]), ridge=float(ridge))
 
 
 def write_ratings_csv(path, rows, header="userId,movieId,rating,timestamp"):

@@ -18,7 +18,7 @@ from reclens.errors import ValidationError
 from reclens.factorize import load_model
 from reclens.shadow import load_shadow
 
-from conftest import write_metadata_jsonl, write_ratings_csv
+from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
 
 
 def make_identity_fixture(tmp_path, rng, n_users=6, n_items=12):
@@ -199,6 +199,57 @@ class TestShadow:
         captured = capsys.readouterr()
         assert "tree-only" in captured.err
         assert json.loads(captured.out.strip())["measured_on"] == "eval"
+
+    def test_negative_seed_is_one_error_line(self, tmp_path, trained_fixture, capsys):
+        _, meta, model_path = trained_fixture
+        capsys.readouterr()
+        code = main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--kind", "linear", "--seed", "-1", "--out", str(tmp_path / "s.json"),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: seed must be >= 0"]
+
+
+def test_artifacts_match_per_line_ingest_and_per_factor_fits(
+    tmp_path, rng, monkeypatch, capsys
+):
+    """train and a linear shadow write the same bytes whether ratings are
+    read by blocks or line by line, and whether the factors share one Gram
+    matrix or each forms its own."""
+    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+            for u in range(9) for i in range(14) if rng.random() < 0.7]
+    # Repeated pairs with new ratings: the later rating wins.
+    rows += [(u, i, 6 - r, t) for u, i, r, t in rows[:5]]
+    write_ratings_csv(tmp_path / "ratings.csv", rows)
+    write_metadata_jsonl(tmp_path / "meta.jsonl", {
+        f"m{i}": {"genre": [f"g{g}" for g in range(4) if rng.random() < 0.5],
+                  "era": [f"e{i % 3}"]}
+        for i in range(14)
+    })
+
+    def run(out):
+        out.mkdir()
+        assert main(["train", "--ratings", str(tmp_path / "ratings.csv"),
+                     "--rank", "3", "--iters", "6", "--seed", "4",
+                     "--out", str(out / "model.json")]) == 0
+        assert main(["shadow", "--model", str(out / "model.json"),
+                     "--metadata", str(tmp_path / "meta.jsonl"), "--kind", "linear",
+                     "--seed", "5", "--out", str(out / "shadow.json")]) == 0
+        capsys.readouterr()
+        return [(out / name).read_bytes()
+                for name in ("model.json", "shadow.json", "shadow.json.report.json")]
+
+    shipped = run(tmp_path / "shipped")
+    from reclens import ingest, shadow as shadow_mod
+
+    monkeypatch.setattr(ingest, "load_ratings", ingest._load_ratings_lines)
+    monkeypatch.setattr(
+        shadow_mod, "fit_linear_columns",
+        lambda X, Y, ridge: tuple(fit_linear_oracle(X, Y[:, j], ridge)
+                                  for j in range(Y.shape[1])),
+    )
+    assert run(tmp_path / "oracles") == shipped
 
 
 @pytest.fixture
@@ -530,6 +581,24 @@ class TestSweep:
             "error: unknown sweep grid key 'rank'; did you mean 'ranks'?"
         ]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seed", "-1"], "seed must be >= 0"),
+        (["--threads", "0"], "threads must be >= 1"),
+        (["--threads", "-2"], "threads must be >= 1"),
+    ])
+    def test_bad_seed_or_threads_is_one_error_line(
+        self, tmp_path, rng, capsys, flags, message
+    ):
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"ranks": [2], "kinds": ["linear"]}))
+        code = main([
+            "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+            "--grid", str(grid_path), *flags,
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_bins_variants_share_one_tree_fit(self, tmp_path, rng, monkeypatch):
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "parity")
         from reclens import shadow as shadow_mod
@@ -704,13 +773,60 @@ class TestSynthCommand:
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    """``import reclens.cli`` loads no command's modules: each command
+    imports what it runs."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, reclens.cli; print('scipy' in sys.modules)"
+    unloaded = ["scipy", "reclens.synth", "reclens.influence", "concurrent.futures"]
+    code = f"import sys, reclens.cli; print([m in sys.modules for m in {unloaded!r}])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": str(src)},
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == str([False] * len(unloaded))
+
+
+# The package's public names, each with the submodule that defines it.
+PUBLIC_NAMES = {
+    "datamodel": ["FactorModel", "MetadataMatrix", "RatingsMatrix", "predict_rating"],
+    "errors": ["EstimatorMismatchError", "FormatError", "InsufficientDataError",
+               "ParseError", "ReclensError", "SolverError", "StatsError",
+               "ValidationError"],
+    "factorize": ["AlsConfig", "load_model", "save_model", "train_als",
+                  "training_rmse"],
+    "influence": ["InfluenceQuery", "InfluenceReport", "ItemSet", "SingleItem",
+                  "explain", "qii_exact_binary", "qii_monte_carlo"],
+    "ingest": ["FeatureFilterSpec", "RawItemRecord", "encode_one_hot",
+               "feature_entropy", "filter_features", "load_metadata",
+               "load_ratings", "prune_items"],
+    "regressors": ["LinearRegressor", "RegressionTree", "TreeParams", "fit_linear",
+                   "fit_tree"],
+    "shadow": ["AgreementReport", "LinearKind", "ShadowModel", "TreeKind",
+               "faithfulness", "latent_agreement", "load_shadow",
+               "measure_agreement", "observational_agreement", "save_shadow",
+               "train_shadow"],
+    "synth": ["ExperimentConfig", "PreferenceProfile", "ScoreSample", "SimConfig",
+              "cohens_d", "control_profiles", "correctness_score",
+              "direct_encode_model", "generate_profiles", "random_metadata",
+              "run_hypothesis_experiment", "simulate_ratings", "welch_t"],
+}
+
+
+def test_package_exports_resolve_to_submodule_objects():
+    import importlib
+
+    import reclens
+
+    names = [n for group in PUBLIC_NAMES.values() for n in group]
+    assert len(names) == 61
+    assert sorted(reclens.__all__) == sorted(names)
+    assert set(names) <= set(dir(reclens))
+    for module, group in PUBLIC_NAMES.items():
+        sub = importlib.import_module(f"reclens.{module}")
+        assert getattr(reclens, module) is sub
+        for name in group:
+            assert getattr(reclens, name) is getattr(sub, name), name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        reclens.no_such_name  # noqa: B018 - the access is the test
 
 
 # ------------------------------------------------------------------ fuzz

@@ -60,6 +60,18 @@ class TestRatingsMatrix:
         with pytest.raises(ValidationError, match="duplicate"):
             RatingsMatrix.from_entries(2, 2, [(0, 0, 3.0), (0, 0, 4.0)])
 
+    def test_distant_duplicate_pair_rejected(self):
+        # The repeated pair sits at the two ends of unsorted arrays, with
+        # every other pair between them, so only a global check finds it.
+        keys = np.arange(25 * 40)[::-1]
+        users, items = np.divmod(keys[keys != 7 * 40 + 3], 40)
+        users = np.concatenate(([7], users, [7]))
+        items = np.concatenate(([3], items, [3]))
+        ratings = np.full(len(users), 3.0)
+        with pytest.raises(ValidationError, match="duplicate"):
+            RatingsMatrix(25, 40, users, items, ratings)
+        assert RatingsMatrix(25, 40, users[:-1], items[:-1], ratings[:-1]).nnz == 1000
+
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             RatingsMatrix.from_entries(1, 1, [(0, 1, 3.0)])

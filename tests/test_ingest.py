@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import entropy as scipy_entropy
 
+from reclens import ingest
 from reclens.errors import InsufficientDataError, ParseError, ValidationError
 from reclens.ingest import (
     FeatureFilterSpec,
@@ -335,3 +336,134 @@ class TestEncodeGuards:
         meta = encode_one_hot(recs, item_index={}, n_items=3)
         assert meta.n_items == 3
         assert meta.n_features == 0
+
+
+# -------------------------------------------- block parser vs per-line oracle
+
+# Ids and ratings that parse, some only after stripping whitespace (\x1c and
+# \x0c are whitespace to str.strip) or through float's wider syntax.
+_IDS = ["1", "2", "3", "u4", "10"] * 4 + [" 5 ", "\t1", "\ufeff1", "\u00e9"]
+_RATINGS = ["1", "2.5", "5", "4.0", "3"] * 4 + [
+    " 3 ", "3\x1c", "\x0c2", "4e0", "1_0e-1", "\u0663"]
+_BAD_RATINGS = ["nan", "inf", "-inf", "1_0", "0", "6", "5.0001", "x", ""]
+
+
+@st.composite
+def _valid_rows(draw):
+    """A data line that parses: 3 or 4 fields, or a blank line."""
+    if draw(st.integers(0, 9)) == 9:
+        return draw(st.sampled_from(["", "   ", "\t"]))
+    fields = [draw(st.sampled_from(_IDS)), draw(st.sampled_from(_IDS)),
+              draw(st.sampled_from(_RATINGS))]
+    if draw(st.booleans()):
+        fields.append(draw(st.sampled_from(["0", "877936512", "", "x"])))
+    return ",".join(fields)
+
+
+@st.composite
+def _damaged_rows(draw):
+    """A data line with a wrong field count, an empty id or a bad rating."""
+    fields = draw(_valid_rows()).split(",")
+    if len(fields) < 3:
+        return "1,2"
+    damage = draw(st.sampled_from(["rating", "uid", "iid", "short", "long"]))
+    if damage == "short":
+        return ",".join(fields[:2])
+    if damage == "long":
+        return ",".join(fields + ["9", "9"])
+    if damage == "rating":
+        fields[2] = draw(st.sampled_from(_BAD_RATINGS))
+    else:
+        fields[damage == "iid"] = draw(st.sampled_from(["", "  "]))
+    return ",".join(fields)
+
+
+@st.composite
+def _ratings_files(draw):
+    """A ratings file as bytes: header, rows (at most one damaged), line
+    endings, maybe a BOM, a bad header or a byte that is not UTF-8."""
+    header = draw(st.sampled_from(
+        ["userId,movieId,rating,timestamp"] * 16
+        + ["\ufeffuserId,movieId,rating", "USERID,m,r", "user,movie,rating", ""]
+    ))
+    rows = draw(st.lists(_valid_rows(), min_size=draw(st.integers(0, 12)),
+                         max_size=25))
+    if draw(st.integers(0, 2)) > 0:
+        rows.insert(draw(st.integers(0, len(rows))), draw(_damaged_rows()))
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join([header, *rows])
+    if draw(st.booleans()):
+        text += ending
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 9:
+        cut = draw(st.integers(0, len(data)))
+        data = data[:cut] + b"\xff" + data[cut:]
+    return data
+
+
+def _outcome(load, path):
+    """The parsed matrix's content, or the error's type and message."""
+    try:
+        rm = load(path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return (rm.n_users, rm.n_items, rm.user_ids, rm.item_ids, rm.scale,
+            rm.users.tolist(), rm.items.tolist(), rm.ratings.tolist())
+
+
+class TestBlockParser:
+    """``load_ratings`` parses blocks of lines; the per-line parser it falls
+    back to on any irregularity is the oracle."""
+
+    @settings(max_examples=200)
+    @given(data=_ratings_files(), block=st.integers(1, 4))
+    def test_matches_per_line_oracle(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("ratings") / "r.csv"
+        path.write_bytes(data)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "RATINGS_BLOCK", block)
+            assert _outcome(load_ratings, path) == _outcome(
+                ingest._load_ratings_lines, path
+            )
+
+    def test_regular_file_needs_no_fallback(self, tmp_path, monkeypatch):
+        """Blank lines, CRLF, a BOM, padded fields and mixed 3/4-field rows
+        are all regular: the block parser alone reads them."""
+        def no_fallback(path, scale):
+            raise AssertionError("fell back to the per-line parser")
+
+        monkeypatch.setattr(ingest, "_load_ratings_lines", no_fallback)
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 3)
+        path = tmp_path / "r.csv"
+        path.write_bytes(
+            "\ufeffuserId,movieId,rating\r\n 1 , a ,4\r\n\r\n2,a, 3.5 ,9\r\n"
+            "  \r\n1,b,5,0\r\n2,b,1\r\n1,a,2".encode("utf-8")
+        )
+        rm = load_ratings(path)
+        assert (rm.user_ids, rm.item_ids) == (("1", "2"), ("a", "b"))
+        assert rm.users.tolist() == [0, 1, 0, 1]
+        assert rm.items.tolist() == [0, 0, 1, 1]
+        assert rm.ratings.tolist() == [2.0, 3.5, 5.0, 1.0]
+
+    def test_duplicates_across_blocks_keep_first_position_last_rating(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 2)
+        path = tmp_path / "r.csv"
+        write_ratings_csv(path, [("a", "x", 1.0), ("b", "y", 2.0), ("c", "z", 3.0),
+                                 ("a", "x", 4.0), ("b", "y", 5.0), ("a", "x", 2.5)])
+        rm = load_ratings(path)
+        assert rm.users.tolist() == [0, 1, 2]
+        assert rm.items.tolist() == [0, 1, 2]
+        assert rm.ratings.tolist() == [2.5, 5.0, 3.0]
+        assert _outcome(load_ratings, path) == _outcome(
+            ingest._load_ratings_lines, path
+        )
+
+    def test_error_names_line_beyond_first_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 3)
+        path = tmp_path / "r.csv"
+        write_ratings_csv(path, [("1", str(i), 3.0) for i in range(7)]
+                          + [("1", "7", "nan")])
+        with pytest.raises(ValidationError, match=r"r\.csv:9: rating nan outside"):
+            load_ratings(path)

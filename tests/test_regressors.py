@@ -12,11 +12,12 @@ from reclens.regressors import (
     _grow,
     _sse,
     fit_linear,
+    fit_linear_columns,
     fit_tree,
     predict,
 )
 
-from conftest import leaf_tree
+from conftest import fit_linear_oracle, leaf_tree
 
 
 def best_tree_mae_oracle(X, y, depth: int) -> float:
@@ -105,6 +106,38 @@ class TestFitLinear:
         model = fit_linear(np.ones((2, 2)), np.ones(2), ridge=1.0)
         with pytest.raises(ValidationError):
             model.predict(np.ones(3))
+
+
+class TestFitLinearColumns:
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), d=st.integers(1, 12),
+           k=st.integers(1, 6), binary=st.booleans())
+    def test_each_column_bit_identical_to_its_own_fit(self, seed, n, d, k, binary):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d))
+        if binary:
+            X = (X < 0.5).astype(float)
+        Y = rng.normal(size=(n, k))
+        fits = fit_linear_columns(X, Y, ridge=0.1)
+        assert len(fits) == k
+        for j, fit in enumerate(fits):
+            oracle = fit_linear_oracle(X, Y[:, j], 0.1)
+            for model in (fit, fit_linear(X, Y[:, j], ridge=0.1)):
+                np.testing.assert_array_equal(model.weights, oracle.weights)
+                assert model.intercept == oracle.intercept
+
+    def test_singular_advises_ridge(self):
+        with pytest.raises(SolverError, match="ridge > 0"):
+            fit_linear_columns(np.zeros((3, 2)), np.ones((3, 2)), ridge=0.0)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 2, 1)])
+    def test_targets_must_be_one_row_per_sample(self, shape):
+        with pytest.raises(ValidationError, match="one row per target"):
+            fit_linear_columns(np.ones((3, 2)), np.ones(shape), ridge=1.0)
+
+    def test_fit_linear_rejects_2d_target(self):
+        with pytest.raises(ValidationError, match="one row per target"):
+            fit_linear(np.ones((3, 2)), np.ones((3, 1)), ridge=1.0)
 
 
 class TestFitTree:
