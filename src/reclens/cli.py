@@ -219,7 +219,7 @@ def cmd_explain(args) -> int:
     else:
         item = _lookup_id("item", args.item, shadow.item_ids)
         try:
-            shadow.row_of_item(item)
+            shadow.rows_of_items([item])
         except IndexError:
             raise ValidationError(
                 f"item {args.item!r} is pruned (it kept no metadata features) "
@@ -645,8 +645,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shadow", required=True)
     p.add_argument("--metadata", required=True)
     p.add_argument("--user", required=True)
-    p.add_argument("--item")
-    p.add_argument("--user-aggregate", action="store_true")
+    scope = p.add_mutually_exclusive_group(required=True)
+    scope.add_argument("--item")
+    scope.add_argument("--user-aggregate", action="store_true")
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--svg")
     p.add_argument("--model", help="optional baseline model for its rating")
@@ -683,9 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "explain":
-        if not args.user_aggregate and not args.item:
-            parser.error("explain requires --item or --user-aggregate")
     try:
         return args.func(args)
     except OSError as exc:

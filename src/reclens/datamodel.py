@@ -205,12 +205,14 @@ class MetadataMatrix:
 
 def read_json(path):
     """The JSON document in ``path``; a ``FormatError`` naming the file if it
-    is not valid JSON."""
+    is not valid JSON or nests deeper than the decoder can follow."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
 def write_json(doc, path) -> None:

@@ -6,7 +6,9 @@ that feature alone is resampled from its marginal distribution
 (x_f - p_f) * (m(x|f=1) - m(x|f=0)), only where it can be nonzero: a tree
 shadow's rating moves only with the features that some factor tree tests
 on the item's path, so every other feature reports exactly 0.0 and sorts
-by name.  A linear shadow's flip effect is the same for every item, so its
+by name.  All factor trees are routed together, one numpy step per tree
+level, in groups of trees capped by ``regressors.FOREST_PAIRS``.  A linear
+shadow's flip effect is the same for every item, so its
 item-set influence is (mean(x) - p) times that effect, and over the whole
 item universe it is exactly 0.0 for every feature.  ``qii_monte_carlo``
 samples from an empirical value pool and serves as a cross-check.
@@ -142,20 +144,33 @@ def _influences(shadow, X, user, marginals):
     mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0)).
 
     A tree contributes only for the features tested on a row's path; any
-    other flip leaves its prediction unchanged.  A linear factor's flip
-    effect is its weight, whatever the row.
+    other flip leaves its prediction unchanged.  The factor trees are routed
+    together, a group of trees at a time, and each tree's sums are added in
+    factor order.  A linear factor's flip effect is its weight, whatever
+    the row.
     """
     u = shadow.user_factors[user]
-    out = np.zeros(X.shape[1])
-    linear = []
-    for j, predictor in enumerate(shadow.factor_predictors):
-        if isinstance(predictor, RegressionTree):
-            rows, features = predictor.path_features(X)
-            effect = u[j] * predictor.flip_effect(X, rows, features)
-            lean = X[rows, features] - marginals[features]
-            out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
-        else:
-            linear.append(j)
+    n_features = X.shape[1]
+    out = np.zeros(n_features)
+    forest = shadow.forest
+    groups = forest.groups(len(X)) if forest is not None else []
+    for group in groups:
+        trees, rows, features = forest.path_features(X, group)
+        effect = u[shadow.tree_factors[trees]] * forest.flip_effect(
+            X, trees, rows, features
+        )
+        lean = X[rows, features] - marginals[features]
+        sums = np.bincount(
+            (trees - group.start) * n_features + features,
+            lean * effect,
+            minlength=len(group) * n_features,
+        )
+        for per_tree in sums.reshape(len(group), n_features) / len(X):
+            out += per_tree
+    linear = [
+        j for j, p in enumerate(shadow.factor_predictors)
+        if not isinstance(p, RegressionTree)
+    ]
     if linear:
         weights = np.column_stack(
             [shadow.factor_predictors[j].weights for j in linear]
@@ -190,27 +205,21 @@ def explain(
     if isinstance(query.scope, SingleItem):
         items = [query.scope.item]
     else:
-        items = list(query.scope.items)
-    rows = np.array([shadow.row_of_item(i) for i in items], dtype=np.int64)
+        items = query.scope.items
+    rows = shadow.rows_of_items(items)
     warnings = []
-    eval_set = set(int(i) for i in shadow.eval_items)
-    outside = [i for i in items if int(i) not in eval_set]
+    outside = int(np.count_nonzero(~shadow.in_eval[rows]))
     if outside:
         warnings.append(
-            f"{len(outside)} item(s) outside the evaluation split; "
+            f"{outside} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
     X = meta.dense[rows]
     values = _influences(shadow, X, query.user, meta.marginals)
     base = shadow.predicted_factors_batch(X) @ shadow.user_factors[query.user]
     shadow_rating = float(base.mean())
-    order = sorted(
-        range(meta.n_features),
-        key=lambda f: (-abs(values[f]), meta.feature_names[f]),
-    )
-    ranked = tuple(
-        (meta.feature_names[f], float(values[f])) for f in order[:top_k]
-    )
+    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k].tolist()
+    ranked = tuple(zip([meta.feature_names[f] for f in top], values[top].tolist()))
     baseline_rating = None
     if baseline is not None and isinstance(query.scope, SingleItem):
         baseline_rating = predict_rating(baseline, query.user, query.scope.item)

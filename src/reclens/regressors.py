@@ -2,6 +2,9 @@
 regression trees.
 
 Both are deterministic: identical inputs always produce identical models.
+A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
+step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
+single tree routes as a forest of one.
 """
 
 from __future__ import annotations
@@ -11,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError, ValidationError, check_types
+
+# (tree, row) pairs that a TreeForest routes at once.  Its working set is a
+# few dozen arrays of up to pairs x depth (tree, row, feature) path entries;
+# at this cap an item set as large as a depth-8, rank-50 MovieLens-100k
+# shadow's universe still runs one tree at a time, as the per-tree loop did.
+FOREST_PAIRS = 2048
 
 
 @dataclass(frozen=True)
@@ -186,6 +195,7 @@ class RegressionTree:
         ):
             object.__setattr__(self, name, np.array(values, dtype=dtype))
         object.__setattr__(self, "_depth", max(levels))
+        object.__setattr__(self, "_forest", TreeForest((self,)))
 
     def predict(self, a: np.ndarray) -> float:
         a = np.asarray(a, dtype=np.float64)
@@ -198,6 +208,80 @@ class RegressionTree:
             node = node.left if a[node.feature] <= node.threshold else node.right
         return float(node.value)
 
+    def predict_batch(self, X: np.ndarray) -> np.ndarray:
+        """Route every row one level per step, ``depth`` steps in all."""
+        return self._forest.predict_batch(X)[:, 0]
+
+    def path_features(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, features): every feature tested on the path of each row of
+        X, once per row, ordered by row then feature.  No other feature can
+        change the row's prediction."""
+        _, rows, features = self._forest.path_features(X)
+        return rows, features
+
+    def flip_effect(
+        self, X: np.ndarray, rows: np.ndarray, features: np.ndarray
+    ) -> np.ndarray:
+        """f(x | x_j = 1) - f(x | x_j = 0) for each pair x = X[rows[i]],
+        j = features[i]."""
+        trees = np.zeros(len(rows), dtype=np.intp)
+        return self._forest.flip_effect(X, trees, rows, features)
+
+
+@dataclass(frozen=True)
+class TreeForest:
+    """Trees over the same features, routed together: each step moves every
+    (tree, row) pair down one level, so a batch takes as many numpy steps
+    as its deepest tree has levels, whatever the number of trees.
+
+    The trees' flat node arrays are concatenated, each tree's child indices
+    offset by the position of its root.  Trees are taken in groups of
+    consecutive indices with rows x trees <= ``FOREST_PAIRS`` (one tree at
+    least), so memory stays bounded for any number of trees and rows.  A
+    ``RegressionTree`` routes as a forest of one.
+    """
+
+    trees: tuple
+
+    def __post_init__(self):
+        trees = tuple(self.trees)
+        object.__setattr__(self, "trees", trees)
+        if not trees or len({t.n_features for t in trees}) != 1:
+            raise ValidationError("a forest needs trees over the same features")
+        sizes = [len(t._value) for t in trees]
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        for name, parts in (
+            ("_feature", [t._feature for t in trees]),
+            ("_threshold", [t._threshold for t in trees]),
+            ("_left", [t._left + r if r else t._left for t, r in zip(trees, roots)]),
+            ("_right", [t._right + r if r else t._right for t, r in zip(trees, roots)]),
+            ("_value", [t._value for t in trees]),
+        ):
+            # A forest of one shares its tree's arrays.
+            joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            object.__setattr__(self, name, joined)
+        object.__setattr__(self, "_root", roots)
+        object.__setattr__(
+            self, "_depth", np.array([t._depth for t in trees], dtype=np.intp)
+        )
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
+
+    @property
+    def n_features(self) -> int:
+        return self.trees[0].n_features
+
+    def groups(self, n_rows: int) -> list[range]:
+        """Consecutive tree index ranges of at most ``FOREST_PAIRS //
+        n_rows`` trees each, and of one tree at least."""
+        size = max(1, FOREST_PAIRS // max(n_rows, 1))
+        return [
+            range(start, min(start + size, self.n_trees))
+            for start in range(0, self.n_trees, size)
+        ]
+
     def _checked(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
@@ -206,12 +290,14 @@ class RegressionTree:
             )
         return X
 
-    def _route(self, X, rows, flipped=None, value=0.0, visited=None):
-        """Leaf node of each row ``X[rows[i]]``, one level per step.  With
-        ``flipped``, row i reads ``value`` in column ``flipped[i]``; with
-        ``visited``, the node array of every level is appended to it."""
-        node = np.zeros(len(rows), dtype=np.intp)
-        for _ in range(self._depth):
+    def _route(self, X, trees, rows, flipped=None, value=0.0, visited=None):
+        """Leaf node of each pair (tree ``trees[i]``, row ``X[rows[i]]``),
+        one level per step.  With ``flipped``, pair i reads ``value`` in
+        column ``flipped[i]``; with ``visited``, the node array of every
+        level is appended to it.  A leaf's children are the leaf itself, so
+        pairs that reach a shallow leaf stay there for the later levels."""
+        node = self._root[trees]
+        for _ in range(self._depth[trees].max(initial=0)):
             if visited is not None:
                 visited.append(node)
             tested = self._feature[node]
@@ -224,33 +310,54 @@ class RegressionTree:
         return node
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Route every row one level per step, ``depth`` steps in all."""
+        """Every tree's prediction for every row of X: a C-contiguous
+        (rows, trees) array."""
         X = self._checked(X)
-        return self._value[self._route(X, np.arange(len(X)))]
+        n = len(X)
+        out = np.empty((n, self.n_trees))
+        for group in self.groups(n):
+            trees = np.tile(np.arange(group.start, group.stop), n)
+            rows = np.repeat(np.arange(n), len(group))
+            leaves = self._route(X, trees, rows)
+            out[:, group.start:group.stop] = self._value[leaves].reshape(n, len(group))
+        return out
 
-    def path_features(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, features): every feature tested on the path of each row of
-        X, once per row, ordered by row then feature.  No other feature can
-        change the row's prediction."""
+    def path_features(
+        self, X: np.ndarray, group: range | None = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(trees, rows, features): every feature that a tree of ``group``
+        (default all) tests on the path of a row of X, once per tree and
+        row, ordered by tree, row, then feature.  No other feature can
+        change that tree's prediction for the row."""
         X = self._checked(X)
-        rows = np.arange(len(X))
+        if group is None:
+            group = range(self.n_trees)
+        n = len(X)
+        pair_trees = np.repeat(np.arange(group.start, group.stop), n)
+        pair_rows = np.tile(np.arange(n), len(group))
         visited = []
-        self._route(X, rows, visited=visited)
+        self._route(X, pair_trees, pair_rows, visited=visited)
+        pairs = np.arange(len(pair_trees))
         keys = []
         for node in visited:
             split = self._left[node] != node
-            keys.append(rows[split] * self.n_features + self._feature[node[split]])
+            keys.append(pairs[split] * self.n_features + self._feature[node[split]])
         keys = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.intp)
-        return keys // self.n_features, keys % self.n_features
+        pairs = keys // self.n_features
+        return pair_trees[pairs], pair_rows[pairs], keys % self.n_features
 
     def flip_effect(
-        self, X: np.ndarray, rows: np.ndarray, features: np.ndarray
+        self,
+        X: np.ndarray,
+        trees: np.ndarray,
+        rows: np.ndarray,
+        features: np.ndarray,
     ) -> np.ndarray:
-        """f(x | x_j = 1) - f(x | x_j = 0) for each pair x = X[rows[i]],
-        j = features[i]."""
+        """f_t(x | x_j = 1) - f_t(x | x_j = 0) for each triple t = trees[i],
+        x = X[rows[i]], j = features[i]."""
         X = self._checked(X)
-        on = self._value[self._route(X, rows, features, 1.0)]
-        off = self._value[self._route(X, rows, features, 0.0)]
+        on = self._value[self._route(X, trees, rows, features, 1.0)]
+        off = self._value[self._route(X, trees, rows, features, 0.0)]
         return on - off
 
 

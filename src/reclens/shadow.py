@@ -1,5 +1,9 @@
 """The composed shadow model: one regressor per item latent factor,
 combined with the baseline's user factors, plus its agreement metrics.
+
+A shadow's factor trees form one ``TreeForest``, so predicting every
+factor for a batch of items takes one numpy step per tree level for all
+trees together, in groups of trees capped by ``regressors.FOREST_PAIRS``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from .errors import InsufficientDataError, ValidationError, check_seed
 from .regressors import (
     LinearRegressor,
     RegressionTree,
+    TreeForest,
     TreeNode,
     TreeParams,
     fit_linear_columns,
@@ -53,6 +58,12 @@ class ShadowModel:
     and ``eval_items`` are baseline item index sets from the seeded split;
     when the split keeps everything, eval falls back to the training set
     and ``eval_is_train`` is flagged so reports can say so.
+
+    Every predictor must read ``len(feature_names)`` features.  Built at
+    construction: ``forest``, the factor trees routed together (None
+    without trees) with ``tree_factors`` the factor index of each of its
+    trees; ``name_rank``, each feature's position in name order; and
+    ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
     factor_predictors: tuple
@@ -74,8 +85,37 @@ class ShadowModel:
             object.__setattr__(self, name, arr)
         if len(self.factor_predictors) != self.rank:
             raise ValidationError("one predictor per latent factor required")
-        row_of = {int(b): r for r, b in enumerate(self.item_indices)}
-        object.__setattr__(self, "_row_of_item", row_of)
+        names = self.feature_names
+        for j, p in enumerate(self.factor_predictors):
+            if p.n_features != len(names):
+                raise ValidationError(
+                    f"predictor {j} reads {p.n_features} features, but the "
+                    f"shadow names {len(names)}"
+                )
+        # Built once, here, so threads that share the shadow never race to
+        # build them.
+        tree_factors = [
+            j for j, p in enumerate(self.factor_predictors)
+            if isinstance(p, RegressionTree)
+        ]
+        forest = None
+        if tree_factors:
+            forest = TreeForest(tuple(self.factor_predictors[j] for j in tree_factors))
+        name_rank = np.empty(len(names), dtype=np.intp)
+        name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
+            len(names)
+        )
+        # Later rows win for a repeated item, as in a dict built row by row.
+        rows = np.argsort(self.item_indices, kind="stable")
+        for name, value in (
+            ("forest", forest),
+            ("tree_factors", np.array(tree_factors, dtype=np.intp)),
+            ("name_rank", name_rank),
+            ("_sorted_items", self.item_indices[rows]),
+            ("_sorted_rows", rows),
+            ("in_eval", np.isin(self.item_indices, self.eval_items)),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def rank(self) -> int:
@@ -85,19 +125,34 @@ class ShadowModel:
     def n_users(self) -> int:
         return self.user_factors.shape[0]
 
-    def row_of_item(self, item: int) -> int:
+    def rows_of_items(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
+        """The metadata row behind each baseline item, by one sorted
+        lookup; ``IndexError`` for an item outside the item universe."""
         try:
-            return self._row_of_item[int(item)]
-        except KeyError:
-            raise IndexError(
-                f"item {item} is not in the shadow model's item universe"
-            ) from None
+            ids = np.asarray(items, dtype=np.int64).reshape(-1)
+        except OverflowError:  # an id past int64 is in no item universe
+            known = set(self.item_indices.tolist())
+            missing = next(i for i in items if int(i) not in known)
+        else:
+            pos = np.searchsorted(self._sorted_items, ids, side="right") - 1
+            found = pos >= 0
+            found[found] = self._sorted_items[pos[found]] == ids[found]
+            if found.all():
+                return self._sorted_rows[pos]
+            missing = ids[~found][0]
+        raise IndexError(
+            f"item {missing} is not in the shadow model's item universe"
+        )
 
     def predicted_factors(self, a: np.ndarray) -> np.ndarray:
         """f_1(a) .. f_k(a) as a vector."""
         return np.array([p.predict(a) for p in self.factor_predictors])
 
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
+        """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
+        When every factor is a tree, the forest routes them all at once."""
+        if len(self.tree_factors) == self.rank:
+            return self.forest.predict_batch(X)
         return np.column_stack([p.predict_batch(X) for p in self.factor_predictors])
 
     def predict(self, user: int, a: np.ndarray) -> float:
@@ -175,10 +230,6 @@ def train_shadow(
     )
 
 
-def _rows_for_items(shadow: ShadowModel, items: Iterable[int]) -> np.ndarray:
-    return np.array([shadow.row_of_item(i) for i in items], dtype=np.int64)
-
-
 def latent_agreement(
     shadow: ShadowModel,
     baseline: FactorModel,
@@ -189,7 +240,7 @@ def latent_agreement(
     items = np.asarray(list(items), dtype=np.int64)
     if len(items) == 0:
         raise ValidationError("latent agreement over an empty item set is undefined")
-    rows = _rows_for_items(shadow, items)
+    rows = shadow.rows_of_items(items)
     predicted = shadow.predicted_factors_batch(meta.dense[rows])
     truth = baseline.item_factors[items]
     per_factor = np.abs(predicted - truth).mean(axis=0)
@@ -203,7 +254,7 @@ def _pair_predictions(shadow, baseline, meta, pairs):
     if len(pairs) == 0:
         raise ValidationError("agreement over an empty pair set is undefined")
     users, items = pairs[:, 0], pairs[:, 1]
-    rows = _rows_for_items(shadow, items)
+    rows = shadow.rows_of_items(items)
     factors = shadow.predicted_factors_batch(meta.dense[rows])
     shadow_pred = np.einsum("ij,ij->i", shadow.user_factors[users], factors)
     base_pred = np.einsum(
@@ -327,7 +378,7 @@ def measure_agreement(
     for start in range(0, len(items), AGREEMENT_BLOCK):
         block = items[start:start + AGREEMENT_BLOCK]
         predicted = shadow.predicted_factors_batch(
-            meta.dense[_rows_for_items(shadow, block)]
+            meta.dense[shadow.rows_of_items(block)]
         )
         base = baseline.user_factors @ baseline.item_factors[block].T
         resid = base - shadow.user_factors @ predicted.T

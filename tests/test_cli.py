@@ -19,6 +19,7 @@ from reclens.factorize import load_model
 from reclens.shadow import load_shadow
 
 from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
+from test_influence import influences_per_tree_oracle, predicted_factors_per_tree
 
 
 def make_identity_fixture(tmp_path, rng, n_users=6, n_items=12):
@@ -252,6 +253,49 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
     assert run(tmp_path / "oracles") == shipped
 
 
+def test_tree_shadow_and_reports_match_per_tree_oracles(
+    tmp_path, rng, monkeypatch, capsys
+):
+    """A depth-4 tree shadow, its agreement report, and explain for one item
+    and for a user aggregate are the same bytes whether the factor trees
+    are routed together or one at a time."""
+    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+            for u in range(9) for i in range(16) if rng.random() < 0.8]
+    write_ratings_csv(tmp_path / "ratings.csv", rows)
+    write_metadata_jsonl(tmp_path / "meta.jsonl", {
+        f"m{i}": {"genre": [f"g{g}" for g in range(6) if rng.random() < 0.5],
+                  "era": [f"e{i % 3}"]}
+        for i in range(16)
+    })
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--ratings", str(tmp_path / "ratings.csv"),
+                 "--rank", "4", "--iters", "6", "--seed", "4", "--out", model]) == 0
+
+    def run(out):
+        out.mkdir()
+        shadow = str(out / "shadow.json")
+        assert main(["shadow", "--model", model,
+                     "--metadata", str(tmp_path / "meta.jsonl"), "--kind", "tree",
+                     "--depth", "4", "--seed", "5", "--out", shadow]) == 0
+        capsys.readouterr()
+        reports = []
+        for scope in (["--item", "m3"], ["--user-aggregate"]):
+            assert main(["explain", "--shadow", shadow,
+                         "--metadata", str(tmp_path / "meta.jsonl"), "--user", "u2",
+                         *scope, "--top-k", "50", "--model", model]) == 0
+            reports.append(capsys.readouterr())
+        return [(out / name).read_bytes()
+                for name in ("shadow.json", "shadow.json.report.json")] + reports
+
+    shipped = run(tmp_path / "shipped")
+    from reclens import influence, shadow as shadow_mod
+
+    monkeypatch.setattr(influence, "_influences", influences_per_tree_oracle)
+    monkeypatch.setattr(shadow_mod.ShadowModel, "predicted_factors_batch",
+                        predicted_factors_per_tree)
+    assert run(tmp_path / "oracles") == shipped
+
+
 @pytest.fixture
 def shadow_fixture(tmp_path, trained_fixture):
     ratings, meta, model_path = trained_fixture
@@ -356,6 +400,19 @@ class TestExplain:
             ])
         assert exc.value.code == 2
 
+    def test_item_and_aggregate_exclusive(self, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "explain", "--shadow", str(shadow_path), "--metadata", str(meta),
+                "--user", "u0", "--item", "m1", "--user-aggregate",
+            ])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --item" in captured.err
+
 
 def _edit_json(src, dst, edit):
     doc = json.loads(src.read_text())
@@ -416,6 +473,38 @@ class TestBrokenFiles:
             "explain", "--shadow", str(bad), "--metadata", str(meta),
             "--user", "u0", "--item", "m1",
         ], bad, "infinity")
+
+    def test_tree_width_differs_from_feature_names(
+        self, tmp_path, shadow_fixture, capsys
+    ):
+        meta, _, shadow_path = shadow_fixture
+
+        def widen(doc):
+            doc["predictors"][1]["n_features"] += 1
+
+        bad = _edit_json(shadow_path, tmp_path / "wide.json", widen)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, "predictor 1 reads 13 features, but the shadow names 12")
+
+    @pytest.mark.parametrize("flag", ["--shadow", "--model", "--config", "--grid"])
+    def test_deeply_nested_json(
+        self, tmp_path, trained_fixture, shadow_fixture, capsys, flag
+    ):
+        ratings, meta, model_path = trained_fixture
+        shadow_path = shadow_fixture[2]
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000)
+        explain = ["explain", "--metadata", str(meta), "--user", "u0", "--item", "m1"]
+        argv = {
+            "--shadow": [*explain, "--shadow", str(deep)],
+            "--model": [*explain, "--shadow", str(shadow_path), "--model", str(deep)],
+            "--config": ["synth", "--config", str(deep)],
+            "--grid": ["sweep", "--ratings", str(ratings), "--metadata", str(meta),
+                       "--grid", str(deep)],
+        }[flag]
+        self._assert_one_error(capsys, argv, deep, "not valid JSON (nested too deeply)")
 
     def test_ratings_not_utf8(self, tmp_path, capsys):
         bad = tmp_path / "r.csv"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclens import influence, regressors
 from reclens.datamodel import FactorModel
 from reclens.errors import EstimatorMismatchError, ValidationError
 from reclens.influence import (
@@ -17,8 +18,8 @@ from reclens.influence import (
     qii_monte_carlo,
     write_svg,
 )
-from reclens.regressors import LinearRegressor, TreeParams, fit_tree
-from reclens.shadow import LinearKind, train_shadow, TreeKind
+from reclens.regressors import LinearRegressor, RegressionTree, TreeParams, fit_tree
+from reclens.shadow import LinearKind, ShadowModel, train_shadow, TreeKind
 
 from conftest import identity_meta, leaf_tree, make_meta, manual_shadow
 
@@ -410,6 +411,87 @@ class TestExplainAgainstOracle:
         zeros = [name for name, v in report.influences if v == 0.0]
         assert zeros == sorted(zeros)
         assert [n for n, _ in report.influences[len(values) - len(zeros):]] == zeros
+
+
+def influences_per_tree_oracle(shadow, X, user, marginals):
+    """``influence._influences`` one factor at a time: each tree's path
+    features and flip effects on their own, added into the result in
+    factor order."""
+    u = shadow.user_factors[user]
+    out = np.zeros(X.shape[1])
+    linear = []
+    for j, predictor in enumerate(shadow.factor_predictors):
+        if isinstance(predictor, RegressionTree):
+            rows, features = predictor.path_features(X)
+            effect = u[j] * predictor.flip_effect(X, rows, features)
+            lean = X[rows, features] - marginals[features]
+            out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
+        else:
+            linear.append(j)
+    if linear:
+        weights = np.column_stack(
+            [shadow.factor_predictors[j].weights for j in linear]
+        )
+        out += (X.mean(axis=0) - marginals) * (weights @ u[linear])
+    return out
+
+
+def predicted_factors_per_tree(shadow, X):
+    """``ShadowModel.predicted_factors_batch`` one predictor at a time."""
+    return np.column_stack([p.predict_batch(X) for p in shadow.factor_predictors])
+
+
+@st.composite
+def forest_problems(draw):
+    """Random 0/1 metadata, 1-6 factor trees each fitted to its own random
+    target with its own depth (0 included), a single-item or item-set query
+    (items may repeat), and a ``FOREST_PAIRS`` that splits the trees into
+    groups."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_items = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 12))
+    X = (rng.random((n_items, d)) < draw(st.floats(0.1, 0.9))).astype(float)
+    meta = make_meta(n_items, {
+        f"f{j:02d}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+    })
+    rank = draw(st.integers(1, 6))
+    trees = [
+        fit_tree(X, rng.normal(size=n_items), TreeParams(
+            max_depth=draw(st.integers(0, 5)), min_leaf=draw(st.integers(1, 3))
+        ))
+        for _ in range(rank)
+    ]
+    shadow = manual_shadow(trees, rng.normal(size=(2, rank)), meta)
+    items = st.integers(0, n_items - 1)
+    if draw(st.booleans()):
+        scope = SingleItem(draw(items))
+    else:
+        scope = ItemSet(tuple(draw(st.lists(items, min_size=1, max_size=12))))
+    pairs = draw(st.sampled_from([1, 2, 3, 7, regressors.FOREST_PAIRS]))
+    return shadow, meta, InfluenceQuery(draw(st.integers(0, 1)), scope), pairs
+
+
+class TestForestAgainstPerTreeOracle:
+    @settings(max_examples=200)
+    @given(forest_problems())
+    def test_explain_is_bit_identical(self, problem):
+        shadow, meta, query, pairs = problem
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regressors, "FOREST_PAIRS", pairs)
+            report = explain(shadow, meta, query, top_k=meta.n_features)
+            predicted = shadow.predicted_factors_batch(meta.dense)
+            mp.setattr(influence, "_influences", influences_per_tree_oracle)
+            mp.setattr(ShadowModel, "predicted_factors_batch",
+                       predicted_factors_per_tree)
+            oracle = explain(shadow, meta, query, top_k=meta.n_features)
+        assert report == oracle
+        assert report.to_json() == oracle.to_json()  # signed zeros too
+        assert predicted.flags.c_contiguous
+        walked = np.column_stack([
+            [tree.predict(x) for x in meta.dense]
+            for tree in shadow.factor_predictors
+        ])
+        np.testing.assert_array_equal(predicted, walked)
 
 
 class TestReportSerialization:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reclens import regressors
 from reclens.errors import SolverError, ValidationError
 from reclens.regressors import (
     LinearRegressor,
     RegressionTree,
+    TreeForest,
     TreeNode,
     TreeParams,
     _best_split,
@@ -370,6 +372,55 @@ class TestPaths:
         np.testing.assert_array_equal(
             tree.flip_effect(X, rows, features), flipped[0] - flipped[1]
         )
+
+
+class TestForest:
+    """A forest gives each tree's own predictions, path features and flip
+    effects, whatever the group size."""
+
+    @pytest.mark.parametrize("pairs", [1, 27, 65536])
+    def test_matches_each_tree(self, rng, monkeypatch, pairs):
+        monkeypatch.setattr(regressors, "FOREST_PAIRS", pairs)
+        X = (rng.random((9, 5)) < 0.5).astype(float)
+        trees = [leaf_tree(0.25, 5)] + [
+            fit_tree(X, rng.normal(size=9), TreeParams(max_depth=depth))
+            for depth in (1, 3, 2)
+        ]
+        forest = TreeForest(trees)
+        assert [len(g) for g in forest.groups(len(X))] == {
+            1: [1, 1, 1, 1], 27: [3, 1], 65536: [4]}[pairs]
+        predicted = forest.predict_batch(X)
+        assert predicted.flags.c_contiguous
+        np.testing.assert_array_equal(
+            predicted,
+            np.column_stack([[t.predict(x) for x in X] for t in trees]),
+        )
+        paths = [t.path_features(X) for t in trees]
+        expected = [np.concatenate([np.full(len(r), t) for t, (r, _) in enumerate(paths)]),
+                    np.concatenate([r for r, _ in paths]),
+                    np.concatenate([f for _, f in paths])]
+        for group in (range(4), range(1, 3)):
+            got = forest.path_features(X, group)
+            keep = np.isin(expected[0], list(group))
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a, b[keep])
+        tree_ids, rows, features = expected
+        np.testing.assert_array_equal(
+            forest.flip_effect(X, tree_ids, rows, features),
+            np.concatenate([t.flip_effect(X, r, f) for t, (r, f) in zip(trees, paths)]),
+        )
+
+    def test_trees_must_share_features(self):
+        with pytest.raises(ValidationError):
+            TreeForest([leaf_tree(1.0, 2), leaf_tree(1.0, 3)])
+        with pytest.raises(ValidationError):
+            TreeForest([])
+
+    def test_shape_checked(self):
+        forest = TreeForest([leaf_tree(1.0, 2)])
+        with pytest.raises(ValidationError, match="expected"):
+            forest.predict_batch(np.zeros((3, 4)))
+        assert forest.predict_batch(np.zeros((0, 2))).shape == (0, 1)
 
 
 class TestPredict:

@@ -140,11 +140,39 @@ class TestTrainShadow:
             baseline, meta, TreeKind(TreeParams(max_depth=5)),
             split=(1.0, 0), item_indices=keep,
         )
-        assert shadow.row_of_item(4) == 1
+        assert shadow.rows_of_items([4]).tolist() == [1]
         with pytest.raises(IndexError):
-            shadow.row_of_item(0)
+            shadow.rows_of_items([0])
         per_factor, _ = latent_agreement(shadow, baseline, meta, keep)
         np.testing.assert_allclose(per_factor, 0.0, atol=1e-12)
+
+
+    def test_rows_of_items_one_lookup(self, rng):
+        baseline = random_model(rng, 3, 12, 2)
+        keep = rng.permutation(12)[:7]
+        shadow = train_shadow(
+            baseline, identity_meta(7), TreeKind(TreeParams(max_depth=2)),
+            split=(0.5, 1), item_indices=keep,
+        )
+        items = np.concatenate([keep[::-1], keep[:3]])
+        np.testing.assert_array_equal(
+            shadow.rows_of_items(items), [list(keep).index(i) for i in items]
+        )
+        np.testing.assert_array_equal(
+            shadow.in_eval, np.isin(keep, shadow.eval_items)
+        )
+        missing = int(np.setdiff1d(np.arange(12), keep)[0])
+        with pytest.raises(IndexError, match=(
+            f"^item {missing} is not in the shadow model's item universe$"
+        )):
+            shadow.rows_of_items([keep[0], missing, 99])
+        with pytest.raises(IndexError, match=f"^item {missing} is not"):
+            shadow.rows_of_items([keep[0], missing, 2**70])
+
+    def test_predictor_width_must_match_feature_names(self):
+        meta = make_meta(2, {"a": {0}, "b": {1}})
+        with pytest.raises(ValidationError, match="predictor 1 reads 3 features"):
+            manual_shadow([leaf_tree(1.0, 2), leaf_tree(1.0, 3)], np.ones((1, 2)), meta)
 
 
 class TestShadowPredict:
