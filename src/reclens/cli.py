@@ -235,7 +235,15 @@ def cmd_explain(args) -> int:
     report = explain(shadow, meta, query, top_k=args.top_k, baseline=baseline)
     for w in report.warnings:
         _eprint(f"warning: {w}")
-    print(report.to_json())
+    # The report names the user and item by the ids given on the command
+    # line, not by the shadow's dense indices.
+    doc = report.to_dict()
+    doc["user"] = shadow.user_ids[user] if shadow.user_ids else str(user)
+    doc["scope"] = (
+        {"user_aggregate": True} if args.user_aggregate
+        else {"single_item": shadow.item_ids[scope.item]}
+    )
+    _emit(doc)
     if args.svg:
         write_svg(report, args.svg, top=min(args.top_k, 10))
     return 0

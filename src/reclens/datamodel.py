@@ -143,56 +143,70 @@ def predict_rating(model: FactorModel, user: int, item: int) -> float:
 
 @dataclass(frozen=True)
 class MetadataMatrix:
-    """Items x binary interpretable features, stored column-sparse.
+    """Items x binary interpretable features.
 
-    ``columns[j]`` is the set of item indices holding feature ``j``;
-    ``marginals[j]`` caches the empirical probability |columns[j]| / n_items.
+    ``X`` is a read-only, C-ordered ``bool`` array: ``X[i, j]`` is whether
+    item ``i`` holds feature ``feature_names[j]``.  ``marginals[j]`` caches
+    the empirical probability ``X[:, j].mean()``.
     """
 
-    n_items: int
     feature_names: tuple[str, ...]
-    columns: tuple[frozenset[int], ...]
+    X: np.ndarray
     marginals: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
-        object.__setattr__(
-            self, "columns", tuple(frozenset(c) for c in self.columns)
-        )
-        if len(self.feature_names) != len(self.columns):
+        X = np.asarray(self.X)
+        if X.dtype != np.bool_ or X.ndim != 2:
+            raise ValidationError("X must be a boolean items x features array")
+        if X.shape[1] != len(self.feature_names):
             raise ValidationError("one column per feature name required")
         if len(set(self.feature_names)) != len(self.feature_names):
             raise ValidationError("feature names must be unique")
-        for name, col in zip(self.feature_names, self.columns):
+        X = np.array(X, order="C")
+        X.setflags(write=False)
+        marg = X.mean(axis=0) if len(X) else np.zeros(X.shape[1])
+        marg.setflags(write=False)
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "marginals", marg)
+
+    @classmethod
+    def from_columns(
+        cls,
+        n_items: int,
+        feature_names: Sequence[str],
+        columns: Sequence[Iterable[int]],
+    ) -> "MetadataMatrix":
+        """The matrix whose column ``j`` holds exactly the items in
+        ``columns[j]``."""
+        if len(feature_names) != len(columns):
+            raise ValidationError("one column per feature name required")
+        X = np.zeros((n_items, len(columns)), dtype=np.bool_)
+        for j, (name, col) in enumerate(zip(feature_names, columns)):
             for i in col:
-                if not 0 <= i < self.n_items:
+                if not 0 <= i < n_items:
                     raise ValidationError(
                         f"feature {name!r} references item {i} outside "
-                        f"[0, {self.n_items})"
+                        f"[0, {n_items})"
                     )
-        if self.n_items > 0:
-            marg = np.array(
-                [len(c) / self.n_items for c in self.columns], dtype=np.float64
-            )
-        else:
-            marg = np.zeros(len(self.columns))
-        marg.setflags(write=False)
-        object.__setattr__(self, "marginals", marg)
+                X[i, j] = True
+        return cls(feature_names, X)
+
+    @property
+    def n_items(self) -> int:
+        return self.X.shape[0]
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
     def supports(self) -> np.ndarray:
-        return np.array([len(c) for c in self.columns], dtype=np.int64)
+        return self.X.sum(axis=0, dtype=np.int64)
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """Dense items x features 0/1 matrix (built once, cached)."""
-        mat = np.zeros((self.n_items, self.n_features), dtype=np.float64)
-        for j, col in enumerate(self.columns):
-            if col:
-                mat[sorted(col), j] = 1.0
+        """``X`` as a read-only float64 0/1 matrix (built once, cached)."""
+        mat = self.X.astype(np.float64)
         mat.setflags(write=False)
         return mat
 

@@ -193,6 +193,8 @@ def explain(
     likes".  Features sort by descending |influence| with a name tie-break
     and the list is cut to ``top_k`` only after the full sort.  A feature
     that no factor tree tests on the items' paths reports exactly 0.0.
+    The report warns when items lie outside the evaluation split, unless
+    the scope is an item set over the shadow's whole item universe.
     """
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
@@ -208,13 +210,17 @@ def explain(
         items = query.scope.items
     rows = shadow.rows_of_items(items)
     warnings = []
-    outside = int(np.count_nonzero(~shadow.in_eval[rows]))
+    # An item set that spans the whole item universe includes the training
+    # items by construction, so it is not warned about.
+    whole = isinstance(query.scope, ItemSet) and np.isin(
+        shadow.item_indices, items).all()
+    outside = 0 if whole else int(np.count_nonzero(~shadow.in_eval[rows]))
     if outside:
         warnings.append(
             f"{outside} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
-    X = meta.dense[rows]
+    X = meta.X[rows]
     values = _influences(shadow, X, query.user, meta.marginals)
     base = shadow.predicted_factors_batch(X) @ shadow.user_factors[query.user]
     shadow_rating = float(base.mean())

@@ -262,11 +262,24 @@ def _load_ratings_lines(
     )
 
 
+# The JSON types of one attribute value (a bool is an int).
+_ATTRIBUTE_VALUE = (str, int, float)
+
+
+def _json_excerpt(value, width: int = 40) -> str:
+    """``value`` as JSON, cut to ``width`` characters for an error message."""
+    text = json.dumps(value)
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRecord]:
     """Read line-delimited JSON item records.
 
     When ``source`` is given, attribute names are prefixed ``source:name``
-    so that same-named attributes from different files stay distinct.
+    so that same-named attributes from different files stay distinct.  An
+    ``item_id`` must be a string or a number, and an attribute a string,
+    number or boolean or a list of them; anything else is a ``ParseError``
+    that names the line.
     """
     path = Path(path)
     records = []
@@ -281,17 +294,31 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict) or "item_id" not in obj:
                 raise ParseError(f"{path}:{lineno}: record must have an item_id field")
+            item_id = obj["item_id"]
+            if isinstance(item_id, bool) or not isinstance(item_id, (str, int, float)):
+                raise ParseError(
+                    f"{path}:{lineno}: item_id must be a string or a number, "
+                    f"not {_json_excerpt(item_id)}"
+                )
             raw_attrs = obj.get("attributes", {})
             if not isinstance(raw_attrs, dict):
                 raise ParseError(f"{path}:{lineno}: attributes must be an object")
             attrs = {}
             for name, values in raw_attrs.items():
-                if isinstance(values, (str, int, float, bool)):
+                if isinstance(values, _ATTRIBUTE_VALUE):
                     values = [values]
+                if not isinstance(values, list) or not all(
+                    isinstance(v, _ATTRIBUTE_VALUE) for v in values
+                ):
+                    raise ParseError(
+                        f"{path}:{lineno}: attribute {name!r} holds "
+                        f"{_json_excerpt(values)}; it must be a string, number or "
+                        "boolean, or a list of them"
+                    )
                 key = f"{source}:{name}" if source else str(name)
                 attrs[key] = frozenset(str(v) for v in values)
             try:
-                records.append(RawItemRecord(str(obj["item_id"]), attrs))
+                records.append(RawItemRecord(str(item_id), attrs))
             except ValidationError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from None
     return records
@@ -323,20 +350,27 @@ def encode_one_hot(
         total = max(item_index.values()) + 1
     else:
         raise ValidationError("item_index is empty and n_items was not given")
-    columns: dict[str, set[int]] = {}
+    rows, keys = [], []
     for rec in records:
         idx = item_index.get(rec.item_id)
         if idx is None:
             continue
         for attr, values in rec.attributes.items():
             for value in values:
-                columns.setdefault(f"{attr}={value}", set()).add(idx)
-    names = tuple(sorted(columns))
-    return MetadataMatrix(
-        n_items=total,
-        feature_names=names,
-        columns=tuple(frozenset(columns[n]) for n in names),
-    )
+                rows.append(idx)
+                keys.append(f"{attr}={value}")
+    names = sorted(set(keys))
+    column = {name: j for j, name in enumerate(names)}
+    rows = np.array(rows, dtype=np.int64)
+    outside = (rows < 0) | (rows >= total)
+    if outside.any():
+        at = int(np.argmax(outside))
+        raise ValidationError(
+            f"feature {keys[at]!r} references item {rows[at]} outside [0, {total})"
+        )
+    X = np.zeros((total, len(names)), dtype=np.bool_)
+    X[rows, np.fromiter(map(column.__getitem__, keys), np.intp, len(keys))] = True
+    return MetadataMatrix(tuple(names), X)
 
 
 def feature_entropy(p: float) -> float:
@@ -380,9 +414,7 @@ def filter_features(meta: MetadataMatrix, spec: FeatureFilterSpec) -> MetadataMa
             )
             keep = sorted(ranked[:k])
     return MetadataMatrix(
-        n_items=meta.n_items,
-        feature_names=tuple(meta.feature_names[j] for j in keep),
-        columns=tuple(meta.columns[j] for j in keep),
+        tuple(meta.feature_names[j] for j in keep), meta.X[:, keep]
     )
 
 
@@ -397,25 +429,12 @@ def prune_items(
     """
     if min_features < 1:
         raise ValidationError("min_features must be >= 1")
-    counts = np.zeros(meta.n_items, dtype=np.int64)
-    for col in meta.columns:
-        for i in col:
-            counts[i] += 1
-    mask = counts >= min_features
+    mask = meta.X.sum(axis=1) >= min_features
     if not mask.any():
         raise InsufficientDataError(
             "every item was pruned; no metadata-rich items remain"
         )
-    new_of_old = {old: new for new, old in enumerate(np.flatnonzero(mask))}
-    new_columns = tuple(
-        frozenset(new_of_old[i] for i in col if mask[i]) for col in meta.columns
-    )
-    pruned = MetadataMatrix(
-        n_items=int(mask.sum()),
-        feature_names=meta.feature_names,
-        columns=new_columns,
-    )
-    return pruned, mask
+    return MetadataMatrix(meta.feature_names, meta.X[mask]), mask
 
 
 def select_features(meta: MetadataMatrix, names: Sequence[str]) -> MetadataMatrix:
@@ -424,27 +443,16 @@ def select_features(meta: MetadataMatrix, names: Sequence[str]) -> MetadataMatri
     missing = [n for n in names if n not in index]
     if missing:
         raise ValidationError(f"features {missing} not present in the metadata")
-    return MetadataMatrix(
-        n_items=meta.n_items,
-        feature_names=tuple(names),
-        columns=tuple(meta.columns[index[n]] for n in names),
-    )
+    return MetadataMatrix(tuple(names), meta.X[:, [index[n] for n in names]])
 
 
 def restrict_items(meta: MetadataMatrix, item_indices: Sequence[int]) -> MetadataMatrix:
     """Compact the matrix so row j corresponds to original item
     item_indices[j]; marginals then reflect the restricted population."""
-    item_indices = [int(i) for i in item_indices]
-    for i in item_indices:
-        if not 0 <= i < meta.n_items:
-            raise ValidationError(f"item index {i} outside [0, {meta.n_items})")
-    new_of_old = {old: new for new, old in enumerate(item_indices)}
-    columns = tuple(
-        frozenset(new_of_old[i] for i in col if i in new_of_old)
-        for col in meta.columns
-    )
-    return MetadataMatrix(
-        n_items=len(item_indices),
-        feature_names=meta.feature_names,
-        columns=columns,
-    )
+    rows = np.asarray(item_indices, dtype=np.int64).reshape(-1)
+    outside = (rows < 0) | (rows >= meta.n_items)
+    if outside.any():
+        raise ValidationError(
+            f"item index {rows[np.argmax(outside)]} outside [0, {meta.n_items})"
+        )
+    return MetadataMatrix(meta.feature_names, meta.X[rows])

@@ -283,7 +283,12 @@ class TreeForest:
         ]
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
+        """X as a 2-d array of this forest's width: boolean rows as they
+        are (a split compares a bool with its threshold as 0.0 or 1.0),
+        any other rows as float64."""
+        X = np.asarray(X)
+        if X.dtype != np.bool_:
+            X = X.astype(np.float64, copy=False)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
                 f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
@@ -453,24 +458,25 @@ def _grow(X, y, rows, depth, params, split_fn) -> TreeNode:
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
     """Greedy CART regression: variance-reduction splits, mean-valued leaves.
 
-    When every entry of X is 0 or 1, each column's only split is 0.5 and
-    one sufficient-statistics pass per node scores all features at once;
-    otherwise thresholds come from quantile bins.  Both searches break ties
-    to the lowest feature index.
+    When X is boolean or every entry is 0 or 1, each column's only split
+    is 0.5 and one sufficient-statistics pass per node scores all features
+    at once; otherwise thresholds come from quantile bins.  Both searches
+    break ties to the lowest feature index.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split
     improves on.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
-    rows = np.arange(len(y))
-    if np.all((X == 0.0) | (X == 1.0)):
-        root = _grow(X == 1.0, y, rows, 0, params, _binary_split)
-    else:
-        root = _grow(X, y, rows, 0, params, _best_split)
+    if X.dtype != np.bool_:
+        X = X.astype(np.float64, copy=False)
+        if np.all((X == 0.0) | (X == 1.0)):
+            X = X == 1.0
+    split_fn = _binary_split if X.dtype == np.bool_ else _best_split
+    root = _grow(X, y, np.arange(len(y)), 0, params, split_fn)
     return RegressionTree(root=root, params=params, n_features=X.shape[1])
 
 

@@ -208,7 +208,7 @@ def train_shadow(
     eval_is_train = len(eval_rows) == 0
     if eval_is_train:
         eval_rows = train_rows
-    X = meta.dense[train_rows]
+    X = meta.X[train_rows]
     Y = baseline.item_factors[item_indices[train_rows]]
     if isinstance(kind, LinearKind):
         predictors = fit_linear_columns(X, Y, kind.ridge)
@@ -241,7 +241,7 @@ def latent_agreement(
     if len(items) == 0:
         raise ValidationError("latent agreement over an empty item set is undefined")
     rows = shadow.rows_of_items(items)
-    predicted = shadow.predicted_factors_batch(meta.dense[rows])
+    predicted = shadow.predicted_factors_batch(meta.X[rows])
     truth = baseline.item_factors[items]
     per_factor = np.abs(predicted - truth).mean(axis=0)
     return per_factor, float(per_factor.mean())
@@ -255,7 +255,7 @@ def _pair_predictions(shadow, baseline, meta, pairs):
         raise ValidationError("agreement over an empty pair set is undefined")
     users, items = pairs[:, 0], pairs[:, 1]
     rows = shadow.rows_of_items(items)
-    factors = shadow.predicted_factors_batch(meta.dense[rows])
+    factors = shadow.predicted_factors_batch(meta.X[rows])
     shadow_pred = np.einsum("ij,ij->i", shadow.user_factors[users], factors)
     base_pred = np.einsum(
         "ij,ij->i", baseline.user_factors[users], baseline.item_factors[items]
@@ -378,7 +378,7 @@ def measure_agreement(
     for start in range(0, len(items), AGREEMENT_BLOCK):
         block = items[start:start + AGREEMENT_BLOCK]
         predicted = shadow.predicted_factors_batch(
-            meta.dense[shadow.rows_of_items(block)]
+            meta.X[shadow.rows_of_items(block)]
         )
         base = baseline.user_factors @ baseline.item_factors[block].T
         resid = base - shadow.user_factors @ predicted.T

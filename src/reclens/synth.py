@@ -151,8 +151,8 @@ def simulate_ratings(
 
     The ratings come back grouped by user, each user's items in ascending
     order.  They follow :func:`profile_rating`, evaluated once per
-    (profile, item) pair over ``meta.dense``; every profile feature must
-    index a column of ``meta``.
+    (profile, item) pair from the boolean array ``meta.X``; every profile
+    feature must index a column of ``meta``.
     """
     if meta.n_items < 1:
         raise ValidationError("metadata must contain at least one item")
@@ -193,7 +193,7 @@ def simulate_ratings(
     # match counts are small integers, exact in float64, so this is
     # profile_rating's arithmetic in its order, one (profile, item) cell
     # at a time
-    held = meta.dense.T
+    held = meta.X.T
     lo, hi = cfg.scale_bounds
     table = np.minimum(
         np.maximum(
@@ -316,7 +316,7 @@ def direct_encode_model(
     rank = len(pool) + 1
     n_users = max(assignment) + 1
     item_factors = np.zeros((meta.n_items, rank))
-    item_factors[:, :-1] = meta.dense[:, pool]
+    item_factors[:, :-1] = meta.X[:, pool]
     item_factors[:, -1] = 1.0
     user_factors = np.zeros((n_users, rank))
     slot = {f: t for t, f in enumerate(pool)}
@@ -334,13 +334,99 @@ def direct_encode_model(
     )
 
 
+# Continued-fraction terms allowed before the Student-t tail gives up.  No
+# df from 1 to 1e10 was seen to need more than 100.
+_CF_MAX_TERMS = 1000
+# Coefficients B_2k / (2k (2k - 1)) of Stirling's series for ln Gamma.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
+             1 / 156)
+
+
+def _stirling_tail(z: float) -> float:
+    """ln Gamma(z) - [(z - 1/2) ln z - z + ln(2 pi) / 2], for z >= 10."""
+    w = 1.0 / (z * z)
+    total = 0.0
+    for c in reversed(_STIRLING):
+        total = total * w + c
+    return total / z
+
+
+def _log_gamma_half_ratio(a: float) -> float:
+    """ln Gamma(a + 1/2) - ln Gamma(a), to full absolute precision: for
+    large a the two ``lgamma`` values agree in most of their digits, so the
+    difference comes from Stirling's series instead."""
+    if a < 10.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    return (a * math.log1p(0.5 / a) - 0.5 + 0.5 * math.log(a)
+            + _stirling_tail(a + 0.5) - _stirling_tail(a))
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b) (modified Lentz), which
+    converges fast for x < (a + 1) / (a + b + 2); ``StatsError`` if it has
+    not settled after ``_CF_MAX_TERMS`` terms."""
+    tiny = 1e-300
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    c, h = 1.0, d
+    for m in range(1, _CF_MAX_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 3e-16:
+            return h
+    raise StatsError(
+        f"Student-t tail did not converge in {_CF_MAX_TERMS} terms "
+        f"(a={a}, b={b}, x={x})"
+    )
+
+
+def student_t_two_sided(t: float, df: float) -> float:
+    """P(|T| >= |t|) for Student's t with ``df`` > 0 degrees of freedom.
+
+    This is I_x(df/2, 1/2), the regularized incomplete beta function at
+    x = df / (df + t^2).  x and 1 - x = t^2 / (df + t^2) are formed
+    separately from the ratio of |t| and sqrt(df), and their logarithms
+    from ``log``/``log1p``, so a tiny |t| keeps its digits in 1 - x and a
+    huge |t| does not overflow t^2.  The continued fraction still reads x
+    itself, so near the centre the relative error grows as about
+    df x 1e-16 (1.2e-10 at df = 1e6).
+    """
+    t = abs(float(t))
+    if math.isnan(t) or not df > 0.0:
+        raise StatsError(
+            f"Student-t tail needs a number t and df > 0, got t={t}, df={df}"
+        )
+    if t == 0.0:
+        return 1.0
+    a, b = 0.5 * df, 0.5
+    log_ratio = math.log(t) - 0.5 * math.log(df)  # ln(|t| / sqrt(df))
+    if log_ratio <= 0.0:
+        s = math.exp(2.0 * log_ratio)  # t^2 / df <= 1
+        x, y = 1.0 / (1.0 + s), s / (1.0 + s)
+        log_x = -math.log1p(s)
+        log_y = 2.0 * log_ratio - math.log1p(s)
+    else:
+        r = math.exp(-2.0 * log_ratio)  # df / t^2 < 1
+        x, y = r / (1.0 + r), 1.0 / (1.0 + r)
+        log_x = -2.0 * log_ratio - math.log1p(r)
+        log_y = -math.log1p(r)
+    # x^a y^b / B(a, b), where ln B(a, 1/2) = ln Gamma(1/2) - ln Gamma(a + 1/2)
+    # + ln Gamma(a)
+    front = math.exp(a * log_x + b * log_y + _log_gamma_half_ratio(a)
+                     - 0.5 * math.log(math.pi))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
 def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     """Welch's unequal-variance t statistic and two-sided p-value, with
     Welch-Satterthwaite degrees of freedom."""
-    # scipy is imported here, not at module level, to keep it off the
-    # import path of every other command.
-    from scipy.special import stdtr
-
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if len(a) < 2 or len(b) < 2:
@@ -357,8 +443,7 @@ def welch_t(a: Sequence[float], b: Sequence[float]) -> tuple[float, float]:
     ra = sa / (sa + sb)
     rb = sb / (sa + sb)
     df = 1.0 / (ra**2 / (len(a) - 1) + rb**2 / (len(b) - 1))
-    p = 2.0 * float(stdtr(df, -abs(t)))
-    return float(t), p
+    return float(t), student_t_two_sided(float(t), float(df))
 
 
 def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
@@ -384,20 +469,21 @@ def random_metadata(
     prefix: str = "f",
 ) -> MetadataMatrix:
     """A synthetic item universe: independent binary columns whose
-    marginals are drawn uniformly from ``marginal_range``."""
+    marginals are drawn uniformly from ``marginal_range``.
+
+    Column j takes one draw for its marginal p, then ``n_items`` uniform
+    draws u, and holds the items where u < p; it is written straight into
+    the boolean items x features array."""
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     lo, hi = marginal_range
     width = len(str(n_features - 1)) if n_features > 1 else 1
-    names, columns = [], []
+    X = np.empty((n_items, n_features), dtype=np.bool_)
     for j in range(n_features):
         p = lo + rng.random() * (hi - lo)
-        held = rng.random(n_items) < p
-        names.append(f"{prefix}{j:0{width}d}")
-        columns.append(frozenset(np.flatnonzero(held).tolist()))
-    return MetadataMatrix(
-        n_items=n_items, feature_names=tuple(names), columns=tuple(columns)
-    )
+        np.less(rng.random(n_items), p, out=X[:, j])
+    names = tuple(f"{prefix}{j:0{width}d}" for j in range(n_features))
+    return MetadataMatrix(names, X)
 
 
 CONDITIONS = ("true", "semi_random", "random")

@@ -21,19 +21,17 @@ settings.load_profile("reclens")
 def identity_meta(n_items: int) -> MetadataMatrix:
     """One exclusive feature per item: row i is the i-th unit vector."""
     width = len(str(n_items - 1))
-    return MetadataMatrix(
-        n_items=n_items,
-        feature_names=tuple(f"id{i:0{width}d}" for i in range(n_items)),
-        columns=tuple(frozenset([i]) for i in range(n_items)),
+    return MetadataMatrix.from_columns(
+        n_items,
+        tuple(f"id{i:0{width}d}" for i in range(n_items)),
+        tuple(frozenset([i]) for i in range(n_items)),
     )
 
 
 def make_meta(n_items: int, columns: dict[str, set[int]]) -> MetadataMatrix:
     names = tuple(sorted(columns))
-    return MetadataMatrix(
-        n_items=n_items,
-        feature_names=names,
-        columns=tuple(frozenset(columns[n]) for n in names),
+    return MetadataMatrix.from_columns(
+        n_items, names, tuple(frozenset(columns[n]) for n in names)
     )
 
 

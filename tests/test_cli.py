@@ -343,9 +343,47 @@ class TestExplain:
             "--user", "u2", "--user-aggregate", "--top-k", "3",
         ])
         assert code == 0
-        report = json.loads(capsys.readouterr().out.strip())
-        assert "item_set" in report["scope"]
+        captured = capsys.readouterr()
+        report = json.loads(captured.out.strip())
+        assert report["user"] == "u2"
+        assert report["scope"] == {"user_aggregate": True}
         assert report["baseline_rating"] is None
+        # the aggregate spans every item, training items included, by design
+        assert report["warnings"] == []
+        assert "warning:" not in captured.err
+
+    def test_aggregate_over_a_split_prints_no_warning(
+        self, tmp_path, trained_fixture, capsys
+    ):
+        _, meta, model_path = trained_fixture
+        shadow_path = tmp_path / "split_shadow.json"
+        assert main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--kind", "tree", "--depth", "4", "--split", "0.5",
+            "--out", str(shadow_path),
+        ]) == 0
+        shadow = load_shadow(shadow_path)
+        train_item = shadow.item_ids[int(shadow.train_items[0])]
+        for scope, warned in ((["--user-aggregate"], False),
+                              (["--item", train_item], True)):
+            capsys.readouterr()
+            assert main([
+                "explain", "--shadow", str(shadow_path), "--metadata", str(meta),
+                "--user", "u1", *scope,
+            ]) == 0
+            err = capsys.readouterr().err
+            assert ("warning:" in err) == warned, err
+
+    def test_report_names_user_and_item_by_id(self, shadow_fixture, capsys):
+        meta, model_path, shadow_path = shadow_fixture
+        capsys.readouterr()
+        assert main([
+            "explain", "--shadow", str(shadow_path), "--metadata", str(meta),
+            "--user", "u4", "--item", "m7", "--model", str(model_path),
+        ]) == 0
+        report = json.loads(capsys.readouterr().out.strip())
+        assert report["user"] == "u4"
+        assert report["scope"] == {"single_item": "m7"}
 
     def test_svg_written(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
@@ -412,6 +450,43 @@ class TestExplain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not allowed with argument --item" in captured.err
+
+
+_VALUE_RULE = "; it must be a string, number or boolean, or a list of them"
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"item_id": "m0", "attributes": {"id": None}},
+     "attribute 'id' holds null" + _VALUE_RULE),
+    ({"item_id": "m0", "attributes": {"id": [["m0"]]}},
+     """attribute 'id' holds [["m0"]]""" + _VALUE_RULE),
+    ({"item_id": "m0", "attributes": {"id": {"x": 1}}},
+     """attribute 'id' holds {"x": 1}""" + _VALUE_RULE),
+    ({"item_id": None, "attributes": {"id": ["m0"]}},
+     "item_id must be a string or a number, not null"),
+])
+@pytest.mark.parametrize("command", ["shadow", "explain"])
+def test_bad_metadata_value_is_one_error_line(
+    tmp_path, shadow_fixture, capsys, record, message, command
+):
+    """A metadata record whose values are not strings, numbers or booleans
+    (or lists of them) ends in exit 1 and one error line naming the line."""
+    meta, model_path, shadow_path = shadow_fixture
+    lines = meta.read_text().splitlines()
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("".join(line + "\n" for line in lines))
+    argv = {
+        "shadow": ["shadow", "--model", str(model_path), "--metadata", str(bad),
+                   "--out", str(tmp_path / "s.json")],
+        "explain": ["explain", "--shadow", str(shadow_path), "--metadata", str(bad),
+                    "--user", "u0", "--item", "m1"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {bad}:3: {message}"]
+    assert captured.out == ""
 
 
 def _edit_json(src, dst, edit):
@@ -861,17 +936,37 @@ class TestSynthCommand:
         assert cfg.shadow_kind.ridge == 0.5 and cfg.als.lam == 0.3
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_unloaded(tmp_path):
     """``import reclens.cli`` loads no command's modules: each command
-    imports what it runs."""
-    src = Path(__file__).resolve().parent.parent / "src"
+    imports what it runs.  Not even ``reclens synth``, whose Welch tests
+    need a Student-t tail, loads scipy."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     unloaded = ["scipy", "reclens.synth", "reclens.influence", "concurrent.futures"]
     code = f"import sys, reclens.cli; print([m in sys.modules for m in {unloaded!r}])"
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=env,
     )
     assert out.stdout.strip() == str([False] * len(unloaded))
+
+    tree = ast.parse((root / "perfbench" / "workloads.py").read_text())
+    configs = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "SYNTH_CONFIG"
+    )
+    config = tmp_path / "smoke.json"
+    config.write_text(json.dumps(ast.literal_eval(configs)["smoke"]))
+    code = (
+        "import sys, reclens.cli\n"
+        f"code = reclens.cli.main(['synth', '--config', {str(config)!r}])\n"
+        "print('scipy' in sys.modules, code)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env=env,
+    )
+    assert out.stdout.splitlines()[-1] == "False 0"
 
 
 # The package's public names, each with the submodule that defines it.

@@ -156,10 +156,7 @@ class TestMetadataMatrix:
 
     def test_duplicate_feature_names_rejected(self):
         with pytest.raises(ValidationError):
-            MetadataMatrix(
-                n_items=1, feature_names=("a", "a"),
-                columns=(frozenset(), frozenset()),
-            )
+            MetadataMatrix(("a", "a"), np.zeros((1, 2), dtype=bool))
 
     def test_values_are_binary(self):
         meta = make_meta(3, {"a": {0, 2}})

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +105,41 @@ class TestLoadMetadata:
         with pytest.raises(ParseError, match=":2:"):
             load_metadata(path)
 
+    def test_scalars_and_lists_of_scalars_accepted(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"item_id": 7, "attributes": '
+                        '{"flag": true, "tags": ["a", 1, false], "none": []}}\n')
+        (record,) = load_metadata(path)
+        assert record.item_id == "7"
+        assert record.attributes == {"flag": {"True"}, "tags": {"a", "1", "False"},
+                                     "none": frozenset()}
+
+    @pytest.mark.parametrize("line, detail", [
+        ('{"item_id": "a", "attributes": {"g": null}}', "attribute 'g' holds null"),
+        ('{"item_id": "a", "attributes": {"g": ["x", null]}}',
+         """attribute 'g' holds ["x", null]"""),
+        ('{"item_id": "a", "attributes": {"g": [["x"]]}}',
+         """attribute 'g' holds [["x"]]"""),
+        ('{"item_id": "a", "attributes": {"g": {"x": 1}}}',
+         """attribute 'g' holds {"x": 1}"""),
+        ('{"item_id": null}', "item_id must be a string or a number, not null"),
+        ('{"item_id": true}', "item_id must be a string or a number, not true"),
+        ('{"item_id": ["a"]}', """item_id must be a string or a number, not ["a"]"""),
+    ])
+    def test_other_values_rejected_naming_the_line(self, tmp_path, line, detail):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"item_id": "ok", "attributes": {}}\n' + line + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_metadata(path)
+        assert str(exc.value).startswith(f"{path}:2: {detail}")
+
+    def test_long_value_is_cut_in_the_message(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        record = {"item_id": "a", "attributes": {"g": [list("x" * 60)]}}
+        path.write_text(json.dumps(record))
+        with pytest.raises(ParseError, match=r'holds \[\["x", "x",.*\.\.\.; it must'):
+            load_metadata(path)
+
     def test_scalar_attribute_coerced(self, tmp_path):
         path = tmp_path / "m.jsonl"
         with open(path, "w") as fh:
@@ -153,13 +190,13 @@ class TestEncodeOneHot:
         recs = [RawItemRecord("x", {"g": frozenset({"1"})})]
         meta = encode_one_hot(recs, item_index={"x": 2, "y": 0, "z": 1}, n_items=4)
         assert meta.n_items == 4
-        assert meta.columns[0] == {2}
+        assert np.flatnonzero(meta.X[:, 0]).tolist() == [2]
 
     def test_unknown_items_skipped(self):
         recs = [RawItemRecord("x", {"g": frozenset({"1"})}),
                 RawItemRecord("unrated", {"g": frozenset({"1"})})]
         meta = encode_one_hot(recs, item_index={"x": 0}, n_items=1)
-        assert meta.columns[0] == {0}
+        assert np.flatnonzero(meta.X[:, 0]).tolist() == [0]
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValidationError):
@@ -201,7 +238,7 @@ class TestFilterFeatures:
         meta = self.three_feature_meta()
         out = filter_features(meta, FeatureFilterSpec.entropy_threshold(0.0))
         assert out.feature_names == meta.feature_names
-        assert out.columns == meta.columns
+        np.testing.assert_array_equal(out.X, meta.X)
 
     def test_entropy_threshold_drops_low_entropy(self):
         meta = self.three_feature_meta()
@@ -244,7 +281,7 @@ class TestFilterFeatures:
         once = filter_features(meta, spec)
         twice = filter_features(once, spec)
         assert once.feature_names == twice.feature_names
-        assert once.columns == twice.columns
+        np.testing.assert_array_equal(once.X, twice.X)
 
     def test_invalid_spec(self):
         with pytest.raises(ValidationError):
@@ -280,7 +317,7 @@ class TestPruneItems:
         meta = make_meta(3, {"a": {0, 1, 2}})
         pruned, mask = prune_items(meta, min_features=1)
         assert mask.all()
-        assert pruned.columns == meta.columns
+        np.testing.assert_array_equal(pruned.X, meta.X)
 
     def test_all_pruned_raises(self):
         meta = make_meta(2, {"a": set()})

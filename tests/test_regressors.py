@@ -191,6 +191,8 @@ class TestFitTree:
         trees = [
             fit_tree(X, y, TreeParams(max_depth=3, bins=b)) for b in (2, 3, 8, 64)
         ]
+        # a boolean X is the same binary case
+        trees.append(fit_tree(X == 1.0, y, TreeParams(max_depth=3)))
         for other in trees[1:]:
             assert trees[0].root == other.root
 
@@ -372,6 +374,12 @@ class TestPaths:
         np.testing.assert_array_equal(
             tree.flip_effect(X, rows, features), flipped[0] - flipped[1]
         )
+        # boolean rows route as their 0.0/1.0 values
+        np.testing.assert_array_equal(
+            tree.flip_effect(X == 1.0, rows, features), flipped[0] - flipped[1]
+        )
+        np.testing.assert_array_equal(tree.predict_batch(X == 1.0),
+                                      tree.predict_batch(X))
 
 
 class TestForest:

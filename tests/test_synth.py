@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy import stats as scipy_stats
+from scipy.special import stdtr
 
 from reclens import synth
 from reclens.datamodel import RatingsMatrix, predict_rating
@@ -28,6 +29,7 @@ from reclens.synth import (
     profile_rating,
     random_metadata,
     run_hypothesis_experiment,
+    student_t_two_sided,
     simulate_ratings,
     welch_t,
 )
@@ -54,8 +56,7 @@ def simulate_ratings_oracle(profiles, meta, cfg, rng=None):
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     item_features = [
-        frozenset(j for j, col in enumerate(meta.columns) if i in col)
-        for i in range(meta.n_items)
+        frozenset(np.flatnonzero(meta.X[i]).tolist()) for i in range(meta.n_items)
     ]
     assignment = {}
     users, items, values = [], [], []
@@ -395,7 +396,7 @@ class TestDirectEncodeModel:
     def test_predictions_match_unclamped_rule(self, rng):
         meta, cfg, profiles, ratings, assignment, model = self.build(rng)
         item_feats = [
-            frozenset(j for j, col in enumerate(meta.columns) if i in col)
+            frozenset(np.flatnonzero(meta.X[i]).tolist())
             for i in range(meta.n_items)
         ]
         for user in range(cfg.n_users):
@@ -483,6 +484,74 @@ class TestWelchT:
             assert p == pytest.approx(oracle.pvalue, abs=1e-6)
 
 
+def student_t_reference(t: float, df: float) -> float:
+    """Two-sided Student-t tail from scipy.  At df = 1 it is the Cauchy
+    closed form 2 atan(1/|t|) / pi instead: there scipy's ``stdtr`` loses
+    digits for small |t| (relative error 3e-9 at t = 1e-8)."""
+    if df == 1.0:
+        return 2.0 / math.pi * math.atan(1.0 / t) if t else 1.0
+    return 2.0 * float(stdtr(df, -t))
+
+
+def t_where_tail_is(df: float, p: float = 1e-300) -> float:
+    """The |t| (to 1e-8 in log10) at which the reference tail falls to p."""
+    lo, hi = -8.0, 310.0
+    while hi - lo > 1e-8:
+        mid = (lo + hi) / 2
+        if student_t_reference(10.0**mid, df) >= p:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0**lo
+
+
+class TestStudentTTail:
+    @given(
+        st.one_of(st.floats(1.0, 1e6), st.integers(1, 10**6).map(float)),
+        st.one_of(st.sampled_from([0.0, 1e-8]), st.floats(0.0, 1.0)),
+    )
+    @example(1.0, 1e-8)
+    @example(1e6, 1e-8)
+    @example(1.0, 1.0)
+    @example(1e6, 1.0)
+    @example(2.5, 1.0)
+    @example(760383.0790178004, 0.5)
+    def test_matches_scipy(self, df, position):
+        """|t| runs log-uniformly from 1e-8 to where the tail reaches 1e-300
+        (``position`` 0 to 1); 0.0 and 1e-8 are drawn as themselves.  At
+        df = 760383.079... the difference of two ``math.lgamma`` values is
+        1.6e-9 off ln(Gamma(df/2 + 1/2) / Gamma(df/2))."""
+        if position in (0.0, 1e-8):
+            t = position
+        else:
+            t = 10.0 ** (-8.0 + position * (math.log10(t_where_tail_is(df)) + 8.0))
+        expected = student_t_reference(t, df)
+        if expected >= 1e-300:
+            assert student_t_two_sided(t, df) == pytest.approx(expected, rel=1e-9)
+            assert student_t_two_sided(-t, df) == student_t_two_sided(t, df)
+
+    @pytest.mark.parametrize("df", [1.0, 2.5, 38.0, 1e6])
+    def test_zero_t_is_exactly_one(self, df):
+        assert student_t_two_sided(0.0, df) == 1.0
+
+    def test_huge_t_does_not_overflow(self):
+        # t^2 overflows a float; the tail is 2 / (pi t) to first order
+        assert student_t_two_sided(1e200, 1.0) == pytest.approx(
+            2.0 / math.pi * 1e-200, rel=1e-12)
+
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(synth, "_CF_MAX_TERMS", 1)
+        with pytest.raises(StatsError, match="did not converge"):
+            student_t_two_sided(2.0, 30.0)
+        with pytest.raises(StatsError, match="did not converge"):
+            welch_t([0.1, 0.5, 0.9, 0.3], [0.6, 0.2, 0.8, 0.7])
+
+    @pytest.mark.parametrize("t, df", [(math.nan, 3.0), (1.0, 0.0), (1.0, math.nan)])
+    def test_undefined_inputs_raise(self, t, df):
+        with pytest.raises(StatsError):
+            student_t_two_sided(t, df)
+
+
 class TestCohensD:
     def test_equal_means(self):
         assert cohens_d([1.0, 3.0], [3.0, 1.0]) == 0.0
@@ -521,7 +590,7 @@ class TestRandomMetadata:
     def test_deterministic(self):
         m1 = random_metadata(20, 5, rng=9)
         m2 = random_metadata(20, 5, rng=9)
-        assert m1.columns == m2.columns
+        np.testing.assert_array_equal(m1.X, m2.X)
 
     def test_shape_and_names(self):
         meta = random_metadata(12, 11, rng=0)
