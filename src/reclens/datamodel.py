@@ -22,6 +22,21 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
+def check_ids(kind: str, ids, n_rows: int | None = None) -> None:
+    """Reject external ``kind`` ids that repeat or, when ``n_rows`` is
+    given, that do not name exactly one factor row each."""
+    if ids is None:
+        return
+    if n_rows is not None and len(ids) != n_rows:
+        raise ValidationError(
+            f"{len(ids)} {kind} ids for {n_rows} {kind} factor rows"
+        )
+    if len(set(ids)) < len(ids):
+        seen = set()
+        repeated = next(i for i in ids if i in seen or seen.add(i))
+        raise ValidationError(f"{kind} id {repeated!r} is repeated")
+
+
 @dataclass(frozen=True)
 class RatingsMatrix:
     """Sparse (user, item, rating) triplets: the ground-truth matrix.
@@ -95,7 +110,8 @@ class FactorModel:
 
     The predicted rating for a (user, item) pair is the dot product of the
     corresponding factor rows; predictions are never clamped to the rating
-    scale.
+    scale.  External ids, when given, are unique and name one factor row
+    each (position = row).
     """
 
     rank: int
@@ -122,6 +138,8 @@ class FactorModel:
             np.isfinite(self.item_factors)
         ):
             raise ValidationError("factor matrices must be finite")
+        check_ids("user", self.user_ids, self.n_users)
+        check_ids("item", self.item_ids, self.n_items)
 
     @property
     def n_users(self) -> int:

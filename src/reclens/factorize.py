@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,53 +37,96 @@ class AlsConfig:
         check_seed(self.seed)
 
 
-def _row_groups(n_rows, idx_row, idx_other, vals):
-    """The ratings grouped for :func:`_solve_half`, built once per side.
+class _RowGroups(NamedTuple):
+    """One side's ratings in bucket order, built once by :func:`_row_groups`.
 
-    A stable argsort puts each row's ratings in one contiguous slice.  Rows
-    are then bucketed by rating count, so that every bucket is a dense
-    (rows, count) block of other-side indices and values.  Returns the
-    per-row counts and one ``(rows, other_idx, vals)`` triple per distinct
-    count; together they take O(nnz) memory.
+    Rows are ordered by (rating count, row index).  ``counts[p]`` is the
+    rating count of the row at bucket position ``p`` and ``position[r]`` is
+    the bucket position of row ``r``.  ``other``, ``vals`` and ``source``
+    hold every rating's other-side index, value and original position,
+    with each row's ratings in one contiguous run.  Each bucket is a
+    ``(row_lo, row_hi, count, flat_lo, flat_hi)`` tuple: bucket positions
+    ``row_lo:row_hi`` all rate ``count`` entries, held at
+    ``flat_lo:flat_hi`` of the flat arrays.
     """
-    order = np.argsort(idx_row, kind="stable")
+
+    counts: np.ndarray
+    position: np.ndarray
+    other: np.ndarray
+    vals: np.ndarray
+    source: np.ndarray
+    buckets: tuple
+
+
+def _row_groups(n_rows, idx_row, idx_other, vals) -> _RowGroups:
+    """The ratings laid out for :func:`_solve_half`, built once per side.
+
+    Rows are sorted by (count, row) and their ratings follow in that order,
+    each row's in its original order, so every count bucket is one
+    contiguous slice that reshapes to a dense (rows, count) block.  Takes
+    O(nnz) memory.
+    """
     counts = np.bincount(idx_row, minlength=n_rows)
-    starts = np.cumsum(counts) - counts
-    idx_other, vals = idx_other[order], vals[order]
-    buckets = []
-    for count in np.unique(counts):
-        rows = np.flatnonzero(counts == count)
-        at = starts[rows][:, None] + np.arange(count)
-        buckets.append((rows, idx_other[at], vals[at]))
-    return counts, buckets
+    perm = np.argsort(counts, kind="stable")
+    position = np.empty(n_rows, dtype=np.intp)
+    position[perm] = np.arange(n_rows)
+    # A stable sort has one result, so the key's dtype sets only its speed:
+    # numpy radix-sorts keys of 16 bits or fewer.
+    key = position[idx_row].astype(np.min_scalar_type(max(n_rows - 1, 0)))
+    source = np.argsort(key, kind="stable")
+    counts = counts[perm]
+    flat_start = np.concatenate(([0], np.cumsum(counts)))
+    values, row_lo = np.unique(counts, return_index=True)
+    row_hi = np.append(row_lo[1:], n_rows)
+    buckets = tuple(
+        (int(lo), int(hi), int(count), int(flat_start[lo]), int(flat_start[hi]))
+        for lo, hi, count in zip(row_lo, row_hi, values)
+    )
+    return _RowGroups(
+        counts, position, idx_other[source], vals[source], source, buckets
+    )
 
 
-def _solve_half(groups, other, lam):
+def _solve_half(groups: _RowGroups, other, lam, pred=None):
     """Solve every row's regularized normal equations.
 
     Row r's system is ``(F_r^T F_r + lam * n_r * I) x = F_r^T v_r``, where
     F_r holds the other-side factors of the n_r entries row r rated and v_r
-    their ratings.  The Gram matrices are formed one count bucket of
-    :func:`_row_groups` at a time as (rows, n_r, k) batched products, so
-    memory stays O(nnz * k + rows * k^2); one batched solve follows.  The
-    diagonal carries lam * n_r (count-weighted regularization, ALS-WR), so
-    the k x k systems are positive definite whenever lam > 0.
+    their ratings.  One ``np.take`` gathers the other side's factors for
+    every rating in bucket order; each count bucket of :func:`_row_groups`
+    is then a (rows, n_r, k) view whose Gram matrices and right-hand sides
+    are written in place, so memory stays O(nnz * k + rows * k^2).  One
+    batched solve follows.  The diagonal carries lam * n_r (count-weighted
+    regularization, ALS-WR), so the k x k systems are positive definite
+    whenever lam > 0.
+
+    When ``pred`` is given, it receives every rating's prediction under
+    the new factors, in the ratings' original order.
     """
-    counts, buckets = groups
-    n_rows, k = len(counts), other.shape[1]
+    n_rows, k = len(groups.counts), other.shape[1]
+    F = np.take(other, groups.other, axis=0)
     A = np.empty((n_rows, k, k))
-    b = np.empty((n_rows, k))
-    for rows, idx_other, vals in buckets:
-        F = other[idx_other]
-        A[rows] = np.matmul(F.transpose(0, 2, 1), F)
-        b[rows] = np.matmul(vals[:, None, :], F)[:, 0]
-    A[:, np.arange(k), np.arange(k)] += lam * counts[:, None]
+    b = np.empty((n_rows, 1, k))
+    for r0, r1, count, f0, f1 in groups.buckets:
+        Fb = F[f0:f1].reshape(r1 - r0, count, k)
+        np.matmul(Fb.transpose(0, 2, 1), Fb, out=A[r0:r1])
+        np.matmul(groups.vals[f0:f1].reshape(r1 - r0, 1, count), Fb, out=b[r0:r1])
+    A[:, np.arange(k), np.arange(k)] += lam * groups.counts[:, None]
     try:
-        return np.linalg.solve(A, b[..., None])[..., 0]
+        x = np.linalg.solve(A, b.reshape(n_rows, k, 1))[..., 0]
     except np.linalg.LinAlgError:
         raise SolverError(
             "singular normal equations during ALS; use lambda > 0"
         ) from None
+    if pred is not None:
+        flat = np.empty(len(F))
+        for r0, r1, count, f0, f1 in groups.buckets:
+            np.einsum(
+                "rnk,rk->rn", F[f0:f1].reshape(r1 - r0, count, k), x[r0:r1],
+                out=flat[f0:f1].reshape(r1 - r0, count),
+            )
+        pred[groups.source] = flat
+    return np.take(x, groups.position, axis=0)
 
 
 def train_als(
@@ -96,37 +139,31 @@ def train_als(
 
     Item factors start uniform in [0, 1/sqrt(k)) from the seeded generator
     and the user half-step runs first, so results are bit-identical for a
-    fixed config.
+    fixed config.  The item half-step also fills in each rating's
+    prediction, from which the iteration's RMSE is taken; the "no ratings"
+    checks read the counts of the two row layouts.
     """
     if ratings.nnz < 1:
         raise ValidationError("cannot factorize an empty ratings matrix")
-    user_counts = np.bincount(ratings.users, minlength=ratings.n_users)
-    item_counts = np.bincount(ratings.items, minlength=ratings.n_items)
-    if (user_counts == 0).any():
-        raise ValidationError(
-            f"{int((user_counts == 0).sum())} user(s) have no ratings"
-        )
-    if (item_counts == 0).any():
-        raise ValidationError(
-            f"{int((item_counts == 0).sum())} item(s) have no ratings"
-        )
-    k = cfg.rank
-    rng = np.random.default_rng(cfg.seed)
-    item_factors = rng.random((ratings.n_items, k)) / np.sqrt(k)
-    user_factors = np.zeros((ratings.n_users, k))
     by_user = _row_groups(
         ratings.n_users, ratings.users, ratings.items, ratings.ratings
     )
     by_item = _row_groups(
         ratings.n_items, ratings.items, ratings.users, ratings.ratings
     )
+    for groups, side in ((by_user, "user"), (by_item, "item")):
+        unrated = int((groups.counts == 0).sum())
+        if unrated:
+            raise ValidationError(f"{unrated} {side}(s) have no ratings")
+    k = cfg.rank
+    rng = np.random.default_rng(cfg.seed)
+    item_factors = rng.random((ratings.n_items, k)) / np.sqrt(k)
+    user_factors = np.zeros((ratings.n_users, k))
+    pred = np.empty(ratings.nnz)
     prev_rmse = np.inf
     for iteration in range(cfg.max_iterations):
         user_factors = _solve_half(by_user, item_factors, cfg.lam)
-        item_factors = _solve_half(by_item, user_factors, cfg.lam)
-        pred = np.einsum(
-            "ij,ij->i", user_factors[ratings.users], item_factors[ratings.items]
-        )
+        item_factors = _solve_half(by_item, user_factors, cfg.lam, pred)
         rmse = float(np.sqrt(np.mean((pred - ratings.ratings) ** 2)))
         if on_iteration is not None:
             on_iteration(iteration, rmse)

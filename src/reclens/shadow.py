@@ -14,7 +14,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix, load_artifact, write_json
+from .datamodel import (
+    FactorModel,
+    MetadataMatrix,
+    check_ids,
+    load_artifact,
+    write_json,
+)
 from .errors import InsufficientDataError, ValidationError, check_seed
 from .regressors import (
     LinearRegressor,
@@ -59,7 +65,9 @@ class ShadowModel:
     when the split keeps everything, eval falls back to the training set
     and ``eval_is_train`` is flagged so reports can say so.
 
-    Every predictor must read ``len(feature_names)`` features.  Built at
+    Every predictor must read ``len(feature_names)`` features.  External
+    ids, when given, are unique; ``user_ids`` names each user factor row and
+    ``item_ids`` covers every entry of ``item_indices``.  Built at
     construction: ``forest``, the factor trees routed together (None
     without trees) with ``tree_factors`` the factor index of each of its
     trees; ``name_rank``, each feature's position in name order; and
@@ -85,6 +93,16 @@ class ShadowModel:
             object.__setattr__(self, name, arr)
         if len(self.factor_predictors) != self.rank:
             raise ValidationError("one predictor per latent factor required")
+        check_ids("user", self.user_ids, self.n_users)
+        check_ids("item", self.item_ids)
+        if self.item_ids is not None:
+            n_ids = len(self.item_ids)
+            outside = (self.item_indices < 0) | (self.item_indices >= n_ids)
+            if outside.any():
+                raise ValidationError(
+                    f"item index {self.item_indices[outside][0]} has no item id "
+                    f"among {n_ids}"
+                )
         names = self.feature_names
         for j, p in enumerate(self.factor_predictors):
             if p.n_features != len(names):

@@ -20,6 +20,7 @@ from reclens.shadow import load_shadow
 
 from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
 from test_influence import influences_per_tree_oracle, predicted_factors_per_tree
+from test_factorize import row_groups_buckets_oracle, solve_half_buckets_oracle
 
 
 def make_identity_fixture(tmp_path, rng, n_users=6, n_items=12):
@@ -250,6 +251,34 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
         lambda X, Y, ridge: tuple(fit_linear_oracle(X, Y[:, j], ridge)
                                   for j in range(Y.shape[1])),
     )
+    assert run(tmp_path / "oracles") == shipped
+
+
+def test_train_matches_bucket_oracle_half_steps(tmp_path, rng, monkeypatch, capsys):
+    """train writes the same model bytes and the same per-iteration RMSE
+    lines whether each half-step gathers once in bucket order and takes the
+    RMSE from the item half-step, or gathers and scatters bucket by bucket
+    and recomputes every prediction from the factors."""
+    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+            for u in range(20) for i in range(30) if rng.random() < 0.3]
+    write_ratings_csv(tmp_path / "ratings.csv", rows)
+
+    def run(out):
+        out.mkdir()
+        runs = []
+        for rank in ("3", "12"):
+            model = out / f"model{rank}.json"
+            assert main(["train", "--ratings", str(tmp_path / "ratings.csv"),
+                         "--rank", rank, "--iters", "8", "--seed", "4",
+                         "--out", str(model)]) == 0
+            runs.append((model.read_bytes(), capsys.readouterr().err))
+        return runs
+
+    shipped = run(tmp_path / "shipped")
+    from reclens import factorize
+
+    monkeypatch.setattr(factorize, "_row_groups", row_groups_buckets_oracle)
+    monkeypatch.setattr(factorize, "_solve_half", solve_half_buckets_oracle)
     assert run(tmp_path / "oracles") == shipped
 
 
@@ -562,6 +591,41 @@ class TestBrokenFiles:
             "explain", "--shadow", str(bad), "--metadata", str(meta),
             "--user", "u0", "--item", "m1",
         ], bad, "predictor 1 reads 13 features, but the shadow names 12")
+
+    @pytest.mark.parametrize("artifact, key, damage, detail", [
+        pytest.param(*case, id="-".join(case[:3])) for case in [
+            ("model", "user_ids", "drop_last_5", "1 user ids for 6 user factor rows"),
+            ("model", "user_ids", "repeat_first", "user id 'u0' is repeated"),
+            ("model", "item_ids", "drop_last_1", "11 item ids for 12 item factor rows"),
+            ("shadow", "user_ids", "drop_last_5", "1 user ids for 6 user factor rows"),
+            ("shadow", "user_ids", "repeat_first", "user id 'u0' is repeated"),
+            ("shadow", "item_ids", "drop_last_1",
+             "item index 11 has no item id among 11"),
+            ("shadow", "item_ids", "repeat_first", "item id 'm0' is repeated"),
+        ]
+    ])
+    def test_ids_not_matching_factors(
+        self, tmp_path, shadow_fixture, capsys, artifact, key, damage, detail
+    ):
+        meta, model_path, shadow_path = shadow_fixture
+
+        def edit(doc):
+            ids = doc[key]
+            doc[key] = {
+                "drop_last_5": ids[:-5],
+                "drop_last_1": ids[:-1],
+                "repeat_first": [ids[0], ids[0], *ids[2:]],
+            }[damage]
+
+        if artifact == "model":
+            bad = _edit_json(model_path, tmp_path / "badids.json", edit)
+            argv = ["shadow", "--model", str(bad), "--metadata", str(meta),
+                    "--out", str(tmp_path / "s.json")]
+        else:
+            bad = _edit_json(shadow_path, tmp_path / "badids.json", edit)
+            argv = ["explain", "--shadow", str(bad), "--metadata", str(meta),
+                    "--user", "u0", "--item", "m1"]
+        self._assert_one_error(capsys, argv, bad, detail)
 
     @pytest.mark.parametrize("flag", ["--shadow", "--model", "--config", "--grid"])
     def test_deeply_nested_json(

@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,6 +49,78 @@ def solve_half_oracle(n_rows, idx_row, idx_other, vals, other, lam, k):
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
+class BucketGroups(NamedTuple):
+    counts: np.ndarray
+    buckets: list
+    idx_row: np.ndarray
+    idx_other: np.ndarray
+
+
+def row_groups_buckets_oracle(n_rows, idx_row, idx_other, vals):
+    """The ratings grouped by a stable argsort on the row index, then one
+    gathered (rows, count) block of other-side indices and values per
+    distinct rating count."""
+    order = np.argsort(idx_row, kind="stable")
+    counts = np.bincount(idx_row, minlength=n_rows)
+    starts = np.cumsum(counts) - counts
+    sorted_other, sorted_vals = idx_other[order], vals[order]
+    buckets = []
+    for count in np.unique(counts):
+        rows = np.flatnonzero(counts == count)
+        at = starts[rows][:, None] + np.arange(count)
+        buckets.append((rows, sorted_other[at], sorted_vals[at]))
+    return BucketGroups(counts, buckets, idx_row, idx_other)
+
+
+def solve_half_buckets_oracle(groups, other, lam, pred=None):
+    """One ALS half-step bucket by bucket: a fancy-index gather of the other
+    side's factors and a scattered write of the Gram matrices per bucket,
+    then one batched solve.  ``pred`` receives other[idx_other] . x[idx_row]
+    from two fresh nnz x k gathers; for the item half-step that is
+    U[users] . V[items], the per-rating prediction of ``training_rmse``."""
+    n_rows, k = len(groups.counts), other.shape[1]
+    A = np.empty((n_rows, k, k))
+    b = np.empty((n_rows, k))
+    for rows, idx_other, vals in groups.buckets:
+        F = other[idx_other]
+        A[rows] = np.matmul(F.transpose(0, 2, 1), F)
+        b[rows] = np.matmul(vals[:, None, :], F)[:, 0]
+    A[:, np.arange(k), np.arange(k)] += lam * groups.counts[:, None]
+    try:
+        x = np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise SolverError(
+            "singular normal equations during ALS; use lambda > 0"
+        ) from None
+    if pred is not None:
+        pred[:] = np.einsum("ij,ij->i", other[groups.idx_other], x[groups.idx_row])
+    return x
+
+
+@st.composite
+def sparse_triplets(draw):
+    """Random (user, item, rating) triplets that rate every user and every
+    item at least once; with few extra entries, most rows on both sides
+    hold a single rating.  Also draws a rank, lambda and a generator for
+    the fixed factors of a half-step."""
+    n_users = draw(st.integers(1, 12))
+    n_items = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 8))
+    lam = draw(st.floats(0.01, 10.0))
+    extra = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cover = max(n_users, n_items)
+    users = np.concatenate(
+        [rng.permutation(cover) % n_users, rng.integers(0, n_users, extra)]
+    )
+    items = np.concatenate(
+        [rng.permutation(cover) % n_items, rng.integers(0, n_items, extra)]
+    )
+    order = rng.permutation(len(users))
+    vals = rng.uniform(1.0, 5.0, len(users))
+    return users[order], items[order], vals, n_users, n_items, k, lam, rng
+
+
 @st.composite
 def half_step_problems(draw):
     """Random sparse (row, other, value) triplets in which every row has at
@@ -76,6 +150,26 @@ class TestSolveHalf:
         want = solve_half_oracle(*problem)
         assert got.shape == want.shape == (n_rows, k)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    @settings(max_examples=150)
+    @given(sparse_triplets())
+    def test_bit_identical_to_bucket_oracle(self, triplets):
+        users, items, vals, n_users, n_items, k, lam, rng = triplets
+        for n_rows, idx_row, idx_other, n_other in (
+            (n_users, users, items, n_items),
+            (n_items, items, users, n_users),
+        ):
+            other = rng.normal(size=(n_other, k))
+            got_pred, want_pred = np.full(len(vals), np.nan), np.empty(len(vals))
+            got = _solve_half(
+                _row_groups(n_rows, idx_row, idx_other, vals), other, lam, got_pred
+            )
+            want = solve_half_buckets_oracle(
+                row_groups_buckets_oracle(n_rows, idx_row, idx_other, vals),
+                other, lam, want_pred,
+            )
+            assert np.array_equal(got, want)
+            assert np.array_equal(got_pred, want_pred)
 
     def test_unrated_row_is_singular(self):
         groups = _row_groups(2, np.array([0]), np.array([0]), np.array([3.0]))
@@ -119,6 +213,24 @@ class TestTrainAls:
         )
         assert len(history) >= 5
         assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
+
+    @pytest.mark.parametrize("rank", [1, 3, 8])
+    def test_reported_rmse_is_training_rmse(self, rng, rank):
+        # the RMSE taken from the item half-step's predictions is the one
+        # recomputed from the finished model, to the last bit
+        entries = [(u, i, float(rng.integers(1, 6)))
+                   for u in range(15) for i in range(11)
+                   if (u + i) % 4 == 0 or rng.random() < 0.3]
+        rm = RatingsMatrix.from_entries(15, 11, entries)
+        for j in range(1, 6):
+            history = []
+            model = train_als(
+                rm,
+                AlsConfig(rank=rank, lam=1e-3, max_iterations=j, convergence_tol=0.0),
+                on_iteration=lambda it, rmse: history.append(rmse),
+            )
+            assert len(history) == j
+            assert history[-1] == training_rmse(model, rm)
 
     def test_stops_when_improvement_below_tol(self, rng):
         rm, _ = complete_low_rank_ratings(12, 9, 3, rng)
