@@ -19,7 +19,7 @@ import numpy as np
 # process pays only for the command it is: ``train`` never loads the
 # shadow, influence or synth modules, only ``sweep``/``synth`` load
 # ``concurrent.futures``, and ``difflib`` loads only to word an error.
-from .datamodel import FactorModel, MetadataMatrix, read_json, write_json
+from .datamodel import MetadataMatrix, read_json, write_json
 from .errors import ReclensError, ValidationError, check_seed
 
 if TYPE_CHECKING:
@@ -93,9 +93,10 @@ def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
         raise ValidationError(f"unknown {kind} id {wanted!r}{hint}") from None
 
 
-def _prepare_metadata(model: FactorModel, args):
-    """Load, encode, filter and prune the metadata against the model's item
-    indexing; returns (meta, item_indices)."""
+def _prepare_metadata(item_ids, args):
+    """Load, encode, filter and prune the metadata against the item
+    indexing ``item_ids`` (position = item index); returns (meta,
+    item_indices)."""
     from .ingest import (
         FeatureFilterSpec,
         encode_one_hot,
@@ -104,11 +105,9 @@ def _prepare_metadata(model: FactorModel, args):
         prune_items,
     )
 
-    if model.item_ids is None:
-        raise ValidationError("model file carries no item ids")
     records = load_metadata(args.metadata)
-    item_index = {iid: i for i, iid in enumerate(model.item_ids)}
-    meta = encode_one_hot(records, item_index=item_index, n_items=model.n_items)
+    item_index = {iid: i for i, iid in enumerate(item_ids)}
+    meta = encode_one_hot(records, item_index=item_index, n_items=len(item_ids))
     meta = filter_features(
         meta, FeatureFilterSpec.entropy_threshold(args.entropy_threshold)
     )
@@ -176,7 +175,9 @@ def cmd_shadow(args) -> int:
     from .shadow import measure_agreement, save_shadow, train_shadow
 
     model = load_model(args.model)
-    meta, item_indices = _prepare_metadata(model, args)
+    if model.item_ids is None:
+        raise ValidationError("model file carries no item ids")
+    meta, item_indices = _prepare_metadata(model.item_ids, args)
     kind = _shadow_kind(args)
     shadow = train_shadow(
         model, meta, kind, split=(args.split, args.seed), item_indices=item_indices
@@ -256,9 +257,9 @@ def cmd_explain(args) -> int:
 class SweepGrid:
     """Axes of the parameter sweep; depth/bins apply to tree cells only.
 
-    ``bins`` only affects non-0/1 columns.  Metadata is 0/1, so tree cells
-    that differ only in bins get identical results and ``run_sweep`` fits
-    them once.
+    ``bins`` never changes a tree (see ``TreeParams``): tree cells that
+    differ only in bins get identical results, and ``run_sweep`` fits them
+    once.  The axis stays so that existing grid files keep loading.
     """
 
     ranks: tuple[int, ...] = (12, 20, 50)
@@ -330,8 +331,8 @@ def run_sweep(
     """Train one baseline per (rank, lambda) and one shadow per distinct
     grid cell; report latent and observational agreement for each cell.
 
-    Tree cells that differ only in ``bins`` share one shadow: bins only
-    places thresholds on non-0/1 columns, and metadata columns are 0/1.
+    Tree cells that differ only in ``bins`` share one shadow, because bins
+    never changes a fitted tree.
     Per-cell failures are recorded in the row and the sweep continues.
     Rows come back in grid order regardless of the worker count.
     """
@@ -433,23 +434,10 @@ def _cell_label(cell: dict) -> str:
 
 
 def cmd_sweep(args) -> int:
-    from .ingest import (
-        FeatureFilterSpec,
-        encode_one_hot,
-        filter_features,
-        load_metadata,
-        load_ratings,
-        prune_items,
-    )
+    from .ingest import load_ratings
 
     ratings = load_ratings(args.ratings, scale=(args.scale_min, args.scale_max))
-    records = load_metadata(args.metadata)
-    item_index = {iid: i for i, iid in enumerate(ratings.item_ids)}
-    meta = encode_one_hot(records, item_index=item_index, n_items=ratings.n_items)
-    meta = filter_features(
-        meta, FeatureFilterSpec.entropy_threshold(args.entropy_threshold)
-    )
-    meta, mask = prune_items(meta, min_features=args.min_features)
+    meta, item_indices = _prepare_metadata(ratings.item_ids, args)
     if args.grid:
         grid = SweepGrid.from_dict(read_json(args.grid))
     else:
@@ -457,7 +445,7 @@ def cmd_sweep(args) -> int:
     rows = run_sweep(
         ratings,
         meta,
-        np.flatnonzero(mask),
+        item_indices,
         grid,
         iters=args.iters,
         split=args.split,

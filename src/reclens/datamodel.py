@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,7 +41,8 @@ class RatingsMatrix:
     """Sparse (user, item, rating) triplets: the ground-truth matrix.
 
     Indices are dense and 0-based; external identifiers, when known, live in
-    ``user_ids`` / ``item_ids`` (position = dense index).
+    ``user_ids`` / ``item_ids`` (position = dense index), one unique id per
+    user or item.
     """
 
     n_users: int
@@ -73,6 +73,8 @@ class RatingsMatrix:
             pairs = np.sort(self.users * self.n_items + self.items)
             if (pairs[1:] == pairs[:-1]).any():
                 raise ValidationError("duplicate (user, item) pair")
+        check_ids("user", self.user_ids, self.n_users)
+        check_ids("item", self.item_ids, self.n_items)
 
     @property
     def nnz(self) -> int:
@@ -220,13 +222,6 @@ class MetadataMatrix:
 
     def supports(self) -> np.ndarray:
         return self.X.sum(axis=0, dtype=np.int64)
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """``X`` as a read-only float64 0/1 matrix (built once, cached)."""
-        mat = self.X.astype(np.float64)
-        mat.setflags(write=False)
-        return mat
 
     def feature_index(self, name: str) -> int:
         try:

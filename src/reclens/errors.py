@@ -28,7 +28,8 @@ class SolverError(ReclensError):
 
 
 class EstimatorMismatchError(ReclensError):
-    """The requested influence estimator does not apply to the given input."""
+    """``qii_exact_binary`` got a non-binary feature value; the message
+    points to ``qii_monte_carlo``."""
 
 
 class InsufficientDataError(ReclensError):

@@ -93,7 +93,7 @@ def qii_exact_binary(
     if x[feature] not in (0.0, 1.0):
         raise EstimatorMismatchError(
             f"feature {feature} has non-binary value {x[feature]}; "
-            "use the monte_carlo estimator"
+            "use qii_monte_carlo, which samples the feature's empirical values"
         )
     if not 0.0 <= marginal <= 1.0:
         raise ValidationError(f"marginal {marginal} outside [0, 1]")

@@ -1,7 +1,9 @@
 """Per-factor predictor families: ridge linear regression and CART
-regression trees.
+regression trees over 0/1 features.
 
-Both are deterministic: identical inputs always produce identical models.
+Both are deterministic: identical inputs always produce identical models,
+and both predict through one path, ``predict_batch`` over a rows x
+features matrix.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree routes as a forest of one.
@@ -40,14 +42,6 @@ class LinearRegressor:
     @property
     def n_features(self) -> int:
         return len(self.weights)
-
-    def predict(self, a: np.ndarray) -> float:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.n_features,):
-            raise ValidationError(
-                f"attribute vector has length {a.shape}, expected {self.n_features}"
-            )
-        return float(self.weights @ a + self.intercept)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -105,10 +99,10 @@ def fit_linear_columns(
 class TreeParams:
     """CART settings.
 
-    ``bins`` is the number of quantile bins whose boundaries become the
-    candidate thresholds of a column with more than two distinct values.
-    It only affects non-0/1 columns: a 0/1 column has the single split 0.5
-    whatever the bin count.
+    ``bins`` never changes a fitted tree: features are 0/1, so a column's
+    only split is 0.5.  It is still validated, stored and written to shadow
+    files, so that older shadow files, sweep grids and synth configs that
+    set it keep loading.
     """
 
     max_depth: int
@@ -196,17 +190,6 @@ class RegressionTree:
             object.__setattr__(self, name, np.array(values, dtype=dtype))
         object.__setattr__(self, "_depth", max(levels))
         object.__setattr__(self, "_forest", TreeForest((self,)))
-
-    def predict(self, a: np.ndarray) -> float:
-        a = np.asarray(a, dtype=np.float64)
-        if a.shape != (self.n_features,):
-            raise ValidationError(
-                f"attribute vector has length {a.shape}, expected {self.n_features}"
-            )
-        node = self.root
-        while not node.is_leaf:
-            node = node.left if a[node.feature] <= node.threshold else node.right
-        return float(node.value)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Route every row one level per step, ``depth`` steps in all."""
@@ -366,54 +349,6 @@ class TreeForest:
         return on - off
 
 
-def _candidate_thresholds(x: np.ndarray, bins: int) -> np.ndarray:
-    """Midpoints between adjacent distinct equal-frequency bin boundaries.
-
-    Boundaries are actual order statistics (plus min and max), so binary
-    columns always reduce to the single threshold 0.5 regardless of the
-    bin count.
-    """
-    xs = np.sort(x)
-    n = len(xs)
-    positions = np.unique(
-        np.concatenate(([0], (np.arange(1, bins) * n) // bins, [n - 1]))
-    )
-    boundaries = np.unique(xs[positions])
-    if len(boundaries) < 2:
-        return np.empty(0)
-    return (boundaries[:-1] + boundaries[1:]) / 2.0
-
-
-def _sse(y: np.ndarray) -> float:
-    return float(np.sum((y - y.mean()) ** 2))
-
-
-def _best_split(X, y, rows, params):
-    """(feature, threshold) maximizing variance reduction, or None.
-
-    Ties break to the lowest feature index, then the lowest threshold
-    (guaranteed by ascending iteration with a strict improvement test).
-    Serves columns that are not all 0/1, and is the reference that
-    ``_binary_split`` is tested against.
-    """
-    n = len(rows)
-    parent_sse = _sse(y[rows])
-    best = None
-    best_gain = -np.inf
-    for feature in range(X.shape[1]):
-        col = X[rows, feature]
-        for threshold in _candidate_thresholds(col, params.bins):
-            left = col <= threshold
-            n_left = int(left.sum())
-            if n_left < params.min_leaf or n - n_left < params.min_leaf:
-                continue
-            gain = parent_sse - _sse(y[rows[left]]) - _sse(y[rows[~left]])
-            if gain > best_gain + 1e-15:
-                best_gain = gain
-                best = (feature, float(threshold))
-    return best
-
-
 def _binary_split(X, y, rows, params):
     """(feature, 0.5) maximizing variance reduction over boolean X, or None.
 
@@ -438,11 +373,11 @@ def _binary_split(X, y, rows, params):
     return int(candidates[np.argmax(gain)]), 0.5
 
 
-def _grow(X, y, rows, depth, params, split_fn) -> TreeNode:
+def _grow(X, y, rows, depth, params) -> TreeNode:
     targets = y[rows]
     if depth >= params.max_depth or np.ptp(targets) == 0.0:
         return TreeNode(value=float(targets.mean()))
-    split = split_fn(X, y, rows, params)
+    split = _binary_split(X, y, rows, params)
     if split is None:
         return TreeNode(value=float(targets.mean()))
     feature, threshold = split
@@ -450,18 +385,20 @@ def _grow(X, y, rows, depth, params, split_fn) -> TreeNode:
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_grow(X, y, rows[go_left], depth + 1, params, split_fn),
-        right=_grow(X, y, rows[~go_left], depth + 1, params, split_fn),
+        left=_grow(X, y, rows[go_left], depth + 1, params),
+        right=_grow(X, y, rows[~go_left], depth + 1, params),
     )
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
-    """Greedy CART regression: variance-reduction splits, mean-valued leaves.
+    """Greedy CART regression over 0/1 features: variance-reduction
+    splits, mean-valued leaves.
 
-    When X is boolean or every entry is 0 or 1, each column's only split
-    is 0.5 and one sufficient-statistics pass per node scores all features
-    at once; otherwise thresholds come from quantile bins.  Both searches
-    break ties to the lowest feature index.
+    X is boolean, or numeric with every entry 0 or 1 (read as boolean);
+    any other X raises ``ValidationError``.  Each column's only split is
+    0.5, and one sufficient-statistics pass per node scores all features
+    at once, breaking ties to the lowest feature index.  ``params.bins``
+    never changes the tree.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split
@@ -473,16 +410,11 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
         raise ValidationError("X must be 2-d with one row per target value")
     if X.dtype != np.bool_:
         X = X.astype(np.float64, copy=False)
-        if np.all((X == 0.0) | (X == 1.0)):
-            X = X == 1.0
-    split_fn = _binary_split if X.dtype == np.bool_ else _best_split
-    root = _grow(X, y, np.arange(len(y)), 0, params, split_fn)
+        binary = (X == 0.0) | (X == 1.0)
+        if not binary.all():
+            raise ValidationError(
+                f"tree features must be 0/1, but X holds {float(X[~binary][0])}"
+            )
+        X = X == 1.0
+    root = _grow(X, y, np.arange(len(y)), 0, params)
     return RegressionTree(root=root, params=params, n_features=X.shape[1])
-
-
-Regressor = LinearRegressor | RegressionTree
-
-
-def predict(regressor: Regressor, a: np.ndarray) -> float:
-    """Evaluate either regressor family on one attribute vector."""
-    return regressor.predict(a)

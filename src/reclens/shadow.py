@@ -162,10 +162,6 @@ class ShadowModel:
             f"item {missing} is not in the shadow model's item universe"
         )
 
-    def predicted_factors(self, a: np.ndarray) -> np.ndarray:
-        """f_1(a) .. f_k(a) as a vector."""
-        return np.array([p.predict(a) for p in self.factor_predictors])
-
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
         """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
         When every factor is a tree, the forest routes them all at once."""
@@ -174,10 +170,11 @@ class ShadowModel:
         return np.column_stack([p.predict_batch(X) for p in self.factor_predictors])
 
     def predict(self, user: int, a: np.ndarray) -> float:
-        """sum_j U[user][j] * f_j(a)."""
+        """sum_j U[user][j] * f_j(a), as a batch of one attribute row."""
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} out of range [0, {self.n_users})")
-        return float(self.user_factors[user] @ self.predicted_factors(a))
+        factors = self.predicted_factors_batch(np.asarray(a)[None])[0]
+        return float(self.user_factors[user] @ factors)
 
 
 def train_shadow(

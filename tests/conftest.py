@@ -80,6 +80,15 @@ def leaf_tree(value: float, n_features: int) -> RegressionTree:
     )
 
 
+def walk_tree(tree: RegressionTree, x) -> float:
+    """One row's prediction by walking the tree's node objects from its
+    root, independently of the flat arrays that batch routing reads."""
+    node = tree.root
+    while not node.is_leaf:
+        node = node.left if x[node.feature] <= node.threshold else node.right
+    return node.value
+
+
 def manual_shadow(
     predictors,
     user_factors,

@@ -93,9 +93,9 @@ def test_criterion_1_qii_oracle_equivalence(rng):
         user = int(rng.integers(0, 5))
         fn = lambda a: shadow.predict(user, a)
         for row in rng.choice(40, size=4, replace=False):
-            x = meta.dense[row]
+            x = meta.X[row]
             for f in range(n_features):
-                pool = meta.dense[:, f]
+                pool = meta.X[:, f]
                 exact = qii_exact_binary(fn, x, f, meta.marginals[f])
                 oracle = qii_enumeration_oracle(fn, x, f, pool)
                 max_diff = max(max_diff, abs(exact - oracle))
@@ -112,11 +112,11 @@ def test_criterion_1_qii_oracle_equivalence(rng):
         baseline, meta, TreeKind(TreeParams(max_depth=3, bins=4)), split=(1.0, 0)
     )
     fn = lambda a: shadow.predict(1, a)
-    x = meta.dense[7]
+    x = meta.X[7]
     mc_diffs = []
     for f in range(4):
         exact = qii_exact_binary(fn, x, f, meta.marginals[f])
-        mc = qii_monte_carlo(fn, x, f, meta.dense[:, f], 100_000, seed=f + 1)
+        mc = qii_monte_carlo(fn, x, f, meta.X[:, f], 100_000, seed=f + 1)
         mc_diffs.append(abs(mc - exact))
         assert mc == pytest.approx(exact, abs=0.02)
     report(

@@ -627,6 +627,18 @@ class TestBrokenFiles:
                     "--user", "u0", "--item", "m1"]
         self._assert_one_error(capsys, argv, bad, detail)
 
+    def test_model_without_item_ids(self, tmp_path, shadow_fixture, capsys):
+        meta, model_path, _ = shadow_fixture
+        bad = _edit_json(model_path, tmp_path / "noids.json",
+                         lambda doc: doc.update(item_ids=None))
+        capsys.readouterr()
+        assert main(["shadow", "--model", str(bad), "--metadata", str(meta),
+                     "--out", str(tmp_path / "s.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model file carries no item ids"
+        ]
+        assert not (tmp_path / "s.json").exists()
+
     @pytest.mark.parametrize("flag", ["--shadow", "--model", "--config", "--grid"])
     def test_deeply_nested_json(
         self, tmp_path, trained_fixture, shadow_fixture, capsys, flag
@@ -712,6 +724,42 @@ class TestSweep:
         assert rows[0]["observational_mae"] >= 0.0
         table = capsys.readouterr().out
         assert "latent_mae" in table
+
+    def test_pruned_items_match_library_sweep(self, tmp_path, rng):
+        # --min-features 3 prunes the items holding fewer than three flags,
+        # so each metadata row must keep its own baseline item index
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
+        from reclens.ingest import (
+            FeatureFilterSpec,
+            encode_one_hot,
+            filter_features,
+            load_metadata,
+            load_ratings,
+            prune_items,
+        )
+
+        rm = load_ratings(ratings)
+        item_index = {iid: i for i, iid in enumerate(rm.item_ids)}
+        enc = encode_one_hot(load_metadata(meta), item_index=item_index,
+                             n_items=rm.n_items)
+        enc = filter_features(enc, FeatureFilterSpec.entropy_threshold(0.01))
+        pruned, mask = prune_items(enc, min_features=3)
+        assert 0 < pruned.n_items < rm.n_items
+        grid_doc = {"ranks": [2], "lambdas": [0.1], "kinds": ["linear", "tree"],
+                    "depths": [2], "bins": [8]}
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid_doc))
+        out = tmp_path / "sweep.jsonl"
+        assert main([
+            "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+            "--grid", str(grid_path), "--min-features", "3", "--iters", "5",
+            "--out", str(out),
+        ]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        expected = run_sweep(rm, pruned, np.flatnonzero(mask),
+                             SweepGrid.from_dict(grid_doc), iters=5)
+        assert all(row["error"] is None for row in rows)
+        assert rows == json.loads(json.dumps(expected))
 
     def test_linear_ground_truth_favors_linear_cells(self, tmp_path, rng):
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")

@@ -80,6 +80,23 @@ class TestRatingsMatrix:
         with pytest.raises(ValidationError, match="scale"):
             RatingsMatrix.from_entries(1, 1, [(0, 0, 6.0)], scale=(1.0, 5.0))
 
+    @pytest.mark.parametrize(
+        "user_ids, item_ids, message",
+        [
+            (["a"], ["x", "y"], "1 user ids for 2 user factor rows"),
+            (["a", "b"], ["x", "x"], "item id 'x' is repeated"),
+            (["a", "a"], ["x", "y"], "user id 'a' is repeated"),
+            (["a", "b"], ["x", "y", "z"], "3 item ids for 2 item factor rows"),
+        ],
+    )
+    def test_ids_must_name_each_row_once(self, user_ids, item_ids, message):
+        entries = [(0, 0, 3.0), (1, 1, 4.0)]
+        with pytest.raises(ValidationError, match=message):
+            RatingsMatrix.from_entries(2, 2, entries, user_ids=user_ids,
+                                       item_ids=item_ids)
+        assert RatingsMatrix.from_entries(2, 2, entries, user_ids=["a", "b"],
+                                          item_ids=["x", "y"]).nnz == 2
+
     def test_arrays_are_read_only(self):
         rm = RatingsMatrix.from_entries(1, 1, [(0, 0, 3.0)])
         with pytest.raises(ValueError):
@@ -101,20 +118,20 @@ class TestFactorModel:
 class TestDenseAttributeRow:
     def test_partial_support(self):
         meta = make_meta(1, {"a": {0}, "b": set(), "c": {0}, "d": set()})
-        np.testing.assert_array_equal(meta.dense[0], [1.0, 0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(meta.X[0], [1.0, 0.0, 1.0, 0.0])
 
     def test_empty_support(self):
         meta = make_meta(2, {"a": {0}, "b": {0}})
-        np.testing.assert_array_equal(meta.dense[1], [0.0, 0.0])
+        np.testing.assert_array_equal(meta.X[1], [0.0, 0.0])
 
     def test_full_support(self):
         meta = make_meta(1, {"a": {0}, "b": {0}, "c": {0}})
-        np.testing.assert_array_equal(meta.dense[0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(meta.X[0], [1.0, 1.0, 1.0])
 
     def test_out_of_range(self):
         meta = make_meta(1, {"a": {0}})
         with pytest.raises(IndexError):
-            meta.dense[1]
+            meta.X[1]
 
     def test_sparse_dense_round_trip(self, rng):
         n_items, n_features = 7, 5
@@ -124,16 +141,16 @@ class TestDenseAttributeRow:
         }
         meta = make_meta(n_items, columns)
         for i in range(n_items):
-            row = meta.dense[i]
+            row = meta.X[i]
             back = {meta.feature_names[j] for j in np.flatnonzero(row)}
             expected = {name for name, col in columns.items() if i in col}
             assert back == expected
-        # dense cache agrees with a cell-by-cell construction
+        # X agrees with a cell-by-cell construction
         expected = np.zeros((n_items, n_features))
         for j, name in enumerate(meta.feature_names):
             for i in columns[name]:
                 expected[i, j] = 1.0
-        np.testing.assert_array_equal(meta.dense, expected)
+        np.testing.assert_array_equal(meta.X, expected)
 
 
 class TestMetadataMatrix:
@@ -160,10 +177,5 @@ class TestMetadataMatrix:
 
     def test_values_are_binary(self):
         meta = make_meta(3, {"a": {0, 2}})
-        assert set(np.unique(meta.dense)) <= {0.0, 1.0}
+        assert set(np.unique(meta.X)) <= {0.0, 1.0}
 
-
-def test_dense_cache_is_read_only():
-    meta = make_meta(2, {"a": {0}})
-    with pytest.raises(ValueError):
-        meta.dense[0, 0] = 5.0

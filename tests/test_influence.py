@@ -21,7 +21,7 @@ from reclens.influence import (
 from reclens.regressors import LinearRegressor, RegressionTree, TreeParams, fit_tree
 from reclens.shadow import LinearKind, ShadowModel, train_shadow, TreeKind
 
-from conftest import identity_meta, leaf_tree, make_meta, manual_shadow
+from conftest import identity_meta, leaf_tree, make_meta, manual_shadow, walk_tree
 
 
 def qii_enumeration_oracle(rating_fn, x, feature, column_values):
@@ -192,7 +192,7 @@ class TestExplain:
         report = explain(shadow, meta, InfluenceQuery(0, SingleItem(2)), top_k=3)
         for name, value in report.influences:
             f = meta.feature_index(name)
-            expected = qii_exact_binary(fn, meta.dense[2], f, meta.marginals[f])
+            expected = qii_exact_binary(fn, meta.X[2], f, meta.marginals[f])
             assert value == pytest.approx(expected, abs=1e-12)
 
     def test_aggregate_is_mean_of_per_item(self):
@@ -218,7 +218,7 @@ class TestExplain:
         for name, value in report.influences:
             f = meta.feature_index(name)
             mc = qii_monte_carlo(
-                fn, meta.dense[0], f, meta.dense[:, f], samples=60_000, seed=5
+                fn, meta.X[0], f, meta.X[:, f], samples=60_000, seed=5
             )
             assert mc == pytest.approx(value, abs=0.03)
 
@@ -328,7 +328,7 @@ class TestExplain:
 def exact_influences_oracle(shadow, meta, user, rows):
     """m(x) - [p m(x|f=1) + (1-p) m(x|f=0)] for every feature, averaged over
     the rows, by two batch predictions per feature."""
-    X = meta.dense[rows]
+    X = meta.X[rows].astype(np.float64)
     u = shadow.user_factors[user]
     base = shadow.predicted_factors_batch(X) @ u
     out = np.empty(meta.n_features)
@@ -403,7 +403,7 @@ class TestExplainAgainstOracle:
         if isinstance(shadow.kind, TreeKind):
             movable = set()
             for tree in shadow.factor_predictors:
-                movable |= features_on_paths(tree, meta.dense[rows])
+                movable |= features_on_paths(tree, meta.X[rows])
             for f, name in enumerate(meta.feature_names):
                 if f not in movable:
                     assert values[name] == 0.0
@@ -479,7 +479,7 @@ class TestForestAgainstPerTreeOracle:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regressors, "FOREST_PAIRS", pairs)
             report = explain(shadow, meta, query, top_k=meta.n_features)
-            predicted = shadow.predicted_factors_batch(meta.dense)
+            predicted = shadow.predicted_factors_batch(meta.X)
             mp.setattr(influence, "_influences", influences_per_tree_oracle)
             mp.setattr(ShadowModel, "predicted_factors_batch",
                        predicted_factors_per_tree)
@@ -488,7 +488,7 @@ class TestForestAgainstPerTreeOracle:
         assert report.to_json() == oracle.to_json()  # signed zeros too
         assert predicted.flags.c_contiguous
         walked = np.column_stack([
-            [tree.predict(x) for x in meta.dense]
+            [walk_tree(tree, x) for x in meta.X]
             for tree in shadow.factor_predictors
         ])
         np.testing.assert_array_equal(predicted, walked)

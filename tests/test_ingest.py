@@ -153,7 +153,7 @@ class TestEncodeOneHot:
         recs = [RawItemRecord("a", {"genre": frozenset({"scifi", "action"})})]
         meta = encode_one_hot(recs)
         assert meta.feature_names == ("genre=action", "genre=scifi")
-        np.testing.assert_array_equal(meta.dense, [[1.0, 1.0]])
+        np.testing.assert_array_equal(meta.X, [[1.0, 1.0]])
 
     def test_disjoint_values_symmetric_marginals(self):
         recs = [
@@ -333,7 +333,7 @@ class TestPruneItems:
         meta = make_meta(n_items, columns)
         pruned, mask = prune_items(meta, min_features=2)
         kept = np.flatnonzero(mask)
-        np.testing.assert_array_equal(pruned.dense, meta.dense[kept])
+        np.testing.assert_array_equal(pruned.X, meta.X[kept])
 
     def test_marginals_reflect_pruned_population(self):
         meta = make_meta(4, {"a": {0, 1}, "b": {0}})
@@ -347,7 +347,7 @@ class TestAlignmentHelpers:
         meta = make_meta(2, {"a": {0}, "b": {1}, "c": {0, 1}})
         out = select_features(meta, ["c", "a"])
         assert out.feature_names == ("c", "a")
-        np.testing.assert_array_equal(out.dense, meta.dense[:, [2, 0]])
+        np.testing.assert_array_equal(out.X, meta.X[:, [2, 0]])
 
     def test_select_features_missing(self):
         meta = make_meta(1, {"a": {0}})
@@ -357,7 +357,7 @@ class TestAlignmentHelpers:
     def test_restrict_items_matches_rows(self):
         meta = make_meta(4, {"a": {0, 3}, "b": {1, 3}})
         out = restrict_items(meta, [3, 0])
-        np.testing.assert_array_equal(out.dense, meta.dense[[3, 0]])
+        np.testing.assert_array_equal(out.X, meta.X[[3, 0]])
         assert out.marginals.tolist() == [1.0, 0.5]
 
 

@@ -10,16 +10,85 @@ from reclens.regressors import (
     TreeForest,
     TreeNode,
     TreeParams,
-    _best_split,
-    _grow,
-    _sse,
     fit_linear,
     fit_linear_columns,
     fit_tree,
-    predict,
 )
 
-from conftest import fit_linear_oracle, leaf_tree
+from conftest import fit_linear_oracle, leaf_tree, walk_tree
+
+
+def candidate_thresholds_oracle(x: np.ndarray, bins: int) -> np.ndarray:
+    """Midpoints between adjacent distinct equal-frequency bin boundaries.
+
+    Boundaries are actual order statistics (plus min and max), so binary
+    columns always reduce to the single threshold 0.5 regardless of the
+    bin count.
+    """
+    xs = np.sort(x)
+    n = len(xs)
+    positions = np.unique(
+        np.concatenate(([0], (np.arange(1, bins) * n) // bins, [n - 1]))
+    )
+    boundaries = np.unique(xs[positions])
+    if len(boundaries) < 2:
+        return np.empty(0)
+    return (boundaries[:-1] + boundaries[1:]) / 2.0
+
+
+def sse(y: np.ndarray) -> float:
+    return float(np.sum((y - y.mean()) ** 2))
+
+
+def best_split_oracle(X, y, rows, params):
+    """(feature, threshold) maximizing variance reduction over quantile
+    thresholds, or None: the per-threshold CART search that the one-pass
+    binary split replaced.
+
+    Ties break to the lowest feature index, then the lowest threshold
+    (guaranteed by ascending iteration with a strict improvement test).
+    """
+    n = len(rows)
+    parent_sse = sse(y[rows])
+    best = None
+    best_gain = -np.inf
+    for feature in range(X.shape[1]):
+        col = X[rows, feature]
+        for threshold in candidate_thresholds_oracle(col, params.bins):
+            left = col <= threshold
+            n_left = int(left.sum())
+            if n_left < params.min_leaf or n - n_left < params.min_leaf:
+                continue
+            gain = parent_sse - sse(y[rows[left]]) - sse(y[rows[~left]])
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best = (feature, float(threshold))
+    return best
+
+
+def grow_oracle(X, y, params) -> RegressionTree:
+    """The tree that recursive greedy growth with ``best_split_oracle``
+    builds on X, which may hold any numbers."""
+
+    def grow(rows, depth):
+        targets = y[rows]
+        if depth >= params.max_depth or np.ptp(targets) == 0.0:
+            return TreeNode(value=float(targets.mean()))
+        split = best_split_oracle(X, y, rows, params)
+        if split is None:
+            return TreeNode(value=float(targets.mean()))
+        feature, threshold = split
+        go_left = X[rows, feature] <= threshold
+        return TreeNode(
+            feature=feature,
+            threshold=threshold,
+            left=grow(rows[go_left], depth + 1),
+            right=grow(rows[~go_left], depth + 1),
+        )
+
+    return RegressionTree(
+        root=grow(np.arange(len(y)), 0), params=params, n_features=X.shape[1]
+    )
 
 
 def best_tree_mae_oracle(X, y, depth: int) -> float:
@@ -107,7 +176,7 @@ class TestFitLinear:
     def test_dimension_mismatch(self):
         model = fit_linear(np.ones((2, 2)), np.ones(2), ridge=1.0)
         with pytest.raises(ValidationError):
-            model.predict(np.ones(3))
+            model.predict_batch(np.ones((1, 3)))
 
 
 class TestFitLinearColumns:
@@ -191,8 +260,9 @@ class TestFitTree:
         trees = [
             fit_tree(X, y, TreeParams(max_depth=3, bins=b)) for b in (2, 3, 8, 64)
         ]
-        # a boolean X is the same binary case
-        trees.append(fit_tree(X == 1.0, y, TreeParams(max_depth=3)))
+        # boolean and integer 0/1 X are the same binary case
+        for same in (X == 1.0, X.astype(np.int8), X.astype(np.int64)):
+            trees.append(fit_tree(same, y, TreeParams(max_depth=3)))
         for other in trees[1:]:
             assert trees[0].root == other.root
 
@@ -258,11 +328,11 @@ class TestFitTree:
         t2 = fit_tree(X, y, TreeParams(max_depth=3))
         assert t1.root == t2.root
 
-    def test_quantile_thresholds_on_numeric_feature(self):
-        X = np.arange(100, dtype=float).reshape(-1, 1)
-        y = (X[:, 0] >= 50).astype(float)
-        tree = fit_tree(X, y, TreeParams(max_depth=1, bins=4))
-        assert tree_mae(tree, X, y) <= 0.25
+    @pytest.mark.parametrize("value", [0.5, 2, -1.0, np.nan])
+    def test_non_binary_features_rejected(self, value):
+        X = np.array([[0, 1], [1, 0], [0, value]])  # integer X for value 2
+        with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
+            fit_tree(X, np.array([1.0, 2.0, 3.0]), TreeParams(max_depth=2))
 
 
 @st.composite
@@ -291,21 +361,17 @@ class TestBinarySplitAgainstOracle:
     def test_gains_and_predictions_match_quantile_search(self, problem):
         X, y, params = problem
         fast = fit_tree(X, y, params)
-        oracle = RegressionTree(
-            root=_grow(X, y, np.arange(len(y)), 0, params, _best_split),
-            params=params,
-            n_features=X.shape[1],
-        )
+        oracle = grow_oracle(X, y, params)
         np.testing.assert_array_equal(fast.predict_batch(X), oracle.predict_batch(X))
 
         def gain(rows, feature):
             left = X[rows, feature] <= 0.5
-            return _sse(y[rows]) - _sse(y[rows[left]]) - _sse(y[rows[~left]])
+            return sse(y[rows]) - sse(y[rows[left]]) - sse(y[rows[~left]])
 
         def check(node, rows, depth):
             expected = None
             if depth < params.max_depth and np.ptp(y[rows]) > 0.0:
-                expected = _best_split(X, y, rows, params)
+                expected = best_split_oracle(X, y, rows, params)
             if node.is_leaf:
                 assert expected is None
                 return
@@ -401,7 +467,7 @@ class TestForest:
         assert predicted.flags.c_contiguous
         np.testing.assert_array_equal(
             predicted,
-            np.column_stack([[t.predict(x) for x in X] for t in trees]),
+            np.column_stack([[walk_tree(t, x) for x in X] for t in trees]),
         )
         paths = [t.path_features(X) for t in trees]
         expected = [np.concatenate([np.full(len(r), t) for t, (r, _) in enumerate(paths)]),
@@ -435,18 +501,18 @@ class TestPredict:
     def test_constant_tree(self):
         X = np.array([[0.0], [0.0]])
         tree = fit_tree(X, np.array([2.5, 2.5]), TreeParams(max_depth=3))
-        assert predict(tree, np.array([123.0])) == 2.5
+        assert tree.predict_batch(np.array([[123.0]])).tolist() == [2.5]
 
     def test_linear_hand_dot(self):
         model = LinearRegressor(
             weights=np.array([1.0, -1.0]), intercept=0.5, ridge=0.0
         )
-        assert predict(model, np.array([1.0, 0.0])) == 1.5
+        assert model.predict_batch(np.array([[1.0, 0.0]])).tolist() == [1.5]
 
     def test_fitted_xor_tree_routing(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=2))
-        assert predict(tree, np.array([1.0, 0.0])) == 1.0
-        assert predict(tree, np.array([1.0, 1.0])) == 0.0
+        rows = np.array([[1.0, 0.0], [1.0, 1.0]])
+        assert tree.predict_batch(rows).tolist() == [1.0, 0.0]
 
     def test_batch_matches_scalar(self, rng):
         X = (rng.random((15, 3)) < 0.5).astype(float)
@@ -456,7 +522,7 @@ class TestPredict:
         # numeric thresholds with uneven leaf depths, and a bare leaf
         Xn = rng.normal(size=(60, 3))
         yn = np.sin(3 * Xn[:, 0]) + (Xn[:, 1] > 0.3)
-        numeric = fit_tree(Xn, yn, TreeParams(max_depth=5, bins=6, min_leaf=4))
+        numeric = grow_oracle(Xn, yn, TreeParams(max_depth=5, bins=6, min_leaf=4))
 
         def leaf_depths(node, depth=0):
             if node.is_leaf:
@@ -465,16 +531,20 @@ class TestPredict:
 
         assert len(leaf_depths(numeric.root)) > 1
         assert numeric.root.threshold != 0.5
-        stump = fit_tree(Xn, yn, TreeParams(max_depth=0))
+        stump = fit_tree(X, y, TreeParams(max_depth=0))
         assert stump.root.is_leaf
         for model, data in (
-            (tree, X), (linear, X), (numeric, Xn), (stump, Xn), (stump, Xn[:0])
+            (tree, X), (tree, Xn), (numeric, Xn), (stump, Xn), (stump, Xn[:0])
         ):
             np.testing.assert_array_equal(
-                model.predict_batch(data), [model.predict(row) for row in data]
+                model.predict_batch(data), [walk_tree(model, row) for row in data]
             )
+        np.testing.assert_array_equal(
+            linear.predict_batch(X),
+            [float(row @ linear.weights + linear.intercept) for row in X],
+        )
 
     def test_tree_dimension_error(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=1))
         with pytest.raises(ValidationError):
-            tree.predict(np.zeros(5))
+            tree.predict_batch(np.zeros((1, 5)))

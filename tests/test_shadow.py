@@ -3,7 +3,7 @@ import pytest
 
 from reclens.datamodel import FactorModel, predict_rating
 from reclens.errors import InsufficientDataError, ValidationError
-from reclens.regressors import TreeParams
+from reclens.regressors import LinearRegressor, TreeParams
 from reclens import shadow as shadow_module
 from reclens.shadow import (
     AGREEMENT_BLOCK,
@@ -73,7 +73,9 @@ class TestTrainShadow:
         f = shadow.factor_predictors[0]
         np.testing.assert_allclose(f.weights, 0.0, atol=1e-9)
         assert f.intercept == pytest.approx(0.7, abs=1e-9)
-        assert shadow.predicted_factors(np.array([1.0, 0.0]))[0] == pytest.approx(0.7)
+        assert shadow.predicted_factors_batch(np.array([[1.0, 0.0]]))[0, 0] == (
+            pytest.approx(0.7)
+        )
 
     def test_recovers_linear_ground_truth(self, rng):
         # item factors are an exact linear function of 3 binary features
@@ -183,7 +185,7 @@ class TestShadowPredict:
         shadow = memorizing_shadow(baseline, meta)
         for user in range(4):
             for item in range(n_items):
-                a = meta.dense[item]
+                a = meta.X[item]
                 assert shadow.predict(user, a) == pytest.approx(
                     predict_rating(baseline, user, item), abs=1e-12
                 )
@@ -223,6 +225,44 @@ class TestShadowPredict:
         shadow = manual_shadow([leaf_tree(1.0, 1)], np.ones((1, 1)), meta)
         with pytest.raises(IndexError):
             shadow.predict(5, np.array([1.0]))
+
+    @pytest.mark.parametrize("kind", ["tree", "linear", "mixed"])
+    def test_equals_row_of_batch(self, rng, kind):
+        X = rng.random((12, 4)) < 0.5
+        meta = make_meta(12, {
+            f"g{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(4)
+        })
+        baseline = random_model(rng, 3, 12, 3)
+        trees, linear = (
+            train_shadow(baseline, meta, k, split=(1.0, 0)).factor_predictors
+            for k in (TreeKind(TreeParams(max_depth=3)), LinearKind(ridge=0.1))
+        )
+        predictors = {"tree": trees, "linear": linear,
+                      "mixed": (trees[0], linear[1], trees[2])}[kind]
+        shadow = manual_shadow(predictors, baseline.user_factors, meta)
+        batch = shadow.predicted_factors_batch(meta.X)
+        # A matmul may round a row of a 12-row batch apart from the same
+        # row alone, so linear factors agree to rounding; trees exactly.
+        tol = 0.0 if kind == "tree" else 1e-12
+        for user in range(3):
+            for item in range(12):
+                expected = float(shadow.user_factors[user] @ batch[item])
+                for a in (meta.X[item], meta.X[item].astype(np.float64)):
+                    assert shadow.predict(user, a) == pytest.approx(
+                        expected, rel=tol, abs=tol
+                    )
+
+    @pytest.mark.parametrize("kind", ["tree", "linear"])
+    def test_wrong_length_attribute_vector(self, kind):
+        meta = make_meta(2, {"a": {0}, "b": {1}})
+        predictor = {
+            "tree": leaf_tree(1.0, 2),
+            "linear": LinearRegressor(np.ones(2), intercept=0.0, ridge=0.0),
+        }[kind]
+        shadow = manual_shadow([predictor], np.ones((1, 1)), meta)
+        for a in (np.ones(1), np.ones(3), np.ones((1, 2))):
+            with pytest.raises(ValidationError, match="expected"):
+                shadow.predict(0, a)
 
 
 class TestLatentAgreement:
@@ -484,7 +524,7 @@ class TestPersistence:
         assert loaded.user_ids == shadow.user_ids
         np.testing.assert_array_equal(loaded.train_items, shadow.train_items)
         for item in range(9):
-            a = meta.dense[item]
+            a = meta.X[item]
             for user in range(4):
                 assert loaded.predict(user, a) == shadow.predict(user, a)
 
