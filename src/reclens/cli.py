@@ -120,14 +120,15 @@ def _shadow_kind(args):
     from .shadow import LinearKind, TreeKind
 
     if args.kind == "linear":
-        if args.depth is not None or args.bins is not None:
-            _eprint("warning: --depth/--bins are tree-only flags; ignored for linear")
+        if args.depth is not None or args.min_leaf is not None:
+            _eprint(
+                "warning: --depth/--min-leaf are tree-only flags; ignored for linear"
+            )
         return LinearKind(ridge=args.ridge)
     return TreeKind(
         TreeParams(
             max_depth=args.depth if args.depth is not None else 5,
-            bins=args.bins if args.bins is not None else 32,
-            min_leaf=args.min_leaf,
+            min_leaf=args.min_leaf if args.min_leaf is not None else 1,
         )
     )
 
@@ -255,21 +256,15 @@ def cmd_explain(args) -> int:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Axes of the parameter sweep; depth/bins apply to tree cells only.
-
-    ``bins`` never changes a tree (see ``TreeParams``): tree cells that
-    differ only in bins get identical results, and ``run_sweep`` fits them
-    once.  The axis stays so that existing grid files keep loading.
-    """
+    """Axes of the parameter sweep; depths apply to tree cells only."""
 
     ranks: tuple[int, ...] = (12, 20, 50)
     lambdas: tuple[float, ...] = (0.1,)
     kinds: tuple[str, ...] = ("linear", "tree")
     depths: tuple[int, ...] = (3, 5)
-    bins: tuple[int, ...] = (8, 32)
 
     def __post_init__(self):
-        for name in ("ranks", "lambdas", "kinds", "depths", "bins"):
+        for name in ("ranks", "lambdas", "kinds", "depths"):
             seq = tuple(getattr(self, name))
             if not seq:
                 raise ValidationError(f"sweep grid axis {name} must be non-empty")
@@ -278,7 +273,7 @@ class SweepGrid:
             if kind not in ("linear", "tree"):
                 raise ValidationError(f"unknown shadow kind {kind!r}")
         for name, types in (("ranks", Integral), ("lambdas", Real),
-                            ("depths", Integral), ("bins", Integral)):
+                            ("depths", Integral)):
             for value in getattr(self, name):
                 if isinstance(value, bool) or not isinstance(value, types):
                     raise ValidationError(
@@ -288,13 +283,15 @@ class SweepGrid:
     @classmethod
     def from_dict(cls, doc: dict) -> "SweepGrid":
         """Parse a grid config strictly: every key must name an axis and
-        hold a list."""
+        hold a list.  A ``bins`` list is accepted and ignored, because older
+        grid files set it and it never changed a tree."""
         axes = [f.name for f in fields(cls)]
-        _check_keys(doc, "sweep grid", optional=axes, listing="axes")
+        _check_keys(doc, "sweep grid", optional=(*axes, "bins"), listing="axes")
         for key, values in doc.items():
             if not isinstance(values, list):
                 raise ValidationError(f"sweep grid axis {key!r} must be a list")
-        return cls(**{key: tuple(values) for key, values in doc.items()})
+        return cls(**{key: tuple(values) for key, values in doc.items()
+                      if key != "bins"})
 
     def cells(self, ridge: float) -> list[dict]:
         out = []
@@ -308,11 +305,10 @@ class SweepGrid:
                         )
                     else:
                         for depth in self.depths:
-                            for bins in self.bins:
-                                out.append(
-                                    {"rank": rank, "lambda": lam, "kind": "tree",
-                                     "depth": depth, "bins": bins}
-                                )
+                            out.append(
+                                {"rank": rank, "lambda": lam, "kind": "tree",
+                                 "depth": depth}
+                            )
         return out
 
 
@@ -328,11 +324,9 @@ def run_sweep(
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
-    """Train one baseline per (rank, lambda) and one shadow per distinct
-    grid cell; report latent and observational agreement for each cell.
+    """Train one baseline per (rank, lambda) and one shadow per grid cell;
+    report latent and observational agreement for each cell.
 
-    Tree cells that differ only in ``bins`` share one shadow, because bins
-    never changes a fitted tree.
     Per-cell failures are recorded in the row and the sweep continues.
     Rows come back in grid order regardless of the worker count.
     """
@@ -363,30 +357,19 @@ def run_sweep(
         except ReclensError as exc:
             return exc
 
-    def cell_kind(cell):
-        """The cell's shadow kind, or the error that stops the cell."""
-        try:
-            model = baselines[(cell["rank"], cell["lambda"])]
-            if isinstance(model, Exception):
-                raise model
-            if cell["kind"] == "linear":
-                return LinearKind(ridge=cell["ridge"])
-            return TreeKind(TreeParams(cell["depth"], cell["bins"]))
-        except ReclensError as exc:
-            return exc
-
-    def fit_key(cell):
-        return (cell["rank"], cell["lambda"], cell["kind"], cell.get("ridge"),
-                cell.get("depth"))
-
     def failed(exc):
         return {"mean_latent_mae": None, "observational_mae": None,
                 "error": str(exc)}
 
-    def fit_and_measure(cell_and_kind):
-        cell, kind = cell_and_kind
+    def fit_and_measure(cell):
+        model = baselines[(cell["rank"], cell["lambda"])]
+        if isinstance(model, Exception):
+            return failed(model)
         try:
-            model = baselines[(cell["rank"], cell["lambda"])]
+            if cell["kind"] == "linear":
+                kind = LinearKind(ridge=cell["ridge"])
+            else:
+                kind = TreeKind(TreeParams(cell["depth"]))
             shadow = train_shadow(
                 model, meta, kind, split=(split, seed), item_indices=item_indices
             )
@@ -402,18 +385,8 @@ def run_sweep(
 
     def run_all(run):
         baselines.update(zip(base_keys, run(safe_base, base_keys)))
-        kinds = [cell_kind(cell) for cell in cells]
-        fits = {}
-        for cell, kind in zip(cells, kinds):
-            if not isinstance(kind, Exception):
-                fits.setdefault(fit_key(cell), (cell, kind))
-        results = dict(zip(fits, run(fit_and_measure, fits.values())))
-        return [
-            {"cell": cell,
-             **(failed(kind) if isinstance(kind, Exception)
-                else results[fit_key(cell)])}
-            for cell, kind in zip(cells, kinds)
-        ]
+        return [{"cell": cell, **row}
+                for cell, row in zip(cells, run(fit_and_measure, cells))]
 
     baselines = {}
     if threads > 1:
@@ -429,7 +402,7 @@ def _cell_label(cell: dict) -> str:
         return f"rank {cell['rank']}, linear, lambda {cell['lambda']}"
     return (
         f"rank {cell['rank']}, tree, lambda {cell['lambda']}, "
-        f"depth {cell['depth']}, bins {cell['bins']}"
+        f"depth {cell['depth']}"
     )
 
 
@@ -514,6 +487,8 @@ _SIM_OPTIONAL = ("base_rating", "delta", "scale_bounds", "feature_pool", "seed")
 _EXPERIMENT_OPTIONAL = ("shadow", "n_reps", "users_per_rep", "n_items",
                         "n_meta_features", "keep_fraction", "direct_encode",
                         "score_by_magnitude", "seed")
+# A tree shadow's "bins" is accepted and ignored: older configs set it, and
+# it never changed a tree.
 _SHADOW_KEYS = {"linear": ("ridge",), "tree": ("max_depth", "bins", "min_leaf")}
 
 
@@ -572,7 +547,6 @@ def experiment_config_from_dict(
             kind = TreeKind(
                 TreeParams(
                     max_depth=shadow_doc.get("max_depth", 5),
-                    bins=shadow_doc.get("bins", 32),
                     min_leaf=shadow_doc.get("min_leaf", 1),
                 )
             )
@@ -626,8 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metadata", required=True)
     p.add_argument("--kind", choices=["linear", "tree"], default="tree")
     p.add_argument("--depth", type=int, default=None)
-    p.add_argument("--bins", type=int, default=None)
-    p.add_argument("--min-leaf", type=int, default=1)
+    p.add_argument("--min-leaf", type=int, default=None)
     p.add_argument("--ridge", type=float, default=0.1)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")

@@ -25,7 +25,6 @@ import numpy as np
 
 from .datamodel import FactorModel, MetadataMatrix, predict_rating
 from .errors import EstimatorMismatchError, ValidationError
-from .regressors import RegressionTree
 from .shadow import ShadowModel
 
 RatingFn = Callable[[np.ndarray], float]
@@ -153,12 +152,13 @@ def _influences(shadow, X, user, marginals):
     n_features = X.shape[1]
     out = np.zeros(n_features)
     forest = shadow.forest
-    groups = forest.groups(len(X)) if forest is not None else []
-    for group in groups:
+    if forest is None:
+        weights = np.column_stack([p.weights for p in shadow.factor_predictors])
+        out += (X.mean(axis=0) - marginals) * (weights @ u)
+        return out
+    for group in forest.groups(len(X)):
         trees, rows, features = forest.path_features(X, group)
-        effect = u[shadow.tree_factors[trees]] * forest.flip_effect(
-            X, trees, rows, features
-        )
+        effect = u[trees] * forest.flip_effect(X, trees, rows, features)
         lean = X[rows, features] - marginals[features]
         sums = np.bincount(
             (trees - group.start) * n_features + features,
@@ -167,15 +167,6 @@ def _influences(shadow, X, user, marginals):
         )
         for per_tree in sums.reshape(len(group), n_features) / len(X):
             out += per_tree
-    linear = [
-        j for j, p in enumerate(shadow.factor_predictors)
-        if not isinstance(p, RegressionTree)
-    ]
-    if linear:
-        weights = np.column_stack(
-            [shadow.factor_predictors[j].weights for j in linear]
-        )
-        out += (X.mean(axis=0) - marginals) * (weights @ u[linear])
     return out
 
 

@@ -3,7 +3,8 @@ regression trees over 0/1 features.
 
 Both are deterministic: identical inputs always produce identical models,
 and both predict through one path, ``predict_batch`` over a rows x
-features matrix.
+features matrix.  A tree reads its features as booleans: every split
+sends the rows where the feature is False left and the others right.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree routes as a forest of one.
@@ -11,7 +12,7 @@ single tree routes as a forest of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,34 +98,31 @@ def fit_linear_columns(
 
 @dataclass(frozen=True)
 class TreeParams:
-    """CART settings.
+    """CART settings: the deepest level a tree may grow to, and the fewest
+    training rows a leaf may hold.
 
-    ``bins`` never changes a fitted tree: features are 0/1, so a column's
-    only split is 0.5.  It is still validated, stored and written to shadow
-    files, so that older shadow files, sweep grids and synth configs that
-    set it keep loading.
+    Features are 0/1, so a split has no threshold to choose and a column
+    no bins to cut.  ``min_leaf`` is keyword-only, so that a positional
+    second argument, which was once ``bins``, fails rather than set it.
     """
 
     max_depth: int
-    bins: int = 32
-    min_leaf: int = 1
+    min_leaf: int = field(default=1, kw_only=True)
 
     def __post_init__(self):
-        check_types(self, integers=("max_depth", "bins", "min_leaf"))
+        check_types(self, integers=("max_depth", "min_leaf"))
         if self.max_depth < 0:
             raise ValidationError("max_depth must be >= 0")
-        if self.bins < 2:
-            raise ValidationError("bins must be >= 2")
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be >= 1")
 
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (value)."""
+    """Internal node (feature, children) or leaf (value).  Rows whose
+    feature is False go left, the others right."""
 
     feature: int | None = None
-    threshold: float | None = None
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
     value: float | None = None
@@ -153,11 +151,10 @@ class RegressionTree:
         # Breadth-first node arrays.  A leaf's children are the leaf itself,
         # so rows that reach a shallow leaf stay there for the later levels.
         nodes, levels = [self.root], [0]
-        feature, threshold, left, right, value = [], [], [], [], []
+        feature, left, right, value = [], [], [], []
         for i, node in enumerate(nodes):  # nodes grows while it is walked
             if node.is_leaf:
                 feature.append(0)
-                threshold.append(0.0)
                 left.append(i)
                 right.append(i)
                 value.append(node.value)
@@ -165,7 +162,6 @@ class RegressionTree:
             if (
                 node.left is None
                 or node.right is None
-                or node.threshold is None
                 or not isinstance(node.feature, (int, np.integer))
                 or not 0 <= node.feature < self.n_features
             ):
@@ -174,7 +170,6 @@ class RegressionTree:
                     f"{self.n_features} features"
                 )
             feature.append(node.feature)
-            threshold.append(node.threshold)
             left.append(len(nodes))
             right.append(len(nodes) + 1)
             value.append(np.nan)
@@ -182,7 +177,6 @@ class RegressionTree:
             levels += [levels[i] + 1] * 2
         for name, values, dtype in (
             ("_feature", feature, np.intp),
-            ("_threshold", threshold, np.float64),
             ("_left", left, np.intp),
             ("_right", right, np.intp),
             ("_value", value, np.float64),
@@ -194,21 +188,6 @@ class RegressionTree:
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Route every row one level per step, ``depth`` steps in all."""
         return self._forest.predict_batch(X)[:, 0]
-
-    def path_features(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, features): every feature tested on the path of each row of
-        X, once per row, ordered by row then feature.  No other feature can
-        change the row's prediction."""
-        _, rows, features = self._forest.path_features(X)
-        return rows, features
-
-    def flip_effect(
-        self, X: np.ndarray, rows: np.ndarray, features: np.ndarray
-    ) -> np.ndarray:
-        """f(x | x_j = 1) - f(x | x_j = 0) for each pair x = X[rows[i]],
-        j = features[i]."""
-        trees = np.zeros(len(rows), dtype=np.intp)
-        return self._forest.flip_effect(X, trees, rows, features)
 
 
 @dataclass(frozen=True)
@@ -235,7 +214,6 @@ class TreeForest:
         roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
         for name, parts in (
             ("_feature", [t._feature for t in trees]),
-            ("_threshold", [t._threshold for t in trees]),
             ("_left", [t._left + r if r else t._left for t, r in zip(trees, roots)]),
             ("_right", [t._right + r if r else t._right for t, r in zip(trees, roots)]),
             ("_value", [t._value for t in trees]),
@@ -266,19 +244,15 @@ class TreeForest:
         ]
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
-        """X as a 2-d array of this forest's width: boolean rows as they
-        are (a split compares a bool with its threshold as 0.0 or 1.0),
-        any other rows as float64."""
-        X = np.asarray(X)
-        if X.dtype != np.bool_:
-            X = X.astype(np.float64, copy=False)
+        """X as a boolean 2-d array of this forest's width."""
+        X = _boolean(X)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValidationError(
                 f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
             )
         return X
 
-    def _route(self, X, trees, rows, flipped=None, value=0.0, visited=None):
+    def _route(self, X, trees, rows, flipped=None, value=False, visited=None):
         """Leaf node of each pair (tree ``trees[i]``, row ``X[rows[i]]``),
         one level per step.  With ``flipped``, pair i reads ``value`` in
         column ``flipped[i]``; with ``visited``, the node array of every
@@ -292,9 +266,7 @@ class TreeForest:
             x = X[rows, tested]
             if flipped is not None:
                 x = np.where(tested == flipped, value, x)
-            node = np.where(
-                x <= self._threshold[node], self._left[node], self._right[node]
-            )
+            node = np.where(x, self._right[node], self._left[node])
         return node
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
@@ -326,11 +298,15 @@ class TreeForest:
         visited = []
         self._route(X, pair_trees, pair_rows, visited=visited)
         pairs = np.arange(len(pair_trees))
-        keys = []
+        keys = [np.empty(0, np.intp)]
         for node in visited:
             split = self._left[node] != node
             keys.append(pairs[split] * self.n_features + self._feature[node[split]])
-        keys = np.unique(np.concatenate(keys)) if keys else np.empty(0, np.intp)
+        keys = np.concatenate(keys)
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
         pairs = keys // self.n_features
         return pair_trees[pairs], pair_rows[pairs], keys % self.n_features
 
@@ -344,13 +320,29 @@ class TreeForest:
         """f_t(x | x_j = 1) - f_t(x | x_j = 0) for each triple t = trees[i],
         x = X[rows[i]], j = features[i]."""
         X = self._checked(X)
-        on = self._value[self._route(X, trees, rows, features, 1.0)]
-        off = self._value[self._route(X, trees, rows, features, 0.0)]
+        on = self._value[self._route(X, trees, rows, features, True)]
+        off = self._value[self._route(X, trees, rows, features, False)]
         return on - off
 
 
+def _boolean(X) -> np.ndarray:
+    """X as a boolean array: boolean X as it is, and numeric X whose entries
+    are all 0 or 1 read as booleans; any other X raises
+    ``ValidationError``."""
+    X = np.asarray(X)
+    if X.dtype == np.bool_:
+        return X
+    X = X.astype(np.float64, copy=False)
+    binary = (X == 0.0) | (X == 1.0)
+    if not binary.all():
+        raise ValidationError(
+            f"tree features must be 0/1, but X holds {float(X[~binary][0])}"
+        )
+    return X == 1.0
+
+
 def _binary_split(X, y, rows, params):
-    """(feature, 0.5) maximizing variance reduction over boolean X, or None.
+    """The feature maximizing variance reduction over boolean X, or None.
 
     One pass scores every feature.  With targets centred on the node mean,
     a split that puts n1 of the n rows on one side with target sum s1
@@ -370,23 +362,21 @@ def _binary_split(X, y, rows, params):
     targets = y[rows]
     s1 = ((targets - targets.mean())[:, None] * Xo).sum(axis=0)[candidates]
     gain = s1 * s1 * n / (n0[candidates] * n1[candidates])
-    return int(candidates[np.argmax(gain)]), 0.5
+    return int(candidates[np.argmax(gain)])
 
 
 def _grow(X, y, rows, depth, params) -> TreeNode:
     targets = y[rows]
     if depth >= params.max_depth or np.ptp(targets) == 0.0:
         return TreeNode(value=float(targets.mean()))
-    split = _binary_split(X, y, rows, params)
-    if split is None:
+    feature = _binary_split(X, y, rows, params)
+    if feature is None:
         return TreeNode(value=float(targets.mean()))
-    feature, threshold = split
-    go_left = X[rows, feature] <= threshold
+    go_right = X[rows, feature]
     return TreeNode(
         feature=feature,
-        threshold=threshold,
-        left=_grow(X, y, rows[go_left], depth + 1, params),
-        right=_grow(X, y, rows[~go_left], depth + 1, params),
+        left=_grow(X, y, rows[~go_right], depth + 1, params),
+        right=_grow(X, y, rows[go_right], depth + 1, params),
     )
 
 
@@ -395,10 +385,10 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
     splits, mean-valued leaves.
 
     X is boolean, or numeric with every entry 0 or 1 (read as boolean);
-    any other X raises ``ValidationError``.  Each column's only split is
-    0.5, and one sufficient-statistics pass per node scores all features
-    at once, breaking ties to the lowest feature index.  ``params.bins``
-    never changes the tree.
+    any other X raises ``ValidationError``.  A split sends the rows where
+    its feature is False left, and one sufficient-statistics pass per node
+    scores all features at once, breaking ties to the lowest feature
+    index.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split
@@ -408,13 +398,6 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
-    if X.dtype != np.bool_:
-        X = X.astype(np.float64, copy=False)
-        binary = (X == 0.0) | (X == 1.0)
-        if not binary.all():
-            raise ValidationError(
-                f"tree features must be 0/1, but X holds {float(X[~binary][0])}"
-            )
-        X = X == 1.0
+    X = _boolean(X)
     root = _grow(X, y, np.arange(len(y)), 0, params)
     return RegressionTree(root=root, params=params, n_features=X.shape[1])

@@ -1,9 +1,10 @@
 """The composed shadow model: one regressor per item latent factor,
 combined with the baseline's user factors, plus its agreement metrics.
 
-A shadow's factor trees form one ``TreeForest``, so predicting every
-factor for a batch of items takes one numpy step per tree level for all
-trees together, in groups of trees capped by ``regressors.FOREST_PAIRS``.
+A shadow's factors are all trees or all linear.  A tree shadow's factor
+trees form one ``TreeForest``, so predicting every factor for a batch of
+items takes one numpy step per tree level for all trees together, in
+groups of trees capped by ``regressors.FOREST_PAIRS``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,13 @@ FAITHFULNESS_EPS = 1e-12
 # (users x block) float64 matrices.
 AGREEMENT_BLOCK = 128
 
+# Version-1 shadow files write a threshold for every split and a bins count
+# for every tree.  Features are 0/1, so every threshold is 0.5, and bins
+# never changed a tree; both are written as these constants so that older
+# readers, which require the fields, still load the files.
+SPLIT_THRESHOLD = 0.5
+FILE_BINS = 32
+
 
 @dataclass(frozen=True)
 class LinearKind:
@@ -65,13 +73,14 @@ class ShadowModel:
     when the split keeps everything, eval falls back to the training set
     and ``eval_is_train`` is flagged so reports can say so.
 
-    Every predictor must read ``len(feature_names)`` features.  External
-    ids, when given, are unique; ``user_ids`` names each user factor row and
-    ``item_ids`` covers every entry of ``item_indices``.  Built at
-    construction: ``forest``, the factor trees routed together (None
-    without trees) with ``tree_factors`` the factor index of each of its
-    trees; ``name_rank``, each feature's position in name order; and
-    ``in_eval``, whether each row's item is in ``eval_items``.
+    Every predictor is a ``RegressionTree`` for a ``TreeKind`` and a
+    ``LinearRegressor`` for a ``LinearKind``, and reads
+    ``len(feature_names)`` features.  External ids, when given, are unique;
+    ``user_ids`` names each user factor row and ``item_ids`` covers every
+    entry of ``item_indices``.  Built at construction: ``forest``, the
+    factor trees routed together (None for a linear shadow);
+    ``name_rank``, each feature's position in name order; and ``in_eval``,
+    whether each row's item is in ``eval_items``.
     """
 
     factor_predictors: tuple
@@ -104,7 +113,15 @@ class ShadowModel:
                     f"among {n_ids}"
                 )
         names = self.feature_names
+        trees = isinstance(self.kind, TreeKind)
+        family = RegressionTree if trees else LinearRegressor
         for j, p in enumerate(self.factor_predictors):
+            if not isinstance(p, family):
+                raise ValidationError(
+                    f"predictor {j} is a {type(p).__name__}, but every predictor "
+                    f"of a {'tree' if trees else 'linear'} shadow is a "
+                    f"{family.__name__}"
+                )
             if p.n_features != len(names):
                 raise ValidationError(
                     f"predictor {j} reads {p.n_features} features, but the "
@@ -112,13 +129,7 @@ class ShadowModel:
                 )
         # Built once, here, so threads that share the shadow never race to
         # build them.
-        tree_factors = [
-            j for j, p in enumerate(self.factor_predictors)
-            if isinstance(p, RegressionTree)
-        ]
-        forest = None
-        if tree_factors:
-            forest = TreeForest(tuple(self.factor_predictors[j] for j in tree_factors))
+        forest = TreeForest(self.factor_predictors) if trees else None
         name_rank = np.empty(len(names), dtype=np.intp)
         name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
             len(names)
@@ -127,7 +138,6 @@ class ShadowModel:
         rows = np.argsort(self.item_indices, kind="stable")
         for name, value in (
             ("forest", forest),
-            ("tree_factors", np.array(tree_factors, dtype=np.intp)),
             ("name_rank", name_rank),
             ("_sorted_items", self.item_indices[rows]),
             ("_sorted_rows", rows),
@@ -164,8 +174,8 @@ class ShadowModel:
 
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
         """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
-        When every factor is a tree, the forest routes them all at once."""
-        if len(self.tree_factors) == self.rank:
+        A tree shadow's forest routes all its trees at once."""
+        if self.forest is not None:
             return self.forest.predict_batch(X)
         return np.column_stack([p.predict_batch(X) for p in self.factor_predictors])
 
@@ -417,7 +427,7 @@ def _node_to_dict(node: TreeNode) -> dict:
         return {"value": node.value}
     return {
         "feature": node.feature,
-        "threshold": node.threshold,
+        "threshold": SPLIT_THRESHOLD,
         "left": _node_to_dict(node.left),
         "right": _node_to_dict(node.right),
     }
@@ -426,9 +436,13 @@ def _node_to_dict(node: TreeNode) -> dict:
 def _node_from_dict(doc: dict) -> TreeNode:
     if "value" in doc:
         return TreeNode(value=doc["value"])
+    if doc["threshold"] != SPLIT_THRESHOLD:
+        raise ValidationError(
+            f"tree split threshold {doc['threshold']!r} is not "
+            f"{SPLIT_THRESHOLD}; features are 0/1"
+        )
     return TreeNode(
         feature=doc["feature"],
-        threshold=doc["threshold"],
         left=_node_from_dict(doc["left"]),
         right=_node_from_dict(doc["right"]),
     )
@@ -445,7 +459,7 @@ def _predictor_to_dict(p) -> dict:
     return {
         "type": "tree",
         "max_depth": p.params.max_depth,
-        "bins": p.params.bins,
+        "bins": FILE_BINS,
         "min_leaf": p.params.min_leaf,
         "n_features": p.n_features,
         "root": _node_to_dict(p.root),
@@ -461,7 +475,7 @@ def _predictor_from_dict(doc: dict):
         )
     return RegressionTree(
         root=_node_from_dict(doc["root"]),
-        params=TreeParams(doc["max_depth"], doc["bins"], doc["min_leaf"]),
+        params=TreeParams(doc["max_depth"], min_leaf=doc["min_leaf"]),
         n_features=doc["n_features"],
     )
 
@@ -474,7 +488,7 @@ def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
         kind_doc = {
             "type": "tree",
             "max_depth": p.max_depth,
-            "bins": p.bins,
+            "bins": FILE_BINS,
             "min_leaf": p.min_leaf,
         }
     doc = {
@@ -501,7 +515,7 @@ def load_shadow(path: str | Path) -> ShadowModel:
             kind: ShadowKind = LinearKind(ridge=kind_doc["ridge"])
         else:
             kind = TreeKind(
-                TreeParams(kind_doc["max_depth"], kind_doc["bins"], kind_doc["min_leaf"])
+                TreeParams(kind_doc["max_depth"], min_leaf=kind_doc["min_leaf"])
             )
         return ShadowModel(
             factor_predictors=tuple(

@@ -494,7 +494,7 @@ class ExperimentConfig:
     sim: SimConfig
     als: AlsConfig
     shadow_kind: ShadowKind = field(
-        default_factory=lambda: TreeKind(TreeParams(max_depth=5, bins=32))
+        default_factory=lambda: TreeKind(TreeParams(max_depth=5))
     )
     n_reps: int = 20
     users_per_rep: int = 1

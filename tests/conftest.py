@@ -10,7 +10,7 @@ from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
 from reclens.regressors import LinearRegressor, RegressionTree, TreeNode, TreeParams
-from reclens.shadow import ShadowModel, TreeKind
+from reclens.shadow import LinearKind, ShadowModel, TreeKind
 
 # Property tests draw the same examples on every run, so a tier-1 result is
 # repeatable; no deadline, because example run times vary with machine load.
@@ -85,7 +85,7 @@ def walk_tree(tree: RegressionTree, x) -> float:
     root, independently of the flat arrays that batch routing reads."""
     node = tree.root
     while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
+        node = node.right if bool(x[node.feature]) else node.left
     return node.value
 
 
@@ -95,7 +95,13 @@ def manual_shadow(
     meta: MetadataMatrix,
     item_indices=None,
 ) -> ShadowModel:
-    """Assemble a ShadowModel directly (all items in both splits)."""
+    """Assemble a ShadowModel directly (all items in both splits), its kind
+    taken from the first predictor."""
+    first = predictors[0]
+    if isinstance(first, LinearRegressor):
+        kind = LinearKind(ridge=first.ridge)
+    else:
+        kind = TreeKind(first.params)
     if item_indices is None:
         item_indices = np.arange(meta.n_items)
     item_indices = np.asarray(item_indices, dtype=np.int64)
@@ -106,7 +112,7 @@ def manual_shadow(
         item_indices=item_indices,
         train_items=item_indices,
         eval_items=item_indices,
-        kind=TreeKind(TreeParams(max_depth=0)),
+        kind=kind,
         eval_is_train=True,
     )
 

@@ -64,7 +64,7 @@ def desk_scale_config(**overrides) -> ExperimentConfig:
             feature_pool=FeatureFilterSpec.top_k_entropy(15), seed=0,
         ),
         als=AlsConfig(rank=3, lam=0.1, max_iterations=20),
-        shadow_kind=TreeKind(TreeParams(max_depth=5, bins=32)),
+        shadow_kind=TreeKind(TreeParams(max_depth=5)),
         n_reps=20, users_per_rep=1, n_items=200, n_meta_features=200,
         seed=20260808,
     )
@@ -85,7 +85,7 @@ def test_criterion_1_qii_oracle_equivalence(rng):
             item_factors=rng.normal(size=(40, 2)),
         )
         kind = (
-            TreeKind(TreeParams(max_depth=3, bins=4))
+            TreeKind(TreeParams(max_depth=3))
             if n_features % 2
             else LinearKind(ridge=0.05)
         )
@@ -109,7 +109,7 @@ def test_criterion_1_qii_oracle_equivalence(rng):
         item_factors=rng.normal(size=(40, 2)),
     )
     shadow = train_shadow(
-        baseline, meta, TreeKind(TreeParams(max_depth=3, bins=4)), split=(1.0, 0)
+        baseline, meta, TreeKind(TreeParams(max_depth=3)), split=(1.0, 0)
     )
     fn = lambda a: shadow.predict(1, a)
     x = meta.X[7]
@@ -176,7 +176,7 @@ def test_criterion_3_shadow_composition_exactness(rng):
     # identity features isolate one item per split, so memorization takes
     # depth n_items - 1; that choice satisfies the depth >= log2(n) floor
     shadow = train_shadow(
-        baseline, meta, TreeKind(TreeParams(max_depth=n_items, bins=2)),
+        baseline, meta, TreeKind(TreeParams(max_depth=n_items)),
         split=(1.0, 0),
     )
     agreement = measure_agreement(shadow, baseline, meta, item_set="train")
@@ -226,7 +226,7 @@ def test_criterion_6_trees_beat_linear_on_interactions(tmp_path, rng):
     meta = encode_one_hot(records, item_index=item_index, n_items=ratings.n_items)
     grid = SweepGrid(
         ranks=(2,), lambdas=(1e-6,), kinds=("linear", "tree"),
-        depths=(2, 3), bins=(2, 8),
+        depths=(2, 3),
     )
     rows = run_sweep(
         ratings, meta, np.arange(ratings.n_items), grid,
@@ -235,7 +235,7 @@ def test_criterion_6_trees_beat_linear_on_interactions(tmp_path, rng):
     assert all(r["error"] is None for r in rows)
     linear = [r["observational_mae"] for r in rows if r["cell"]["kind"] == "linear"]
     tree = [r["observational_mae"] for r in rows if r["cell"]["kind"] == "tree"]
-    assert len(tree) == 4 and len(linear) == 1
+    assert len(tree) == 2 and len(linear) == 1
     assert max(tree) < min(linear)
     report(
         6,

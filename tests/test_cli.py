@@ -192,15 +192,31 @@ class TestShadow:
         self, tmp_path, trained_fixture, capsys
     ):
         _, meta, model_path = trained_fixture
-        code = main([
-            "shadow", "--model", str(model_path), "--metadata", str(meta),
-            "--kind", "linear", "--depth", "3", "--split", "0.8",
-            "--out", str(tmp_path / "s.json"),
-        ])
-        assert code == 0
-        captured = capsys.readouterr()
-        assert "tree-only" in captured.err
-        assert json.loads(captured.out.strip())["measured_on"] == "eval"
+        outputs = []
+        for flags in (["--depth", "3"], ["--min-leaf", "5"], []):
+            out = tmp_path / "s.json"
+            code = main([
+                "shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--kind", "linear", *flags, "--split", "0.8", "--out", str(out),
+            ])
+            assert code == 0
+            captured = capsys.readouterr()
+            warning = ["warning: --depth/--min-leaf are tree-only flags; "
+                       "ignored for linear"]
+            assert captured.err.splitlines() == (warning if flags else [])
+            assert json.loads(captured.out.strip())["measured_on"] == "eval"
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_bins_flag_removed(self, tmp_path, trained_fixture, capsys):
+        _, meta, model_path = trained_fixture
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--bins", "8", "--out", str(tmp_path / "s.json"),
+            ])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --bins 8" in capsys.readouterr().err
 
     def test_negative_seed_is_one_error_line(self, tmp_path, trained_fixture, capsys):
         _, meta, model_path = trained_fixture
@@ -568,6 +584,43 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, "'threshold'")
 
+    def test_tree_threshold_not_half(self, tmp_path, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+
+        def move_threshold(doc):
+            doc["predictors"][0]["root"]["threshold"] = 0.3
+
+        bad = _edit_json(shadow_path, tmp_path / "threshold.json", move_threshold)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, "tree split threshold 0.3 is not 0.5")
+
+    def test_bins_in_shadow_file_ignored(self, tmp_path, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+
+        def drop_bins(doc):
+            for part in (doc["kind"], *doc["predictors"]):
+                del part["bins"]
+
+        def other_bins(doc):
+            for part in (doc["kind"], *doc["predictors"]):
+                part["bins"] = 8
+
+        outputs = []
+        for path in (
+            shadow_path,
+            _edit_json(shadow_path, tmp_path / "nobins.json", drop_bins),
+            _edit_json(shadow_path, tmp_path / "bins8.json", other_bins),
+        ):
+            capsys.readouterr()
+            assert main([
+                "explain", "--shadow", str(path), "--metadata", str(meta),
+                "--user", "u0", "--user-aggregate", "--top-k", "50",
+            ]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         bad = tmp_path / "inf.json"
@@ -770,7 +823,7 @@ class TestSweep:
         item_index = {iid: i for i, iid in enumerate(rm.item_ids)}
         enc = encode_one_hot(records, item_index=item_index, n_items=rm.n_items)
         grid = SweepGrid(ranks=(3,), lambdas=(1e-6,), kinds=("linear", "tree"),
-                         depths=(3,), bins=(8,))
+                         depths=(3,))
         rows = run_sweep(rm, enc, np.arange(rm.n_items), grid,
                          iters=40, split=1.0, seed=0)
         latent = {r["cell"]["kind"]: r["mean_latent_mae"] for r in rows}
@@ -787,7 +840,7 @@ class TestSweep:
         item_index = {iid: i for i, iid in enumerate(rm.item_ids)}
         enc = encode_one_hot(records, item_index=item_index, n_items=rm.n_items)
         grid = SweepGrid(ranks=(2,), lambdas=(1e-6,), kinds=("linear", "tree"),
-                         depths=(2, 3), bins=(2, 8))
+                         depths=(2, 3))
         rows = run_sweep(rm, enc, np.arange(rm.n_items), grid,
                          iters=60, split=1.0, seed=0)
         linear_maes = [
@@ -800,13 +853,11 @@ class TestSweep:
 
     def test_default_grid_includes_reference_cells(self):
         cells = SweepGrid().cells(ridge=0.1)
-        keys = {
-            (c["rank"], c["lambda"], c["kind"], c.get("depth"), c.get("bins"))
-            for c in cells
-        }
-        assert (50, 0.1, "tree", 5, 32) in keys
-        assert (20, 0.1, "tree", 3, 8) in keys
-        assert (12, 0.1, "tree", 5, 8) in keys
+        keys = {(c["rank"], c["lambda"], c["kind"], c.get("depth")) for c in cells}
+        assert len(cells) == len(keys) == 9
+        assert (50, 0.1, "tree", 5) in keys
+        assert (20, 0.1, "tree", 3) in keys
+        assert (12, 0.1, "linear", None) in keys
 
     def test_cell_failure_recorded_not_fatal(self, tmp_path, rng):
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
@@ -818,7 +869,7 @@ class TestSweep:
         enc = encode_one_hot(records, item_index=item_index, n_items=rm.n_items)
         # a negative depth fails that cell's validation; the other cell runs
         grid = SweepGrid(ranks=(3,), lambdas=(1e-6,), kinds=("tree",),
-                         depths=(2, -1), bins=(2,))
+                         depths=(2, -1))
         rows = run_sweep(rm, enc, np.arange(rm.n_items), grid,
                          iters=5, split=1.0, seed=0)
         errors = {r["cell"]["depth"]: r["error"] for r in rows}
@@ -875,41 +926,24 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
-    def test_bins_variants_share_one_tree_fit(self, tmp_path, rng, monkeypatch):
+    def test_bins_in_grid_file_ignored(self, tmp_path, rng, capsys):
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "parity")
-        from reclens import shadow as shadow_mod
-        from reclens.ingest import encode_one_hot, load_metadata, load_ratings
-
-        rm = load_ratings(ratings)
-        records = load_metadata(meta)
-        item_index = {iid: i for i, iid in enumerate(rm.item_ids)}
-        enc = encode_one_hot(records, item_index=item_index, n_items=rm.n_items)
-        fits = []
-        fit_tree = shadow_mod.fit_tree
-
-        def counting_fit_tree(X, y, params):
-            fits.append(params)
-            return fit_tree(X, y, params)
-
-        monkeypatch.setattr(shadow_mod, "fit_tree", counting_fit_tree)
-
-        def sweep(bins):
-            grid = SweepGrid(ranks=(2, 3), lambdas=(1e-3,), kinds=("tree",),
-                             depths=(2, 3), bins=bins)
-            return run_sweep(rm, enc, np.arange(rm.n_items), grid,
-                             iters=10, split=0.75, seed=0)
-
-        shared = sweep((2, 8, 1))
-        # rank x depth shadows, one regressor per factor: (2 + 3) x 2
-        assert len(fits) == 10
-        alone = {b: sweep((b,)) for b in (2, 8)}
-        for row in shared:
-            bins = row["cell"]["bins"]
-            if bins == 1:
-                assert row["error"] == "bins must be >= 2"
-                continue
-            twin = next(r for r in alone[bins] if r["cell"] == row["cell"])
-            assert row == twin
+        outputs = []
+        for bins in ({}, {"bins": [2, 8]}):
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps({
+                "ranks": [2], "lambdas": [1e-3], "kinds": ["linear", "tree"],
+                "depths": [2, 3], **bins,
+            }))
+            out = tmp_path / "sweep.jsonl"
+            capsys.readouterr()
+            assert main([
+                "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+                "--grid", str(grid_path), "--iters", "5", "--out", str(out),
+            ]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == 3
 
 
 class TestSynthCommand:
@@ -935,6 +969,23 @@ class TestSynthCommand:
         doc = json.loads(out.read_text())
         assert doc["direct_encode"] is True
         assert doc["means"]["true"] >= 0.9
+
+    def test_bins_in_config_ignored(self, tmp_path, capsys):
+        with_bins = synth_config(tmp_path)
+        doc = json.loads(with_bins.read_text())
+        assert "bins" in doc["shadow"]
+        del doc["shadow"]["bins"]
+        without = tmp_path / "nobins.json"
+        without.write_text(json.dumps(doc))
+        outputs = []
+        for config in (with_bins, without):
+            out = tmp_path / "result.json"
+            capsys.readouterr()
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+            result = json.loads(out.read_text())
+            result.pop("config")  # the config is echoed as given
+            outputs.append((result, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config = synth_config(tmp_path)
@@ -1041,7 +1092,7 @@ class TestSynthCommand:
         for doc in docs:
             cfg = experiment_config_from_dict(doc)
             assert cfg.als.lam == doc["als"]["lambda"]
-            assert cfg.shadow_kind.params.bins == doc["shadow"]["bins"]
+            assert cfg.shadow_kind.params.max_depth == doc["shadow"]["max_depth"]
         linear = dict(docs[0], shadow={"kind": "linear", "ridge": 0.5},
                       als={"rank": 2, "lam": 0.3})
         cfg = experiment_config_from_dict(linear)

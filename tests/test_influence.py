@@ -18,7 +18,7 @@ from reclens.influence import (
     qii_monte_carlo,
     write_svg,
 )
-from reclens.regressors import LinearRegressor, RegressionTree, TreeParams, fit_tree
+from reclens.regressors import LinearRegressor, TreeForest, TreeParams, fit_tree
 from reclens.shadow import LinearKind, ShadowModel, train_shadow, TreeKind
 
 from conftest import identity_meta, leaf_tree, make_meta, manual_shadow, walk_tree
@@ -351,7 +351,7 @@ def features_on_paths(tree, X):
         node = tree.root
         while not node.is_leaf:
             found.add(node.feature)
-            node = node.left if x[node.feature] <= node.threshold else node.right
+            node = node.right if bool(x[node.feature]) else node.left
     return found
 
 
@@ -414,25 +414,17 @@ class TestExplainAgainstOracle:
 
 
 def influences_per_tree_oracle(shadow, X, user, marginals):
-    """``influence._influences`` one factor at a time: each tree's path
-    features and flip effects on their own, added into the result in
-    factor order."""
+    """``influence._influences`` for a tree shadow, one factor at a time:
+    each tree's path features and flip effects from a forest of that tree
+    alone, added into the result in factor order."""
     u = shadow.user_factors[user]
     out = np.zeros(X.shape[1])
-    linear = []
-    for j, predictor in enumerate(shadow.factor_predictors):
-        if isinstance(predictor, RegressionTree):
-            rows, features = predictor.path_features(X)
-            effect = u[j] * predictor.flip_effect(X, rows, features)
-            lean = X[rows, features] - marginals[features]
-            out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
-        else:
-            linear.append(j)
-    if linear:
-        weights = np.column_stack(
-            [shadow.factor_predictors[j].weights for j in linear]
-        )
-        out += (X.mean(axis=0) - marginals) * (weights @ u[linear])
+    for j, tree in enumerate(shadow.factor_predictors):
+        forest = TreeForest((tree,))
+        trees, rows, features = forest.path_features(X)
+        effect = u[j] * forest.flip_effect(X, trees, rows, features)
+        lean = X[rows, features] - marginals[features]
+        out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
     return out
 
 

@@ -17,13 +17,16 @@ from reclens.regressors import (
 
 from conftest import fit_linear_oracle, leaf_tree, walk_tree
 
+# The bin count the quantile split search ran with by default.
+ORACLE_BINS = 32
+
 
 def candidate_thresholds_oracle(x: np.ndarray, bins: int) -> np.ndarray:
     """Midpoints between adjacent distinct equal-frequency bin boundaries.
 
     Boundaries are actual order statistics (plus min and max), so binary
     columns always reduce to the single threshold 0.5 regardless of the
-    bin count.
+    bin count: the threshold every split of every shadow file holds.
     """
     xs = np.sort(x)
     n = len(xs)
@@ -54,7 +57,7 @@ def best_split_oracle(X, y, rows, params):
     best_gain = -np.inf
     for feature in range(X.shape[1]):
         col = X[rows, feature]
-        for threshold in candidate_thresholds_oracle(col, params.bins):
+        for threshold in candidate_thresholds_oracle(col, ORACLE_BINS):
             left = col <= threshold
             n_left = int(left.sum())
             if n_left < params.min_leaf or n - n_left < params.min_leaf:
@@ -68,7 +71,7 @@ def best_split_oracle(X, y, rows, params):
 
 def grow_oracle(X, y, params) -> RegressionTree:
     """The tree that recursive greedy growth with ``best_split_oracle``
-    builds on X, which may hold any numbers."""
+    builds on 0/1 X."""
 
     def grow(rows, depth):
         targets = y[rows]
@@ -81,7 +84,6 @@ def grow_oracle(X, y, params) -> RegressionTree:
         go_left = X[rows, feature] <= threshold
         return TreeNode(
             feature=feature,
-            threshold=threshold,
             left=grow(rows[go_left], depth + 1),
             right=grow(rows[~go_left], depth + 1),
         )
@@ -254,17 +256,20 @@ class TestFitTree:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(maes, maes[1:]))
 
-    def test_bins_irrelevant_for_binary_features(self, rng):
+    def test_boolean_and_integer_x_fit_the_same_tree(self, rng):
         X = (rng.random((30, 3)) < 0.4).astype(float)
         y = rng.normal(size=30)
         trees = [
-            fit_tree(X, y, TreeParams(max_depth=3, bins=b)) for b in (2, 3, 8, 64)
+            fit_tree(same, y, TreeParams(max_depth=3))
+            for same in (X, X == 1.0, X.astype(np.int8), X.astype(np.int64))
         ]
-        # boolean and integer 0/1 X are the same binary case
-        for same in (X == 1.0, X.astype(np.int8), X.astype(np.int64)):
-            trees.append(fit_tree(same, y, TreeParams(max_depth=3)))
         for other in trees[1:]:
             assert trees[0].root == other.root
+
+    def test_min_leaf_is_keyword_only(self):
+        # the old positional order was (max_depth, bins, min_leaf)
+        with pytest.raises(TypeError):
+            TreeParams(3, 32)
 
     def test_min_leaf_respected(self, rng):
         X = (rng.random((12, 2)) < 0.5).astype(float)
@@ -275,8 +280,8 @@ class TestFitTree:
             if node.is_leaf:
                 assert len(rows) >= 3
                 return
-            left = rows[X[rows, node.feature] <= node.threshold]
-            right = rows[X[rows, node.feature] > node.threshold]
+            left = rows[X[rows, node.feature] == 0.0]
+            right = rows[X[rows, node.feature] == 1.0]
             check(node.left, left)
             check(node.right, right)
 
@@ -291,7 +296,7 @@ class TestFitTree:
             if node.is_leaf:
                 assert node.value == pytest.approx(y[rows].mean(), abs=1e-12)
                 return
-            mask = X[rows, node.feature] <= node.threshold
+            mask = X[rows, node.feature] == 0.0
             check(node.left, rows[mask])
             check(node.right, rows[~mask])
 
@@ -375,11 +380,11 @@ class TestBinarySplitAgainstOracle:
             if node.is_leaf:
                 assert expected is None
                 return
-            assert expected is not None and node.threshold == 0.5
+            assert expected is not None and expected[1] == 0.5
             assert gain(rows, node.feature) == pytest.approx(
                 gain(rows, expected[0]), rel=1e-9
             )
-            left = X[rows, node.feature] <= node.threshold
+            left = X[rows, node.feature] == 0.0
             check(node.left, rows[left], depth + 1)
             check(node.right, rows[~left], depth + 1)
 
@@ -390,11 +395,9 @@ class TestTreeStructure:
     @pytest.mark.parametrize(
         "root",
         [
-            TreeNode(feature=0, threshold=0.5, value=None),
-            TreeNode(feature=2, threshold=0.5, left=TreeNode(value=1.0),
-                     right=TreeNode(value=2.0)),
-            TreeNode(feature=-1, threshold=0.5, left=TreeNode(value=1.0),
-                     right=TreeNode(value=2.0)),
+            TreeNode(feature=0, value=None),
+            TreeNode(feature=2, left=TreeNode(value=1.0), right=TreeNode(value=2.0)),
+            TreeNode(feature=-1, left=TreeNode(value=1.0), right=TreeNode(value=2.0)),
         ],
         ids=["no-children", "feature-past-end", "negative-feature"],
     )
@@ -407,10 +410,10 @@ class TestPaths:
     # x0 at the root; x2 under its left child, x0 again under its right
     TREE = RegressionTree(
         root=TreeNode(
-            feature=0, threshold=0.5,
-            left=TreeNode(feature=2, threshold=0.5, left=TreeNode(value=1.0),
+            feature=0,
+            left=TreeNode(feature=2, left=TreeNode(value=1.0),
                           right=TreeNode(value=2.0)),
-            right=TreeNode(feature=0, threshold=0.5, left=TreeNode(value=3.0),
+            right=TreeNode(feature=0, left=TreeNode(value=3.0),
                            right=TreeNode(value=4.0)),
         ),
         params=TreeParams(max_depth=2),
@@ -419,33 +422,62 @@ class TestPaths:
 
     def test_path_features_per_row_once(self):
         X = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
-        rows, features = self.TREE.path_features(X)
+        trees, rows, features = TreeForest((self.TREE,)).path_features(X)
+        assert trees.tolist() == [0, 0, 0]
         assert rows.tolist() == [0, 0, 1]
         assert features.tolist() == [0, 2, 0]
 
     def test_leaf_has_no_path(self):
-        rows, features = leaf_tree(0.5, 4).path_features(np.ones((3, 4)))
-        assert len(rows) == 0 and len(features) == 0
+        forest = TreeForest((leaf_tree(0.5, 4),))
+        for path in forest.path_features(np.ones((3, 4))):
+            assert len(path) == 0
 
     def test_flip_effect_matches_predict_batch(self, rng):
         X = (rng.random((20, 4)) < 0.5).astype(float)
         tree = fit_tree(X, rng.normal(size=20), TreeParams(max_depth=4))
+        forest = TreeForest((tree,))
         rows = np.repeat(np.arange(20), 4)
         features = np.tile(np.arange(4), 20)
+        trees = np.zeros(len(rows), dtype=np.intp)
         flipped = []
         for value in (1.0, 0.0):
             Xf = X[rows].copy()
             Xf[np.arange(len(rows)), features] = value
             flipped.append(tree.predict_batch(Xf))
         np.testing.assert_array_equal(
-            tree.flip_effect(X, rows, features), flipped[0] - flipped[1]
+            forest.flip_effect(X, trees, rows, features), flipped[0] - flipped[1]
         )
         # boolean rows route as their 0.0/1.0 values
         np.testing.assert_array_equal(
-            tree.flip_effect(X == 1.0, rows, features), flipped[0] - flipped[1]
+            forest.flip_effect(X == 1.0, trees, rows, features),
+            flipped[0] - flipped[1],
         )
         np.testing.assert_array_equal(tree.predict_batch(X == 1.0),
                                       tree.predict_batch(X))
+
+
+def path_oracle(tree, X):
+    """(rows, features): the features tested on each row's path, once per
+    row, found by walking the tree's node objects."""
+    rows, features = [], []
+    for r, x in enumerate(X):
+        tested, node = set(), tree.root
+        while not node.is_leaf:
+            tested.add(node.feature)
+            node = node.right if bool(x[node.feature]) else node.left
+        rows += [r] * len(tested)
+        features += sorted(tested)
+    return np.array(rows, dtype=np.intp), np.array(features, dtype=np.intp)
+
+
+def flip_oracle(tree, X, rows, features):
+    """f(x | x_j = 1) - f(x | x_j = 0) for each pair by walking the tree."""
+    out = []
+    for r, j in zip(rows, features):
+        on, off = X[r].copy(), X[r].copy()
+        on[j], off[j] = 1.0, 0.0
+        out.append(walk_tree(tree, on) - walk_tree(tree, off))
+    return np.array(out)
 
 
 class TestForest:
@@ -469,7 +501,7 @@ class TestForest:
             predicted,
             np.column_stack([[walk_tree(t, x) for x in X] for t in trees]),
         )
-        paths = [t.path_features(X) for t in trees]
+        paths = [path_oracle(t, X) for t in trees]
         expected = [np.concatenate([np.full(len(r), t) for t, (r, _) in enumerate(paths)]),
                     np.concatenate([r for r, _ in paths]),
                     np.concatenate([f for _, f in paths])]
@@ -481,7 +513,7 @@ class TestForest:
         tree_ids, rows, features = expected
         np.testing.assert_array_equal(
             forest.flip_effect(X, tree_ids, rows, features),
-            np.concatenate([t.flip_effect(X, r, f) for t, (r, f) in zip(trees, paths)]),
+            np.concatenate([flip_oracle(t, X, r, f) for t, (r, f) in zip(trees, paths)]),
         )
 
     def test_trees_must_share_features(self):
@@ -496,12 +528,25 @@ class TestForest:
             forest.predict_batch(np.zeros((3, 4)))
         assert forest.predict_batch(np.zeros((0, 2))).shape == (0, 1)
 
+    @pytest.mark.parametrize("value", [0.5, 2, -1.0, np.nan])
+    def test_non_binary_rows_rejected(self, value):
+        forest = TreeForest([leaf_tree(1.0, 2)])
+        X = np.array([[0, 1], [1, value]])
+        rows = np.array([1])
+        for call in (
+            lambda: forest.predict_batch(X),
+            lambda: forest.path_features(X),
+            lambda: forest.flip_effect(X, np.zeros(1, np.intp), rows, rows),
+        ):
+            with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
+                call()
+
 
 class TestPredict:
     def test_constant_tree(self):
         X = np.array([[0.0], [0.0]])
         tree = fit_tree(X, np.array([2.5, 2.5]), TreeParams(max_depth=3))
-        assert tree.predict_batch(np.array([[123.0]])).tolist() == [2.5]
+        assert tree.predict_batch(np.array([[1.0]])).tolist() == [2.5]
 
     def test_linear_hand_dot(self):
         model = LinearRegressor(
@@ -519,22 +564,21 @@ class TestPredict:
         y = rng.normal(size=15)
         tree = fit_tree(X, y, TreeParams(max_depth=3))
         linear = fit_linear(X, y, ridge=0.1)
-        # numeric thresholds with uneven leaf depths, and a bare leaf
-        Xn = rng.normal(size=(60, 3))
-        yn = np.sin(3 * Xn[:, 0]) + (Xn[:, 1] > 0.3)
-        numeric = grow_oracle(Xn, yn, TreeParams(max_depth=5, bins=6, min_leaf=4))
+        # uneven leaf depths, and a bare leaf
+        Xd = rng.random((60, 3)) < 0.5
+        yd = np.sin(3 * rng.normal(size=60)) + Xd[:, 0] * Xd[:, 1]
+        deep = fit_tree(Xd, yd, TreeParams(max_depth=5, min_leaf=4))
 
         def leaf_depths(node, depth=0):
             if node.is_leaf:
                 return {depth}
             return leaf_depths(node.left, depth + 1) | leaf_depths(node.right, depth + 1)
 
-        assert len(leaf_depths(numeric.root)) > 1
-        assert numeric.root.threshold != 0.5
+        assert len(leaf_depths(deep.root)) > 1
         stump = fit_tree(X, y, TreeParams(max_depth=0))
         assert stump.root.is_leaf
         for model, data in (
-            (tree, X), (tree, Xn), (numeric, Xn), (stump, Xn), (stump, Xn[:0])
+            (tree, X), (tree, X == 1.0), (deep, Xd), (stump, Xd), (stump, Xd[:0])
         ):
             np.testing.assert_array_equal(
                 model.predict_batch(data), [walk_tree(model, row) for row in data]

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from reclens.datamodel import FactorModel, predict_rating
-from reclens.errors import InsufficientDataError, ValidationError
+from reclens.errors import FormatError, InsufficientDataError, ValidationError
 from reclens.regressors import LinearRegressor, TreeParams
 from reclens import shadow as shadow_module
 from reclens.shadow import (
@@ -45,7 +47,7 @@ def memorizing_shadow(baseline, meta, item_targets=None, user_factors=None):
     return train_shadow(
         surrogate,
         meta,
-        TreeKind(TreeParams(max_depth=meta.n_items, bins=2)),
+        TreeKind(TreeParams(max_depth=meta.n_items)),
         split=(1.0, 0),
     )
 
@@ -226,19 +228,18 @@ class TestShadowPredict:
         with pytest.raises(IndexError):
             shadow.predict(5, np.array([1.0]))
 
-    @pytest.mark.parametrize("kind", ["tree", "linear", "mixed"])
+    @pytest.mark.parametrize("kind", ["tree", "linear"])
     def test_equals_row_of_batch(self, rng, kind):
         X = rng.random((12, 4)) < 0.5
         meta = make_meta(12, {
             f"g{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(4)
         })
         baseline = random_model(rng, 3, 12, 3)
-        trees, linear = (
-            train_shadow(baseline, meta, k, split=(1.0, 0)).factor_predictors
-            for k in (TreeKind(TreeParams(max_depth=3)), LinearKind(ridge=0.1))
-        )
-        predictors = {"tree": trees, "linear": linear,
-                      "mixed": (trees[0], linear[1], trees[2])}[kind]
+        shadow_kind = {"tree": TreeKind(TreeParams(max_depth=3)),
+                       "linear": LinearKind(ridge=0.1)}[kind]
+        predictors = train_shadow(
+            baseline, meta, shadow_kind, split=(1.0, 0)
+        ).factor_predictors
         shadow = manual_shadow(predictors, baseline.user_factors, meta)
         batch = shadow.predicted_factors_batch(meta.X)
         # A matmul may round a row of a 12-row batch apart from the same
@@ -251,6 +252,33 @@ class TestShadowPredict:
                     assert shadow.predict(user, a) == pytest.approx(
                         expected, rel=tol, abs=tol
                     )
+
+    def test_mixed_predictor_families_rejected(self, rng, tmp_path):
+        meta = identity_meta(6)
+        baseline = random_model(rng, 2, 6, 2)
+        trees, linear = (
+            train_shadow(baseline, meta, k, split=(1.0, 0))
+            for k in (TreeKind(TreeParams(max_depth=3)), LinearKind(ridge=0.1))
+        )
+        for first, second in ((trees, linear), (linear, trees)):
+            mixed = (first.factor_predictors[0], second.factor_predictors[1])
+            with pytest.raises(ValidationError, match="^predictor 1 is a "):
+                manual_shadow(mixed, baseline.user_factors, meta)
+            path = tmp_path / "shadow.json"
+            save_shadow(first, path)
+            doc = json.loads(path.read_text())
+            save_shadow(second, path)
+            doc["predictors"][1] = json.loads(path.read_text())["predictors"][1]
+            path.write_text(json.dumps(doc))
+            with pytest.raises(FormatError, match="predictor 1 is a "):
+                load_shadow(path)
+
+    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0])
+    def test_non_binary_attribute_vector(self, value):
+        meta = make_meta(2, {"a": {0}, "b": {1}})
+        shadow = manual_shadow([leaf_tree(1.0, 2)], np.ones((1, 1)), meta)
+        with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
+            shadow.predict(0, np.array([1.0, value]))
 
     @pytest.mark.parametrize("kind", ["tree", "linear"])
     def test_wrong_length_attribute_vector(self, kind):
@@ -287,12 +315,12 @@ class TestLatentAgreement:
         from reclens.regressors import RegressionTree, TreeNode
 
         f1 = RegressionTree(
-            root=TreeNode(feature=0, threshold=0.5,
+            root=TreeNode(feature=0,
                           left=TreeNode(value=1.0), right=TreeNode(value=1.0)),
             params=TreeParams(max_depth=1), n_features=2,
         )
         f2 = RegressionTree(
-            root=TreeNode(feature=0, threshold=0.5,
+            root=TreeNode(feature=0,
                           left=TreeNode(value=7.0), right=TreeNode(value=4.0)),
             params=TreeParams(max_depth=1), n_features=2,
         )
@@ -322,7 +350,7 @@ class TestObservationalAgreement:
             node = TreeNode(value=float(vals[n - 1]))
             for i in range(n - 2, -1, -1):
                 node = TreeNode(
-                    feature=i, threshold=0.5,
+                    feature=i,
                     left=node, right=TreeNode(value=float(vals[i])),
                 )
             return node
@@ -502,7 +530,7 @@ class TestBlockedAgreement:
 
 class TestPersistence:
     @pytest.mark.parametrize("kind", [
-        TreeKind(TreeParams(max_depth=3, bins=4)),
+        TreeKind(TreeParams(max_depth=3, min_leaf=2)),
         LinearKind(ridge=0.25),
     ])
     def test_round_trip_preserves_predictions(self, rng, tmp_path, kind):
@@ -529,9 +557,32 @@ class TestPersistence:
                 assert loaded.predict(user, a) == shadow.predict(user, a)
 
 
-def test_load_shadow_rejects_unknown_version(tmp_path):
-    import json
+    def tree_file(self, rng, tmp_path):
+        baseline = random_model(rng, 3, 8, 2)
+        shadow = memorizing_shadow(baseline, identity_meta(8))
+        path = tmp_path / "shadow.json"
+        save_shadow(shadow, path)
+        return shadow, path
 
+    def test_tree_file_writes_v1_constants(self, rng, tmp_path):
+        _, path = self.tree_file(rng, tmp_path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 1
+        assert doc["kind"]["bins"] == 32
+        root = doc["predictors"][0]["root"]
+        assert doc["predictors"][0]["bins"] == 32 and root["threshold"] == 0.5
+
+    @pytest.mark.parametrize("threshold", [0.3, 1, "0.5", None])
+    def test_threshold_other_than_half_rejected(self, rng, tmp_path, threshold):
+        _, path = self.tree_file(rng, tmp_path)
+        doc = json.loads(path.read_text())
+        doc["predictors"][1]["root"]["threshold"] = threshold
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="threshold .* is not 0.5"):
+            load_shadow(path)
+
+
+def test_load_shadow_rejects_unknown_version(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"format": "reclens-shadow-model", "version": 99}))
     with pytest.raises(ValidationError, match="version"):

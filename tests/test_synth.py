@@ -606,7 +606,7 @@ def fast_experiment_config(**overrides):
             feature_pool=FeatureFilterSpec.top_k_entropy(8), seed=0,
         ),
         als=AlsConfig(rank=2, lam=0.1, max_iterations=8),
-        shadow_kind=TreeKind(TreeParams(max_depth=4, bins=8)),
+        shadow_kind=TreeKind(TreeParams(max_depth=4)),
         n_reps=4, users_per_rep=2, n_items=30, n_meta_features=40, seed=3,
     )
     base.update(overrides)
