@@ -124,7 +124,9 @@ def _shadow_kind(args):
             _eprint(
                 "warning: --depth/--min-leaf are tree-only flags; ignored for linear"
             )
-        return LinearKind(ridge=args.ridge)
+        return LinearKind(ridge=args.ridge if args.ridge is not None else 0.1)
+    if args.ridge is not None:
+        _eprint("warning: --ridge is a linear-only flag; ignored for tree")
     return TreeKind(
         TreeParams(
             max_depth=args.depth if args.depth is not None else 5,
@@ -601,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["linear", "tree"], default="tree")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--ridge", type=float, default=0.1)
+    p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")
     p.add_argument("--entropy-threshold", type=float, default=0.01)

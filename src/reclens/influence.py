@@ -6,8 +6,10 @@ that feature alone is resampled from its marginal distribution
 (x_f - p_f) * (m(x|f=1) - m(x|f=0)), only where it can be nonzero: a tree
 shadow's rating moves only with the features that some factor tree tests
 on the item's path, so every other feature reports exactly 0.0 and sorts
-by name.  All factor trees are routed together, one numpy step per tree
-level, in groups of trees capped by ``regressors.FOREST_PAIRS``.  A linear
+by name.  ``TreeForest.walk`` routes the items through all factor trees
+together, one numpy step per tree level, in groups of trees capped by
+``regressors.FOREST_PAIRS``, once per group; that one route gives the
+shadow rating, the path features and their flip effects.  A linear
 shadow's flip effect is the same for every item, so its
 item-set influence is (mean(x) - p) times that effect, and over the whole
 item universe it is exactly 0.0 for every feature.  ``qii_monte_carlo``
@@ -140,34 +142,41 @@ def qii_monte_carlo(
 
 def _influences(shadow, X, user, marginals):
     """Exact-binary influence of every feature, averaged over the rows of X:
-    mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0)).
+    mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0)); and f_1 .. f_k
+    for every row, the (rows, k) array that ``predicted_factors_batch``
+    returns.
 
     A tree contributes only for the features tested on a row's path; any
-    other flip leaves its prediction unchanged.  The factor trees are routed
-    together, a group of trees at a time, and each tree's sums are added in
-    factor order.  A linear factor's flip effect is its weight, whatever
-    the row.
+    other flip leaves its prediction unchanged.  One ``TreeForest.walk``
+    per group of trees gives the factor predictions, the path features and
+    their flip effects.  Each tree's sums fill one row of a (k, features)
+    array, whose rows are added in factor order.  A linear factor's flip
+    effect is its weight, whatever the row.
     """
     u = shadow.user_factors[user]
-    n_features = X.shape[1]
-    out = np.zeros(n_features)
+    n, n_features = X.shape
     forest = shadow.forest
     if forest is None:
         weights = np.column_stack([p.weights for p in shadow.factor_predictors])
+        out = np.zeros(n_features)
         out += (X.mean(axis=0) - marginals) * (weights @ u)
-        return out
-    for group in forest.groups(len(X)):
-        trees, rows, features = forest.path_features(X, group)
-        effect = u[trees] * forest.flip_effect(X, trees, rows, features)
+        return out, shadow.predicted_factors_batch(X)
+    factors = np.empty((n, forest.n_trees))
+    # A sum over axis 0 adds the rows one after another, in factor order,
+    # when a row holds two values or more; a one-column array would be
+    # summed pairwise, so it gets a second column of zeros.
+    sums = np.zeros((forest.n_trees, max(n_features, 2)))
+    for group in forest.groups(n):
+        predicted, trees, rows, features, effects = forest.walk(X, group)
+        factors[:, group.start:group.stop] = predicted.T
         lean = X[rows, features] - marginals[features]
-        sums = np.bincount(
+        sums[group.start:group.stop, :n_features] = np.bincount(
             (trees - group.start) * n_features + features,
-            lean * effect,
+            lean * (u[trees] * effects),
             minlength=len(group) * n_features,
-        )
-        for per_tree in sums.reshape(len(group), n_features) / len(X):
-            out += per_tree
-    return out
+        ).reshape(len(group), n_features)
+    sums /= n
+    return sums.sum(axis=0)[:n_features], factors
 
 
 def explain(
@@ -211,12 +220,10 @@ def explain(
             f"{outside} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
-    X = meta.X[rows]
-    values = _influences(shadow, X, query.user, meta.marginals)
-    base = shadow.predicted_factors_batch(X) @ shadow.user_factors[query.user]
-    shadow_rating = float(base.mean())
-    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k].tolist()
-    ranked = tuple(zip([meta.feature_names[f] for f in top], values[top].tolist()))
+    values, factors = _influences(shadow, meta.X[rows], query.user, meta.marginals)
+    shadow_rating = float((factors @ shadow.user_factors[query.user]).mean())
+    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k]
+    ranked = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
     baseline_rating = None
     if baseline is not None and isinstance(query.scope, SingleItem):
         baseline_rating = predict_rating(baseline, query.user, query.scope.item)

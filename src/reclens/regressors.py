@@ -7,7 +7,10 @@ features matrix.  A tree reads its features as booleans: every split
 sends the rows where the feature is False left and the others right.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
-single tree routes as a forest of one.
+single tree routes as a forest of one.  ``TreeForest.walk`` routes each
+(tree, row) pair once and reads off it the leaf, the features tested on
+the path and each one's flip effect, which is all that an influence
+report needs.
 """
 
 from __future__ import annotations
@@ -200,7 +203,10 @@ class TreeForest:
     offset by the position of its root.  Trees are taken in groups of
     consecutive indices with rows x trees <= ``FOREST_PAIRS`` (one tree at
     least), so memory stays bounded for any number of trees and rows.  A
-    ``RegressionTree`` routes as a forest of one.
+    ``RegressionTree`` routes as a forest of one.  ``predict_batch`` routes
+    every pair to its leaf; ``walk`` also keeps the route, to find the
+    features on each path and flip each one from where the path first
+    tests it.
     """
 
     trees: tuple
@@ -252,20 +258,26 @@ class TreeForest:
             )
         return X
 
-    def _route(self, X, trees, rows, flipped=None, value=False, visited=None):
+    def _route(self, X, trees, rows, visited=None):
         """Leaf node of each pair (tree ``trees[i]``, row ``X[rows[i]]``),
-        one level per step.  With ``flipped``, pair i reads ``value`` in
-        column ``flipped[i]``; with ``visited``, the node array of every
-        level is appended to it.  A leaf's children are the leaf itself, so
-        pairs that reach a shallow leaf stay there for the later levels."""
+        one level per step from the tree's root; with ``visited``, the node
+        array of every level is appended to it.  A leaf's children are the
+        leaf itself, so pairs that reach a shallow leaf stay there for the
+        later levels."""
         node = self._root[trees]
         for _ in range(self._depth[trees].max(initial=0)):
             if visited is not None:
                 visited.append(node)
+            node = np.where(X[rows, self._feature[node]], self._right[node],
+                            self._left[node])
+        return node
+
+    def _reroute(self, X, node, rows, flipped, steps):
+        """Leaf node reached from ``node[i]`` in ``steps`` levels by row
+        ``X[rows[i]]`` with its value in column ``flipped[i]`` negated."""
+        for _ in range(steps):
             tested = self._feature[node]
-            x = X[rows, tested]
-            if flipped is not None:
-                x = np.where(tested == flipped, value, x)
+            x = X[rows, tested] != (tested == flipped)
             node = np.where(x, self._right[node], self._left[node])
         return node
 
@@ -282,47 +294,62 @@ class TreeForest:
             out[:, group.start:group.stop] = self._value[leaves].reshape(n, len(group))
         return out
 
-    def path_features(
+    def walk(
         self, X: np.ndarray, group: range | None = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(trees, rows, features): every feature that a tree of ``group``
-        (default all) tests on the path of a row of X, once per tree and
-        row, ordered by tree, row, then feature.  No other feature can
-        change that tree's prediction for the row."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Route each pair of a tree of ``group`` (default all trees) and a
+        row of X once, and read off that route everything an influence
+        report needs.
+
+        Returns (predicted, trees, rows, features, effects): ``predicted``
+        is the (len(group), rows) array of each pair's leaf value.  Each
+        triple (trees[i], rows[i], features[i]) names a feature tested on
+        that pair's path, once, ordered by tree, row, then feature; no other
+        feature can change the tree's prediction for the row.  ``effects[i]``
+        is f_t(x | x_j = 1) - f_t(x | x_j = 0) for t = trees[i],
+        x = X[rows[i]], j = features[i].
+
+        The side of a flip where x_j keeps its value is the path's own leaf.
+        The other side leaves the path at the first node that tests j, for
+        its other child, and routes on from there reading x_j flipped, so a
+        tree that tests j again lower down still reads the flipped value.
+        """
         X = self._checked(X)
         if group is None:
             group = range(self.n_trees)
-        n = len(X)
-        pair_trees = np.repeat(np.arange(group.start, group.stop), n)
-        pair_rows = np.tile(np.arange(n), len(group))
+        n, width = X.shape
+        pair_trees, pair_rows = np.divmod(np.arange(group.start * n, group.stop * n), n)
         visited = []
-        self._route(X, pair_trees, pair_rows, visited=visited)
-        pairs = np.arange(len(pair_trees))
-        keys = [np.empty(0, np.intp)]
-        for node in visited:
-            split = self._left[node] != node
-            keys.append(pairs[split] * self.n_features + self._feature[node[split]])
-        keys = np.concatenate(keys)
+        leaves = self._route(X, pair_trees, pair_rows, visited=visited)
+        predicted = self._value[leaves].reshape(len(group), n)
+        levels = len(visited)
+        if not levels:
+            empty = np.empty(0, np.intp)
+            return predicted, empty, empty, empty, np.empty(0)
+        nodes = np.array(visited)
+        # Every split on a path as one key that sorts by pair, feature, then
+        # level; the first key of each (pair, feature) is the shallowest
+        # node that tests the feature.
+        level, pairs = np.nonzero(self._left[nodes] != nodes)
+        keys = (pairs * width + self._feature[nodes[level, pairs]]) * levels + level
         keys.sort()
+        tested, level = np.divmod(keys, levels)
         first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        keys = keys[first]
-        pairs = keys // self.n_features
-        return pair_trees[pairs], pair_rows[pairs], keys % self.n_features
-
-    def flip_effect(
-        self,
-        X: np.ndarray,
-        trees: np.ndarray,
-        rows: np.ndarray,
-        features: np.ndarray,
-    ) -> np.ndarray:
-        """f_t(x | x_j = 1) - f_t(x | x_j = 0) for each triple t = trees[i],
-        x = X[rows[i]], j = features[i]."""
-        X = self._checked(X)
-        on = self._value[self._route(X, trees, rows, features, True)]
-        off = self._value[self._route(X, trees, rows, features, False)]
-        return on - off
+        np.not_equal(tested[1:], tested[:-1], out=first[1:])
+        tested, level = tested[first], level[first]
+        pairs, features = np.divmod(tested, width)
+        trees, rows = pair_trees[pairs], pair_rows[pairs]
+        start = nodes[level, pairs]
+        held = X[rows, features]
+        # The other child of the first node that tests the feature is at
+        # least one level down, so levels - 1 steps reach a leaf from it.
+        other = self._reroute(
+            X, np.where(held, self._left[start], self._right[start]), rows,
+            features, levels - 1,
+        )
+        kept, flipped = self._value[leaves[pairs]], self._value[other]
+        effects = np.where(held, kept - flipped, flipped - kept)
+        return predicted, trees, rows, features, effects
 
 
 def _boolean(X) -> np.ndarray:

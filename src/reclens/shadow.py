@@ -4,7 +4,9 @@ combined with the baseline's user factors, plus its agreement metrics.
 A shadow's factors are all trees or all linear.  A tree shadow's factor
 trees form one ``TreeForest``, so predicting every factor for a batch of
 items takes one numpy step per tree level for all trees together, in
-groups of trees capped by ``regressors.FOREST_PAIRS``.
+groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
+does not predict the factors apart: it reads them off the forest's
+``walk``, the same route that finds the features to score.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ class ShadowModel:
     ``len(feature_names)`` features.  External ids, when given, are unique;
     ``user_ids`` names each user factor row and ``item_ids`` covers every
     entry of ``item_indices``.  Built at construction: ``forest``, the
-    factor trees routed together (None for a linear shadow);
-    ``name_rank``, each feature's position in name order; and ``in_eval``,
-    whether each row's item is in ``eval_items``.
+    factor trees routed together (None for a linear shadow), which both
+    ``predicted_factors_batch`` and ``influence.explain`` walk;
+    ``name_rank``, each feature's position in name order; ``name_array``,
+    the feature names as an object array, for indexing by a ranking; and
+    ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
     factor_predictors: tuple
@@ -139,6 +143,7 @@ class ShadowModel:
         for name, value in (
             ("forest", forest),
             ("name_rank", name_rank),
+            ("name_array", np.array(names, dtype=object)),
             ("_sorted_items", self.item_indices[rows]),
             ("_sorted_rows", rows),
             ("in_eval", np.isin(self.item_indices, self.eval_items)),
@@ -174,7 +179,8 @@ class ShadowModel:
 
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
         """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
-        A tree shadow's forest routes all its trees at once."""
+        A tree shadow's forest routes all its trees at once; ``explain``
+        gets the same array from its own walk instead."""
         if self.forest is not None:
             return self.forest.predict_batch(X)
         return np.column_stack([p.predict_batch(X) for p in self.factor_predictors])
@@ -466,8 +472,18 @@ def _predictor_to_dict(p) -> dict:
     }
 
 
+def _family(doc: dict, what: str) -> str:
+    """The ``type`` field of a kind or predictor document: "linear" or
+    "tree"; anything else raises ``ValidationError``."""
+    if doc["type"] not in ("linear", "tree"):
+        raise ValidationError(
+            f"{what} type {doc['type']!r} is neither 'linear' nor 'tree'"
+        )
+    return doc["type"]
+
+
 def _predictor_from_dict(doc: dict):
-    if doc["type"] == "linear":
+    if _family(doc, "predictor") == "linear":
         return LinearRegressor(
             weights=np.array(doc["weights"], dtype=np.float64),
             intercept=doc["intercept"],
@@ -511,7 +527,7 @@ def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
 def load_shadow(path: str | Path) -> ShadowModel:
     def build(doc):
         kind_doc = doc["kind"]
-        if kind_doc["type"] == "linear":
+        if _family(kind_doc, "shadow kind") == "linear":
             kind: ShadowKind = LinearKind(ridge=kind_doc["ridge"])
         else:
             kind = TreeKind(

@@ -89,6 +89,60 @@ def walk_tree(tree: RegressionTree, x) -> float:
     return node.value
 
 
+def path_oracle(tree, X):
+    """(rows, features): the features tested on each row's path, once per
+    row, found by walking the tree's node objects."""
+    rows, features = [], []
+    for r, x in enumerate(X):
+        tested, node = set(), tree.root
+        while not node.is_leaf:
+            tested.add(node.feature)
+            node = node.right if bool(x[node.feature]) else node.left
+        rows += [r] * len(tested)
+        features += sorted(tested)
+    return np.array(rows, dtype=np.intp), np.array(features, dtype=np.intp)
+
+
+def flip_oracle(tree, X, rows, features):
+    """f(x | x_j = 1) - f(x | x_j = 0) for each pair by walking the tree."""
+    out = []
+    for r, j in zip(rows, features):
+        on, off = X[r].copy(), X[r].copy()
+        on[j], off[j] = 1.0, 0.0
+        out.append(walk_tree(tree, on) - walk_tree(tree, off))
+    return np.array(out)
+
+
+def repeat_tree(n_features: int) -> RegressionTree:
+    """x0 at the root; x2 under its left child, x0 again under its right."""
+    return RegressionTree(
+        root=TreeNode(
+            feature=0,
+            left=TreeNode(feature=2, left=TreeNode(value=1.0),
+                          right=TreeNode(value=2.0)),
+            right=TreeNode(feature=0, left=TreeNode(value=3.0),
+                           right=TreeNode(value=4.0)),
+        ),
+        params=TreeParams(max_depth=2),
+        n_features=n_features,
+    )
+
+
+def random_tree(rng: np.random.Generator, n_features: int, depth: int) -> RegressionTree:
+    """A hand-built tree of at most ``depth`` levels.  Each split draws its
+    feature with replacement, so a path may test a feature more than once,
+    and each leaf one of five values, so leaves often tie."""
+    def grow(level):
+        if level == depth or (level and rng.random() < 0.25):
+            return TreeNode(value=float(rng.integers(-2, 3)) / 2)
+        return TreeNode(feature=int(rng.integers(n_features)),
+                        left=grow(level + 1), right=grow(level + 1))
+
+    return RegressionTree(
+        root=grow(0), params=TreeParams(max_depth=depth), n_features=n_features
+    )
+
+
 def manual_shadow(
     predictors,
     user_factors,

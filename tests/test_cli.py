@@ -19,7 +19,7 @@ from reclens.factorize import load_model
 from reclens.shadow import load_shadow
 
 from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
-from test_influence import influences_per_tree_oracle, predicted_factors_per_tree
+from test_influence import influences_per_tree_oracle, walked_factors
 from test_factorize import row_groups_buckets_oracle, solve_half_buckets_oracle
 
 
@@ -208,6 +208,37 @@ class TestShadow:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_tree_ignores_ridge_with_warning(self, tmp_path, trained_fixture, capsys):
+        _, meta, model_path = trained_fixture
+        outputs = []
+        for flags in (["--ridge", "7"], []):
+            out = tmp_path / "s.json"
+            assert main([
+                "shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--kind", "tree", "--depth", "3", *flags, "--out", str(out),
+            ]) == 0
+            warning = ["warning: --ridge is a linear-only flag; ignored for tree"]
+            assert capsys.readouterr().err.splitlines() == (warning if flags else [])
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_linear_ridge_defaults_to_one_tenth(self, tmp_path, trained_fixture,
+                                                capsys):
+        _, meta, model_path = trained_fixture
+        outputs = []
+        for flags in (["--ridge", "0.1"], []):
+            out = tmp_path / "s.json"
+            assert main([
+                "shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--kind", "linear", *flags, "--out", str(out),
+            ]) == 0
+            assert capsys.readouterr().err == ""
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        shadow = load_shadow(tmp_path / "s.json")
+        assert shadow.kind.ridge == 0.1
+        assert {p.ridge for p in shadow.factor_predictors} == {0.1}
+
     def test_bins_flag_removed(self, tmp_path, trained_fixture, capsys):
         _, meta, model_path = trained_fixture
         with pytest.raises(SystemExit) as exc:
@@ -303,7 +334,7 @@ def test_tree_shadow_and_reports_match_per_tree_oracles(
 ):
     """A depth-4 tree shadow, its agreement report, and explain for one item
     and for a user aggregate are the same bytes whether the factor trees
-    are routed together or one at a time."""
+    are routed together or walked one tree and one item at a time."""
     rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
             for u in range(9) for i in range(16) if rng.random() < 0.8]
     write_ratings_csv(tmp_path / "ratings.csv", rows)
@@ -337,7 +368,7 @@ def test_tree_shadow_and_reports_match_per_tree_oracles(
 
     monkeypatch.setattr(influence, "_influences", influences_per_tree_oracle)
     monkeypatch.setattr(shadow_mod.ShadowModel, "predicted_factors_batch",
-                        predicted_factors_per_tree)
+                        walked_factors)
     assert run(tmp_path / "oracles") == shipped
 
 
@@ -620,6 +651,24 @@ class TestBrokenFiles:
             ]) == 0
             outputs.append(capsys.readouterr())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("part, detail", [
+        ("kind", "shadow kind type 'forest' is neither 'linear' nor 'tree'"),
+        ("predictors", "predictor type 'forest' is neither 'linear' nor 'tree'"),
+    ])
+    def test_unknown_type_in_shadow(self, tmp_path, shadow_fixture, capsys,
+                                    part, detail):
+        meta, _, shadow_path = shadow_fixture
+
+        def retype(doc):
+            for entry in [doc["kind"]] if part == "kind" else doc["predictors"]:
+                entry["type"] = "forest"
+
+        bad = _edit_json(shadow_path, tmp_path / "forest.json", retype)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, detail)
 
     def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture

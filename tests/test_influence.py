@@ -18,10 +18,25 @@ from reclens.influence import (
     qii_monte_carlo,
     write_svg,
 )
-from reclens.regressors import LinearRegressor, TreeForest, TreeParams, fit_tree
+from reclens.regressors import (
+    LinearRegressor,
+    RegressionTree,
+    TreeForest,
+    TreeParams,
+    fit_tree,
+)
 from reclens.shadow import LinearKind, ShadowModel, train_shadow, TreeKind
 
-from conftest import identity_meta, leaf_tree, make_meta, manual_shadow, walk_tree
+from conftest import (
+    flip_oracle,
+    identity_meta,
+    leaf_tree,
+    make_meta,
+    manual_shadow,
+    path_oracle,
+    random_tree,
+    walk_tree,
+)
 
 
 def qii_enumeration_oracle(rating_fn, x, feature, column_values):
@@ -414,31 +429,37 @@ class TestExplainAgainstOracle:
 
 
 def influences_per_tree_oracle(shadow, X, user, marginals):
-    """``influence._influences`` for a tree shadow, one factor at a time:
-    each tree's path features and flip effects from a forest of that tree
-    alone, added into the result in factor order."""
+    """``influence._influences`` for a tree shadow, one factor at a time and
+    one row at a time: each tree's path features and flip effects found by
+    walking its node objects from the root, added into the result in factor
+    order; and the factor predictions by the same walks."""
     u = shadow.user_factors[user]
     out = np.zeros(X.shape[1])
     for j, tree in enumerate(shadow.factor_predictors):
-        forest = TreeForest((tree,))
-        trees, rows, features = forest.path_features(X)
-        effect = u[j] * forest.flip_effect(X, trees, rows, features)
+        rows, features = path_oracle(tree, X)
+        effect = u[j] * flip_oracle(tree, X, rows, features)
         lean = X[rows, features] - marginals[features]
         out += np.bincount(features, lean * effect, minlength=len(out)) / len(X)
-    return out
+    return out, walked_factors(shadow, X)
 
 
-def predicted_factors_per_tree(shadow, X):
-    """``ShadowModel.predicted_factors_batch`` one predictor at a time."""
-    return np.column_stack([p.predict_batch(X) for p in shadow.factor_predictors])
+def walked_factors(shadow, X):
+    """``ShadowModel.predicted_factors_batch`` for a tree shadow, by walking
+    each tree's node objects for each row."""
+    return np.column_stack([
+        [walk_tree(tree, x) for x in X] for tree in shadow.factor_predictors
+    ])
 
 
 @st.composite
 def forest_problems(draw):
-    """Random 0/1 metadata, 1-6 factor trees each fitted to its own random
-    target with its own depth (0 included), a single-item or item-set query
-    (items may repeat), and a ``FOREST_PAIRS`` that splits the trees into
-    groups."""
+    """Random 0/1 metadata, 1-6 factor trees, a single-item or item-set
+    query, and a ``FOREST_PAIRS`` that splits the trees into groups.
+
+    Each factor tree is fitted to its own random target with its own depth
+    (0 included), or hand-built with splits that may test a feature twice
+    on a path, or a single leaf.  An item set may repeat items, and is
+    sometimes given each of its items twice."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_items = draw(st.integers(1, 30))
     d = draw(st.integers(1, 12))
@@ -447,43 +468,106 @@ def forest_problems(draw):
         f"f{j:02d}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
     })
     rank = draw(st.integers(1, 6))
-    trees = [
-        fit_tree(X, rng.normal(size=n_items), TreeParams(
-            max_depth=draw(st.integers(0, 5)), min_leaf=draw(st.integers(1, 3))
-        ))
-        for _ in range(rank)
-    ]
+    trees = []
+    for _ in range(rank):
+        shape = draw(st.sampled_from(["fitted", "hand-built", "leaf"]))
+        depth = draw(st.integers(0, 5))
+        if shape == "fitted":
+            trees.append(fit_tree(X, rng.normal(size=n_items), TreeParams(
+                max_depth=depth, min_leaf=draw(st.integers(1, 3))
+            )))
+        elif shape == "hand-built":
+            trees.append(random_tree(rng, d, depth))
+        else:
+            trees.append(leaf_tree(float(rng.integers(-2, 3)) / 2, d))
     shadow = manual_shadow(trees, rng.normal(size=(2, rank)), meta)
     items = st.integers(0, n_items - 1)
     if draw(st.booleans()):
         scope = SingleItem(draw(items))
     else:
-        scope = ItemSet(tuple(draw(st.lists(items, min_size=1, max_size=12))))
+        chosen = draw(st.lists(items, min_size=1, max_size=12))
+        if draw(st.booleans()):
+            chosen = chosen + chosen[::-1]
+        scope = ItemSet(tuple(chosen))
     pairs = draw(st.sampled_from([1, 2, 3, 7, regressors.FOREST_PAIRS]))
     return shadow, meta, InfluenceQuery(draw(st.integers(0, 1)), scope), pairs
+
+
+def assert_matches_oracles(shadow, meta, query, pairs):
+    """explain, and the shadow's factor predictions, are the same bits with
+    the factor trees walked together, ``pairs`` pairs at a time, as with
+    each tree walked from its root for each row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regressors, "FOREST_PAIRS", pairs)
+        report = explain(shadow, meta, query, top_k=meta.n_features)
+        predicted = shadow.predicted_factors_batch(meta.X)
+        mp.setattr(influence, "_influences", influences_per_tree_oracle)
+        oracle = explain(shadow, meta, query, top_k=meta.n_features)
+    assert report == oracle
+    assert report.to_json() == oracle.to_json()  # signed zeros too
+    assert predicted.flags.c_contiguous
+    np.testing.assert_array_equal(predicted, walked_factors(shadow, meta.X))
 
 
 class TestForestAgainstPerTreeOracle:
     @settings(max_examples=200)
     @given(forest_problems())
     def test_explain_is_bit_identical(self, problem):
-        shadow, meta, query, pairs = problem
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(regressors, "FOREST_PAIRS", pairs)
-            report = explain(shadow, meta, query, top_k=meta.n_features)
-            predicted = shadow.predicted_factors_batch(meta.X)
-            mp.setattr(influence, "_influences", influences_per_tree_oracle)
-            mp.setattr(ShadowModel, "predicted_factors_batch",
-                       predicted_factors_per_tree)
-            oracle = explain(shadow, meta, query, top_k=meta.n_features)
-        assert report == oracle
-        assert report.to_json() == oracle.to_json()  # signed zeros too
-        assert predicted.flags.c_contiguous
-        walked = np.column_stack([
-            [walk_tree(tree, x) for x in meta.X]
-            for tree in shadow.factor_predictors
-        ])
-        np.testing.assert_array_equal(predicted, walked)
+        assert_matches_oracles(*problem)
+
+    def test_many_trees_over_one_feature(self, rng):
+        # Twelve factors' terms for one feature are added in factor order;
+        # a sum over the factor axis of a (12, 1) array would add them
+        # pairwise.
+        n_items = 6
+        meta = make_meta(n_items, {"f": {0, 2, 3}})
+        trees = [random_tree(rng, 1, 1) for _ in range(12)]
+        shadow = manual_shadow(trees, rng.normal(size=(2, 12)), meta)
+        scopes = [SingleItem(i) for i in range(n_items)] + [
+            ItemSet((0, 1)), ItemSet((1, 2, 3, 4, 5)), ItemSet((0, 0, 4)),
+        ]
+        for user in (0, 1):
+            for scope in scopes:
+                assert_matches_oracles(
+                    shadow, meta, InfluenceQuery(user, scope), regressors.FOREST_PAIRS
+                )
+
+    def test_one_walk_per_tree_group(self, rng, monkeypatch):
+        # Each group of factor trees is routed once from the roots and has
+        # at most one pass for the flipped sides; nothing predicts the
+        # factors again.
+        n_items, d = 30, 8
+        X = (rng.random((n_items, d)) < 0.5).astype(float)
+        meta = make_meta(n_items, {
+            f"f{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+        })
+        trees = [fit_tree(X, rng.normal(size=n_items), TreeParams(max_depth=3))
+                 for _ in range(5)]
+        shadow = manual_shadow(trees, rng.normal(size=(2, 5)), meta)
+        calls = []
+
+        def counted(name, original):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for cls, name in ((TreeForest, "_route"), (TreeForest, "_reroute"),
+                          (TreeForest, "predict_batch"),
+                          (RegressionTree, "predict_batch"),
+                          (ShadowModel, "predicted_factors_batch")):
+            monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+        for pairs, scope in ((2048, SingleItem(4)), (2048, ItemSet(tuple(range(30)))),
+                             (60, ItemSet(tuple(range(30))))):
+            monkeypatch.setattr(regressors, "FOREST_PAIRS", pairs)
+            groups = len(shadow.forest.groups(len(scope.items)
+                                              if isinstance(scope, ItemSet) else 1))
+            calls.clear()
+            explain(shadow, meta, InfluenceQuery(0, scope), top_k=d)
+            assert calls.count("_route") == groups
+            assert calls.count("_reroute") <= groups
+            assert set(calls) <= {"_route", "_reroute"}
+        assert groups == 3
 
 
 class TestReportSerialization:

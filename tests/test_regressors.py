@@ -15,7 +15,14 @@ from reclens.regressors import (
     fit_tree,
 )
 
-from conftest import fit_linear_oracle, leaf_tree, walk_tree
+from conftest import (
+    fit_linear_oracle,
+    flip_oracle,
+    leaf_tree,
+    path_oracle,
+    repeat_tree,
+    walk_tree,
+)
 
 # The bin count the quantile split search ran with by default.
 ORACLE_BINS = 32
@@ -407,82 +414,48 @@ class TestTreeStructure:
 
 
 class TestPaths:
-    # x0 at the root; x2 under its left child, x0 again under its right
-    TREE = RegressionTree(
-        root=TreeNode(
-            feature=0,
-            left=TreeNode(feature=2, left=TreeNode(value=1.0),
-                          right=TreeNode(value=2.0)),
-            right=TreeNode(feature=0, left=TreeNode(value=3.0),
-                           right=TreeNode(value=4.0)),
-        ),
-        params=TreeParams(max_depth=2),
-        n_features=4,
-    )
+    TREE = repeat_tree(4)
 
     def test_path_features_per_row_once(self):
         X = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
-        trees, rows, features = TreeForest((self.TREE,)).path_features(X)
+        predicted, trees, rows, features, effects = TreeForest((self.TREE,)).walk(X)
+        np.testing.assert_array_equal(predicted, [[2.0, 4.0]])
         assert trees.tolist() == [0, 0, 0]
         assert rows.tolist() == [0, 0, 1]
         assert features.tolist() == [0, 2, 0]
+        # Row 0 flipped to x0 = 1 meets x0 again under the root's right
+        # child and must read it as 1 there too: 4.0 - 2.0, not 3.0 - 2.0.
+        assert effects.tolist() == [2.0, 1.0, 3.0]
 
     def test_leaf_has_no_path(self):
         forest = TreeForest((leaf_tree(0.5, 4),))
-        for path in forest.path_features(np.ones((3, 4))):
-            assert len(path) == 0
+        predicted, *path = forest.walk(np.ones((3, 4)))
+        np.testing.assert_array_equal(predicted, [[0.5, 0.5, 0.5]])
+        for part in path:
+            assert len(part) == 0
 
     def test_flip_effect_matches_predict_batch(self, rng):
         X = (rng.random((20, 4)) < 0.5).astype(float)
         tree = fit_tree(X, rng.normal(size=20), TreeParams(max_depth=4))
-        forest = TreeForest((tree,))
-        rows = np.repeat(np.arange(20), 4)
-        features = np.tile(np.arange(4), 20)
-        trees = np.zeros(len(rows), dtype=np.intp)
+        _, _, rows, features, effects = TreeForest((tree,)).walk(X)
+        assert len(rows)
         flipped = []
         for value in (1.0, 0.0):
             Xf = X[rows].copy()
             Xf[np.arange(len(rows)), features] = value
             flipped.append(tree.predict_batch(Xf))
-        np.testing.assert_array_equal(
-            forest.flip_effect(X, trees, rows, features), flipped[0] - flipped[1]
-        )
+        np.testing.assert_array_equal(effects, flipped[0] - flipped[1])
         # boolean rows route as their 0.0/1.0 values
-        np.testing.assert_array_equal(
-            forest.flip_effect(X == 1.0, trees, rows, features),
-            flipped[0] - flipped[1],
-        )
+        for a, b in zip(TreeForest((tree,)).walk(X == 1.0),
+                        TreeForest((tree,)).walk(X)):
+            np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(tree.predict_batch(X == 1.0),
                                       tree.predict_batch(X))
 
 
-def path_oracle(tree, X):
-    """(rows, features): the features tested on each row's path, once per
-    row, found by walking the tree's node objects."""
-    rows, features = [], []
-    for r, x in enumerate(X):
-        tested, node = set(), tree.root
-        while not node.is_leaf:
-            tested.add(node.feature)
-            node = node.right if bool(x[node.feature]) else node.left
-        rows += [r] * len(tested)
-        features += sorted(tested)
-    return np.array(rows, dtype=np.intp), np.array(features, dtype=np.intp)
-
-
-def flip_oracle(tree, X, rows, features):
-    """f(x | x_j = 1) - f(x | x_j = 0) for each pair by walking the tree."""
-    out = []
-    for r, j in zip(rows, features):
-        on, off = X[r].copy(), X[r].copy()
-        on[j], off[j] = 1.0, 0.0
-        out.append(walk_tree(tree, on) - walk_tree(tree, off))
-    return np.array(out)
-
-
 class TestForest:
-    """A forest gives each tree's own predictions, path features and flip
-    effects, whatever the group size."""
+    """A forest gives each tree's own predictions, and its walk each tree's
+    leaves, path features and flip effects, whatever the group size."""
 
     @pytest.mark.parametrize("pairs", [1, 27, 65536])
     def test_matches_each_tree(self, rng, monkeypatch, pairs):
@@ -491,30 +464,27 @@ class TestForest:
         trees = [leaf_tree(0.25, 5)] + [
             fit_tree(X, rng.normal(size=9), TreeParams(max_depth=depth))
             for depth in (1, 3, 2)
-        ]
+        ] + [repeat_tree(5)]
         forest = TreeForest(trees)
         assert [len(g) for g in forest.groups(len(X))] == {
-            1: [1, 1, 1, 1], 27: [3, 1], 65536: [4]}[pairs]
+            1: [1, 1, 1, 1, 1], 27: [3, 2], 65536: [5]}[pairs]
         predicted = forest.predict_batch(X)
         assert predicted.flags.c_contiguous
-        np.testing.assert_array_equal(
-            predicted,
-            np.column_stack([[walk_tree(t, x) for x in X] for t in trees]),
-        )
+        walked = np.column_stack([[walk_tree(t, x) for x in X] for t in trees])
+        np.testing.assert_array_equal(predicted, walked)
         paths = [path_oracle(t, X) for t in trees]
-        expected = [np.concatenate([np.full(len(r), t) for t, (r, _) in enumerate(paths)]),
+        tree_ids = np.concatenate([np.full(len(r), t) for t, (r, _) in enumerate(paths)])
+        expected = [tree_ids,
                     np.concatenate([r for r, _ in paths]),
-                    np.concatenate([f for _, f in paths])]
-        for group in (range(4), range(1, 3)):
-            got = forest.path_features(X, group)
-            keep = np.isin(expected[0], list(group))
+                    np.concatenate([f for _, f in paths]),
+                    np.concatenate([flip_oracle(t, X, r, f)
+                                    for t, (r, f) in zip(trees, paths)])]
+        for group in (range(5), range(1, 3), range(3, 5)):
+            predicted, *got = forest.walk(X, group)
+            np.testing.assert_array_equal(predicted, walked[:, group.start:group.stop].T)
+            keep = np.isin(tree_ids, list(group))
             for a, b in zip(got, expected):
                 np.testing.assert_array_equal(a, b[keep])
-        tree_ids, rows, features = expected
-        np.testing.assert_array_equal(
-            forest.flip_effect(X, tree_ids, rows, features),
-            np.concatenate([flip_oracle(t, X, r, f) for t, (r, f) in zip(trees, paths)]),
-        )
 
     def test_trees_must_share_features(self):
         with pytest.raises(ValidationError):
@@ -532,11 +502,10 @@ class TestForest:
     def test_non_binary_rows_rejected(self, value):
         forest = TreeForest([leaf_tree(1.0, 2)])
         X = np.array([[0, 1], [1, value]])
-        rows = np.array([1])
         for call in (
             lambda: forest.predict_batch(X),
-            lambda: forest.path_features(X),
-            lambda: forest.flip_effect(X, np.zeros(1, np.intp), rows, rows),
+            lambda: forest.walk(X),
+            lambda: forest.walk(X, range(1)),
         ):
             with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
                 call()
