@@ -191,8 +191,10 @@ def explain(
     single_item answers "why this recommendation"; item_set averages the
     per-item influences, answering "what does the model think this user
     likes".  Features sort by descending |influence| with a name tie-break
-    and the list is cut to ``top_k`` only after the full sort.  A feature
-    that no factor tree tests on the items' paths reports exactly 0.0.
+    and the list is cut to ``top_k``.  A feature that no factor tree tests
+    on the items' paths reports exactly 0.0; only the nonzero values are
+    sorted, and the zeros follow from the shadow's name-ordered
+    ``zero_pairs``.
     The report warns when items lie outside the evaluation split, unless
     the scope is an item set over the shadow's whole item universe.
     """
@@ -222,8 +224,16 @@ def explain(
         )
     values, factors = _influences(shadow, meta.X[rows], query.user, meta.marginals)
     shadow_rating = float((factors @ shadow.user_factors[query.user]).mean())
-    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k]
+    # Only the features that moved are sorted; every other one is +0.0
+    # (each sum starts from +0.0) and follows in name order.
+    moved = np.flatnonzero(values)
+    order = np.lexsort((shadow.name_rank[moved], -np.abs(values[moved])))
+    top = moved[order[:top_k]]
     ranked = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
+    if len(ranked) < top_k:
+        unmoved = np.ones(len(values), dtype=bool)
+        unmoved[shadow.name_rank[moved]] = False
+        ranked += tuple(shadow.zero_pairs[unmoved][:top_k - len(ranked)])
     baseline_rating = None
     if baseline is not None and isinstance(query.scope, SingleItem):
         baseline_rating = predict_rating(baseline, query.user, query.scope.item)

@@ -83,7 +83,9 @@ class ShadowModel:
     factor trees routed together (None for a linear shadow), which both
     ``predicted_factors_batch`` and ``influence.explain`` walk;
     ``name_rank``, each feature's position in name order; ``name_array``,
-    the feature names as an object array, for indexing by a ranking; and
+    the feature names as an object array, for indexing by a ranking;
+    ``zero_pairs``, an object array of ``(name, 0.0)`` pairs in name
+    order, which ``explain`` ranks after every feature that moved; and
     ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
@@ -144,6 +146,10 @@ class ShadowModel:
             ("forest", forest),
             ("name_rank", name_rank),
             ("name_array", np.array(names, dtype=object)),
+            ("zero_pairs", np.fromiter(
+                ((name, 0.0) for name in sorted(names)), dtype=object,
+                count=len(names),
+            )),
             ("_sorted_items", self.item_indices[rows]),
             ("_sorted_rows", rows),
             ("in_eval", np.isin(self.item_indices, self.eval_items)),

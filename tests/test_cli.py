@@ -325,7 +325,12 @@ def test_train_matches_bucket_oracle_half_steps(tmp_path, rng, monkeypatch, caps
     from reclens import factorize
 
     monkeypatch.setattr(factorize, "_row_groups", row_groups_buckets_oracle)
-    monkeypatch.setattr(factorize, "_solve_half", solve_half_buckets_oracle)
+    monkeypatch.setattr(factorize, "_chunk_layout", lambda groups, k: None)
+    monkeypatch.setattr(
+        factorize, "_solve_half",
+        lambda groups, chunks, other, lam, pred=None:
+            solve_half_buckets_oracle(groups, other, lam, pred),
+    )
     assert run(tmp_path / "oracles") == shipped
 
 

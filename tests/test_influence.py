@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reclens import influence, regressors
-from reclens.datamodel import FactorModel
+from reclens.datamodel import FactorModel, MetadataMatrix
 from reclens.errors import EstimatorMismatchError, ValidationError
 from reclens.influence import (
     InfluenceQuery,
@@ -568,6 +569,51 @@ class TestForestAgainstPerTreeOracle:
             assert calls.count("_reroute") <= groups
             assert set(calls) <= {"_route", "_reroute"}
         assert groups == 3
+
+
+def assert_ranked_as_full_sort(shadow, meta, query, top_k):
+    """explain's report is the same JSON as one ranked by sorting every
+    feature, zeros included, by descending |influence| then name; and no
+    influence is -0.0, which the cached zero pairs would print as 0.0."""
+    scope = query.scope
+    items = [scope.item] if isinstance(scope, SingleItem) else scope.items
+    values, _ = influence._influences(
+        shadow, meta.X[shadow.rows_of_items(items)], query.user, meta.marginals
+    )
+    assert not (np.signbit(values) & (values == 0.0)).any()
+    report = explain(shadow, meta, query, top_k=top_k)
+    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k]
+    full = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
+    assert report.to_json() == dataclasses.replace(report, influences=full).to_json()
+
+
+class TestRankingAgainstFullSort:
+    @settings(max_examples=200)
+    @given(explain_problems(), st.integers(1, 14))
+    def test_linear_and_tree_shadows(self, problem, top_k):
+        assert_ranked_as_full_sort(*problem, top_k)
+
+    @settings(max_examples=200)
+    @given(forest_problems(), st.integers(1, 14))
+    def test_hand_built_forests(self, problem, top_k):
+        shadow, meta, query, _ = problem
+        assert_ranked_as_full_sort(shadow, meta, query, top_k)
+
+    def test_columns_out_of_name_order(self, rng):
+        # Two depth-1 trees move at most two features; the other zeros
+        # follow in name order, not in column order.
+        names, n_items = ("f3", "f0", "f4", "f1", "f2"), 8
+        X = rng.random((n_items, len(names))) < 0.5
+        meta = MetadataMatrix.from_columns(
+            n_items, names, [np.flatnonzero(column).tolist() for column in X.T]
+        )
+        trees = [random_tree(rng, len(names), 1) for _ in range(2)]
+        shadow = manual_shadow(trees, rng.normal(size=(2, 2)), meta)
+        for item in range(n_items):
+            for top_k in (1, 3, 5):
+                assert_ranked_as_full_sort(
+                    shadow, meta, InfluenceQuery(1, SingleItem(item)), top_k
+                )
 
 
 class TestReportSerialization:
