@@ -333,12 +333,19 @@ def run_sweep(
     Rows come back in grid order regardless of the worker count.
     """
     from .factorize import AlsConfig, train_als
-    from .regressors import TreeParams
+    from .regressors import TreeParams, check_ridge
     from .shadow import LinearKind, TreeKind, measure_agreement, train_shadow
 
+    # The flags every cell shares are checked here, once; a bad grid value
+    # fails only its own cells.
     check_seed(seed)
     if threads < 1:
         raise ValidationError("threads must be >= 1")
+    if iters < 1:
+        raise ValidationError("iters must be >= 1")
+    if not 0.0 < split <= 1.0:
+        raise ValidationError("split must be in (0, 1]")
+    check_ridge(ridge)
     cells = grid.cells(ridge)
     base_keys = sorted({(c["rank"], c["lambda"]) for c in cells})
 

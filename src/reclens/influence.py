@@ -157,9 +157,8 @@ def _influences(shadow, X, user, marginals):
     n, n_features = X.shape
     forest = shadow.forest
     if forest is None:
-        weights = np.column_stack([p.weights for p in shadow.factor_predictors])
         out = np.zeros(n_features)
-        out += (X.mean(axis=0) - marginals) * (weights @ u)
+        out += (X.mean(axis=0) - marginals) * (shadow.weights @ u)
         return out, shadow.predicted_factors_batch(X)
     factors = np.empty((n, forest.n_trees))
     # A sum over axis 0 adds the rows one after another, in factor order,

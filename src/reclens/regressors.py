@@ -1,9 +1,13 @@
 """Per-factor predictor families: ridge linear regression and CART
 regression trees over 0/1 features.
 
-Both are deterministic: identical inputs always produce identical models,
-and both predict through one path, ``predict_batch`` over a rows x
-features matrix.  A tree reads its features as booleans: every split
+Both are deterministic: identical inputs always produce identical models.
+A ``LinearRegressor`` is the fitted and serialized form of one factor; k of
+them predict together through ``predict_linear``, one kernel over their
+stacked (features, k) weights that multiplies fixed blocks of
+``LINEAR_BLOCK`` rows, so a row's prediction never depends on the batch
+around it.  A tree predicts through ``predict_batch`` over a rows x
+features matrix and reads its features as booleans: every split
 sends the rows where the feature is False left and the others right.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_types
+from .errors import SolverError, ValidationError, check_types, is_finite_real
 
 # (tree, row) pairs that a TreeForest routes at once.  Its working set is a
 # few dozen arrays of up to pairs x depth (tree, row, feature) path entries;
@@ -27,10 +31,18 @@ from .errors import SolverError, ValidationError, check_types
 # shadow's universe still runs one tree at a time, as the per-tree loop did.
 FOREST_PAIRS = 2048
 
+# Rows that predict_linear multiplies at once.  Every product has this many
+# rows, the last block padded with zero rows, so BLAS runs the same kernel
+# for every row whatever the batch size and wherever the row sits in it; a
+# plain X @ W rounds a row differently as the number of rows changes.
+LINEAR_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class LinearRegressor:
-    """w . a + b, fitted with an L2 penalty on w (intercept unpenalized)."""
+    """w . a + b, fitted with an L2 penalty on w (intercept unpenalized).
+    It holds one factor's fit; a shadow stacks its k regressors' weights and
+    predicts them all with ``predict_linear``."""
 
     weights: np.ndarray
     intercept: float
@@ -42,18 +54,45 @@ class LinearRegressor:
         object.__setattr__(self, "weights", w)
         if not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
             raise ValidationError("linear regressor coefficients must be finite")
+        check_ridge(self.ridge)
 
     @property
     def n_features(self) -> int:
         return len(self.weights)
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValidationError(
-                f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
-            )
-        return X @ self.weights + self.intercept
+
+def predict_linear(
+    X: np.ndarray, weights: np.ndarray, intercepts: np.ndarray
+) -> np.ndarray:
+    """X @ weights + intercepts for a (rows, features) X, an (features, k)
+    weight matrix and k intercepts: a C-contiguous (rows, k) array.
+
+    X is multiplied in blocks of ``LINEAR_BLOCK`` rows, the last one padded
+    with zero rows, so each row of the result is bit-identical to that row
+    predicted alone, at any position in a batch of any size.
+    """
+    X = np.asarray(X)
+    if X.ndim != 2 or X.shape[1] != len(weights):
+        raise ValidationError(
+            f"attribute matrix has shape {X.shape}, expected (*, {len(weights)})"
+        )
+    n = len(X)
+    out = np.empty((n, weights.shape[1]))
+    block = np.zeros((LINEAR_BLOCK, X.shape[1]))
+    for start in range(0, n, LINEAR_BLOCK):
+        rows = X[start:start + LINEAR_BLOCK]
+        block[:len(rows)] = rows
+        block[len(rows):] = 0.0
+        out[start:start + len(rows)] = (block @ weights)[:len(rows)]
+    out += intercepts
+    return out
+
+
+def check_ridge(ridge) -> None:
+    """Raise ``ValidationError`` unless ridge is a finite number >= 0: an
+    infinite ridge zeroes every weight, and NaN poisons the solve."""
+    if not is_finite_real(ridge) or ridge < 0:
+        raise ValidationError(f"ridge must be a finite number >= 0, got {ridge!r}")
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> LinearRegressor:
@@ -75,14 +114,16 @@ def fit_linear_columns(
     regressor is bit-identical to a separate :func:`fit_linear` call; one
     solve with all columns at once would not be.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.asarray(X)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y) or len(Y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
-    if ridge < 0:
-        raise ValidationError("ridge must be >= 0")
+    check_ridge(ridge)
     n, d = X.shape
-    A = np.hstack([X, np.ones((n, 1))])
+    # The intercept-augmented X is the only float copy of X.
+    A = np.empty((n, d + 1))
+    A[:, :d] = X
+    A[:, d] = 1.0
     G = A.T @ A
     G[np.diag_indices(d)] += ridge  # intercept column left unpenalized
     regressors = []

@@ -6,7 +6,11 @@ trees form one ``TreeForest``, so predicting every factor for a batch of
 items takes one numpy step per tree level for all trees together, in
 groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
 does not predict the factors apart: it reads them off the forest's
-``walk``, the same route that finds the features to score.
+``walk``, the same route that finds the features to score.  A linear
+shadow's regressors are stacked into one weight matrix, and every linear
+prediction goes through ``regressors.predict_linear``, whose rows do not
+depend on the batch: an item's factors, and so its ratings, are the same
+bits in ``explain``, in ``measure_agreement``'s blocks and in ``predict``.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from .regressors import (
     TreeForest,
     TreeNode,
     TreeParams,
+    check_ridge,
     fit_linear_columns,
     fit_tree,
+    predict_linear,
 )
 
 SHADOW_FORMAT = "reclens-shadow-model"
@@ -55,6 +61,9 @@ FILE_BINS = 32
 @dataclass(frozen=True)
 class LinearKind:
     ridge: float = 0.1
+
+    def __post_init__(self):
+        check_ridge(self.ridge)
 
 
 @dataclass(frozen=True)
@@ -82,10 +91,15 @@ class ShadowModel:
     entry of ``item_indices``.  Built at construction: ``forest``, the
     factor trees routed together (None for a linear shadow), which both
     ``predicted_factors_batch`` and ``influence.explain`` walk;
-    ``name_rank``, each feature's position in name order; ``name_array``,
-    the feature names as an object array, for indexing by a ranking;
-    ``zero_pairs``, an object array of ``(name, 0.0)`` pairs in name
-    order, which ``explain`` ranks after every feature that moved; and
+    ``weights`` and ``intercepts``, a linear shadow's regressors stacked
+    into one read-only (features, k) matrix and k-vector (None for a tree
+    shadow), which ``predicted_factors_batch`` hands to
+    ``regressors.predict_linear``, so a linear item's factors are the same
+    bits alone and in any batch, and whose rows ``influence.explain`` reads
+    as flip effects; ``name_rank``, each feature's position in name order;
+    ``name_array``, the feature names as an object array, for indexing by a
+    ranking; ``zero_pairs``, an object array of ``(name, 0.0)`` pairs in
+    name order, which ``explain`` ranks after every feature that moved; and
     ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
@@ -135,7 +149,15 @@ class ShadowModel:
                 )
         # Built once, here, so threads that share the shadow never race to
         # build them.
-        forest = TreeForest(self.factor_predictors) if trees else None
+        forest = weights = intercepts = None
+        if trees:
+            forest = TreeForest(self.factor_predictors)
+        else:
+            weights = np.stack([p.weights for p in self.factor_predictors], axis=1)
+            intercepts = np.array([p.intercept for p in self.factor_predictors],
+                                  dtype=np.float64)
+            weights.setflags(write=False)
+            intercepts.setflags(write=False)
         name_rank = np.empty(len(names), dtype=np.intp)
         name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
             len(names)
@@ -144,6 +166,8 @@ class ShadowModel:
         rows = np.argsort(self.item_indices, kind="stable")
         for name, value in (
             ("forest", forest),
+            ("weights", weights),
+            ("intercepts", intercepts),
             ("name_rank", name_rank),
             ("name_array", np.array(names, dtype=object)),
             ("zero_pairs", np.fromiter(
@@ -186,10 +210,11 @@ class ShadowModel:
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
         """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
         A tree shadow's forest routes all its trees at once; ``explain``
-        gets the same array from its own walk instead."""
+        gets the same array from its own walk instead.  A linear shadow's
+        rows are bit-identical whatever the batch."""
         if self.forest is not None:
             return self.forest.predict_batch(X)
-        return np.column_stack([p.predict_batch(X) for p in self.factor_predictors])
+        return predict_linear(X, self.weights, self.intercepts)
 
     def predict(self, user: int, a: np.ndarray) -> float:
         """sum_j U[user][j] * f_j(a), as a batch of one attribute row."""
@@ -300,6 +325,16 @@ def _pair_predictions(shadow, baseline, meta, pairs):
     return users, items, shadow_pred, base_pred
 
 
+def _distinct(items: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of ``items``, as ``np.unique`` gives them,
+    from a sort and a neighbour comparison: a plain ``np.unique`` imports
+    ``numpy.ma`` in numpy 2.4, which costs a ``shadow`` process ~9 ms."""
+    ordered = np.sort(items)
+    first = np.ones(len(ordered), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return ordered[first]
+
+
 def _random_factors(shadow, baseline, distinct, seed):
     """faithfulness's randomized latent vectors, one per distinct item: a
     per-factor uniform draw from that factor's range over the shadow's
@@ -344,7 +379,7 @@ def faithfulness(
         shadow, baseline, meta, pairs
     )
     mse_shadow = float(np.mean((base_pred - shadow_pred) ** 2))
-    distinct = np.unique(items)
+    distinct = _distinct(items)
     random_factors = _random_factors(shadow, baseline, distinct, seed)
     rand_pred = np.einsum(
         "ij,ij->i",
@@ -409,7 +444,7 @@ def measure_agreement(
         raise ValidationError(f"unknown item set {item_set!r}")
     check_seed(seed)
     per_factor, mean_mae = latent_agreement(shadow, baseline, meta, items)
-    distinct = np.unique(items)
+    distinct = _distinct(items)
     random_factors = _random_factors(shadow, baseline, distinct, seed)
     abs_sum = sq_sum = rand_sq_sum = 0.0
     for start in range(0, len(items), AGREEMENT_BLOCK):

@@ -377,6 +377,23 @@ def test_tree_shadow_and_reports_match_per_tree_oracles(
     assert run(tmp_path / "oracles") == shipped
 
 
+    @pytest.mark.parametrize("ridge", ["inf", "nan", "-1"])
+    def test_bad_ridge_is_one_error_line(self, tmp_path, trained_fixture, capsys,
+                                         ridge):
+        _, meta, model_path = trained_fixture
+        capsys.readouterr()
+        out = tmp_path / "s.json"
+        code = main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--kind", "linear", "--ridge", ridge, "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ridge must be a finite number >= 0, got {float(ridge)!r}"
+        ]
+        assert not out.exists()
+
+
 @pytest.fixture
 def shadow_fixture(tmp_path, trained_fixture):
     ratings, meta, model_path = trained_fixture
@@ -675,6 +692,26 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, detail)
 
+    @pytest.mark.parametrize("where", ["kind", "predictor"])
+    @pytest.mark.parametrize("ridge", [float("inf"), float("nan"), -1.0])
+    def test_bad_ridge_in_linear_shadow(self, tmp_path, trained_fixture, capsys,
+                                        where, ridge):
+        _, meta, model_path = trained_fixture
+        shadow_path = tmp_path / "linear.json"
+        assert main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--kind", "linear", "--out", str(shadow_path),
+        ]) == 0
+
+        def set_ridge(doc):
+            (doc["kind"] if where == "kind" else doc["predictors"][1])["ridge"] = ridge
+
+        bad = _edit_json(shadow_path, tmp_path / "bad.json", set_ridge)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, f"ridge must be a finite number >= 0, got {ridge!r}")
+
     def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         bad = tmp_path / "inf.json"
@@ -966,6 +1003,11 @@ class TestSweep:
         (["--seed", "-1"], "seed must be >= 0"),
         (["--threads", "0"], "threads must be >= 1"),
         (["--threads", "-2"], "threads must be >= 1"),
+        (["--iters", "0"], "iters must be >= 1"),
+        (["--split", "0"], "split must be in (0, 1]"),
+        (["--split", "1.5"], "split must be in (0, 1]"),
+        (["--ridge", "-1"], "ridge must be a finite number >= 0, got -1.0"),
+        (["--ridge", "inf"], "ridge must be a finite number >= 0, got inf"),
     ])
     def test_bad_seed_or_threads_is_one_error_line(
         self, tmp_path, rng, capsys, flags, message
@@ -1184,6 +1226,27 @@ def test_cli_import_leaves_scipy_unloaded(tmp_path):
         env=env,
     )
     assert out.stdout.splitlines()[-1] == "False 0"
+
+
+def test_shadow_command_leaves_numpy_ma_unloaded(trained_fixture, tmp_path):
+    """``reclens shadow`` finds distinct items without a plain ``np.unique``,
+    which in numpy 2.4 imports ``numpy.ma`` (~9 ms per process)."""
+    _, meta, model_path = trained_fixture
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    for kind in ("linear", "tree"):
+        argv = ["shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--kind", kind, "--out", str(tmp_path / f"{kind}.json")]
+        code = (
+            "import sys, reclens.cli\n"
+            f"code = reclens.cli.main({argv!r})\n"
+            "print('numpy.ma' in sys.modules, code)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env=env,
+        )
+        assert out.stdout.splitlines()[-1] == "False 0"
 
 
 # The package's public names, each with the submodule that defines it.

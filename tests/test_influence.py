@@ -26,7 +26,14 @@ from reclens.regressors import (
     TreeParams,
     fit_tree,
 )
-from reclens.shadow import LinearKind, ShadowModel, train_shadow, TreeKind
+from reclens.shadow import (
+    AGREEMENT_BLOCK,
+    LinearKind,
+    ShadowModel,
+    TreeKind,
+    measure_agreement,
+    train_shadow,
+)
 
 from conftest import (
     flip_oracle,
@@ -333,6 +340,41 @@ class TestExplain:
             baseline=baseline,
         )
         assert agg.baseline_rating is None
+
+    def test_linear_item_reads_same_bits_everywhere(self, rng):
+        """An item's linear factors, and so its ratings, are the same bits in
+        explain, in measure_agreement's item blocks and in predict: against
+        a baseline whose item factors are the shadow's own, each item
+        predicted alone, every agreement error is exactly 0.0."""
+        n_items, n_users, rank, d = 2 * AGREEMENT_BLOCK + 37, 4, 5, 40
+        X = rng.random((n_items, d)) < 0.3
+        meta = make_meta(n_items, {
+            f"h{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+        })
+        item_indices = rng.permutation(n_items + 9)[:n_items]
+        baseline = FactorModel(
+            rank=rank, lam=0.0,
+            user_factors=rng.normal(size=(n_users, rank)),
+            item_factors=rng.normal(size=(n_items + 9, rank)),
+        )
+        shadow = train_shadow(baseline, meta, LinearKind(0.1), split=(0.4, 2),
+                              item_indices=item_indices)
+        mirrored = baseline.item_factors.copy()
+        for row, item in enumerate(item_indices):
+            mirrored[item] = shadow.predicted_factors_batch(meta.X[row:row + 1])[0]
+        mirror = FactorModel(rank=rank, lam=0.0, user_factors=shadow.user_factors,
+                             item_factors=mirrored)
+        for item_set in ("eval", "train", "all"):
+            report = measure_agreement(shadow, mirror, meta, item_set=item_set)
+            assert report.per_factor_mae == (0.0,) * rank
+            assert report.observational_mae == report.observational_mse == 0.0
+        for row in rng.choice(n_items, size=12, replace=False):
+            item = int(item_indices[row])
+            for user in range(n_users):
+                report = explain(shadow, meta, InfluenceQuery(user, SingleItem(item)),
+                                 baseline=mirror)
+                assert report.shadow_rating == report.baseline_rating
+                assert report.shadow_rating == shadow.predict(user, meta.X[row])
 
     def test_feature_names_must_match(self):
         shadow, _ = linear_shadow_three_features()

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from reclens import regressors
 from reclens.errors import SolverError, ValidationError
 from reclens.regressors import (
+    LINEAR_BLOCK,
     LinearRegressor,
     RegressionTree,
     TreeForest,
@@ -13,6 +19,7 @@ from reclens.regressors import (
     fit_linear,
     fit_linear_columns,
     fit_tree,
+    predict_linear,
 )
 
 from conftest import (
@@ -145,7 +152,7 @@ class TestFitLinear:
         w_true = rng.normal(size=4)
         y = X @ w_true + 1.7
         model = fit_linear(X, y, ridge=1e-12)
-        residual = np.linalg.norm(model.predict_batch(X) - y)
+        residual = np.linalg.norm(X @ model.weights + model.intercept - y)
         assert residual < 1e-8
 
     def test_zero_design_gives_mean_intercept(self):
@@ -184,8 +191,81 @@ class TestFitLinear:
 
     def test_dimension_mismatch(self):
         model = fit_linear(np.ones((2, 2)), np.ones(2), ridge=1.0)
-        with pytest.raises(ValidationError):
-            model.predict_batch(np.ones((1, 3)))
+        weights, intercepts = stacked([model])
+        for X in (np.ones((1, 3)), np.ones(2), np.ones((1, 1, 2))):
+            with pytest.raises(ValidationError, match=r"expected \(\*, 2\)"):
+                predict_linear(X, weights, intercepts)
+
+    @pytest.mark.parametrize("ridge", [float("inf"), float("nan"), -1.0, "0.1",
+                                       True, None])
+    def test_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(ValidationError, match="ridge must be a finite number"):
+            fit_linear(np.eye(3), np.ones(3), ridge=ridge)
+
+
+def stacked(models):
+    """The (features, k) weights and k intercepts of linear regressors, as a
+    linear shadow stacks them."""
+    return (np.stack([m.weights for m in models], axis=1),
+            np.array([m.intercept for m in models]))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3 * LINEAR_BLOCK + 7),
+       d=st.integers(1, 400), k=st.integers(1, 24), boolean=st.booleans())
+def check_linear_rows_stable(seed, n, d, k, boolean):
+    """Every row of a predict_linear batch is bit-identical to that row
+    predicted alone, in a permuted batch and in a batch of any size."""
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d)) < rng.uniform(0.01, 0.6)
+    if not boolean:
+        X = X.astype(np.float64)
+    weights, intercepts = rng.normal(size=(d, k)), rng.normal(size=k)
+    batch = predict_linear(X, weights, intercepts)
+    for i in range(n):
+        np.testing.assert_array_equal(
+            predict_linear(X[i:i + 1], weights, intercepts), batch[i:i + 1]
+        )
+    order = rng.permutation(n)
+    np.testing.assert_array_equal(predict_linear(X[order], weights, intercepts),
+                                  batch[order])
+    for size in {1, n // 2 + 1, n}:
+        chosen = rng.choice(n, size=size)
+        np.testing.assert_array_equal(
+            predict_linear(X[chosen], weights, intercepts), batch[chosen]
+        )
+
+
+class TestPredictLinear:
+    @pytest.mark.parametrize("threads", [None, "1"])
+    def test_rows_stable_under_blas_threads(self, tmp_path, threads):
+        """The row-stability property, run in a fresh process with
+        OPENBLAS_NUM_THREADS unset (BLAS picks its own thread count) and
+        set to 1, since the count is fixed when numpy loads."""
+        here = Path(__file__).resolve().parent
+        env = {name: value for name, value in os.environ.items()
+               if name != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "import test_regressors; test_regressors.check_linear_rows_stable()"],
+            env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr[-3000:]
+
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**16), n=st.integers(0, 2 * LINEAR_BLOCK + 3),
+           d=st.integers(0, 30), k=st.integers(1, 6))
+    def test_matches_matmul_oracle(self, seed, n, d, k):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n, d)) < 0.5
+        weights, intercepts = rng.normal(size=(d, k)), rng.normal(size=k)
+        predicted = predict_linear(X, weights, intercepts)
+        assert predicted.shape == (n, k) and predicted.flags.c_contiguous
+        np.testing.assert_allclose(predicted, X @ weights + intercepts,
+                                   rtol=1e-12, atol=1e-12)
 
 
 class TestFitLinearColumns:
@@ -518,10 +598,14 @@ class TestPredict:
         assert tree.predict_batch(np.array([[1.0]])).tolist() == [2.5]
 
     def test_linear_hand_dot(self):
-        model = LinearRegressor(
-            weights=np.array([1.0, -1.0]), intercept=0.5, ridge=0.0
-        )
-        assert model.predict_batch(np.array([[1.0, 0.0]])).tolist() == [1.5]
+        models = [
+            LinearRegressor(weights=np.array([1.0, -1.0]), intercept=0.5, ridge=0.0),
+            LinearRegressor(weights=np.array([2.0, 4.0]), intercept=0.0, ridge=0.0),
+        ]
+        rows = np.array([[1.0, 0.0], [1.0, 1.0]])
+        assert predict_linear(rows, *stacked(models)).tolist() == [
+            [1.5, 2.0], [0.5, 6.0],
+        ]
 
     def test_fitted_xor_tree_routing(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=2))
@@ -552,10 +636,12 @@ class TestPredict:
             np.testing.assert_array_equal(
                 model.predict_batch(data), [walk_tree(model, row) for row in data]
             )
-        np.testing.assert_array_equal(
-            linear.predict_batch(X),
-            [float(row @ linear.weights + linear.intercept) for row in X],
-        )
+        # A linear row is the same bits alone as in the batch.
+        batch = predict_linear(X, *stacked([linear]))
+        for row, predicted in zip(X, batch):
+            np.testing.assert_array_equal(
+                predict_linear(row[None], *stacked([linear]))[0], predicted
+            )
 
     def test_tree_dimension_error(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=1))

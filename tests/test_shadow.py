@@ -173,6 +173,29 @@ class TestTrainShadow:
         with pytest.raises(IndexError, match=f"^item {missing} is not"):
             shadow.rows_of_items([keep[0], missing, 2**70])
 
+    @pytest.mark.parametrize("ridge", [float("inf"), float("nan"), -0.5, "1",
+                                       False])
+    def test_linear_kind_ridge_must_be_finite_and_non_negative(self, ridge):
+        with pytest.raises(ValidationError, match="ridge must be a finite number"):
+            LinearKind(ridge=ridge)
+
+    def test_linear_shadow_stacks_read_only_weights(self, rng):
+        meta = identity_meta(6)
+        baseline = random_model(rng, 2, 6, 3)
+        shadow = train_shadow(baseline, meta, LinearKind(ridge=0.1), split=(1.0, 0))
+        predictors = shadow.factor_predictors
+        assert shadow.weights.shape == (6, 3) and shadow.intercepts.shape == (3,)
+        for j, p in enumerate(predictors):
+            np.testing.assert_array_equal(shadow.weights[:, j], p.weights)
+            assert shadow.intercepts[j] == p.intercept
+        with pytest.raises(ValueError):
+            shadow.weights[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            shadow.intercepts[0] = 1.0
+        trees = train_shadow(baseline, meta, TreeKind(TreeParams(max_depth=2)),
+                             split=(1.0, 0))
+        assert trees.weights is None and trees.intercepts is None
+
     def test_predictor_width_must_match_feature_names(self):
         meta = make_meta(2, {"a": {0}, "b": {1}})
         with pytest.raises(ValidationError, match="predictor 1 reads 3 features"):
@@ -242,16 +265,11 @@ class TestShadowPredict:
         ).factor_predictors
         shadow = manual_shadow(predictors, baseline.user_factors, meta)
         batch = shadow.predicted_factors_batch(meta.X)
-        # A matmul may round a row of a 12-row batch apart from the same
-        # row alone, so linear factors agree to rounding; trees exactly.
-        tol = 0.0 if kind == "tree" else 1e-12
         for user in range(3):
             for item in range(12):
                 expected = float(shadow.user_factors[user] @ batch[item])
                 for a in (meta.X[item], meta.X[item].astype(np.float64)):
-                    assert shadow.predict(user, a) == pytest.approx(
-                        expected, rel=tol, abs=tol
-                    )
+                    assert shadow.predict(user, a) == expected
 
     def test_mixed_predictor_families_rejected(self, rng, tmp_path):
         meta = identity_meta(6)
