@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
@@ -74,6 +74,23 @@ def _check_keys(doc, what: str, required=(), optional=(), listing="keys"):
     return doc
 
 
+def _config_keys(cls, names=None) -> tuple[list[str], list[str]]:
+    """The required and the optional keys of a config object for dataclass
+    ``cls``, in field order: each field's name, or the keys ``names`` maps
+    it to (none for a field no config sets)."""
+    keys = ([], [])
+    for f in fields(cls):
+        optional = f.default is not MISSING or f.default_factory is not MISSING
+        keys[optional].extend((names or {}).get(f.name, (f.name,)))
+    return keys
+
+
+def _given(**flags) -> dict:
+    """The flags the user set, those that are not None; the config type they
+    go to supplies the default of every other field."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
     """External id -> dense index, with nearest-id suggestions on miss."""
     if ids is None:
@@ -124,15 +141,10 @@ def _shadow_kind(args):
             _eprint(
                 "warning: --depth/--min-leaf are tree-only flags; ignored for linear"
             )
-        return LinearKind(ridge=args.ridge if args.ridge is not None else 0.1)
+        return LinearKind(**_given(ridge=args.ridge))
     if args.ridge is not None:
         _eprint("warning: --ridge is a linear-only flag; ignored for tree")
-    return TreeKind(
-        TreeParams(
-            max_depth=args.depth if args.depth is not None else 5,
-            min_leaf=args.min_leaf if args.min_leaf is not None else 1,
-        )
-    )
+    return TreeKind(TreeParams(**_given(max_depth=args.depth, min_leaf=args.min_leaf)))
 
 
 # ---------------------------------------------------------------- train
@@ -142,13 +154,10 @@ def cmd_train(args) -> int:
     from .factorize import AlsConfig, save_model, train_als
     from .ingest import load_ratings
 
-    cfg = AlsConfig(
-        rank=args.rank,
-        lam=args.lam,
-        max_iterations=args.iters,
-        convergence_tol=args.tol,
+    cfg = AlsConfig(rank=args.rank, **_given(
+        lam=args.lam, max_iterations=args.iters, convergence_tol=args.tol,
         seed=args.seed,
-    )
+    ))
     ratings = load_ratings(args.ratings, scale=(args.scale_min, args.scale_max))
     last = {}
 
@@ -287,8 +296,8 @@ class SweepGrid:
         """Parse a grid config strictly: every key must name an axis and
         hold a list.  A ``bins`` list is accepted and ignored, because older
         grid files set it and it never changed a tree."""
-        axes = [f.name for f in fields(cls)]
-        _check_keys(doc, "sweep grid", optional=(*axes, "bins"), listing="axes")
+        _check_keys(doc, "sweep grid", optional=(*_config_keys(cls)[1], "bins"),
+                    listing="axes")
         for key, values in doc.items():
             if not isinstance(values, list):
                 raise ValidationError(f"sweep grid axis {key!r} must be a list")
@@ -319,23 +328,26 @@ def run_sweep(
     meta: MetadataMatrix,
     item_indices,
     grid: SweepGrid,
-    iters: int = 20,
+    iters: int | None = None,
     split: float = 0.8,
     measure: str = "eval",
-    ridge: float = 0.1,
+    ridge: float | None = None,
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
     """Train one baseline per (rank, lambda) and one shadow per grid cell;
     report latent and observational agreement for each cell.
 
-    Per-cell failures are recorded in the row and the sweep continues.
-    Rows come back in grid order regardless of the worker count.
+    ``iters`` and ``ridge`` default to those of ``AlsConfig`` and
+    ``LinearKind``.  Per-cell failures are recorded in the row and the sweep
+    continues.  Rows come back in grid order regardless of the worker count.
     """
     from .factorize import AlsConfig, train_als
     from .regressors import TreeParams, check_ridge
     from .shadow import LinearKind, TreeKind, measure_agreement, train_shadow
 
+    iters = AlsConfig.max_iterations if iters is None else iters
+    ridge = LinearKind.ridge if ridge is None else ridge
     # The flags every cell shares are checked here, once; a bad grid value
     # fails only its own cells.
     check_seed(seed)
@@ -490,44 +502,45 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_SIM_REQUIRED = ("n_profiles", "features_per_profile", "n_users",
-                 "ratings_per_user")
-_SIM_OPTIONAL = ("base_rating", "delta", "scale_bounds", "feature_pool", "seed")
-_EXPERIMENT_OPTIONAL = ("shadow", "n_reps", "users_per_rep", "n_items",
-                        "n_meta_features", "keep_fraction", "direct_encode",
-                        "score_by_magnitude", "seed")
-# A tree shadow's "bins" is accepted and ignored: older configs set it, and
-# it never changed a tree.
-_SHADOW_KEYS = {"linear": ("ridge",), "tree": ("max_depth", "bins", "min_leaf")}
-
-
 def experiment_config_from_dict(
     doc: dict,
-    threads: int = 1,
+    threads: int | None = None,
     seed: int | None = None,
     direct_encode: bool | None = None,
 ) -> ExperimentConfig:
     """Parse a synth config strictly: ``sim`` and ``als`` are required, and
-    an unknown key at any level is an error with a did-you-mean hint."""
+    an unknown key at any level is an error with a did-you-mean hint.  The
+    keys of each level are the fields of its config type, whose defaults
+    stand for the keys a config leaves out."""
     from .factorize import AlsConfig
     from .ingest import FeatureFilterSpec
     from .regressors import TreeParams
     from .shadow import LinearKind, TreeKind
     from .synth import ExperimentConfig, SimConfig
 
-    _check_keys(doc, "synth config", ("sim", "als"), _EXPERIMENT_OPTIONAL)
-    sim_doc = dict(_check_keys(doc["sim"], "sim", _SIM_REQUIRED, _SIM_OPTIONAL))
-    pool_doc = _check_keys(
-        sim_doc.pop("feature_pool", {"kind": "top_k_entropy", "value": 15}),
-        "sim.feature_pool", ("kind", "value"),
-    )
-    als_doc = _check_keys(
-        doc["als"], "als", ("rank",),
-        ("lambda", "lam", "max_iterations", "convergence_tol", "seed"),
-    )
+    top = dict(_check_keys(doc, "synth config", *_config_keys(
+        ExperimentConfig, {"shadow_kind": ("shadow",), "threads": ()},
+    )))
+
+    def section(name, cls, names=None):
+        # A repetition seeds its simulation and its ALS run from the
+        # top-level seed, so a seed here would change nothing.
+        if isinstance(top[name], dict) and "seed" in top[name]:
+            raise ValidationError(
+                f"{name}.seed is not read: the top-level 'seed' seeds every "
+                "repetition"
+            )
+        keys = _config_keys(cls, {"seed": (), **(names or {})})
+        return dict(_check_keys(top[name], name, *keys))
+
+    sim_doc = section("sim", SimConfig)
+    if "feature_pool" in sim_doc:
+        _check_keys(sim_doc["feature_pool"], "sim.feature_pool",
+                    *_config_keys(FeatureFilterSpec))
+    als_doc = section("als", AlsConfig, {"lam": ("lambda", "lam")})
     if "lambda" in als_doc and "lam" in als_doc:
         raise ValidationError("als holds both 'lambda' and 'lam'; keep one")
-    shadow_doc = doc.get("shadow", {})
+    shadow_doc = top.pop("shadow", {})
     kind_name = (
         shadow_doc.get("kind", "tree") if isinstance(shadow_doc, dict) else "tree"
     )
@@ -535,48 +548,31 @@ def experiment_config_from_dict(
         raise ValidationError(
             f"unknown shadow kind {kind_name!r}; kinds are linear, tree"
         )
-    _check_keys(shadow_doc, f"{kind_name} shadow",
-                optional=("kind", *_SHADOW_KEYS[kind_name]))
+    params = LinearKind if kind_name == "linear" else TreeParams
+    shadow_keys = ["kind", *_config_keys(params)[1]]
+    if params is TreeParams:
+        # Accepted and ignored: older configs set it, and it never changed a
+        # tree.  Listed after max_depth, where shadow files write it.
+        shadow_keys.insert(2, "bins")
+    shadow_doc = dict(_check_keys(shadow_doc, f"{kind_name} shadow",
+                                  optional=shadow_keys))
+    for key in ("kind", "bins"):
+        shadow_doc.pop(key, None)
     try:
-        sim = SimConfig(
-            feature_pool=FeatureFilterSpec(pool_doc["kind"], pool_doc["value"]),
-            scale_bounds=tuple(sim_doc.pop("scale_bounds", (1.0, 5.0))),
-            **sim_doc,
-        )
-        als = AlsConfig(
-            rank=als_doc["rank"],
-            lam=als_doc.get("lambda", als_doc.get("lam", 0.1)),
-            max_iterations=als_doc.get("max_iterations", 20),
-            convergence_tol=als_doc.get("convergence_tol", 1e-4),
-            seed=als_doc.get("seed", 0),
-        )
-        if kind_name == "linear":
-            kind = LinearKind(ridge=shadow_doc.get("ridge", 0.1))
-        else:
-            kind = TreeKind(
-                TreeParams(
-                    max_depth=shadow_doc.get("max_depth", 5),
-                    min_leaf=shadow_doc.get("min_leaf", 1),
-                )
-            )
-        return ExperimentConfig(
-            sim=sim,
-            als=als,
-            shadow_kind=kind,
-            n_reps=doc.get("n_reps", 20),
-            users_per_rep=doc.get("users_per_rep", 1),
-            n_items=doc.get("n_items", 200),
-            n_meta_features=doc.get("n_meta_features", 200),
-            keep_fraction=doc.get("keep_fraction", 0.5),
-            direct_encode=(
-                direct_encode
-                if direct_encode
-                else doc.get("direct_encode", False)
-            ),
-            score_by_magnitude=doc.get("score_by_magnitude", True),
-            threads=threads,
-            seed=seed if seed is not None else doc.get("seed", 0),
-        )
+        if "feature_pool" in sim_doc:
+            sim_doc["feature_pool"] = FeatureFilterSpec(**sim_doc["feature_pool"])
+        if "scale_bounds" in sim_doc:
+            sim_doc["scale_bounds"] = tuple(sim_doc["scale_bounds"])
+        if "lambda" in als_doc:
+            als_doc["lam"] = als_doc.pop("lambda")
+        top["sim"] = SimConfig(**sim_doc)
+        top["als"] = AlsConfig(**als_doc)
+        top["shadow_kind"] = (LinearKind(**shadow_doc) if params is LinearKind
+                              else TreeKind(TreeParams(**shadow_doc)))
+        top.update(_given(threads=threads, seed=seed))
+        if direct_encode:
+            top["direct_encode"] = True
+        return ExperimentConfig(**top)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"synth config holds a mistyped value: {exc}") from None
 
@@ -595,10 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train the baseline factor model")
     p.add_argument("--ratings", required=True)
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
-    p.add_argument("--iters", type=int, default=20)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--scale-min", type=float, default=1.0)
     p.add_argument("--scale-max", type=float, default=5.0)
     p.add_argument("--out", required=True)
@@ -635,10 +631,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True)
     p.add_argument("--metadata", required=True)
     p.add_argument("--grid", help="JSON grid config; omit for the built-in grid")
-    p.add_argument("--iters", type=int, default=20)
+    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--split", type=float, default=0.8)
     p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")
-    p.add_argument("--ridge", type=float, default=0.1)
+    p.add_argument("--ridge", type=float, default=None)
     p.add_argument("--entropy-threshold", type=float, default=0.01)
     p.add_argument("--min-features", type=int, default=1)
     p.add_argument("--scale-min", type=float, default=1.0)
@@ -652,7 +648,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--direct-encode", action="store_true")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=cmd_synth)
 

@@ -21,7 +21,7 @@ ALS_CHUNK_BYTES = 1 << 20
 @dataclass(frozen=True)
 class AlsConfig:
     rank: int
-    lam: float
+    lam: float = 0.1
     max_iterations: int = 20
     convergence_tol: float = 1e-4
     seed: int = 0

@@ -8,7 +8,9 @@ stacked (features, k) weights that multiplies fixed blocks of
 ``LINEAR_BLOCK`` rows, so a row's prediction never depends on the batch
 around it.  A tree predicts through ``predict_batch`` over a rows x
 features matrix and reads its features as booleans: every split
-sends the rows where the feature is False left and the others right.
+sends the rows where the feature is False left and the others right, and
+no tree grows deeper than ``MAX_TREE_DEPTH`` levels, so that every fitted
+tree can be saved in a shadow file and read back.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree routes as a forest of one.  ``TreeForest.walk`` routes each
@@ -36,6 +38,12 @@ FOREST_PAIRS = 2048
 # for every row whatever the batch size and wherever the row sits in it; a
 # plain X @ W rounds a row differently as the number of rows changes.
 LINEAR_BLOCK = 64
+
+# The deepest tree a shadow may hold.  Growing a tree, writing it and
+# reading it back each recurse once per level, and Python's default limit
+# of 1000 frames, less those of the callers, must cover them: a tree 989
+# levels deep still fits and saves, but its shadow file no longer loads.
+MAX_TREE_DEPTH = 512
 
 
 @dataclass(frozen=True)
@@ -142,21 +150,25 @@ def fit_linear_columns(
 
 @dataclass(frozen=True)
 class TreeParams:
-    """CART settings: the deepest level a tree may grow to, and the fewest
-    training rows a leaf may hold.
+    """CART settings: the deepest level a tree may grow to, at most
+    ``MAX_TREE_DEPTH``, and the fewest training rows a leaf may hold.
 
     Features are 0/1, so a split has no threshold to choose and a column
     no bins to cut.  ``min_leaf`` is keyword-only, so that a positional
     second argument, which was once ``bins``, fails rather than set it.
     """
 
-    max_depth: int
+    max_depth: int = 5
     min_leaf: int = field(default=1, kw_only=True)
 
     def __post_init__(self):
         check_types(self, integers=("max_depth", "min_leaf"))
         if self.max_depth < 0:
             raise ValidationError("max_depth must be >= 0")
+        if self.max_depth > MAX_TREE_DEPTH:
+            raise ValidationError(
+                f"max_depth must be <= {MAX_TREE_DEPTH}, got {self.max_depth}"
+            )
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be >= 1")
 
@@ -185,7 +197,10 @@ class TreeNode:
 class RegressionTree:
     """A fitted tree.  ``root`` is the stored and serialized form; the flat
     arrays that ``predict_batch`` walks are built from it at construction,
-    so threads that share a tree never race to build them."""
+    so threads that share a tree never race to build them.  Construction
+    rejects a leaf whose value is not a finite number and a split whose
+    feature is not an integer index below ``n_features`` (a bool is none),
+    so a tree read from a file predicts only finite numbers."""
 
     root: TreeNode
     params: TreeParams
@@ -198,6 +213,11 @@ class RegressionTree:
         feature, left, right, value = [], [], [], []
         for i, node in enumerate(nodes):  # nodes grows while it is walked
             if node.is_leaf:
+                if not is_finite_real(node.value):
+                    raise ValidationError(
+                        f"tree node {i} holds leaf value {node.value!r}, not a "
+                        "finite number"
+                    )
                 feature.append(0)
                 left.append(i)
                 right.append(i)
@@ -207,6 +227,7 @@ class RegressionTree:
                 node.left is None
                 or node.right is None
                 or not isinstance(node.feature, (int, np.integer))
+                or isinstance(node.feature, bool)
                 or not 0 <= node.feature < self.n_features
             ):
                 raise ValidationError(

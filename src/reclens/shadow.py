@@ -11,6 +11,8 @@ shadow's regressors are stacked into one weight matrix, and every linear
 prediction goes through ``regressors.predict_linear``, whose rows do not
 depend on the batch: an item's factors, and so its ratings, are the same
 bits in ``explain``, in ``measure_agreement``'s blocks and in ``predict``.
+Since factors depend only on the item, the agreement metrics predict each
+distinct item once and gather those factors for every pair and block.
 """
 
 from __future__ import annotations
@@ -292,39 +294,6 @@ def train_shadow(
     )
 
 
-def latent_agreement(
-    shadow: ShadowModel,
-    baseline: FactorModel,
-    meta: MetadataMatrix,
-    items: Iterable[int],
-) -> tuple[np.ndarray, float]:
-    """Per-factor MAE of predicted vs baseline item factors, and its mean."""
-    items = np.asarray(list(items), dtype=np.int64)
-    if len(items) == 0:
-        raise ValidationError("latent agreement over an empty item set is undefined")
-    rows = shadow.rows_of_items(items)
-    predicted = shadow.predicted_factors_batch(meta.X[rows])
-    truth = baseline.item_factors[items]
-    per_factor = np.abs(predicted - truth).mean(axis=0)
-    return per_factor, float(per_factor.mean())
-
-
-def _pair_predictions(shadow, baseline, meta, pairs):
-    if not isinstance(pairs, (np.ndarray, Sequence)):
-        pairs = list(pairs)
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if len(pairs) == 0:
-        raise ValidationError("agreement over an empty pair set is undefined")
-    users, items = pairs[:, 0], pairs[:, 1]
-    rows = shadow.rows_of_items(items)
-    factors = shadow.predicted_factors_batch(meta.X[rows])
-    shadow_pred = np.einsum("ij,ij->i", shadow.user_factors[users], factors)
-    base_pred = np.einsum(
-        "ij,ij->i", baseline.user_factors[users], baseline.item_factors[items]
-    )
-    return users, items, shadow_pred, base_pred
-
-
 def _distinct(items: np.ndarray) -> np.ndarray:
     """The sorted distinct values of ``items``, as ``np.unique`` gives them,
     from a sort and a neighbour comparison: a plain ``np.unique`` imports
@@ -333,6 +302,57 @@ def _distinct(items: np.ndarray) -> np.ndarray:
     first = np.ones(len(ordered), dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
     return ordered[first]
+
+
+def _item_predictions(shadow, meta, items):
+    """(distinct, where, factors): the sorted distinct ``items``, each
+    item's position among them, and the shadow's predicted factors of each
+    distinct item, predicted once however often the item repeats.  Rows
+    predict alike in any batch, so ``factors[where]`` is bit-identical to
+    predicting ``items`` themselves."""
+    distinct = _distinct(items)
+    rows = shadow.rows_of_items(distinct)
+    factors = shadow.predicted_factors_batch(meta.X[rows])
+    return distinct, np.searchsorted(distinct, items), factors
+
+
+def _latent_mae(predicted, truth) -> tuple[np.ndarray, float]:
+    """Per-factor MAE of ``predicted`` vs ``truth`` item factors, and its
+    mean."""
+    if len(truth) == 0:
+        raise ValidationError("latent agreement over an empty item set is undefined")
+    per_factor = np.abs(predicted - truth).mean(axis=0)
+    return per_factor, float(per_factor.mean())
+
+
+def latent_agreement(
+    shadow: ShadowModel,
+    baseline: FactorModel,
+    meta: MetadataMatrix,
+    items: Iterable[int],
+) -> tuple[np.ndarray, float]:
+    """Per-factor MAE of predicted vs baseline item factors, and its mean."""
+    items = np.asarray(list(items), dtype=np.int64)
+    _, where, factors = _item_predictions(shadow, meta, items)
+    return _latent_mae(factors[where], baseline.item_factors[items])
+
+
+def _pair_predictions(shadow, baseline, meta, pairs):
+    """(users, distinct, where, shadow_pred, base_pred) over the pairs, with
+    ``distinct`` and ``where`` as :func:`_item_predictions` gives them for
+    the pairs' items."""
+    if not isinstance(pairs, (np.ndarray, Sequence)):
+        pairs = list(pairs)
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if len(pairs) == 0:
+        raise ValidationError("agreement over an empty pair set is undefined")
+    users, items = pairs[:, 0], pairs[:, 1]
+    distinct, where, factors = _item_predictions(shadow, meta, items)
+    shadow_pred = np.einsum("ij,ij->i", shadow.user_factors[users], factors[where])
+    base_pred = np.einsum(
+        "ij,ij->i", baseline.user_factors[users], baseline.item_factors[items]
+    )
+    return users, distinct, where, shadow_pred, base_pred
 
 
 def _random_factors(shadow, baseline, distinct, seed):
@@ -357,7 +377,7 @@ def observational_agreement(
     The comparison target is always the baseline model's prediction, never
     the ground-truth rating.
     """
-    _, _, shadow_pred, base_pred = _pair_predictions(shadow, baseline, meta, pairs)
+    *_, shadow_pred, base_pred = _pair_predictions(shadow, baseline, meta, pairs)
     resid = base_pred - shadow_pred
     return float(np.abs(resid).mean()), float(np.mean(resid**2))
 
@@ -375,16 +395,13 @@ def faithfulness(
     draw from that factor's empirical range across the shadow's items;
     values far above 1 mean the shadow captures real signal.
     """
-    users, items, shadow_pred, base_pred = _pair_predictions(
+    users, distinct, where, shadow_pred, base_pred = _pair_predictions(
         shadow, baseline, meta, pairs
     )
     mse_shadow = float(np.mean((base_pred - shadow_pred) ** 2))
-    distinct = _distinct(items)
     random_factors = _random_factors(shadow, baseline, distinct, seed)
     rand_pred = np.einsum(
-        "ij,ij->i",
-        shadow.user_factors[users],
-        random_factors[np.searchsorted(distinct, items)],
+        "ij,ij->i", shadow.user_factors[users], random_factors[where]
     )
     mse_random = float(np.mean((base_pred - rand_pred) ** 2))
     return mse_random / max(mse_shadow, FAITHFULNESS_EPS)
@@ -432,7 +449,8 @@ def measure_agreement(
     grid (same random draw for the same seed), but are accumulated over
     blocks of ``AGREEMENT_BLOCK`` items as ``U @ V_blockᵀ`` matrix
     products, so memory is O(users x block) rather than a list of every
-    pair.
+    pair.  The items' factors are predicted once, for the latent MAE and
+    every block.
     """
     if item_set == "eval":
         items = shadow.eval_items
@@ -443,20 +461,17 @@ def measure_agreement(
     else:
         raise ValidationError(f"unknown item set {item_set!r}")
     check_seed(seed)
-    per_factor, mean_mae = latent_agreement(shadow, baseline, meta, items)
-    distinct = _distinct(items)
+    distinct, where, factors = _item_predictions(shadow, meta, items)
+    per_factor, mean_mae = _latent_mae(factors[where], baseline.item_factors[items])
     random_factors = _random_factors(shadow, baseline, distinct, seed)
     abs_sum = sq_sum = rand_sq_sum = 0.0
     for start in range(0, len(items), AGREEMENT_BLOCK):
-        block = items[start:start + AGREEMENT_BLOCK]
-        predicted = shadow.predicted_factors_batch(
-            meta.X[shadow.rows_of_items(block)]
-        )
-        base = baseline.user_factors @ baseline.item_factors[block].T
-        resid = base - shadow.user_factors @ predicted.T
+        block = slice(start, start + AGREEMENT_BLOCK)
+        base = baseline.user_factors @ baseline.item_factors[items[block]].T
+        resid = base - shadow.user_factors @ factors[where[block]].T
         abs_sum += float(np.abs(resid).sum())
         sq_sum += float((resid**2).sum())
-        rand = random_factors[np.searchsorted(distinct, block)]
+        rand = random_factors[where[block]]
         rand_sq_sum += float(((base - shadow.user_factors @ rand.T) ** 2).sum())
     n_pairs = shadow.n_users * len(items)
     mse = sq_sum / n_pairs

@@ -493,9 +493,7 @@ CONDITIONS = ("true", "semi_random", "random")
 class ExperimentConfig:
     sim: SimConfig
     als: AlsConfig
-    shadow_kind: ShadowKind = field(
-        default_factory=lambda: TreeKind(TreeParams(max_depth=5))
-    )
+    shadow_kind: ShadowKind = field(default_factory=lambda: TreeKind(TreeParams()))
     n_reps: int = 20
     users_per_rep: int = 1
     n_items: int = 200

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from reclens.cli import SweepGrid, experiment_config_from_dict, main, run_sweep
 from reclens.errors import ValidationError
-from reclens.factorize import load_model
+from reclens.factorize import AlsConfig, load_model
+from reclens.regressors import MAX_TREE_DEPTH
 from reclens.shadow import load_shadow
+from reclens.synth import ExperimentConfig, SimConfig
 
 from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
 from test_influence import influences_per_tree_oracle, walked_factors
@@ -94,7 +96,6 @@ def synth_config(tmp_path, **overrides):
             "n_profiles": 2, "features_per_profile": 3, "n_users": 30,
             "ratings_per_user": 8,
             "feature_pool": {"kind": "top_k_entropy", "value": 8},
-            "seed": 0,
         },
         "als": {"rank": 2, "lambda": 0.1, "max_iterations": 6},
         "shadow": {"kind": "tree", "max_depth": 4, "bins": 8},
@@ -144,6 +145,17 @@ class TestTrain:
         ])
         assert code == 1
         assert "rank" in capsys.readouterr().err
+
+    def test_unset_flags_take_als_config_defaults(self, tmp_path, rng, capsys):
+        ratings, _ = make_identity_fixture(tmp_path, rng)
+        outputs = []
+        for flags in ([], ["--lambda", "0.1", "--iters", "20", "--tol", "1e-4",
+                           "--seed", "0"]):
+            out = tmp_path / "model.json"
+            assert main(["train", "--ratings", str(ratings), "--rank", "2",
+                         *flags, "--out", str(out)]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_negative_seed_is_one_error_line(self, tmp_path, rng, capsys):
         ratings, _ = make_identity_fixture(tmp_path, rng)
@@ -238,6 +250,18 @@ class TestShadow:
         shadow = load_shadow(tmp_path / "s.json")
         assert shadow.kind.ridge == 0.1
         assert {p.ridge for p in shadow.factor_predictors} == {0.1}
+
+    def test_depth_beyond_bound_is_one_error_line(self, tmp_path, trained_fixture,
+                                                  capsys):
+        _, meta, model_path = trained_fixture
+        capsys.readouterr()
+        assert main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--depth", str(MAX_TREE_DEPTH + 1), "--out", str(tmp_path / "s.json"),
+        ]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: max_depth must be <= {MAX_TREE_DEPTH}, got {MAX_TREE_DEPTH + 1}"
+        ]
 
     def test_bins_flag_removed(self, tmp_path, trained_fixture, capsys):
         _, meta, model_path = trained_fixture
@@ -649,6 +673,29 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, "tree split threshold 0.3 is not 0.5")
 
+    @pytest.mark.parametrize("edit, detail", [
+        ("leaf", "holds leaf value nan, not a finite number"),
+        ("feature", "is neither a leaf nor a split on one of"),
+    ])
+    def test_tree_node_of_wrong_type(self, tmp_path, shadow_fixture, capsys, edit,
+                                     detail):
+        meta, _, shadow_path = shadow_fixture
+
+        def break_node(doc):
+            node = doc["predictors"][0]["root"]
+            if edit == "feature":
+                node["feature"] = True
+                return
+            while "value" not in node:
+                node = node["left"]
+            node["value"] = float("nan")
+
+        bad = _edit_json(shadow_path, tmp_path / "badnode.json", break_node)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, detail)
+
     def test_bins_in_shadow_file_ignored(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
 
@@ -868,6 +915,24 @@ class TestSweep:
         assert rows[0]["observational_mae"] >= 0.0
         table = capsys.readouterr().out
         assert "latent_mae" in table
+
+    def test_unset_iters_and_ridge_take_config_defaults(self, tmp_path, rng,
+                                                        capsys):
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "ranks": [2], "kinds": ["linear", "tree"], "depths": [2],
+        }))
+        outputs = []
+        for flags in ([], ["--iters", "20", "--ridge", "0.1"]):
+            out = tmp_path / "sweep.jsonl"
+            assert main([
+                "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+                "--grid", str(grid_path), *flags, "--out", str(out),
+            ]) == 0
+            outputs.append((out.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0].splitlines()[0])["cell"]["ridge"] == 0.1
 
     def test_pruned_items_match_library_sweep(self, tmp_path, rng):
         # --min-features 3 prunes the items holding fewer than three flags,
@@ -1111,6 +1176,12 @@ class TestSynthCommand:
             (lambda d: d.update(n_items="many"), "mistyped value"),
             (lambda d: d.update(n_meta_features=0), "must be >= 1"),
             (lambda d: d.update(seed=-1), "seed must be >= 0"),
+            (lambda d: d["sim"].update(seed=0),
+             "sim.seed is not read: the top-level 'seed' seeds every repetition"),
+            (lambda d: d["als"].update(seed=987),
+             "als.seed is not read: the top-level 'seed' seeds every repetition"),
+            (lambda d: d["shadow"].update(max_depth=MAX_TREE_DEPTH + 1),
+             f"max_depth must be <= {MAX_TREE_DEPTH}"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):
@@ -1174,6 +1245,12 @@ class TestSynthCommand:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith(f"error: {config}: not valid JSON")
+
+    def test_required_keys_alone_take_type_defaults(self):
+        sim = {"n_profiles": 2, "features_per_profile": 3, "n_users": 30,
+               "ratings_per_user": 8}
+        cfg = experiment_config_from_dict({"sim": sim, "als": {"rank": 2}})
+        assert cfg == ExperimentConfig(sim=SimConfig(**sim), als=AlsConfig(rank=2))
 
     def test_documented_configs_parse(self):
         root = Path(__file__).resolve().parent.parent

@@ -5,11 +5,13 @@ import pytest
 
 from reclens.datamodel import FactorModel, predict_rating
 from reclens.errors import FormatError, InsufficientDataError, ValidationError
-from reclens.regressors import LinearRegressor, TreeParams
+from reclens.influence import InfluenceQuery, SingleItem, explain
+from reclens.regressors import MAX_TREE_DEPTH, LinearRegressor, TreeParams
 from reclens import shadow as shadow_module
 from reclens.shadow import (
     AGREEMENT_BLOCK,
     LinearKind,
+    ShadowModel,
     TreeKind,
     faithfulness,
     latent_agreement,
@@ -546,6 +548,39 @@ class TestBlockedAgreement:
         )
 
 
+def test_each_distinct_item_is_predicted_once(rng, monkeypatch):
+    """Agreement predicts an item's factors once, however many users pair
+    with it and however many blocks the items span."""
+    monkeypatch.setattr(shadow_module, "AGREEMENT_BLOCK", 4)
+    n_items = 14
+    baseline = random_model(rng, 5, n_items, 2)
+    meta = identity_meta(n_items)
+    shadow = train_shadow(
+        baseline, meta, TreeKind(TreeParams(max_depth=3)), split=(0.5, 1)
+    )
+    items = shadow.eval_items
+    pairs = [(u, int(i)) for i in items for u in range(shadow.n_users)]
+    # identity metadata: one row per item, so rows name the items
+    distinct_rows = meta.X[shadow.rows_of_items(np.sort(items))]
+    seen = []
+    predict = ShadowModel.predicted_factors_batch
+
+    def spy(self, X):
+        seen.append(np.array(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(ShadowModel, "predicted_factors_batch", spy)
+    for run in (
+        lambda: measure_agreement(shadow, baseline, meta),
+        lambda: observational_agreement(shadow, baseline, meta, pairs),
+        lambda: faithfulness(shadow, baseline, meta, pairs),
+    ):
+        seen.clear()
+        run()
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], distinct_rows)
+
+
 class TestPersistence:
     @pytest.mark.parametrize("kind", [
         TreeKind(TreeParams(max_depth=3, min_leaf=2)),
@@ -598,6 +633,32 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="threshold .* is not 0.5"):
             load_shadow(path)
+
+
+def test_deepest_tree_round_trips_and_explains(tmp_path):
+    """A chain tree of exactly MAX_TREE_DEPTH levels fits, saves, loads and
+    explains: each split of identity metadata peels off one item."""
+    n_items = MAX_TREE_DEPTH + 1
+    meta = identity_meta(n_items)
+    baseline = FactorModel(
+        rank=1, lam=0.0, user_factors=np.ones((1, 1)),
+        item_factors=np.arange(n_items, dtype=np.float64)[:, None],
+    )
+    shadow = train_shadow(
+        baseline, meta, TreeKind(TreeParams(max_depth=MAX_TREE_DEPTH)),
+        split=(1.0, 0),
+    )
+    assert shadow.factor_predictors[0].root.depth() == MAX_TREE_DEPTH
+    path = tmp_path / "deep.json"
+    save_shadow(shadow, path)
+    loaded = load_shadow(path)
+    assert loaded.factor_predictors[0].root.depth() == MAX_TREE_DEPTH
+    np.testing.assert_array_equal(
+        loaded.predicted_factors_batch(meta.X), baseline.item_factors
+    )
+    for item in (0, n_items // 2, n_items - 1):
+        query = InfluenceQuery(user=0, scope=SingleItem(item))
+        assert explain(loaded, meta, query) == explain(shadow, meta, query)
 
 
 def test_load_shadow_rejects_unknown_version(tmp_path):
