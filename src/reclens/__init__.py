@@ -24,8 +24,7 @@ _EXPORTS = {
     "ingest": ("FeatureFilterSpec", "RawItemRecord", "encode_one_hot",
                "feature_entropy", "filter_features", "load_metadata",
                "load_ratings", "prune_items"),
-    "regressors": ("LinearRegressor", "RegressionTree", "TreeParams",
-                   "fit_linear", "fit_tree"),
+    "regressors": ("RegressionTree", "TreeParams", "fit_linear", "fit_tree"),
     "shadow": ("AgreementReport", "LinearKind", "ShadowModel", "TreeKind",
                "faithfulness", "latent_agreement", "load_shadow",
                "measure_agreement", "observational_agreement", "save_shadow",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import MISSING, dataclass, fields
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
@@ -287,8 +288,10 @@ class SweepGrid:
                             ("depths", Integral)):
             for value in getattr(self, name):
                 if isinstance(value, bool) or not isinstance(value, types):
+                    number = isinstance(value, Real) and not isinstance(value, bool)
                     raise ValidationError(
-                        f"sweep grid axis {name} holds {value!r}, not a number"
+                        f"sweep grid axis {name} holds {value!r}, not "
+                        f"{'an integer' if number else 'a number'}"
                     )
 
     @classmethod
@@ -659,7 +662,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # A library warning is one line; the default filters show each one
+        # once per place that raises it, whichever thread gets there first.
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda msg, *_, **__: _eprint(f"warning: {msg}")
+            return args.func(args)
+    except MemoryError as exc:
+        _eprint(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
+        return 1
     except OSError as exc:
         if exc.filename is None:
             _eprint(f"error: {exc}")

@@ -2,18 +2,17 @@
 regression trees over 0/1 features.
 
 Both are deterministic: identical inputs always produce identical models.
-A ``LinearRegressor`` is the fitted and serialized form of one factor; k of
-them predict together through ``predict_linear``, one kernel over their
-stacked (features, k) weights that multiplies fixed blocks of
-``LINEAR_BLOCK`` rows, so a row's prediction never depends on the batch
-around it.  A tree predicts through ``predict_batch`` over a rows x
-features matrix and reads its features as booleans: every split
-sends the rows where the feature is False left and the others right, and
-no tree grows deeper than ``MAX_TREE_DEPTH`` levels, so that every fitted
-tree can be saved in a shadow file and read back.
+A linear shadow's k factors are one (features, k) weight matrix and k
+intercepts, as ``fit_linear_columns`` fits them; ``predict_linear``
+multiplies fixed blocks of ``LINEAR_BLOCK`` rows by them, so a row's
+prediction never depends on the batch around it.  A tree reads its
+features as booleans: every split sends the rows where the feature is
+False left and the others right, and no tree grows deeper than
+``MAX_TREE_DEPTH`` levels, so that every fitted tree can be saved in a
+shadow file and read back.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
-single tree routes as a forest of one.  ``TreeForest.walk`` routes each
+single tree predicts as a forest of one.  ``TreeForest.walk`` routes each
 (tree, row) pair once and reads off it the leaf, the features tested on
 the path and each one's flip effect, which is all that an influence
 report needs.
@@ -44,29 +43,6 @@ LINEAR_BLOCK = 64
 # of 1000 frames, less those of the callers, must cover them: a tree 989
 # levels deep still fits and saves, but its shadow file no longer loads.
 MAX_TREE_DEPTH = 512
-
-
-@dataclass(frozen=True)
-class LinearRegressor:
-    """w . a + b, fitted with an L2 penalty on w (intercept unpenalized).
-    It holds one factor's fit; a shadow stacks its k regressors' weights and
-    predicts them all with ``predict_linear``."""
-
-    weights: np.ndarray
-    intercept: float
-    ridge: float
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        if not np.all(np.isfinite(w)) or not np.isfinite(self.intercept):
-            raise ValidationError("linear regressor coefficients must be finite")
-        check_ridge(self.ridge)
-
-    @property
-    def n_features(self) -> int:
-        return len(self.weights)
 
 
 def predict_linear(
@@ -103,23 +79,25 @@ def check_ridge(ridge) -> None:
         raise ValidationError(f"ridge must be a finite number >= 0, got {ridge!r}")
 
 
-def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> LinearRegressor:
-    """Minimize ||Xw + b - y||^2 + ridge*||w||^2 via the normal equations
-    on the intercept-augmented system."""
+def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
+    """(w, b) minimizing ||Xw + b - y||^2 + ridge*||w||^2, via the normal
+    equations on the intercept-augmented system (b unpenalized)."""
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1:
         raise ValidationError("X must be 2-d with one row per target value")
-    return fit_linear_columns(X, y[:, None], ridge)[0]
+    weights, intercepts = fit_linear_columns(X, y[:, None], ridge)
+    return weights[:, 0], float(intercepts[0])
 
 
 def fit_linear_columns(
     X: np.ndarray, Y: np.ndarray, ridge: float
-) -> tuple[LinearRegressor, ...]:
+) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fit_linear` for each column of Y, forming the Gram matrix of
-    the intercept-augmented X once for all of them.
+    the intercept-augmented X once for all of them: a C-ordered (features,
+    k) weight matrix and k intercepts.
 
     Each column gets its own right-hand side and its own solve, so every
-    regressor is bit-identical to a separate :func:`fit_linear` call; one
+    column is bit-identical to a separate :func:`fit_linear` call; one
     solve with all columns at once would not be.
     """
     X = np.asarray(X)
@@ -134,18 +112,15 @@ def fit_linear_columns(
     A[:, d] = 1.0
     G = A.T @ A
     G[np.diag_indices(d)] += ridge  # intercept column left unpenalized
-    regressors = []
+    Z = np.empty((d + 1, Y.shape[1]))
     for j in range(Y.shape[1]):
         try:
-            z = np.linalg.solve(G, A.T @ Y[:, j])
+            Z[:, j] = np.linalg.solve(G, A.T @ Y[:, j])
         except np.linalg.LinAlgError:
             raise SolverError(
                 "normal equations are singular; use ridge > 0 to regularize"
             ) from None
-        regressors.append(
-            LinearRegressor(weights=z[:d], intercept=float(z[d]), ridge=float(ridge))
-        )
-    return tuple(regressors)
+    return Z[:d], Z[d]
 
 
 @dataclass(frozen=True)
@@ -173,10 +148,10 @@ class TreeParams:
             raise ValidationError("min_leaf must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeNode:
     """Internal node (feature, children) or leaf (value).  Rows whose
-    feature is False go left, the others right."""
+    feature is False go left, the others right.  Nodes compare by identity."""
 
     feature: int | None = None
     left: "TreeNode | None" = None
@@ -193,14 +168,15 @@ class TreeNode:
         return 1 + max(self.left.depth(), self.right.depth())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegressionTree:
     """A fitted tree.  ``root`` is the stored and serialized form; the flat
-    arrays that ``predict_batch`` walks are built from it at construction,
+    arrays that a ``TreeForest`` routes are built from it at construction,
     so threads that share a tree never race to build them.  Construction
     rejects a leaf whose value is not a finite number and a split whose
     feature is not an integer index below ``n_features`` (a bool is none),
-    so a tree read from a file predicts only finite numbers."""
+    so a tree read from a file predicts only finite numbers.  Trees compare
+    by params, width and flat arrays, so with no recursion at any depth."""
 
     root: TreeNode
     params: TreeParams
@@ -248,11 +224,13 @@ class RegressionTree:
         ):
             object.__setattr__(self, name, np.array(values, dtype=dtype))
         object.__setattr__(self, "_depth", max(levels))
-        object.__setattr__(self, "_forest", TreeForest((self,)))
 
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        """Route every row one level per step, ``depth`` steps in all."""
-        return self._forest.predict_batch(X)[:, 0]
+    def __eq__(self, other):
+        # equal_nan, because split nodes hold NaN values.
+        return isinstance(other, RegressionTree) and all(
+            np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True)
+            for a in ("_feature", "_left", "_right", "_value")
+        ) and (self.params, self.n_features) == (other.params, other.n_features)
 
 
 @dataclass(frozen=True)
@@ -265,9 +243,9 @@ class TreeForest:
     offset by the position of its root.  Trees are taken in groups of
     consecutive indices with rows x trees <= ``FOREST_PAIRS`` (one tree at
     least), so memory stays bounded for any number of trees and rows.  A
-    ``RegressionTree`` routes as a forest of one.  ``predict_batch`` routes
-    every pair to its leaf; ``walk`` also keeps the route, to find the
-    features on each path and flip each one from where the path first
+    lone ``RegressionTree`` routes as a forest of one.  ``predict_batch``
+    routes every pair to its leaf; ``walk`` also keeps the route, to find
+    the features on each path and flip each one from where the path first
     tests it.
     """
 
@@ -282,13 +260,11 @@ class TreeForest:
         roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
         for name, parts in (
             ("_feature", [t._feature for t in trees]),
-            ("_left", [t._left + r if r else t._left for t, r in zip(trees, roots)]),
-            ("_right", [t._right + r if r else t._right for t, r in zip(trees, roots)]),
+            ("_left", [t._left + r for t, r in zip(trees, roots)]),
+            ("_right", [t._right + r for t, r in zip(trees, roots)]),
             ("_value", [t._value for t in trees]),
         ):
-            # A forest of one shares its tree's arrays.
-            joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            object.__setattr__(self, name, joined)
+            object.__setattr__(self, name, np.concatenate(parts))
         object.__setattr__(self, "_root", roots)
         object.__setattr__(
             self, "_depth", np.array([t._depth for t in trees], dtype=np.intp)

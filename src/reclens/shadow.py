@@ -1,15 +1,15 @@
 """The composed shadow model: one regressor per item latent factor,
 combined with the baseline's user factors, plus its agreement metrics.
 
-A shadow's factors are all trees or all linear.  A tree shadow's factor
-trees form one ``TreeForest``, so predicting every factor for a batch of
-items takes one numpy step per tree level for all trees together, in
+A shadow's factors are all trees or all linear.  A tree shadow holds its
+factor trees as one ``TreeForest``, so predicting every factor for a batch
+of items takes one numpy step per tree level for all trees together, in
 groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
 does not predict the factors apart: it reads them off the forest's
 ``walk``, the same route that finds the features to score.  A linear
-shadow's regressors are stacked into one weight matrix, and every linear
-prediction goes through ``regressors.predict_linear``, whose rows do not
-depend on the batch: an item's factors, and so its ratings, are the same
+shadow holds one (features, k) weight matrix and k intercepts, and every
+linear prediction goes through ``regressors.predict_linear``, whose rows do
+not depend on the batch: an item's factors, and so its ratings, are the same
 bits in ``explain``, in ``measure_agreement``'s blocks and in ``predict``.
 Since factors depend only on the item, the agreement metrics predict each
 distinct item once and gather those factors for every pair and block.
@@ -30,9 +30,8 @@ from .datamodel import (
     load_artifact,
     write_json,
 )
-from .errors import InsufficientDataError, ValidationError, check_seed
+from .errors import InsufficientDataError, ValidationError, check_seed, is_finite_real
 from .regressors import (
-    LinearRegressor,
     RegressionTree,
     TreeForest,
     TreeNode,
@@ -86,32 +85,32 @@ class ShadowModel:
     when the split keeps everything, eval falls back to the training set
     and ``eval_is_train`` is flagged so reports can say so.
 
-    Every predictor is a ``RegressionTree`` for a ``TreeKind`` and a
-    ``LinearRegressor`` for a ``LinearKind``, and reads
-    ``len(feature_names)`` features.  External ids, when given, are unique;
-    ``user_ids`` names each user factor row and ``item_ids`` covers every
-    entry of ``item_indices``.  Built at construction: ``forest``, the
-    factor trees routed together (None for a linear shadow), which both
-    ``predicted_factors_batch`` and ``influence.explain`` walk;
-    ``weights`` and ``intercepts``, a linear shadow's regressors stacked
-    into one read-only (features, k) matrix and k-vector (None for a tree
-    shadow), which ``predicted_factors_batch`` hands to
-    ``regressors.predict_linear``, so a linear item's factors are the same
-    bits alone and in any batch, and whose rows ``influence.explain`` reads
-    as flip effects; ``name_rank``, each feature's position in name order;
-    ``name_array``, the feature names as an object array, for indexing by a
-    ranking; ``zero_pairs``, an object array of ``(name, 0.0)`` pairs in
-    name order, which ``explain`` ranks after every feature that moved; and
-    ``in_eval``, whether each row's item is in ``eval_items``.
+    A ``TreeKind`` shadow holds ``forest``, its k factor trees, which both
+    ``predicted_factors_batch`` and ``influence.explain`` walk.  A
+    ``LinearKind`` shadow holds ``weights`` and ``intercepts``, a finite
+    (features, k) matrix and k-vector, read-only, float64 and C-ordered,
+    which ``predicted_factors_batch`` hands to ``regressors.predict_linear``
+    and whose rows ``influence.explain`` reads as flip effects.  The other
+    kind's fields are None.  Every factor reads ``len(feature_names)``
+    features.  External ids, when given, are unique; ``user_ids`` names
+    each user factor row and ``item_ids`` covers every entry of
+    ``item_indices``.  Built at construction: ``name_rank``, each feature's
+    position in name order; ``name_array``, the feature names as an object
+    array, for indexing by a ranking; ``zero_pairs``, an object array of
+    ``(name, 0.0)`` pairs in name order, which ``explain`` ranks after
+    every feature that moved; and ``in_eval``, whether each row's item is
+    in ``eval_items``.
     """
 
-    factor_predictors: tuple
     user_factors: np.ndarray
     feature_names: tuple[str, ...]
     item_indices: np.ndarray
     train_items: np.ndarray
     eval_items: np.ndarray
     kind: ShadowKind
+    forest: TreeForest | None = None
+    weights: np.ndarray | None = None
+    intercepts: np.ndarray | None = None
     eval_is_train: bool = False
     user_ids: tuple[str, ...] | None = None
     item_ids: tuple[str, ...] | None = None
@@ -122,8 +121,37 @@ class ShadowModel:
             arr = arr.astype(np.float64 if name == "user_factors" else np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if len(self.factor_predictors) != self.rank:
+        trees = isinstance(self.kind, TreeKind)
+        if (self.forest is None, self.weights is None, self.intercepts is None) != (
+            not trees, trees, trees
+        ) or (trees and not isinstance(self.forest, TreeForest)):
+            raise ValidationError(
+                "a tree shadow holds a forest and no linear weights" if trees
+                else "a linear shadow holds weights and intercepts and no forest"
+            )
+        if trees:
+            width, n_factors = self.forest.n_features, self.forest.n_trees
+        else:
+            for name in ("weights", "intercepts"):
+                arr = np.array(getattr(self, name), dtype=np.float64, order="C")
+                if not np.isfinite(arr).all():
+                    raise ValidationError(f"linear shadow {name} must be finite")
+                arr.setflags(write=False)
+                object.__setattr__(self, name, arr)
+            shape = self.weights.shape
+            if len(shape) != 2 or self.intercepts.shape != shape[1:]:
+                raise ValidationError(
+                    f"linear shadow weights {shape} and intercepts "
+                    f"{self.intercepts.shape} are not (features, k) and (k,)"
+                )
+            width, n_factors = shape
+        if n_factors != self.rank:
             raise ValidationError("one predictor per latent factor required")
+        names = self.feature_names
+        if width != len(names):
+            raise ValidationError(
+                f"the factors read {width} features, but the shadow names {len(names)}"
+            )
         check_ids("user", self.user_ids, self.n_users)
         check_ids("item", self.item_ids)
         if self.item_ids is not None:
@@ -134,32 +162,8 @@ class ShadowModel:
                     f"item index {self.item_indices[outside][0]} has no item id "
                     f"among {n_ids}"
                 )
-        names = self.feature_names
-        trees = isinstance(self.kind, TreeKind)
-        family = RegressionTree if trees else LinearRegressor
-        for j, p in enumerate(self.factor_predictors):
-            if not isinstance(p, family):
-                raise ValidationError(
-                    f"predictor {j} is a {type(p).__name__}, but every predictor "
-                    f"of a {'tree' if trees else 'linear'} shadow is a "
-                    f"{family.__name__}"
-                )
-            if p.n_features != len(names):
-                raise ValidationError(
-                    f"predictor {j} reads {p.n_features} features, but the "
-                    f"shadow names {len(names)}"
-                )
         # Built once, here, so threads that share the shadow never race to
         # build them.
-        forest = weights = intercepts = None
-        if trees:
-            forest = TreeForest(self.factor_predictors)
-        else:
-            weights = np.stack([p.weights for p in self.factor_predictors], axis=1)
-            intercepts = np.array([p.intercept for p in self.factor_predictors],
-                                  dtype=np.float64)
-            weights.setflags(write=False)
-            intercepts.setflags(write=False)
         name_rank = np.empty(len(names), dtype=np.intp)
         name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
             len(names)
@@ -167,9 +171,6 @@ class ShadowModel:
         # Later rows win for a repeated item, as in a dict built row by row.
         rows = np.argsort(self.item_indices, kind="stable")
         for name, value in (
-            ("forest", forest),
-            ("weights", weights),
-            ("intercepts", intercepts),
             ("name_rank", name_rank),
             ("name_array", np.array(names, dtype=object)),
             ("zero_pairs", np.fromiter(
@@ -275,13 +276,13 @@ def train_shadow(
     X = meta.X[train_rows]
     Y = baseline.item_factors[item_indices[train_rows]]
     if isinstance(kind, LinearKind):
-        predictors = fit_linear_columns(X, Y, kind.ridge)
+        weights, intercepts = fit_linear_columns(X, Y, kind.ridge)
+        factors = {"weights": weights, "intercepts": intercepts}
     else:
-        predictors = tuple(
-            fit_tree(X, Y[:, j], kind.params) for j in range(baseline.rank)
-        )
+        trees = [fit_tree(X, Y[:, j], kind.params) for j in range(baseline.rank)]
+        factors = {"forest": TreeForest(trees)}
     return ShadowModel(
-        factor_predictors=predictors,
+        **factors,
         user_factors=baseline.user_factors,
         feature_names=meta.feature_names,
         item_indices=item_indices,
@@ -510,22 +511,15 @@ def _node_from_dict(doc: dict) -> TreeNode:
     )
 
 
-def _predictor_to_dict(p) -> dict:
-    if isinstance(p, LinearRegressor):
-        return {
-            "type": "linear",
-            "weights": p.weights.tolist(),
-            "intercept": p.intercept,
-            "ridge": p.ridge,
-        }
-    return {
-        "type": "tree",
-        "max_depth": p.params.max_depth,
-        "bins": FILE_BINS,
-        "min_leaf": p.params.min_leaf,
-        "n_features": p.n_features,
-        "root": _node_to_dict(p.root),
-    }
+def _predictor_docs(shadow: ShadowModel) -> list[dict]:
+    """A file document per tree, or per weight column with the kind's ridge."""
+    if shadow.forest is not None:
+        return [{"type": "tree", "max_depth": t.params.max_depth, "bins": FILE_BINS,
+                 "min_leaf": t.params.min_leaf, "n_features": t.n_features,
+                 "root": _node_to_dict(t.root)} for t in shadow.forest.trees]
+    return [{"type": "linear", "weights": w.tolist(), "intercept": float(b),
+             "ridge": float(shadow.kind.ridge)}
+            for w, b in zip(shadow.weights.T, shadow.intercepts)]
 
 
 def _family(doc: dict, what: str) -> str:
@@ -538,18 +532,37 @@ def _family(doc: dict, what: str) -> str:
     return doc["type"]
 
 
-def _predictor_from_dict(doc: dict):
-    if _family(doc, "predictor") == "linear":
-        return LinearRegressor(
-            weights=np.array(doc["weights"], dtype=np.float64),
-            intercept=doc["intercept"],
-            ridge=doc["ridge"],
-        )
-    return RegressionTree(
-        root=_node_from_dict(doc["root"]),
-        params=TreeParams(doc["max_depth"], min_leaf=doc["min_leaf"]),
-        n_features=doc["n_features"],
-    )
+def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
+    """The ``forest``, or the ``weights`` and ``intercepts``, of a shadow
+    file's predictor documents, checked against its kind and names."""
+    family = "tree" if isinstance(kind, TreeKind) else "linear"
+    for j, doc in enumerate(docs):
+        linear = _family(doc, "predictor") == "linear"
+        width = len(doc["weights"]) if linear else doc["n_features"]
+        if linear:
+            check_ridge(doc["ridge"])
+        if doc["type"] != family:
+            problem = f"is a {doc['type']} predictor, but the shadow kind is {family}"
+        elif width != len(names):
+            problem = f"reads {width} features, but the shadow names {len(names)}"
+        elif linear and doc["ridge"] != kind.ridge:
+            problem = f"has ridge {doc['ridge']!r}, but the kind has {kind.ridge!r}"
+        elif linear and not is_finite_real(doc["intercept"]):
+            problem = f"has intercept {doc['intercept']!r}, not a finite number"
+        else:
+            continue
+        raise ValidationError(f"predictor {j} {problem}")
+    if family == "tree":
+        return {"forest": TreeForest([RegressionTree(
+            root=_node_from_dict(doc["root"]),
+            params=TreeParams(doc["max_depth"], min_leaf=doc["min_leaf"]),
+            n_features=doc["n_features"],
+        ) for doc in docs])}
+    return {
+        "weights": np.stack([np.array(doc["weights"], dtype=np.float64)
+                             for doc in docs], axis=1),
+        "intercepts": [doc["intercept"] for doc in docs],
+    }
 
 
 def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
@@ -568,7 +581,7 @@ def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
         "version": SHADOW_VERSION,
         "kind": kind_doc,
         "feature_names": list(shadow.feature_names),
-        "predictors": [_predictor_to_dict(p) for p in shadow.factor_predictors],
+        "predictors": _predictor_docs(shadow),
         "user_factors": shadow.user_factors.tolist(),
         "item_indices": shadow.item_indices.tolist(),
         "train_items": shadow.train_items.tolist(),
@@ -590,9 +603,7 @@ def load_shadow(path: str | Path) -> ShadowModel:
                 TreeParams(kind_doc["max_depth"], min_leaf=kind_doc["min_leaf"])
             )
         return ShadowModel(
-            factor_predictors=tuple(
-                _predictor_from_dict(p) for p in doc["predictors"]
-            ),
+            **_factors_from_docs(doc["predictors"], kind, doc["feature_names"]),
             user_factors=np.array(doc["user_factors"], dtype=np.float64),
             feature_names=tuple(doc["feature_names"]),
             item_indices=np.array(doc["item_indices"], dtype=np.int64),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
-from reclens.regressors import LinearRegressor, RegressionTree, TreeNode, TreeParams
+from reclens.regressors import RegressionTree, TreeForest, TreeNode, TreeParams
 from reclens.shadow import LinearKind, ShadowModel, TreeKind
 
 # Property tests draw the same examples on every run, so a tier-1 result is
@@ -80,6 +80,11 @@ def leaf_tree(value: float, n_features: int) -> RegressionTree:
     )
 
 
+def predict_tree(tree: RegressionTree, X) -> np.ndarray:
+    """One tree's prediction for every row of X, as a forest of one."""
+    return TreeForest((tree,)).predict_batch(X)[:, 0]
+
+
 def walk_tree(tree: RegressionTree, x) -> float:
     """One row's prediction by walking the tree's node objects from its
     root, independently of the flat arrays that batch routing reads."""
@@ -144,41 +149,53 @@ def random_tree(rng: np.random.Generator, n_features: int, depth: int) -> Regres
 
 
 def manual_shadow(
-    predictors,
+    factors,
     user_factors,
     meta: MetadataMatrix,
     item_indices=None,
+    ridge: float = 0.0,
 ) -> ShadowModel:
-    """Assemble a ShadowModel directly (all items in both splits), its kind
-    taken from the first predictor."""
-    first = predictors[0]
-    if isinstance(first, LinearRegressor):
-        kind = LinearKind(ridge=first.ridge)
+    """Assemble a ShadowModel directly (all items in both splits): a tree
+    shadow from a sequence of trees, its kind taken from the first tree, or
+    a linear shadow of ``ridge`` from a (weights, intercepts) pair."""
+    if isinstance(factors[0], RegressionTree):
+        fitted = {"forest": TreeForest(tuple(factors)),
+                  "kind": TreeKind(factors[0].params)}
     else:
-        kind = TreeKind(first.params)
+        weights, intercepts = factors
+        fitted = {"weights": weights, "intercepts": intercepts,
+                  "kind": LinearKind(ridge=ridge)}
     if item_indices is None:
         item_indices = np.arange(meta.n_items)
     item_indices = np.asarray(item_indices, dtype=np.int64)
     return ShadowModel(
-        factor_predictors=tuple(predictors),
+        **fitted,
         user_factors=np.asarray(user_factors, dtype=np.float64),
         feature_names=meta.feature_names,
         item_indices=item_indices,
         train_items=item_indices,
         eval_items=item_indices,
-        kind=kind,
         eval_is_train=True,
     )
 
 
-def fit_linear_oracle(X, y, ridge) -> LinearRegressor:
-    """The ridge normal equations formed and solved for one target alone."""
+def shadow_factors(shadow: ShadowModel):
+    """What ``manual_shadow`` takes to rebuild the shadow's factors: its
+    trees, or its (weights, intercepts)."""
+    if shadow.forest is not None:
+        return shadow.forest.trees
+    return shadow.weights, shadow.intercepts
+
+
+def fit_linear_oracle(X, y, ridge) -> tuple[np.ndarray, float]:
+    """(w, b) from the ridge normal equations formed and solved for one
+    target alone."""
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     G = A.T @ A
     G[np.diag_indices(d)] += ridge
     z = np.linalg.solve(G, A.T @ y)
-    return LinearRegressor(weights=z[:d], intercept=float(z[d]), ridge=float(ridge))
+    return z[:d], float(z[d])
 
 
 def write_ratings_csv(path, rows, header="userId,movieId,rating,timestamp"):

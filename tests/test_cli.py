@@ -169,6 +169,22 @@ class TestTrain:
             "error: seed must be >= 0"
         ]
 
+    def test_out_of_memory_is_one_error_line(self, tmp_path, rng, monkeypatch,
+                                             capsys):
+        from reclens import factorize
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        ratings, _ = make_identity_fixture(tmp_path, rng)
+        monkeypatch.setattr(factorize, "train_als", exhausted)
+        capsys.readouterr()
+        assert main(["train", "--ratings", str(ratings), "--rank", "2",
+                     "--out", str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 74.5 GiB for an array"
+        ]
+
 
 @pytest.fixture
 def trained_fixture(tmp_path, rng):
@@ -247,9 +263,9 @@ class TestShadow:
             assert capsys.readouterr().err == ""
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
-        shadow = load_shadow(tmp_path / "s.json")
-        assert shadow.kind.ridge == 0.1
-        assert {p.ridge for p in shadow.factor_predictors} == {0.1}
+        assert load_shadow(tmp_path / "s.json").kind.ridge == 0.1
+        doc = json.loads((tmp_path / "s.json").read_text())
+        assert {p["ridge"] for p in doc["predictors"]} == {0.1}
 
     def test_depth_beyond_bound_is_one_error_line(self, tmp_path, trained_fixture,
                                                   capsys):
@@ -317,11 +333,12 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
     from reclens import ingest, shadow as shadow_mod
 
     monkeypatch.setattr(ingest, "load_ratings", ingest._load_ratings_lines)
-    monkeypatch.setattr(
-        shadow_mod, "fit_linear_columns",
-        lambda X, Y, ridge: tuple(fit_linear_oracle(X, Y[:, j], ridge)
-                                  for j in range(Y.shape[1])),
-    )
+
+    def per_factor_fits(X, Y, ridge):
+        fits = [fit_linear_oracle(X, Y[:, j], ridge) for j in range(Y.shape[1])]
+        return np.stack([w for w, _ in fits], axis=1), np.array([b for _, b in fits])
+
+    monkeypatch.setattr(shadow_mod, "fit_linear_columns", per_factor_fits)
     assert run(tmp_path / "oracles") == shipped
 
 
@@ -759,6 +776,29 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, f"ridge must be a finite number >= 0, got {ridge!r}")
 
+    @pytest.mark.parametrize("field, value, detail", [
+        ("ridge", 0.5, "predictor 1 has ridge 0.5, but the kind has 0.1"),
+        ("intercept", "0.5", "predictor 1 has intercept '0.5', not a finite number"),
+        ("intercept", None, "predictor 1 has intercept None, not a finite number"),
+    ])
+    def test_linear_predictor_field_rejected(self, tmp_path, trained_fixture,
+                                             capsys, field, value, detail):
+        """The kind's ridge is the shadow's only ridge, so a predictor that
+        names another valid one is a damaged file, as is an intercept that
+        is not a number."""
+        _, meta, model_path = trained_fixture
+        shadow_path = tmp_path / "linear.json"
+        assert main([
+            "shadow", "--model", str(model_path), "--metadata", str(meta),
+            "--kind", "linear", "--out", str(shadow_path),
+        ]) == 0
+        bad = _edit_json(shadow_path, tmp_path / "bad.json",
+                         lambda doc: doc["predictors"][1].update({field: value}))
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, detail)
+
     def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         bad = tmp_path / "inf.json"
@@ -1044,6 +1084,8 @@ class TestSweep:
             ({"depths": 3}, "'depths' must be a list"),
             ({"ranks": ["a"]}, "ranks holds 'a', not a number"),
             ([2, 3], "JSON object"),
+            ({"depths": [1e9]}, "depths holds 1000000000.0, not an integer"),
+            ({"ranks": [2.5]}, "ranks holds 2.5, not an integer"),
         ],
     )
     def test_grid_dict_parsed_strictly(self, doc, message):
@@ -1146,6 +1188,26 @@ class TestSynthCommand:
             result = json.loads(out.read_text())
             result.pop("config")  # the config is echoed as given
             outputs.append((result, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
+    def test_library_warning_is_one_line(self, tmp_path, capsys):
+        """A warning raised inside the library, in any worker thread, prints
+        once as a ``warning:`` line, and leaves the outputs as they are."""
+        config = synth_config(tmp_path, n_meta_features=10)
+        _edit_json(config, config,
+                   lambda d: d["sim"]["feature_pool"].update(value=100))
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"result{threads}.json"
+            capsys.readouterr()
+            assert main(["synth", "--config", str(config), "--threads", threads,
+                         "--out", str(out)]) == 0
+            captured = capsys.readouterr()
+            assert captured.err.splitlines() == [
+                "warning: top_k_entropy(100) exceeds feature count 10; "
+                "keeping all features"
+            ]
+            outputs.append((out.read_bytes(), captured.out))
         assert outputs[0] == outputs[1]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
@@ -1339,8 +1401,7 @@ PUBLIC_NAMES = {
     "ingest": ["FeatureFilterSpec", "RawItemRecord", "encode_one_hot",
                "feature_entropy", "filter_features", "load_metadata",
                "load_ratings", "prune_items"],
-    "regressors": ["LinearRegressor", "RegressionTree", "TreeParams", "fit_linear",
-                   "fit_tree"],
+    "regressors": ["RegressionTree", "TreeParams", "fit_linear", "fit_tree"],
     "shadow": ["AgreementReport", "LinearKind", "ShadowModel", "TreeKind",
                "faithfulness", "latent_agreement", "load_shadow",
                "measure_agreement", "observational_agreement", "save_shadow",
@@ -1358,7 +1419,7 @@ def test_package_exports_resolve_to_submodule_objects():
     import reclens
 
     names = [n for group in PUBLIC_NAMES.values() for n in group]
-    assert len(names) == 61
+    assert len(names) == 60
     assert sorted(reclens.__all__) == sorted(names)
     assert set(names) <= set(dir(reclens))
     for module, group in PUBLIC_NAMES.items():

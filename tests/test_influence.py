@@ -20,8 +20,6 @@ from reclens.influence import (
     write_svg,
 )
 from reclens.regressors import (
-    LinearRegressor,
-    RegressionTree,
     TreeForest,
     TreeParams,
     fit_tree,
@@ -167,10 +165,8 @@ class TestQiiMonteCarlo:
 def linear_shadow_three_features():
     """k=1 shadow computing m(a) = 2 a0 + a1 over marginals (0.25, 0.5, 0.5)."""
     meta = make_meta(4, {"fa": {0}, "fb": {0, 1}, "fc": {2, 3}})
-    predictor = LinearRegressor(
-        weights=np.array([2.0, 1.0, 0.0]), intercept=0.0, ridge=0.0
-    )
-    shadow = manual_shadow([predictor], np.array([[1.0], [2.0]]), meta)
+    weights = np.array([[2.0], [1.0], [0.0]])
+    shadow = manual_shadow((weights, np.zeros(1)), np.array([[1.0], [2.0]]), meta)
     return shadow, meta
 
 
@@ -460,7 +456,7 @@ class TestExplainAgainstOracle:
             assert abs(values[name] - oracle[f]) <= 1e-12
         if isinstance(shadow.kind, TreeKind):
             movable = set()
-            for tree in shadow.factor_predictors:
+            for tree in shadow.forest.trees:
                 movable |= features_on_paths(tree, meta.X[rows])
             for f, name in enumerate(meta.feature_names):
                 if f not in movable:
@@ -478,7 +474,7 @@ def influences_per_tree_oracle(shadow, X, user, marginals):
     order; and the factor predictions by the same walks."""
     u = shadow.user_factors[user]
     out = np.zeros(X.shape[1])
-    for j, tree in enumerate(shadow.factor_predictors):
+    for j, tree in enumerate(shadow.forest.trees):
         rows, features = path_oracle(tree, X)
         effect = u[j] * flip_oracle(tree, X, rows, features)
         lean = X[rows, features] - marginals[features]
@@ -490,7 +486,7 @@ def walked_factors(shadow, X):
     """``ShadowModel.predicted_factors_batch`` for a tree shadow, by walking
     each tree's node objects for each row."""
     return np.column_stack([
-        [walk_tree(tree, x) for x in X] for tree in shadow.factor_predictors
+        [walk_tree(tree, x) for x in X] for tree in shadow.forest.trees
     ])
 
 
@@ -597,7 +593,6 @@ class TestForestAgainstPerTreeOracle:
 
         for cls, name in ((TreeForest, "_route"), (TreeForest, "_reroute"),
                           (TreeForest, "predict_batch"),
-                          (RegressionTree, "predict_batch"),
                           (ShadowModel, "predicted_factors_batch")):
             monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         for pairs, scope in ((2048, SingleItem(4)), (2048, ItemSet(tuple(range(30)))),

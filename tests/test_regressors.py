@@ -11,7 +11,7 @@ from reclens import regressors
 from reclens.errors import SolverError, ValidationError
 from reclens.regressors import (
     LINEAR_BLOCK,
-    LinearRegressor,
+    MAX_TREE_DEPTH,
     RegressionTree,
     TreeForest,
     TreeNode,
@@ -27,6 +27,7 @@ from conftest import (
     flip_oracle,
     leaf_tree,
     path_oracle,
+    predict_tree,
     repeat_tree,
     walk_tree,
 )
@@ -139,7 +140,7 @@ def best_tree_mae_oracle(X, y, depth: int) -> float:
 
 
 def tree_mae(tree, X, y) -> float:
-    return float(np.abs(tree.predict_batch(X) - y).mean())
+    return float(np.abs(predict_tree(tree, X) - y).mean())
 
 
 XOR_X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
@@ -151,21 +152,21 @@ class TestFitLinear:
         X = rng.normal(size=(20, 4))
         w_true = rng.normal(size=4)
         y = X @ w_true + 1.7
-        model = fit_linear(X, y, ridge=1e-12)
-        residual = np.linalg.norm(X @ model.weights + model.intercept - y)
+        w, b = fit_linear(X, y, ridge=1e-12)
+        residual = np.linalg.norm(X @ w + b - y)
         assert residual < 1e-8
 
     def test_zero_design_gives_mean_intercept(self):
-        model = fit_linear(np.zeros((2, 1)), np.array([2.0, 4.0]), ridge=1e-9)
-        assert model.weights[0] == 0.0
-        assert model.intercept == pytest.approx(3.0, abs=1e-12)
+        w, b = fit_linear(np.zeros((2, 1)), np.array([2.0, 4.0]), ridge=1e-9)
+        assert w[0] == 0.0
+        assert b == pytest.approx(3.0, abs=1e-12)
 
     def test_simple_regression_closed_form(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([0.0, 1.0, 2.0])
-        model = fit_linear(X, y, ridge=0.0)
-        assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
-        assert model.intercept == pytest.approx(0.0, abs=1e-12)
+        w, b = fit_linear(X, y, ridge=0.0)
+        assert w[0] == pytest.approx(1.0, abs=1e-12)
+        assert b == pytest.approx(0.0, abs=1e-12)
 
     def test_singular_advises_ridge(self):
         with pytest.raises(SolverError, match="ridge > 0"):
@@ -175,7 +176,7 @@ class TestFitLinear:
         X = rng.normal(size=(30, 3))
         y = rng.normal(size=30)
         norms = [
-            float(np.linalg.norm(fit_linear(X, y, ridge=r).weights))
+            float(np.linalg.norm(fit_linear(X, y, ridge=r)[0]))
             for r in (1e-3, 1e-1, 10.0, 1e3, 1e5)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
@@ -184,10 +185,10 @@ class TestFitLinear:
     def test_deterministic(self, rng):
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
-        m1 = fit_linear(X, y, ridge=0.5)
-        m2 = fit_linear(X, y, ridge=0.5)
-        np.testing.assert_array_equal(m1.weights, m2.weights)
-        assert m1.intercept == m2.intercept
+        w1, b1 = fit_linear(X, y, ridge=0.5)
+        w2, b2 = fit_linear(X, y, ridge=0.5)
+        np.testing.assert_array_equal(w1, w2)
+        assert b1 == b2
 
     def test_dimension_mismatch(self):
         model = fit_linear(np.ones((2, 2)), np.ones(2), ridge=1.0)
@@ -204,10 +205,10 @@ class TestFitLinear:
 
 
 def stacked(models):
-    """The (features, k) weights and k intercepts of linear regressors, as a
-    linear shadow stacks them."""
-    return (np.stack([m.weights for m in models], axis=1),
-            np.array([m.intercept for m in models]))
+    """The (features, k) weights and k intercepts of (w, b) fits, as a
+    linear shadow holds them."""
+    return (np.stack([w for w, _ in models], axis=1),
+            np.array([b for _, b in models]))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -278,13 +279,15 @@ class TestFitLinearColumns:
         if binary:
             X = (X < 0.5).astype(float)
         Y = rng.normal(size=(n, k))
-        fits = fit_linear_columns(X, Y, ridge=0.1)
-        assert len(fits) == k
-        for j, fit in enumerate(fits):
-            oracle = fit_linear_oracle(X, Y[:, j], 0.1)
-            for model in (fit, fit_linear(X, Y[:, j], ridge=0.1)):
-                np.testing.assert_array_equal(model.weights, oracle.weights)
-                assert model.intercept == oracle.intercept
+        weights, intercepts = fit_linear_columns(X, Y, ridge=0.1)
+        assert weights.shape == (d, k) and intercepts.shape == (k,)
+        assert weights.flags.c_contiguous
+        for j in range(k):
+            w, b = fit_linear_oracle(X, Y[:, j], 0.1)
+            for fit in ((weights[:, j], intercepts[j]),
+                        fit_linear(X, Y[:, j], ridge=0.1)):
+                np.testing.assert_array_equal(fit[0], w)
+                assert fit[1] == b
 
     def test_singular_advises_ridge(self):
         with pytest.raises(SolverError, match="ridge > 0"):
@@ -351,7 +354,7 @@ class TestFitTree:
             for same in (X, X == 1.0, X.astype(np.int8), X.astype(np.int64))
         ]
         for other in trees[1:]:
-            assert trees[0].root == other.root
+            assert trees[0] == other
 
     def test_min_leaf_is_keyword_only(self):
         # the old positional order was (max_depth, bins, min_leaf)
@@ -418,7 +421,7 @@ class TestFitTree:
         y = rng.normal(size=20)
         t1 = fit_tree(X, y, TreeParams(max_depth=3))
         t2 = fit_tree(X, y, TreeParams(max_depth=3))
-        assert t1.root == t2.root
+        assert t1 == t2
 
     @pytest.mark.parametrize("value", [0.5, 2, -1.0, np.nan])
     def test_non_binary_features_rejected(self, value):
@@ -454,7 +457,7 @@ class TestBinarySplitAgainstOracle:
         X, y, params = problem
         fast = fit_tree(X, y, params)
         oracle = grow_oracle(X, y, params)
-        np.testing.assert_array_equal(fast.predict_batch(X), oracle.predict_batch(X))
+        np.testing.assert_array_equal(predict_tree(fast, X), predict_tree(oracle, X))
 
         def gain(rows, feature):
             left = X[rows, feature] <= 0.5
@@ -492,6 +495,27 @@ class TestTreeStructure:
         with pytest.raises(ValidationError, match="neither a leaf nor a split"):
             RegressionTree(root=root, params=TreeParams(max_depth=1), n_features=2)
 
+    def test_deepest_trees_compare_without_recursion(self):
+        """Trees MAX_TREE_DEPTH levels deep compare by their flat arrays;
+        their nodes compare by identity."""
+
+        def chain(values):
+            # Split j sends the rows with feature j set right, to values[j].
+            node = TreeNode(value=values[-1])
+            for j in range(len(values) - 2, -1, -1):
+                node = TreeNode(feature=j, left=node, right=TreeNode(value=values[j]))
+            return RegressionTree(root=node, params=TreeParams(MAX_TREE_DEPTH),
+                                  n_features=MAX_TREE_DEPTH)
+
+        values = [float(v) for v in range(MAX_TREE_DEPTH + 1)]
+        tree, same = chain(values), chain(values)
+        assert tree._depth == MAX_TREE_DEPTH
+        assert tree == same and tree.root != same.root
+        values[MAX_TREE_DEPTH // 2] = -1.0
+        assert tree != chain(values)
+        assert leaf_tree(1.0, 2) != leaf_tree(1.0, 3)
+        assert leaf_tree(1.0, 2) != leaf_tree(1.0, 2).root
+
 
 class TestPaths:
     TREE = repeat_tree(4)
@@ -523,14 +547,14 @@ class TestPaths:
         for value in (1.0, 0.0):
             Xf = X[rows].copy()
             Xf[np.arange(len(rows)), features] = value
-            flipped.append(tree.predict_batch(Xf))
+            flipped.append(predict_tree(tree, Xf))
         np.testing.assert_array_equal(effects, flipped[0] - flipped[1])
         # boolean rows route as their 0.0/1.0 values
         for a, b in zip(TreeForest((tree,)).walk(X == 1.0),
                         TreeForest((tree,)).walk(X)):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(tree.predict_batch(X == 1.0),
-                                      tree.predict_batch(X))
+        np.testing.assert_array_equal(predict_tree(tree, X == 1.0),
+                                      predict_tree(tree, X))
 
 
 class TestForest:
@@ -595,13 +619,10 @@ class TestPredict:
     def test_constant_tree(self):
         X = np.array([[0.0], [0.0]])
         tree = fit_tree(X, np.array([2.5, 2.5]), TreeParams(max_depth=3))
-        assert tree.predict_batch(np.array([[1.0]])).tolist() == [2.5]
+        assert predict_tree(tree, np.array([[1.0]])).tolist() == [2.5]
 
     def test_linear_hand_dot(self):
-        models = [
-            LinearRegressor(weights=np.array([1.0, -1.0]), intercept=0.5, ridge=0.0),
-            LinearRegressor(weights=np.array([2.0, 4.0]), intercept=0.0, ridge=0.0),
-        ]
+        models = [(np.array([1.0, -1.0]), 0.5), (np.array([2.0, 4.0]), 0.0)]
         rows = np.array([[1.0, 0.0], [1.0, 1.0]])
         assert predict_linear(rows, *stacked(models)).tolist() == [
             [1.5, 2.0], [0.5, 6.0],
@@ -610,7 +631,7 @@ class TestPredict:
     def test_fitted_xor_tree_routing(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=2))
         rows = np.array([[1.0, 0.0], [1.0, 1.0]])
-        assert tree.predict_batch(rows).tolist() == [1.0, 0.0]
+        assert predict_tree(tree, rows).tolist() == [1.0, 0.0]
 
     def test_batch_matches_scalar(self, rng):
         X = (rng.random((15, 3)) < 0.5).astype(float)
@@ -634,7 +655,7 @@ class TestPredict:
             (tree, X), (tree, X == 1.0), (deep, Xd), (stump, Xd), (stump, Xd[:0])
         ):
             np.testing.assert_array_equal(
-                model.predict_batch(data), [walk_tree(model, row) for row in data]
+                predict_tree(model, data), [walk_tree(model, row) for row in data]
             )
         # A linear row is the same bits alone as in the batch.
         batch = predict_linear(X, *stacked([linear]))
@@ -646,4 +667,4 @@ class TestPredict:
     def test_tree_dimension_error(self):
         tree = fit_tree(XOR_X, XOR_Y, TreeParams(max_depth=1))
         with pytest.raises(ValidationError):
-            tree.predict_batch(np.zeros((1, 5)))
+            predict_tree(tree, np.zeros((1, 5)))

@@ -6,7 +6,12 @@ import pytest
 from reclens.datamodel import FactorModel, predict_rating
 from reclens.errors import FormatError, InsufficientDataError, ValidationError
 from reclens.influence import InfluenceQuery, SingleItem, explain
-from reclens.regressors import MAX_TREE_DEPTH, LinearRegressor, TreeParams
+from reclens.regressors import (
+    MAX_TREE_DEPTH,
+    TreeForest,
+    TreeParams,
+    fit_linear_columns,
+)
 from reclens import shadow as shadow_module
 from reclens.shadow import (
     AGREEMENT_BLOCK,
@@ -22,7 +27,13 @@ from reclens.shadow import (
     train_shadow,
 )
 
-from conftest import identity_meta, leaf_tree, make_meta, manual_shadow
+from conftest import (
+    identity_meta,
+    leaf_tree,
+    make_meta,
+    manual_shadow,
+    shadow_factors,
+)
 
 
 def random_model(rng, n_users, n_items, rank):
@@ -74,9 +85,8 @@ class TestTrainShadow:
             item_factors=np.full((4, 1), 0.7),
         )
         shadow = train_shadow(baseline, meta, LinearKind(ridge=1e-6), split=(1.0, 0))
-        f = shadow.factor_predictors[0]
-        np.testing.assert_allclose(f.weights, 0.0, atol=1e-9)
-        assert f.intercept == pytest.approx(0.7, abs=1e-9)
+        np.testing.assert_allclose(shadow.weights[:, 0], 0.0, atol=1e-9)
+        assert shadow.intercepts[0] == pytest.approx(0.7, abs=1e-9)
         assert shadow.predicted_factors_batch(np.array([[1.0, 0.0]]))[0, 0] == (
             pytest.approx(0.7)
         )
@@ -181,27 +191,85 @@ class TestTrainShadow:
         with pytest.raises(ValidationError, match="ridge must be a finite number"):
             LinearKind(ridge=ridge)
 
-    def test_linear_shadow_stacks_read_only_weights(self, rng):
+    def test_linear_shadow_stacks_read_only_weights(self, rng, tmp_path):
+        """A linear shadow holds the fitted (features, k) weights and k
+        intercepts, read-only, float64 and C-ordered, and a saved and loaded
+        shadow holds the same bits, so it explains the same bits too."""
         meta = identity_meta(6)
         baseline = random_model(rng, 2, 6, 3)
         shadow = train_shadow(baseline, meta, LinearKind(ridge=0.1), split=(1.0, 0))
-        predictors = shadow.factor_predictors
-        assert shadow.weights.shape == (6, 3) and shadow.intercepts.shape == (3,)
-        for j, p in enumerate(predictors):
-            np.testing.assert_array_equal(shadow.weights[:, j], p.weights)
-            assert shadow.intercepts[j] == p.intercept
-        with pytest.raises(ValueError):
-            shadow.weights[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            shadow.intercepts[0] = 1.0
+        path = tmp_path / "linear.json"
+        save_shadow(shadow, path)
+        loaded = load_shadow(path)
+        fitted = fit_linear_columns(meta.X, baseline.item_factors, 0.1)
+        for model in (shadow, loaded):
+            assert model.forest is None
+            for held, fit in zip((model.weights, model.intercepts), fitted):
+                assert held.dtype == np.float64 and held.flags.c_contiguous
+                assert not held.flags.writeable
+                np.testing.assert_array_equal(held, fit)
+                with pytest.raises(ValueError):
+                    held[0] = 1.0
+        for user in range(2):
+            for item in range(6):
+                query = InfluenceQuery(user=user, scope=SingleItem(item))
+                assert explain(loaded, meta, query, top_k=6) == explain(
+                    shadow, meta, query, top_k=6)
         trees = train_shadow(baseline, meta, TreeKind(TreeParams(max_depth=2)),
                              split=(1.0, 0))
         assert trees.weights is None and trees.intercepts is None
 
     def test_predictor_width_must_match_feature_names(self):
         meta = make_meta(2, {"a": {0}, "b": {1}})
-        with pytest.raises(ValidationError, match="predictor 1 reads 3 features"):
-            manual_shadow([leaf_tree(1.0, 2), leaf_tree(1.0, 3)], np.ones((1, 2)), meta)
+        for factors in ([leaf_tree(1.0, 3), leaf_tree(1.0, 3)],
+                        (np.ones((3, 2)), np.zeros(2))):
+            with pytest.raises(ValidationError,
+                               match="the factors read 3 features, but the "
+                                     "shadow names 2"):
+                manual_shadow(factors, np.ones((1, 2)), meta)
+
+    def test_fields_must_match_kind(self):
+        """A tree shadow holds only a forest, and a linear shadow only its
+        weights and intercepts: one finite factor per rank, each reading
+        every feature."""
+        meta = make_meta(2, {"a": {0}, "b": {1}})
+        tree, linear = TreeKind(TreeParams(max_depth=0)), LinearKind(ridge=0.0)
+        forest = TreeForest([leaf_tree(1.0, 2)] * 2)
+        w, b = np.ones((2, 2)), np.zeros(2)
+
+        def build(kind, **factors):
+            return ShadowModel(
+                kind=kind, **factors, user_factors=np.ones((1, 2)),
+                feature_names=meta.feature_names, item_indices=np.arange(2),
+                train_items=np.arange(2), eval_items=np.arange(2),
+            )
+
+        build(tree, forest=forest)
+        build(linear, weights=w, intercepts=b)
+        for kind, factors, message in [
+            (tree, {}, "a tree shadow holds a forest and no linear weights"),
+            (tree, {"forest": forest.trees}, "a tree shadow holds a forest"),
+            (tree, {"forest": forest, "weights": w}, "a tree shadow holds"),
+            (tree, {"forest": forest, "intercepts": b}, "a tree shadow holds"),
+            (linear, {"weights": w}, "a linear shadow holds weights and "
+                                     "intercepts and no forest"),
+            (linear, {"forest": forest, "weights": w, "intercepts": b},
+             "a linear shadow holds"),
+            (linear, {"weights": np.ones(2), "intercepts": b},
+             r"weights \(2,\) and intercepts \(2,\) are not \(features, k\)"),
+            (linear, {"weights": w, "intercepts": np.zeros(3)},
+             r"intercepts \(3,\) are not"),
+            (linear, {"weights": np.ones((2, 3)), "intercepts": np.zeros(3)},
+             "one predictor per latent factor"),
+            (linear, {"weights": np.ones((3, 2)), "intercepts": b},
+             "the factors read 3 features"),
+            (linear, {"weights": [[1.0, np.inf], [0.0, 0.0]], "intercepts": b},
+             "linear shadow weights must be finite"),
+            (linear, {"weights": w, "intercepts": [0.0, np.nan]},
+             "linear shadow intercepts must be finite"),
+        ]:
+            with pytest.raises(ValidationError, match=message):
+                build(kind, **factors)
 
 
 class TestShadowPredict:
@@ -262,10 +330,9 @@ class TestShadowPredict:
         baseline = random_model(rng, 3, 12, 3)
         shadow_kind = {"tree": TreeKind(TreeParams(max_depth=3)),
                        "linear": LinearKind(ridge=0.1)}[kind]
-        predictors = train_shadow(
-            baseline, meta, shadow_kind, split=(1.0, 0)
-        ).factor_predictors
-        shadow = manual_shadow(predictors, baseline.user_factors, meta)
+        trained = train_shadow(baseline, meta, shadow_kind, split=(1.0, 0))
+        shadow = manual_shadow(shadow_factors(trained), baseline.user_factors, meta,
+                               ridge=0.1)
         batch = shadow.predicted_factors_batch(meta.X)
         for user in range(3):
             for item in range(12):
@@ -281,9 +348,6 @@ class TestShadowPredict:
             for k in (TreeKind(TreeParams(max_depth=3)), LinearKind(ridge=0.1))
         )
         for first, second in ((trees, linear), (linear, trees)):
-            mixed = (first.factor_predictors[0], second.factor_predictors[1])
-            with pytest.raises(ValidationError, match="^predictor 1 is a "):
-                manual_shadow(mixed, baseline.user_factors, meta)
             path = tmp_path / "shadow.json"
             save_shadow(first, path)
             doc = json.loads(path.read_text())
@@ -303,11 +367,11 @@ class TestShadowPredict:
     @pytest.mark.parametrize("kind", ["tree", "linear"])
     def test_wrong_length_attribute_vector(self, kind):
         meta = make_meta(2, {"a": {0}, "b": {1}})
-        predictor = {
-            "tree": leaf_tree(1.0, 2),
-            "linear": LinearRegressor(np.ones(2), intercept=0.0, ridge=0.0),
+        factors = {
+            "tree": [leaf_tree(1.0, 2)],
+            "linear": (np.ones((2, 1)), np.zeros(1)),
         }[kind]
-        shadow = manual_shadow([predictor], np.ones((1, 1)), meta)
+        shadow = manual_shadow(factors, np.ones((1, 1)), meta)
         for a in (np.ones(1), np.ones(3), np.ones((1, 2))):
             with pytest.raises(ValidationError, match="expected"):
                 shadow.predict(0, a)
@@ -648,11 +712,11 @@ def test_deepest_tree_round_trips_and_explains(tmp_path):
         baseline, meta, TreeKind(TreeParams(max_depth=MAX_TREE_DEPTH)),
         split=(1.0, 0),
     )
-    assert shadow.factor_predictors[0].root.depth() == MAX_TREE_DEPTH
+    assert shadow.forest.trees[0].root.depth() == MAX_TREE_DEPTH
     path = tmp_path / "deep.json"
     save_shadow(shadow, path)
     loaded = load_shadow(path)
-    assert loaded.factor_predictors[0].root.depth() == MAX_TREE_DEPTH
+    assert loaded.forest == shadow.forest
     np.testing.assert_array_equal(
         loaded.predicted_factors_batch(meta.X), baseline.item_factors
     )
