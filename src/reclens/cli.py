@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from numbers import Integral, Real
 from typing import TYPE_CHECKING
 
@@ -366,14 +366,14 @@ def run_sweep(
 
     def train_base(key):
         rank, lam = key
+        # Checked before the seed is drawn, which a negative rank would fail
+        # with a bare ValueError.
+        cfg = AlsConfig(rank=rank, lam=lam, max_iterations=iters)
         als_seed = int(
             np.random.SeedSequence(entropy=(seed, rank, hash(lam) & 0xFFFF)).
             generate_state(1)[0]
         )
-        return train_als(
-            ratings, AlsConfig(rank=rank, lam=lam, max_iterations=iters,
-                               seed=als_seed)
-        )
+        return train_als(ratings, replace(cfg, seed=als_seed))
 
     def safe_base(key):
         try:

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ValidationError
+from .errors import FormatError, ValidationError, check_types
+
+
+# Array rows that write_json encodes at once, which bounds its working set.
+JSON_ROWS = 256
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -130,6 +135,7 @@ class FactorModel:
         object.__setattr__(
             self, "item_factors", _frozen_array(self.item_factors, np.float64)
         )
+        check_types(self, integers=("rank",), reals=("lam",))
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.user_factors.ndim != 2 or self.user_factors.shape[1] != self.rank:
@@ -242,13 +248,55 @@ def read_json(path):
             raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
-def write_json(doc, path) -> None:
-    """Write ``doc`` to ``path`` as one line of sorted-key JSON.
-    ``json.dumps`` runs the C encoder; ``json.dump`` to a file would run
-    the pure-Python one, for the same bytes."""
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` to ``path`` as one line of sorted-key JSON: the bytes of
+    ``json.dumps(doc, sort_keys=True)`` with each array read as its
+    ``tolist()``.  ``json.dumps`` runs the C encoder; ``json.dump`` to a
+    file would run the pure-Python one, for the same bytes.
+
+    A top-level value that is a numpy array is written ``JSON_ROWS`` rows
+    at a time.  Encoded whole, a rank-20 MovieLens-100k model's factors held
+    6.8 MB of floats and text at once, which set the peak RSS of ``train``.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
-        fh.write("\n")
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            value = doc[key]
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if isinstance(value, np.ndarray):
+                fh.write("[")
+                for r in range(0, len(value), JSON_ROWS):
+                    rows = json.dumps(value[r:r + JSON_ROWS].tolist())[1:-1]
+                    fh.write(f"{', ' if r else ''}{rows}")
+                fh.write("]")
+            else:
+                fh.write(json.dumps(value, sort_keys=True))
+        fh.write("}\n")
+
+
+def array_from_json(values, what: str, dtype=np.float64) -> np.ndarray:
+    """A saved file's list, or list of lists, of JSON numbers as an array of
+    ``dtype``: float64 for factor and weight matrices, int64 for index
+    arrays.
+
+    ``np.array`` alone would parse the string "0.5", read true as 1.0 and
+    null as NaN, and truncate an index of 1.5 to 1.  Here every entry must
+    be a JSON number, and every entry of an index array a whole one;
+    ``ValidationError`` names ``what`` and the first entry that is not.
+    """
+    entries = values if isinstance(values, list) else [values]
+    if set(map(type, entries)) == {list}:
+        entries = list(chain.from_iterable(entries))
+    kinds = set(map(type, entries))
+    if not kinds <= {int, float}:
+        bad = next(v for v in entries if type(v) not in (int, float))
+        raise ValidationError(f"{what} holds {bad!r}, not a number")
+    if dtype == np.int64 and float in kinds:
+        # int() raises for an infinite or NaN entry.
+        bad = next((v for v in entries if int(v) != v), None)
+        if bad is not None:
+            raise ValidationError(f"{what} holds {bad!r}, not an integer")
+    return np.array(values, dtype=dtype)
 
 
 def load_artifact(path, fmt: str, version: int, build):

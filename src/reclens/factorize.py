@@ -8,7 +8,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .datamodel import FactorModel, RatingsMatrix, load_artifact, write_json
+from .datamodel import (
+    FactorModel,
+    RatingsMatrix,
+    array_from_json,
+    load_artifact,
+    write_json,
+)
 from .errors import SolverError, ValidationError, check_seed, check_types
 
 MODEL_FORMAT = "reclens-factor-model"
@@ -275,8 +281,8 @@ def save_model(model: FactorModel, path: str | Path) -> None:
         "lambda": model.lam,
         "n_users": model.n_users,
         "n_items": model.n_items,
-        "user_factors": model.user_factors.tolist(),
-        "item_factors": model.item_factors.tolist(),
+        "user_factors": model.user_factors,
+        "item_factors": model.item_factors,
         "user_ids": list(model.user_ids) if model.user_ids is not None else None,
         "item_ids": list(model.item_ids) if model.item_ids is not None else None,
     }
@@ -288,10 +294,10 @@ def load_model(path: str | Path) -> FactorModel:
         return FactorModel(
             rank=doc["rank"],
             lam=doc["lambda"],
-            user_factors=np.array(doc["user_factors"], dtype=np.float64).reshape(
+            user_factors=array_from_json(doc["user_factors"], "user_factors").reshape(
                 doc["n_users"], doc["rank"]
             ),
-            item_factors=np.array(doc["item_factors"], dtype=np.float64).reshape(
+            item_factors=array_from_json(doc["item_factors"], "item_factors").reshape(
                 doc["n_items"], doc["rank"]
             ),
             user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,

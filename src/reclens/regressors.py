@@ -162,11 +162,6 @@ class TreeNode:
     def is_leaf(self) -> bool:
         return self.value is not None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
-
 
 @dataclass(frozen=True, eq=False)
 class RegressionTree:
@@ -175,11 +170,11 @@ class RegressionTree:
     so threads that share a tree never race to build them.  Construction
     rejects a leaf whose value is not a finite number and a split whose
     feature is not an integer index below ``n_features`` (a bool is none),
-    so a tree read from a file predicts only finite numbers.  Trees compare
-    by params, width and flat arrays, so with no recursion at any depth."""
+    so a tree read from a file predicts only finite numbers.  Its growth
+    settings are its shadow kind's.  Trees compare by width and flat
+    arrays, so with no recursion at any depth."""
 
     root: TreeNode
-    params: TreeParams
     n_features: int
 
     def __post_init__(self):
@@ -225,12 +220,17 @@ class RegressionTree:
             object.__setattr__(self, name, np.array(values, dtype=dtype))
         object.__setattr__(self, "_depth", max(levels))
 
+    @property
+    def depth(self) -> int:
+        """Splits on the longest root-to-leaf path: 0 for a lone leaf."""
+        return self._depth
+
     def __eq__(self, other):
         # equal_nan, because split nodes hold NaN values.
         return isinstance(other, RegressionTree) and all(
             np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True)
             for a in ("_feature", "_left", "_right", "_value")
-        ) and (self.params, self.n_features) == (other.params, other.n_features)
+        ) and self.n_features == other.n_features
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,7 @@ class TreeForest:
             object.__setattr__(self, name, np.concatenate(parts))
         object.__setattr__(self, "_root", roots)
         object.__setattr__(
-            self, "_depth", np.array([t._depth for t in trees], dtype=np.intp)
+            self, "_depth", np.array([t.depth for t in trees], dtype=np.intp)
         )
 
     @property
@@ -465,4 +465,4 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
         raise ValidationError("X must be 2-d with one row per target value")
     X = _boolean(X)
     root = _grow(X, y, np.arange(len(y)), 0, params)
-    return RegressionTree(root=root, params=params, n_features=X.shape[1])
+    return RegressionTree(root=root, n_features=X.shape[1])

@@ -26,11 +26,18 @@ import numpy as np
 from .datamodel import (
     FactorModel,
     MetadataMatrix,
+    array_from_json,
     check_ids,
     load_artifact,
     write_json,
 )
-from .errors import InsufficientDataError, ValidationError, check_seed, is_finite_real
+from .errors import (
+    InsufficientDataError,
+    ValidationError,
+    check_seed,
+    check_types,
+    is_finite_real,
+)
 from .regressors import (
     RegressionTree,
     TreeForest,
@@ -85,21 +92,22 @@ class ShadowModel:
     when the split keeps everything, eval falls back to the training set
     and ``eval_is_train`` is flagged so reports can say so.
 
-    A ``TreeKind`` shadow holds ``forest``, its k factor trees, which both
-    ``predicted_factors_batch`` and ``influence.explain`` walk.  A
-    ``LinearKind`` shadow holds ``weights`` and ``intercepts``, a finite
-    (features, k) matrix and k-vector, read-only, float64 and C-ordered,
-    which ``predicted_factors_batch`` hands to ``regressors.predict_linear``
-    and whose rows ``influence.explain`` reads as flip effects.  The other
-    kind's fields are None.  Every factor reads ``len(feature_names)``
-    features.  External ids, when given, are unique; ``user_ids`` names
-    each user factor row and ``item_ids`` covers every entry of
-    ``item_indices``.  Built at construction: ``name_rank``, each feature's
-    position in name order; ``name_array``, the feature names as an object
-    array, for indexing by a ranking; ``zero_pairs``, an object array of
-    ``(name, 0.0)`` pairs in name order, which ``explain`` ranks after
-    every feature that moved; and ``in_eval``, whether each row's item is
-    in ``eval_items``.
+    A ``TreeKind`` shadow holds ``forest``, its k factor trees, none deeper
+    than the kind's ``max_depth``, which both ``predicted_factors_batch``
+    and ``influence.explain`` walk.  A ``LinearKind`` shadow holds
+    ``weights`` and ``intercepts``, a finite (features, k) matrix and
+    k-vector, read-only, float64 and C-ordered, which
+    ``predicted_factors_batch`` hands to ``regressors.predict_linear`` and
+    whose rows ``influence.explain`` reads as flip effects.  The other
+    kind's fields are None.  ``user_factors`` is finite, and every factor
+    reads ``len(feature_names)`` features.  External ids, when given, are
+    unique; ``user_ids`` names each user factor row and ``item_ids`` covers
+    every entry of ``item_indices``.  Built at construction: ``name_rank``,
+    each feature's position in name order; ``name_array``, the feature
+    names as an object array, for indexing by a ranking; ``zero_pairs``, an
+    object array of ``(name, 0.0)`` pairs in name order, which ``explain``
+    ranks after every feature that moved; and ``in_eval``, whether each
+    row's item is in ``eval_items``.
     """
 
     user_factors: np.ndarray
@@ -121,6 +129,9 @@ class ShadowModel:
             arr = arr.astype(np.float64 if name == "user_factors" else np.int64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        if not np.isfinite(self.user_factors).all():
+            raise ValidationError("shadow user factors must be finite")
+        check_types(self, flags=("eval_is_train",))
         trees = isinstance(self.kind, TreeKind)
         if (self.forest is None, self.weights is None, self.intercepts is None) != (
             not trees, trees, trees
@@ -131,6 +142,13 @@ class ShadowModel:
             )
         if trees:
             width, n_factors = self.forest.n_features, self.forest.n_trees
+            max_depth = self.kind.params.max_depth
+            for j, tree in enumerate(self.forest.trees):
+                if tree.depth > max_depth:
+                    raise ValidationError(
+                        f"factor tree {j} has depth {tree.depth}, but the kind's "
+                        f"max_depth is {max_depth}"
+                    )
         else:
             for name in ("weights", "intercepts"):
                 arr = np.array(getattr(self, name), dtype=np.float64, order="C")
@@ -511,14 +529,22 @@ def _node_from_dict(doc: dict) -> TreeNode:
     )
 
 
+def _kind_doc(kind: ShadowKind) -> dict:
+    """The kind's type and settings as a shadow file writes them, in its
+    kind document and again in each predictor document."""
+    if isinstance(kind, LinearKind):
+        return {"type": "linear", "ridge": kind.ridge}
+    return {"type": "tree", "max_depth": kind.params.max_depth, "bins": FILE_BINS,
+            "min_leaf": kind.params.min_leaf}
+
+
 def _predictor_docs(shadow: ShadowModel) -> list[dict]:
-    """A file document per tree, or per weight column with the kind's ridge."""
+    """A file document per tree, or per weight column."""
+    settings = _kind_doc(shadow.kind)
     if shadow.forest is not None:
-        return [{"type": "tree", "max_depth": t.params.max_depth, "bins": FILE_BINS,
-                 "min_leaf": t.params.min_leaf, "n_features": t.n_features,
-                 "root": _node_to_dict(t.root)} for t in shadow.forest.trees]
-    return [{"type": "linear", "weights": w.tolist(), "intercept": float(b),
-             "ridge": float(shadow.kind.ridge)}
+        return [{**settings, "n_features": t.n_features, "root": _node_to_dict(t.root)}
+                for t in shadow.forest.trees]
+    return [{**settings, "weights": w.tolist(), "intercept": float(b)}
             for w, b in zip(shadow.weights.T, shadow.intercepts)]
 
 
@@ -534,8 +560,11 @@ def _family(doc: dict, what: str) -> str:
 
 def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
     """The ``forest``, or the ``weights`` and ``intercepts``, of a shadow
-    file's predictor documents, checked against its kind and names."""
-    family = "tree" if isinstance(kind, TreeKind) else "linear"
+    file's predictor documents, checked against its kind and names.  Each
+    predictor's copy of a kind setting must equal the kind's; the kind
+    alone is read."""
+    settings = _kind_doc(kind)
+    family = settings["type"]
     for j, doc in enumerate(docs):
         linear = _family(doc, "predictor") == "linear"
         width = len(doc["weights"]) if linear else doc["n_features"]
@@ -545,8 +574,11 @@ def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
             problem = f"is a {doc['type']} predictor, but the shadow kind is {family}"
         elif width != len(names):
             problem = f"reads {width} features, but the shadow names {len(names)}"
-        elif linear and doc["ridge"] != kind.ridge:
-            problem = f"has ridge {doc['ridge']!r}, but the kind has {kind.ridge!r}"
+        # Every setting but the type and the fixed bins is the kind's; none
+        # is a bool, but True == 1.
+        elif field := next((f for f in settings if f not in ("type", "bins") and (
+                doc[f] != settings[f] or isinstance(doc[f], bool))), None):
+            problem = f"has {field} {doc[field]!r}, but the kind has {settings[field]!r}"
         elif linear and not is_finite_real(doc["intercept"]):
             problem = f"has intercept {doc['intercept']!r}, not a finite number"
         else:
@@ -554,35 +586,23 @@ def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
         raise ValidationError(f"predictor {j} {problem}")
     if family == "tree":
         return {"forest": TreeForest([RegressionTree(
-            root=_node_from_dict(doc["root"]),
-            params=TreeParams(doc["max_depth"], min_leaf=doc["min_leaf"]),
-            n_features=doc["n_features"],
+            root=_node_from_dict(doc["root"]), n_features=doc["n_features"],
         ) for doc in docs])}
     return {
-        "weights": np.stack([np.array(doc["weights"], dtype=np.float64)
-                             for doc in docs], axis=1),
+        "weights": np.stack([array_from_json(doc["weights"], f"predictor {j} weights")
+                             for j, doc in enumerate(docs)], axis=1),
         "intercepts": [doc["intercept"] for doc in docs],
     }
 
 
 def save_shadow(shadow: ShadowModel, path: str | Path) -> None:
-    if isinstance(shadow.kind, LinearKind):
-        kind_doc = {"type": "linear", "ridge": shadow.kind.ridge}
-    else:
-        p = shadow.kind.params
-        kind_doc = {
-            "type": "tree",
-            "max_depth": p.max_depth,
-            "bins": FILE_BINS,
-            "min_leaf": p.min_leaf,
-        }
     doc = {
         "format": SHADOW_FORMAT,
         "version": SHADOW_VERSION,
-        "kind": kind_doc,
+        "kind": _kind_doc(shadow.kind),
         "feature_names": list(shadow.feature_names),
         "predictors": _predictor_docs(shadow),
-        "user_factors": shadow.user_factors.tolist(),
+        "user_factors": shadow.user_factors,
         "item_indices": shadow.item_indices.tolist(),
         "train_items": shadow.train_items.tolist(),
         "eval_items": shadow.eval_items.tolist(),
@@ -604,11 +624,10 @@ def load_shadow(path: str | Path) -> ShadowModel:
             )
         return ShadowModel(
             **_factors_from_docs(doc["predictors"], kind, doc["feature_names"]),
-            user_factors=np.array(doc["user_factors"], dtype=np.float64),
+            user_factors=array_from_json(doc["user_factors"], "user_factors"),
             feature_names=tuple(doc["feature_names"]),
-            item_indices=np.array(doc["item_indices"], dtype=np.int64),
-            train_items=np.array(doc["train_items"], dtype=np.int64),
-            eval_items=np.array(doc["eval_items"], dtype=np.int64),
+            **{name: array_from_json(doc[name], name, np.int64)
+               for name in ("item_indices", "train_items", "eval_items")},
             kind=kind,
             eval_is_train=doc["eval_is_train"],
             user_ids=tuple(doc["user_ids"]) if doc.get("user_ids") is not None else None,

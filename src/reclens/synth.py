@@ -67,19 +67,16 @@ class SimConfig:
     feature_pool: FeatureFilterSpec = field(
         default_factory=lambda: FeatureFilterSpec.top_k_entropy(15)
     )
-    seed: int = 0
 
     def __post_init__(self):
         counts = ("n_profiles", "features_per_profile", "n_users",
                   "ratings_per_user")
-        check_types(self, integers=(*counts, "seed"),
-                    reals=("base_rating", "delta"))
+        check_types(self, integers=counts, reals=("base_rating", "delta"))
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1")
         if self.n_users <= self.n_profiles:
             raise ValidationError("n_users must exceed n_profiles")
-        check_seed(self.seed)
         lo, hi = self.scale_bounds
         if not (is_finite_real(lo) and is_finite_real(hi)):
             raise ValidationError(
@@ -103,18 +100,16 @@ class ScoreSample:
 
 
 def generate_profiles(
-    pool: Sequence[int], cfg: SimConfig, rng: np.random.Generator | None = None
+    pool: Sequence[int], cfg: SimConfig, rng: np.random.Generator
 ) -> list[PreferenceProfile]:
     """Each profile picks ``features_per_profile`` distinct pool features
-    (seeded) and signs each one liked/disliked with probability 1/2."""
+    and signs each one liked/disliked with probability 1/2."""
     pool = [int(f) for f in pool]
     if len(pool) < cfg.features_per_profile:
         raise ValidationError(
             f"pool of {len(pool)} features cannot support "
             f"{cfg.features_per_profile} features per profile"
         )
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     profiles = []
     for _ in range(cfg.n_profiles):
         chosen = rng.choice(len(pool), size=cfg.features_per_profile, replace=False)
@@ -143,11 +138,11 @@ def simulate_ratings(
     profiles: Sequence[PreferenceProfile],
     meta: MetadataMatrix,
     cfg: SimConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[RatingsMatrix, dict[int, int]]:
     """Assign profiles to users (round-robin first so every profile is
     used, uniform after) and rate a uniform sample of distinct items per
-    user.
+    user, drawing from ``rng``.
 
     The ratings come back grouped by user, each user's items in ascending
     order.  They follow :func:`profile_rating`, evaluated once per
@@ -171,8 +166,6 @@ def simulate_ratings(
                 f"profile features {outside} lie outside the "
                 f"{meta.n_features}-feature metadata"
             )
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     n_profiles = len(profiles)
     profile_of_user = np.empty(cfg.n_users, dtype=np.int64)
     rated = np.empty((cfg.n_users, cfg.ratings_per_user), dtype=np.int64)
@@ -257,21 +250,19 @@ def control_profiles(
     pool: Sequence[int],
     mode: str = "random",
     keep_fraction: float = 0.5,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
+    *,
+    rng: np.random.Generator,
 ) -> PreferenceProfile:
-    """Resampled control personalities.
+    """Resampled control personalities, drawn from ``rng``.
 
     ``random`` redraws every feature and sign from the pool;
-    ``semi_random`` keeps a seeded floor(keep_fraction * n) of the original
+    ``semi_random`` keeps a random floor(keep_fraction * n) of the original
     features (at least one) with their signs and replaces the rest with
     features from outside the original profile, so exactly that many
     originals survive.
     """
     if mode not in ("random", "semi_random"):
         raise ValidationError(f"unknown control mode {mode!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
     pool = [int(f) for f in pool]
     original = sorted(profile.features)
     n = len(original)
@@ -464,7 +455,7 @@ def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
 def random_metadata(
     n_items: int,
     n_features: int,
-    rng: np.random.Generator | int = 0,
+    rng: np.random.Generator,
     marginal_range: tuple[float, float] = (0.05, 0.95),
     prefix: str = "f",
 ) -> MetadataMatrix:
@@ -474,8 +465,6 @@ def random_metadata(
     Column j takes one draw for its marginal p, then ``n_items`` uniform
     draws u, and holds the items where u < p; it is written straight into
     the boolean items x features array."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     lo, hi = marginal_range
     width = len(str(n_features - 1)) if n_features > 1 else 1
     X = np.empty((n_items, n_features), dtype=np.bool_)

@@ -74,9 +74,7 @@ def complete_low_rank_ratings(
 
 def leaf_tree(value: float, n_features: int) -> RegressionTree:
     return RegressionTree(
-        root=TreeNode(value=float(value)),
-        params=TreeParams(max_depth=0),
-        n_features=n_features,
+        root=TreeNode(value=float(value)), n_features=n_features,
     )
 
 
@@ -128,7 +126,6 @@ def repeat_tree(n_features: int) -> RegressionTree:
             right=TreeNode(feature=0, left=TreeNode(value=3.0),
                            right=TreeNode(value=4.0)),
         ),
-        params=TreeParams(max_depth=2),
         n_features=n_features,
     )
 
@@ -143,9 +140,7 @@ def random_tree(rng: np.random.Generator, n_features: int, depth: int) -> Regres
         return TreeNode(feature=int(rng.integers(n_features)),
                         left=grow(level + 1), right=grow(level + 1))
 
-    return RegressionTree(
-        root=grow(0), params=TreeParams(max_depth=depth), n_features=n_features
-    )
+    return RegressionTree(root=grow(0), n_features=n_features)
 
 
 def manual_shadow(
@@ -156,11 +151,13 @@ def manual_shadow(
     ridge: float = 0.0,
 ) -> ShadowModel:
     """Assemble a ShadowModel directly (all items in both splits): a tree
-    shadow from a sequence of trees, its kind taken from the first tree, or
-    a linear shadow of ``ridge`` from a (weights, intercepts) pair."""
+    shadow from a sequence of trees, its kind's max_depth that of the
+    deepest tree, or a linear shadow of ``ridge`` from a (weights,
+    intercepts) pair."""
     if isinstance(factors[0], RegressionTree):
+        depth = max(tree.depth for tree in factors)
         fitted = {"forest": TreeForest(tuple(factors)),
-                  "kind": TreeKind(factors[0].params)}
+                  "kind": TreeKind(TreeParams(max_depth=depth))}
     else:
         weights, intercepts = factors
         fitted = {"weights": weights, "intercepts": intercepts,

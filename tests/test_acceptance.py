@@ -61,7 +61,7 @@ def desk_scale_config(**overrides) -> ExperimentConfig:
         sim=SimConfig(
             n_profiles=3, features_per_profile=4, n_users=500,
             ratings_per_user=50,
-            feature_pool=FeatureFilterSpec.top_k_entropy(15), seed=0,
+            feature_pool=FeatureFilterSpec.top_k_entropy(15),
         ),
         als=AlsConfig(rank=3, lam=0.1, max_iterations=20),
         shadow_kind=TreeKind(TreeParams(max_depth=5)),

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import copy
 import io
 import json
 import os
@@ -7,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -799,6 +801,94 @@ class TestBrokenFiles:
             "--user", "u0", "--item", "m1",
         ], bad, detail)
 
+    @pytest.mark.parametrize("field, value, detail", [
+        ("max_depth", 3, "predictor 1 has max_depth 3, but the kind has 12"),
+        ("min_leaf", 2, "predictor 1 has min_leaf 2, but the kind has 1"),
+        ("min_leaf", True, "predictor 1 has min_leaf True, but the kind has 1"),
+    ])
+    def test_tree_predictor_setting_differs_from_kind(
+        self, tmp_path, shadow_fixture, capsys, field, value, detail
+    ):
+        """The kind holds a tree shadow's only settings, so a predictor
+        whose copy of one differs is a damaged file."""
+        meta, _, shadow_path = shadow_fixture
+        bad = _edit_json(shadow_path, tmp_path / "bad.json",
+                         lambda doc: doc["predictors"][1].update({field: value}))
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, detail)
+
+    @pytest.mark.parametrize("levels", [600, 900])
+    def test_tree_deeper_than_kind(self, tmp_path, shadow_fixture, capsys, levels):
+        """A chain tree deeper than its kind's max_depth, here also deeper
+        than MAX_TREE_DEPTH, is a damaged file, not a tree to explain."""
+        meta, _, shadow_path = shadow_fixture
+
+        def deepen(doc):
+            node = {"value": 0.0}
+            for j in range(levels):
+                node = {"feature": j % 12, "threshold": 0.5, "left": node,
+                        "right": {"value": float(j)}}
+            for part in (doc["kind"], *doc["predictors"]):
+                part["max_depth"] = 3
+            doc["predictors"][0]["root"] = node
+
+        bad = _edit_json(shadow_path, tmp_path / "deep.json", deepen)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, f"factor tree 0 has depth {levels}, but the kind's max_depth is 3")
+
+    @pytest.mark.parametrize("artifact, edit, detail", [
+        pytest.param("shadow", lambda d: d["user_factors"][2].__setitem__(1, None),
+                     "user_factors holds None, not a number", id="shadow-null"),
+        pytest.param("shadow", lambda d: d["user_factors"][2].__setitem__(1, "0.5"),
+                     "user_factors holds '0.5', not a number", id="shadow-string"),
+        pytest.param("shadow", lambda d: d["user_factors"][2].__setitem__(1, True),
+                     "user_factors holds True, not a number", id="shadow-bool"),
+        pytest.param("shadow",
+                     lambda d: d["user_factors"][2].__setitem__(1, float("nan")),
+                     "shadow user factors must be finite", id="shadow-nan"),
+        pytest.param("shadow", lambda d: d["item_indices"].__setitem__(3, 1.5),
+                     "item_indices holds 1.5, not an integer", id="shadow-index"),
+        pytest.param("shadow", lambda d: d.update(eval_is_train="no"),
+                     "mistyped value for eval_is_train: 'no' is not true or false",
+                     id="shadow-flag"),
+        pytest.param("linear",
+                     lambda d: d["predictors"][1]["weights"].__setitem__(0, "0.25"),
+                     "predictor 1 weights holds '0.25', not a number",
+                     id="linear-weight"),
+        pytest.param("model", lambda d: d["item_factors"][4].__setitem__(0, "0.5"),
+                     "item_factors holds '0.5', not a number", id="model-string"),
+        pytest.param("model", lambda d: d.update({"lambda": "abc"}),
+                     "mistyped value for lam: 'abc' is not a finite number",
+                     id="model-lambda"),
+    ])
+    def test_saved_number_not_a_json_number(
+        self, tmp_path, shadow_fixture, capsys, artifact, edit, detail
+    ):
+        """Saved factors, weights, indices and flags are JSON numbers and
+        bools of their own type: a string, a bool or null in their place,
+        an index that is not whole, or a NaN user factor is a damaged
+        file."""
+        meta, model_path, shadow_path = shadow_fixture
+        if artifact == "linear":
+            shadow_path = tmp_path / "linear.json"
+            assert main([
+                "shadow", "--model", str(model_path), "--metadata", str(meta),
+                "--kind", "linear", "--out", str(shadow_path),
+            ]) == 0
+        source = model_path if artifact == "model" else shadow_path
+        bad = _edit_json(source, tmp_path / "bad.json", edit)
+        if artifact == "model":
+            argv = ["shadow", "--model", str(bad), "--metadata", str(meta),
+                    "--out", str(tmp_path / "s.json")]
+        else:
+            argv = ["explain", "--shadow", str(bad), "--metadata", str(meta),
+                    "--user", "u0", "--item", "m1"]
+        self._assert_one_error(capsys, argv, bad, detail)
+
     def test_infinite_index_in_shadow(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         bad = tmp_path / "inf.json"
@@ -1147,6 +1237,24 @@ class TestSweep:
             outputs.append((out.read_bytes(), capsys.readouterr()))
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == 3
+
+    def test_rank_below_one_fails_only_its_cells(self, tmp_path, rng, capsys):
+        """A grid rank below 1 is a bad cell value like a negative depth: its
+        cells record the error and the others still run."""
+        ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"ranks": [-1, 2], "kinds": ["linear"]}))
+        out = tmp_path / "sweep.jsonl"
+        capsys.readouterr()
+        assert main([
+            "sweep", "--ratings", str(ratings), "--metadata", str(meta),
+            "--grid", str(grid_path), "--iters", "3", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err == ""
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [(r["cell"]["rank"], r["error"]) for r in rows] == [
+            (-1, "rank must be >= 1, got -1"), (2, None),
+        ]
 
 
 class TestSynthCommand:
@@ -1505,18 +1613,22 @@ def apply_edits(data: bytes, edits) -> bytes:
     return data
 
 
+def _not_json(constant):
+    raise AssertionError(f"stdout holds {constant}, which JSON does not allow")
+
+
 @settings(max_examples=100)
 @given(target=st.sampled_from(sorted(FUZZ_COMMANDS)), edits=byte_edits)
 def test_damaged_input_ends_cleanly(fuzz_inputs, target, edits):
-    """A truncated or byte-edited input either still works or ends in exit
-    1 with exactly one error line, never a traceback."""
+    """A truncated or byte-edited input either still works, printing only
+    strict JSON lines, or ends in exit 1 with exactly one error line, never
+    a traceback."""
     with tempfile.TemporaryDirectory() as d:
         for name, data in fuzz_inputs.items():
             Path(d, name).write_bytes(data)
         Path(d, target).write_bytes(apply_edits(fuzz_inputs[target], edits))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([arg.format(d=d) for arg in FUZZ_COMMANDS[target]])
     errors = [line for line in err.getvalue().splitlines()
               if line.startswith("error:")]
@@ -1526,3 +1638,139 @@ def test_damaged_input_ends_cleanly(fuzz_inputs, target, edits):
         assert len(errors) == 1, err.getvalue()
     else:
         assert errors == []
+        for line in out.getvalue().splitlines():
+            json.loads(line, parse_constant=_not_json)
+
+
+# ------------------------------------------------------- generated configs
+
+# What a generated config field may hold instead of its valid value: small
+# numbers in and out of range, a non-finite one, and every other JSON type.
+CONFIG_POOL = (0, 1, 2, 3, -1, 0.5, 2.5, float("inf"), "x", None, True, [], {})
+
+# A tiny valid synth config, with either shadow kind: each repetition takes
+# milliseconds.
+TINY_SYNTH = {
+    "sim": {"n_profiles": 2, "features_per_profile": 2, "n_users": 6,
+            "ratings_per_user": 3, "base_rating": 3.0, "delta": 1.0,
+            "scale_bounds": [1.0, 5.0],
+            "feature_pool": {"kind": "top_k_entropy", "value": 4}},
+    "als": {"rank": 2, "lambda": 0.1, "max_iterations": 3,
+            "convergence_tol": 1e-4},
+    "n_reps": 2, "users_per_rep": 1, "n_items": 8, "n_meta_features": 6,
+    "keep_fraction": 0.5, "direct_encode": False, "score_by_magnitude": True,
+    "seed": 3,
+}
+TINY_SHADOWS = {"tree": {"kind": "tree", "max_depth": 2, "min_leaf": 1},
+                "linear": {"kind": "linear", "ridge": 0.1}}
+TINY_GRID = {"ranks": [1, 2], "lambdas": [0.1], "kinds": ["linear", "tree"],
+             "depths": [2]}
+# How many fields a generated config changes: a third change none, so that
+# valid configs are tried as often as broken ones.
+CHANGES = st.sampled_from([0, 0, 1, 1, 2, 3])
+
+# The config key of each field that has one under another name; None for a
+# field that no config sets.
+CONFIG_KEYS = {"lam": "lambda", "shadow_kind": "shadow", "threads": None}
+
+
+def config_slots(sections) -> list[tuple]:
+    """(section path, key) of every field of each ``{path: config type}``
+    section, by ``dataclasses.fields``."""
+    return [(path, CONFIG_KEYS.get(f.name, f.name)) for path, cls in sections.items()
+            for f in fields(cls) if CONFIG_KEYS.get(f.name, f.name) is not None]
+
+
+@st.composite
+def synth_configs(draw):
+    """``TINY_SYNTH`` with up to three of its types' fields, at any level,
+    set to a value from ``CONFIG_POOL``."""
+    from reclens.ingest import FeatureFilterSpec
+    from reclens.regressors import TreeParams
+    from reclens.shadow import LinearKind
+
+    kind = draw(st.sampled_from(sorted(TINY_SHADOWS)))
+    doc = json.loads(json.dumps({**TINY_SYNTH, "shadow": TINY_SHADOWS[kind]}))
+    slots = config_slots({
+        (): ExperimentConfig, ("sim",): SimConfig,
+        ("sim", "feature_pool"): FeatureFilterSpec, ("als",): AlsConfig,
+        ("shadow",): TreeParams if kind == "tree" else LinearKind,
+    })
+    n = draw(CHANGES)
+    for path, key in draw(st.lists(st.sampled_from(slots), min_size=n, max_size=n,
+                                   unique=True)):
+        section = doc
+        for name in path:
+            section = section[name] if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            # A copy, so that a later change never edits a pool value.
+            section[key] = copy.deepcopy(draw(st.sampled_from(CONFIG_POOL)))
+    return doc
+
+
+@st.composite
+def sweep_grids(draw):
+    """``TINY_GRID`` with up to three of ``SweepGrid``'s axes replaced: by a
+    list of one or two of the axis's own values and ``CONFIG_POOL`` values,
+    by one pool value, which is no list, or by an empty list."""
+    grid = dict(TINY_GRID)
+    n = draw(CHANGES)
+    for _, axis in draw(st.lists(st.sampled_from(config_slots({(): SweepGrid})),
+                                 min_size=n, max_size=n, unique=True)):
+        pool = st.sampled_from(CONFIG_POOL)
+        values = st.one_of(st.sampled_from(TINY_GRID[axis]), pool)
+        grid[axis] = draw(st.one_of(st.lists(values, min_size=1, max_size=2),
+                                    pool, st.just([])))
+    return grid
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _ends_cleanly(command, config_flag, doc, threads, extra=()):
+    """Run ``command`` on the JSON config ``doc`` at ``threads``; if it is
+    accepted, run it again at 1 and 3 threads and require the same stdout
+    and ``--out`` bytes."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d, "config.json")
+        path.write_text(json.dumps(doc))
+        runs = {}
+        for t in dict.fromkeys((threads, 1, 3)):
+            out_path = Path(d, f"out{t}.json")
+            code, out, err = _run_cli([command, config_flag, str(path), *extra,
+                                       "--threads", str(t), "--out", str(out_path)])
+            assert "Traceback" not in err
+            lines = err.splitlines()
+            if code == 1:
+                assert len(lines) == 1 and lines[0].startswith("error: "), err
+                return
+            assert code == 0
+            assert all(line.startswith("warning: ") for line in lines), err
+            runs[t] = (out, out_path.read_bytes())
+        assert runs[1] == runs[3]
+
+
+@settings(max_examples=100)
+@given(doc=synth_configs(), threads=st.integers(1, 3))
+def test_generated_synth_config_ends_cleanly(doc, threads):
+    """A synth config whose fields hold values of every JSON type, in and
+    out of range, either runs, the same at 1 and 3 threads, or ends in
+    exactly one error line, never a traceback."""
+    _ends_cleanly("synth", "--config", doc, threads)
+
+
+@settings(max_examples=100)
+@given(grid=sweep_grids(), threads=st.integers(1, 3))
+def test_generated_sweep_grid_ends_cleanly(fuzz_inputs, grid, threads):
+    """The same for sweep grids, on small ratings and metadata."""
+    with tempfile.TemporaryDirectory() as d:
+        for name in ("ratings.csv", "meta.jsonl"):
+            Path(d, name).write_bytes(fuzz_inputs[name])
+        _ends_cleanly("sweep", "--grid", grid, threads, extra=(
+            "--ratings", f"{d}/ratings.csv", "--metadata", f"{d}/meta.jsonl",
+            "--iters", "3",
+        ))

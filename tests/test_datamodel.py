@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +9,7 @@ from reclens.datamodel import (
     MetadataMatrix,
     RatingsMatrix,
     predict_rating,
+    write_json,
 )
 from reclens.errors import ValidationError
 
@@ -114,6 +117,17 @@ class TestFactorModel:
         with pytest.raises(ValidationError):
             FactorModel(rank=1, lam=0.0, user_factors=bad, item_factors=np.ones((1, 1)))
 
+    @pytest.mark.parametrize("rank, lam, message", [
+        (2.0, 0.0, "mistyped value for rank: 2.0 is not an integer"),
+        (True, 0.0, "mistyped value for rank: True is not an integer"),
+        (2, "0.1", "mistyped value for lam: '0.1' is not a finite number"),
+        (2, float("nan"), "mistyped value for lam: nan is not a finite number"),
+    ])
+    def test_rank_and_lambda_typed(self, rank, lam, message):
+        with pytest.raises(ValidationError, match=message):
+            FactorModel(rank=rank, lam=lam,
+                        user_factors=np.ones((1, 2)), item_factors=np.ones((1, 2)))
+
 
 class TestDenseAttributeRow:
     def test_partial_support(self):
@@ -179,3 +193,20 @@ class TestMetadataMatrix:
         meta = make_meta(3, {"a": {0, 2}})
         assert set(np.unique(meta.X)) <= {0.0, 1.0}
 
+
+
+@pytest.mark.parametrize("arrays", [
+    {"b": np.arange(12.0).reshape(4, 3) / 7},
+    {"b": np.array([[np.nan, -np.inf, 1e-300]]), "a0": np.empty((0, 2))},
+    {"z": np.empty((3, 0)), "a": np.array([[1.5]])},
+    {"long": np.arange(1200.0).reshape(600, 2) / 3, "flat": np.arange(700) - 9},
+    {},
+])
+def test_write_json_is_one_dumps_line(tmp_path, arrays):
+    """Arrays written in blocks of rows give the bytes of one ``json.dumps``
+    of the whole document with each array as its list."""
+    doc = {"m": {"y": [1, 2.5], "x": None}, "s": "é\n", "t": True, **arrays}
+    path = tmp_path / "doc.json"
+    write_json(doc, path)
+    lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
+    assert path.read_bytes() == (json.dumps(lists, sort_keys=True) + "\n").encode()

@@ -28,6 +28,7 @@ from conftest import (
     leaf_tree,
     path_oracle,
     predict_tree,
+    random_tree,
     repeat_tree,
     walk_tree,
 )
@@ -103,9 +104,7 @@ def grow_oracle(X, y, params) -> RegressionTree:
             right=grow(rows[~go_left], depth + 1),
         )
 
-    return RegressionTree(
-        root=grow(np.arange(len(y)), 0), params=params, n_features=X.shape[1]
-    )
+    return RegressionTree(root=grow(np.arange(len(y)), 0), n_features=X.shape[1])
 
 
 def best_tree_mae_oracle(X, y, depth: int) -> float:
@@ -315,7 +314,7 @@ class TestFitTree:
         y = np.array([0.0, 1.0, 0.0, 1.0])
         tree = fit_tree(X, y, TreeParams(max_depth=1))
         assert tree_mae(tree, X, y) == 0.0
-        assert tree.root.depth() == 1
+        assert tree.depth == 1
 
     def test_xor_against_enumeration_oracle(self):
         assert best_tree_mae_oracle(XOR_X, XOR_Y, 1) == pytest.approx(0.5)
@@ -493,7 +492,21 @@ class TestTreeStructure:
     )
     def test_malformed_node_rejected(self, root):
         with pytest.raises(ValidationError, match="neither a leaf nor a split"):
-            RegressionTree(root=root, params=TreeParams(max_depth=1), n_features=2)
+            RegressionTree(root=root, n_features=2)
+
+    def test_depth_is_longest_path(self, rng):
+        """``depth``, read from the flat arrays, equals a recursive count
+        of splits over the node objects."""
+
+        def depth_oracle(node):
+            if node.is_leaf:
+                return 0
+            return 1 + max(depth_oracle(node.left), depth_oracle(node.right))
+
+        for depth in range(6):
+            for _ in range(20):
+                tree = random_tree(rng, 3, depth)
+                assert tree.depth == depth_oracle(tree.root) <= depth
 
     def test_deepest_trees_compare_without_recursion(self):
         """Trees MAX_TREE_DEPTH levels deep compare by their flat arrays;
@@ -504,12 +517,11 @@ class TestTreeStructure:
             node = TreeNode(value=values[-1])
             for j in range(len(values) - 2, -1, -1):
                 node = TreeNode(feature=j, left=node, right=TreeNode(value=values[j]))
-            return RegressionTree(root=node, params=TreeParams(MAX_TREE_DEPTH),
-                                  n_features=MAX_TREE_DEPTH)
+            return RegressionTree(root=node, n_features=MAX_TREE_DEPTH)
 
         values = [float(v) for v in range(MAX_TREE_DEPTH + 1)]
         tree, same = chain(values), chain(values)
-        assert tree._depth == MAX_TREE_DEPTH
+        assert tree.depth == MAX_TREE_DEPTH
         assert tree == same and tree.root != same.root
         values[MAX_TREE_DEPTH // 2] = -1.0
         assert tree != chain(values)

@@ -8,7 +8,9 @@ from reclens.errors import FormatError, InsufficientDataError, ValidationError
 from reclens.influence import InfluenceQuery, SingleItem, explain
 from reclens.regressors import (
     MAX_TREE_DEPTH,
+    RegressionTree,
     TreeForest,
+    TreeNode,
     TreeParams,
     fit_linear_columns,
 )
@@ -229,22 +231,27 @@ class TestTrainShadow:
                 manual_shadow(factors, np.ones((1, 2)), meta)
 
     def test_fields_must_match_kind(self):
-        """A tree shadow holds only a forest, and a linear shadow only its
-        weights and intercepts: one finite factor per rank, each reading
-        every feature."""
+        """A tree shadow holds only a forest, none of its trees deeper than
+        the kind allows, and a linear shadow only its weights and
+        intercepts: one finite factor per rank, each reading every feature,
+        and finite user factors."""
         meta = make_meta(2, {"a": {0}, "b": {1}})
         tree, linear = TreeKind(TreeParams(max_depth=0)), LinearKind(ridge=0.0)
         forest = TreeForest([leaf_tree(1.0, 2)] * 2)
+        split_tree = RegressionTree(TreeNode(feature=0, left=TreeNode(value=0.0),
+                                             right=TreeNode(value=1.0)), 2)
         w, b = np.ones((2, 2)), np.zeros(2)
 
         def build(kind, **factors):
-            return ShadowModel(
-                kind=kind, **factors, user_factors=np.ones((1, 2)),
-                feature_names=meta.feature_names, item_indices=np.arange(2),
-                train_items=np.arange(2), eval_items=np.arange(2),
-            )
+            return ShadowModel(**{
+                "kind": kind, "user_factors": np.ones((1, 2)),
+                "feature_names": meta.feature_names, "item_indices": np.arange(2),
+                "train_items": np.arange(2), "eval_items": np.arange(2), **factors,
+            })
 
         build(tree, forest=forest)
+        build(TreeKind(TreeParams(max_depth=1)),
+              forest=TreeForest([leaf_tree(1.0, 2), split_tree]))
         build(linear, weights=w, intercepts=b)
         for kind, factors, message in [
             (tree, {}, "a tree shadow holds a forest and no linear weights"),
@@ -267,6 +274,13 @@ class TestTrainShadow:
              "linear shadow weights must be finite"),
             (linear, {"weights": w, "intercepts": [0.0, np.nan]},
              "linear shadow intercepts must be finite"),
+            (tree, {"forest": TreeForest([leaf_tree(1.0, 2), split_tree])},
+             "factor tree 1 has depth 1, but the kind's max_depth is 0"),
+            (linear, {"weights": w, "intercepts": b,
+                      "user_factors": [[1.0, np.nan]]},
+             "shadow user factors must be finite"),
+            (linear, {"weights": w, "intercepts": b, "eval_is_train": "no"},
+             "mistyped value for eval_is_train: 'no' is not true or false"),
         ]:
             with pytest.raises(ValidationError, match=message):
                 build(kind, **factors)
@@ -396,17 +410,15 @@ class TestLatentAgreement:
             item_factors=np.array([[1.2, 4.0], [0.6, 7.0]]),
         )
         # factor 1 predicted with residuals (0.2, 0.4); factor 2 exact
-        from reclens.regressors import RegressionTree, TreeNode
-
         f1 = RegressionTree(
             root=TreeNode(feature=0,
                           left=TreeNode(value=1.0), right=TreeNode(value=1.0)),
-            params=TreeParams(max_depth=1), n_features=2,
+            n_features=2,
         )
         f2 = RegressionTree(
             root=TreeNode(feature=0,
                           left=TreeNode(value=7.0), right=TreeNode(value=4.0)),
-            params=TreeParams(max_depth=1), n_features=2,
+            n_features=2,
         )
         shadow = manual_shadow([f1, f2], np.ones((1, 2)), meta)
         per_factor, mean = latent_agreement(shadow, baseline, meta, [0, 1])
@@ -427,7 +439,6 @@ class TestObservationalAgreement:
         directly as leaf values vs item factors."""
         n = len(values)
         meta = identity_meta(n)
-        from reclens.regressors import RegressionTree, TreeNode
 
         def chain(vals):
             # depth-(n-1) caterpillar: item i -> vals[i]
@@ -439,8 +450,7 @@ class TestObservationalAgreement:
                 )
             return node
 
-        tree = RegressionTree(root=chain(values),
-                              params=TreeParams(max_depth=max(1, n)), n_features=n)
+        tree = RegressionTree(root=chain(values), n_features=n)
         baseline = FactorModel(
             rank=1, lam=0.0, user_factors=np.ones((1, 1)),
             item_factors=np.array(truths, dtype=float).reshape(-1, 1),
@@ -712,7 +722,7 @@ def test_deepest_tree_round_trips_and_explains(tmp_path):
         baseline, meta, TreeKind(TreeParams(max_depth=MAX_TREE_DEPTH)),
         split=(1.0, 0),
     )
-    assert shadow.forest.trees[0].root.depth() == MAX_TREE_DEPTH
+    assert shadow.forest.trees[0].depth == MAX_TREE_DEPTH
     path = tmp_path / "deep.json"
     save_shadow(shadow, path)
     loaded = load_shadow(path)

@@ -44,17 +44,14 @@ def sim_config(**overrides):
         n_users=10,
         ratings_per_user=4,
         feature_pool=FeatureFilterSpec.top_k_entropy(6),
-        seed=0,
     )
     base.update(overrides)
     return SimConfig(**base)
 
 
-def simulate_ratings_oracle(profiles, meta, cfg, rng=None):
+def simulate_ratings_oracle(profiles, meta, cfg, rng):
     """The reference simulation: one :func:`profile_rating` call per rating,
     on the item's feature set."""
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     item_features = [
         frozenset(np.flatnonzero(meta.X[i]).tolist()) for i in range(meta.n_items)
     ]
@@ -126,16 +123,16 @@ def report_from_values(values: dict[str, float]) -> InfluenceReport:
 
 
 class TestGenerateProfiles:
-    def test_forced_full_pool(self):
+    def test_forced_full_pool(self, rng):
         cfg = sim_config(n_profiles=5, features_per_profile=4)
-        profiles = generate_profiles([3, 5, 9, 11], cfg)
+        profiles = generate_profiles([3, 5, 9, 11], cfg, rng)
         for p in profiles:
             assert p.features == {3, 5, 9, 11}
 
     def test_deterministic_for_fixed_seed(self):
-        cfg = sim_config(n_profiles=3, features_per_profile=2, seed=77)
-        a = generate_profiles(range(8), cfg)
-        b = generate_profiles(range(8), cfg)
+        cfg = sim_config(n_profiles=3, features_per_profile=2)
+        a = generate_profiles(range(8), cfg, np.random.default_rng(77))
+        b = generate_profiles(range(8), cfg, np.random.default_rng(77))
         assert a == b
 
     def test_liked_disliked_partition(self, rng):
@@ -146,9 +143,8 @@ class TestGenerateProfiles:
 
     def test_feature_frequencies_binomial(self):
         # each of 10 features should appear in about 3/10 of profiles
-        cfg = sim_config(n_profiles=10_000, features_per_profile=3, seed=5,
-                         n_users=10_001)
-        profiles = generate_profiles(range(10), cfg)
+        cfg = sim_config(n_profiles=10_000, features_per_profile=3, n_users=10_001)
+        profiles = generate_profiles(range(10), cfg, np.random.default_rng(5))
         counts = np.zeros(10)
         for p in profiles:
             for f in p.features:
@@ -158,10 +154,10 @@ class TestGenerateProfiles:
         freq = counts / len(profiles)
         assert np.all(np.abs(freq - p_hit) <= 3 * sigma)
 
-    def test_pool_too_small(self):
+    def test_pool_too_small(self, rng):
         cfg = sim_config(features_per_profile=5)
         with pytest.raises(ValidationError):
-            generate_profiles([1, 2], cfg)
+            generate_profiles([1, 2], cfg, rng)
 
     def test_profile_invariants(self):
         with pytest.raises(ValidationError):
@@ -219,7 +215,7 @@ class TestSimulateRatings:
         cfg = sim_config(ratings_per_user=7)
         profiles = [PreferenceProfile(frozenset({0}), frozenset())]
         with pytest.raises(ValidationError):
-            simulate_ratings(profiles, meta, cfg)
+            simulate_ratings(profiles, meta, cfg, rng)
 
     @given(simulation_cases())
     def test_matches_per_rating_oracle(self, case):
@@ -245,23 +241,23 @@ class TestSimulateRatings:
         assert np.all(np.diff(ratings.items.reshape(25, 9), axis=1) > 0)
 
     @pytest.mark.parametrize("feature", [-1, 3])
-    def test_profile_feature_outside_metadata(self, feature):
+    def test_profile_feature_outside_metadata(self, feature, rng):
         meta = self.three_feature_meta()
         profiles = [PreferenceProfile(frozenset({0}), frozenset({feature}))]
         with pytest.raises(ValidationError, match="outside the 3-feature"):
-            simulate_ratings(profiles, meta, sim_config(ratings_per_user=3))
+            simulate_ratings(profiles, meta, sim_config(ratings_per_user=3), rng)
 
-    def test_no_profiles(self):
+    def test_no_profiles(self, rng):
         meta = self.three_feature_meta()
         with pytest.raises(ValidationError, match="at least one profile"):
-            simulate_ratings([], meta, sim_config(ratings_per_user=3))
+            simulate_ratings([], meta, sim_config(ratings_per_user=3), rng)
 
     def test_reproducible(self):
         meta = self.three_feature_meta()
-        cfg = sim_config(ratings_per_user=3, seed=13)
-        profiles = generate_profiles(range(3), cfg)
-        r1, a1 = simulate_ratings(profiles, meta, cfg)
-        r2, a2 = simulate_ratings(profiles, meta, cfg)
+        cfg = sim_config(ratings_per_user=3)
+        profiles = generate_profiles(range(3), cfg, np.random.default_rng(13))
+        r1, a1 = simulate_ratings(profiles, meta, cfg, np.random.default_rng(13))
+        r2, a2 = simulate_ratings(profiles, meta, cfg, np.random.default_rng(13))
         np.testing.assert_array_equal(r1.ratings, r2.ratings)
         assert a1 == a2
 
@@ -337,14 +333,16 @@ class TestCorrectnessScore:
 
 
 class TestControlProfiles:
-    def test_semi_random_keep_all_is_identity(self):
+    def test_semi_random_keep_all_is_identity(self, rng):
         profile = PreferenceProfile(frozenset({1, 2}), frozenset({3}))
-        out = control_profiles(profile, range(10), "semi_random", keep_fraction=1.0)
+        out = control_profiles(profile, range(10), "semi_random", keep_fraction=1.0,
+                               rng=rng)
         assert out == profile
 
     def test_random_disjoint_pool_no_overlap(self):
         profile = PreferenceProfile(frozenset({1, 2}), frozenset({3}))
-        out = control_profiles(profile, [10, 11, 12, 13], "random", seed=4)
+        out = control_profiles(profile, [10, 11, 12, 13], "random",
+                               rng=np.random.default_rng(4))
         assert not (out.features & profile.features)
         assert len(out.features) == 3
 
@@ -352,7 +350,8 @@ class TestControlProfiles:
         profile = PreferenceProfile(frozenset({0, 1}), frozenset({2, 3}))
         for seed in range(20):
             out = control_profiles(
-                profile, range(20), "semi_random", keep_fraction=0.5, seed=seed
+                profile, range(20), "semi_random", keep_fraction=0.5,
+                rng=np.random.default_rng(seed),
             )
             survivors = out.features & profile.features
             assert len(survivors) == 2
@@ -364,18 +363,18 @@ class TestControlProfiles:
     def test_semi_random_keeps_at_least_one(self):
         profile = PreferenceProfile(frozenset({5}), frozenset())
         out = control_profiles(profile, range(10), "semi_random",
-                               keep_fraction=0.1, seed=0)
+                               keep_fraction=0.1, rng=np.random.default_rng(0))
         assert 5 in out.features
 
     def test_pool_too_small(self):
         profile = PreferenceProfile(frozenset({0, 1, 2}), frozenset())
         with pytest.raises(ValidationError):
-            control_profiles(profile, [0, 1], "random", seed=0)
+            control_profiles(profile, [0, 1], "random", rng=np.random.default_rng(0))
 
-    def test_unknown_mode(self):
+    def test_unknown_mode(self, rng):
         profile = PreferenceProfile(frozenset({0}), frozenset())
         with pytest.raises(ValidationError):
-            control_profiles(profile, range(5), "shuffled")
+            control_profiles(profile, range(5), "shuffled", rng=rng)
 
 
 class TestDirectEncodeModel:
@@ -588,12 +587,12 @@ class TestCohensD:
 
 class TestRandomMetadata:
     def test_deterministic(self):
-        m1 = random_metadata(20, 5, rng=9)
-        m2 = random_metadata(20, 5, rng=9)
+        m1 = random_metadata(20, 5, rng=np.random.default_rng(9))
+        m2 = random_metadata(20, 5, rng=np.random.default_rng(9))
         np.testing.assert_array_equal(m1.X, m2.X)
 
     def test_shape_and_names(self):
-        meta = random_metadata(12, 11, rng=0)
+        meta = random_metadata(12, 11, rng=np.random.default_rng(0))
         assert meta.n_items == 12
         assert meta.n_features == 11
         assert meta.feature_names[1] == "f01"
@@ -603,7 +602,7 @@ def fast_experiment_config(**overrides):
     base = dict(
         sim=SimConfig(
             n_profiles=2, features_per_profile=3, n_users=40, ratings_per_user=12,
-            feature_pool=FeatureFilterSpec.top_k_entropy(8), seed=0,
+            feature_pool=FeatureFilterSpec.top_k_entropy(8),
         ),
         als=AlsConfig(rank=2, lam=0.1, max_iterations=8),
         shadow_kind=TreeKind(TreeParams(max_depth=4)),
@@ -647,7 +646,7 @@ class TestHypothesisExperiment:
             sim=SimConfig(
                 n_profiles=2, features_per_profile=3, n_users=40,
                 ratings_per_user=12, delta=0.0,
-                feature_pool=FeatureFilterSpec.top_k_entropy(8), seed=0,
+                feature_pool=FeatureFilterSpec.top_k_entropy(8),
             ),
             n_reps=20, users_per_rep=1,
         )
