@@ -627,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     scope.add_argument("--user-aggregate", action="store_true")
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--svg")
-    p.add_argument("--model", help="optional baseline model for its rating")
+    p.add_argument("--model", help="the shadow's own baseline model, for its rating")
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("sweep", help="grid over model and shadow parameters")

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,31 +83,6 @@ class RatingsMatrix:
     @property
     def nnz(self) -> int:
         return len(self.ratings)
-
-    @classmethod
-    def from_entries(
-        cls,
-        n_users: int,
-        n_items: int,
-        entries: Iterable[tuple[int, int, float]],
-        scale: tuple[float, float] = (1.0, 5.0),
-        user_ids: Sequence[str] | None = None,
-        item_ids: Sequence[str] | None = None,
-    ) -> "RatingsMatrix":
-        entries = list(entries)
-        users = [e[0] for e in entries]
-        items = [e[1] for e in entries]
-        ratings = [e[2] for e in entries]
-        return cls(
-            n_users,
-            n_items,
-            np.asarray(users, dtype=np.int64),
-            np.asarray(items, dtype=np.int64),
-            np.asarray(ratings, dtype=np.float64),
-            scale=scale,
-            user_ids=tuple(user_ids) if user_ids is not None else None,
-            item_ids=tuple(item_ids) if item_ids is not None else None,
-        )
 
 
 @dataclass(frozen=True)
@@ -195,28 +169,6 @@ class MetadataMatrix:
         marg.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "marginals", marg)
-
-    @classmethod
-    def from_columns(
-        cls,
-        n_items: int,
-        feature_names: Sequence[str],
-        columns: Sequence[Iterable[int]],
-    ) -> "MetadataMatrix":
-        """The matrix whose column ``j`` holds exactly the items in
-        ``columns[j]``."""
-        if len(feature_names) != len(columns):
-            raise ValidationError("one column per feature name required")
-        X = np.zeros((n_items, len(columns)), dtype=np.bool_)
-        for j, (name, col) in enumerate(zip(feature_names, columns)):
-            for i in col:
-                if not 0 <= i < n_items:
-                    raise ValidationError(
-                        f"feature {name!r} references item {i} outside "
-                        f"[0, {n_items})"
-                    )
-                X[i, j] = True
-        return cls(feature_names, X)
 
     @property
     def n_items(self) -> int:

@@ -206,10 +206,16 @@ def train_als(
     before the first iteration, since the rank is fixed for the run.  The
     item half-step also fills in each rating's prediction, from which the
     iteration's RMSE is taken; the "no ratings" checks read the counts of
-    the two row layouts.
+    the two row layouts.  A rank above min(users, items) is refused before
+    anything is allocated.
     """
     if ratings.nnz < 1:
         raise ValidationError("cannot factorize an empty ratings matrix")
+    if cfg.rank > min(ratings.n_users, ratings.n_items):
+        raise ValidationError(
+            f"rank {cfg.rank} exceeds min(users, items) = "
+            f"min({ratings.n_users}, {ratings.n_items})"
+        )
     by_user = _row_groups(
         ratings.n_users, ratings.users, ratings.items, ratings.ratings
     )

@@ -196,6 +196,8 @@ def explain(
     ``zero_pairs``.
     The report warns when items lie outside the evaluation split, unless
     the scope is an item set over the shadow's whole item universe.
+    A ``baseline`` must be the model the shadow was trained from: the
+    shadow keeps its ids and its user factors verbatim.
     """
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
@@ -205,6 +207,14 @@ def explain(
         )
     if not 0 <= query.user < shadow.n_users:
         raise IndexError(f"user index {query.user} out of range")
+    if baseline is not None and (
+        (baseline.user_ids, baseline.item_ids) != (shadow.user_ids, shadow.item_ids)
+        or not np.array_equal(baseline.user_factors, shadow.user_factors)
+    ):
+        raise ValidationError(
+            "the baseline model is not the one the shadow model was trained "
+            "from: their user ids, item ids or user factors differ"
+        )
     if isinstance(query.scope, SingleItem):
         items = [query.scope.item]
     else:

@@ -316,7 +316,8 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                         "boolean, or a list of them"
                     )
                 key = f"{source}:{name}" if source else str(name)
-                attrs[key] = frozenset(str(v) for v in values)
+                # RawItemRecord makes the frozenset of string values.
+                attrs[key] = values
             try:
                 records.append(RawItemRecord(str(item_id), attrs))
             except ValidationError as exc:
@@ -326,30 +327,19 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
 
 def encode_one_hot(
     records: Sequence[RawItemRecord],
-    item_index: Mapping[str, int] | None = None,
-    n_items: int | None = None,
+    item_index: Mapping[str, int],
+    n_items: int,
 ) -> MetadataMatrix:
     """One binary column per observed (attribute, value) pair.
 
-    Columns are named ``attribute=value`` and ordered by sorted name.  By
-    default items are indexed in order of first appearance; pass
-    ``item_index`` (and ``n_items``) to align with an existing indexing,
-    e.g. the one produced by :func:`load_ratings`.  Records whose item is
-    missing from a supplied index are skipped (they cannot be rated).
+    Columns are named ``attribute=value`` and ordered by sorted name.  Row
+    ``item_index[item_id]`` of the ``n_items`` rows holds that item's
+    features, so the rows follow the model's item indexing, e.g. the one
+    produced by :func:`load_ratings`.  Records whose item is missing from
+    the index are skipped (they cannot be rated).
     """
     if not records:
         raise ValidationError("cannot encode an empty record list")
-    if item_index is None:
-        item_index = {}
-        for rec in records:
-            item_index.setdefault(rec.item_id, len(item_index))
-        total = len(item_index)
-    elif n_items is not None:
-        total = n_items
-    elif item_index:
-        total = max(item_index.values()) + 1
-    else:
-        raise ValidationError("item_index is empty and n_items was not given")
     rows, keys = [], []
     for rec in records:
         idx = item_index.get(rec.item_id)
@@ -362,13 +352,13 @@ def encode_one_hot(
     names = sorted(set(keys))
     column = {name: j for j, name in enumerate(names)}
     rows = np.array(rows, dtype=np.int64)
-    outside = (rows < 0) | (rows >= total)
+    outside = (rows < 0) | (rows >= n_items)
     if outside.any():
         at = int(np.argmax(outside))
         raise ValidationError(
-            f"feature {keys[at]!r} references item {rows[at]} outside [0, {total})"
+            f"feature {keys[at]!r} references item {rows[at]} outside [0, {n_items})"
         )
-    X = np.zeros((total, len(names)), dtype=np.bool_)
+    X = np.zeros((n_items, len(names)), dtype=np.bool_)
     X[rows, np.fromiter(map(column.__getitem__, keys), np.intp, len(keys))] = True
     return MetadataMatrix(tuple(names), X)
 

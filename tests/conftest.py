@@ -21,18 +21,20 @@ settings.load_profile("reclens")
 def identity_meta(n_items: int) -> MetadataMatrix:
     """One exclusive feature per item: row i is the i-th unit vector."""
     width = len(str(n_items - 1))
-    return MetadataMatrix.from_columns(
-        n_items,
+    return MetadataMatrix(
         tuple(f"id{i:0{width}d}" for i in range(n_items)),
-        tuple(frozenset([i]) for i in range(n_items)),
+        np.eye(n_items, dtype=np.bool_),
     )
 
 
 def make_meta(n_items: int, columns: dict[str, set[int]]) -> MetadataMatrix:
+    """The matrix whose feature ``name`` holds exactly the items in
+    ``columns[name]``, with the features in name order."""
     names = tuple(sorted(columns))
-    return MetadataMatrix.from_columns(
-        n_items, names, tuple(frozenset(columns[n]) for n in names)
-    )
+    X = np.zeros((n_items, len(names)), dtype=np.bool_)
+    for j, name in enumerate(names):
+        X[sorted(columns[name]), j] = True
+    return MetadataMatrix(names, X)
 
 
 def complete_low_rank_ratings(

@@ -148,6 +148,30 @@ class TestTrain:
         assert code == 1
         assert "rank" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rank", ["7", "100000"])
+    def test_rank_above_users_is_refused_before_allocating(
+        self, tmp_path, rng, monkeypatch, capsys, rank
+    ):
+        """Six users bound the rank at 6; the refusal comes before ALS lays
+        out a single row, so a rank whose systems would not fit in memory is
+        refused the same way."""
+        from reclens import factorize
+
+        def unreachable(*args):
+            raise AssertionError("ALS laid out its rows")
+
+        ratings, _ = make_identity_fixture(tmp_path, rng)
+        monkeypatch.setattr(factorize, "_row_groups", unreachable)
+        capsys.readouterr()
+        assert main(["train", "--ratings", str(ratings), "--rank", rank,
+                     "--out", str(tmp_path / "m.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: rank {rank} exceeds min(users, items) = min(6, 12)"
+        ]
+        assert not (tmp_path / "m.json").exists()
+
     def test_unset_flags_take_als_config_defaults(self, tmp_path, rng, capsys):
         ratings, _ = make_identity_fixture(tmp_path, rng)
         outputs = []
@@ -591,6 +615,39 @@ class TestExplain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not allowed with argument --item" in captured.err
+
+    @pytest.mark.parametrize("foreign, flags", [
+        # 2 of the 6 users: user u5 has no row in this model
+        (lambda rows: [r for r in rows if r[0] in ("u0", "u1")], ["--seed", "1"]),
+        # the same users, first seen in reverse order
+        (lambda rows: rows[::-1], ["--seed", "1"]),
+        # the same ratings, another initialization
+        (lambda rows: rows, ["--seed", "2"]),
+    ], ids=["fewer-users", "reordered-users", "other-factors"])
+    @pytest.mark.parametrize("scope", [["--item", "m3"], ["--user-aggregate"]])
+    def test_foreign_model_is_one_error_line(
+        self, tmp_path, shadow_fixture, capsys, foreign, flags, scope
+    ):
+        """``--model`` must be the model the shadow was trained from."""
+        meta, model_path, shadow_path = shadow_fixture
+        lines = (tmp_path / "ratings.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        ratings = tmp_path / "foreign.csv"
+        write_ratings_csv(ratings, foreign(rows), header=lines[0])
+        other = tmp_path / "foreign.json"
+        assert main(["train", "--ratings", str(ratings), "--rank", "2",
+                     "--lambda", "0.05", "--iters", "10", *flags,
+                     "--out", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["explain", "--shadow", str(shadow_path), "--metadata",
+                     str(meta), "--user", "u5", *scope,
+                     "--model", str(other)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: the baseline model is not the one the shadow model was "
+            "trained from: their user ids, item ids or user factors differ"
+        ]
 
 
 _VALUE_RULE = "; it must be a string, number or boolean, or a list of them"
@@ -1239,11 +1296,12 @@ class TestSweep:
         assert len(outputs[0][0].splitlines()) == 3
 
     def test_rank_below_one_fails_only_its_cells(self, tmp_path, rng, capsys):
-        """A grid rank below 1 is a bad cell value like a negative depth: its
-        cells record the error and the others still run."""
+        """A grid rank below 1, or above min(users, items) (20 users here),
+        is a bad cell value like a negative depth: its cells record the
+        error and the others still run."""
         ratings, meta = structured_sweep_fixture(tmp_path, rng, "linear")
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps({"ranks": [-1, 2], "kinds": ["linear"]}))
+        grid_path.write_text(json.dumps({"ranks": [-1, 2, 21], "kinds": ["linear"]}))
         out = tmp_path / "sweep.jsonl"
         capsys.readouterr()
         assert main([
@@ -1254,6 +1312,7 @@ class TestSweep:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert [(r["cell"]["rank"], r["error"]) for r in rows] == [
             (-1, "rank must be >= 1, got -1"), (2, None),
+            (21, "rank 21 exceeds min(users, items) = min(20, 48)"),
         ]
 
 
@@ -1352,6 +1411,8 @@ class TestSynthCommand:
              "als.seed is not read: the top-level 'seed' seeds every repetition"),
             (lambda d: d["shadow"].update(max_depth=MAX_TREE_DEPTH + 1),
              f"max_depth must be <= {MAX_TREE_DEPTH}"),
+            (lambda d: d["als"].update(rank=25),
+             "repetition 0: rank 25 exceeds min(users, items) = min(30, 24)"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):

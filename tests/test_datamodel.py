@@ -61,7 +61,7 @@ class TestPredictRating:
 class TestRatingsMatrix:
     def test_duplicate_pair_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
-            RatingsMatrix.from_entries(2, 2, [(0, 0, 3.0), (0, 0, 4.0)])
+            RatingsMatrix(2, 2, [0, 0], [0, 0], [3.0, 4.0])
 
     def test_distant_duplicate_pair_rejected(self):
         # The repeated pair sits at the two ends of unsorted arrays, with
@@ -77,11 +77,11 @@ class TestRatingsMatrix:
 
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
-            RatingsMatrix.from_entries(1, 1, [(0, 1, 3.0)])
+            RatingsMatrix(1, 1, [0], [1], [3.0])
 
     def test_rating_outside_scale_rejected(self):
         with pytest.raises(ValidationError, match="scale"):
-            RatingsMatrix.from_entries(1, 1, [(0, 0, 6.0)], scale=(1.0, 5.0))
+            RatingsMatrix(1, 1, [0], [0], [6.0], scale=(1.0, 5.0))
 
     @pytest.mark.parametrize(
         "user_ids, item_ids, message",
@@ -93,15 +93,15 @@ class TestRatingsMatrix:
         ],
     )
     def test_ids_must_name_each_row_once(self, user_ids, item_ids, message):
-        entries = [(0, 0, 3.0), (1, 1, 4.0)]
+        entries = ([0, 1], [0, 1], [3.0, 4.0])
         with pytest.raises(ValidationError, match=message):
-            RatingsMatrix.from_entries(2, 2, entries, user_ids=user_ids,
-                                       item_ids=item_ids)
-        assert RatingsMatrix.from_entries(2, 2, entries, user_ids=["a", "b"],
-                                          item_ids=["x", "y"]).nnz == 2
+            RatingsMatrix(2, 2, *entries, user_ids=tuple(user_ids),
+                          item_ids=tuple(item_ids))
+        assert RatingsMatrix(2, 2, *entries, user_ids=("a", "b"),
+                             item_ids=("x", "y")).nnz == 2
 
     def test_arrays_are_read_only(self):
-        rm = RatingsMatrix.from_entries(1, 1, [(0, 0, 3.0)])
+        rm = RatingsMatrix(1, 1, [0], [0], [3.0])
         with pytest.raises(ValueError):
             rm.ratings[0] = 1.0
 

@@ -386,14 +386,15 @@ class TestChunkedSolveHalf:
 
 class TestTrainAls:
     def test_single_cell(self):
-        rm = RatingsMatrix.from_entries(1, 1, [(0, 0, 4.0)])
+        rm = RatingsMatrix(1, 1, [0], [0], [4.0])
         model = train_als(rm, AlsConfig(rank=1, lam=1e-9, max_iterations=5))
         assert predict_rating(model, 0, 0) == pytest.approx(4.0, abs=1e-6)
 
     def test_exact_rank_one_product(self):
         s, t = (1.0, 2.0), (1.0, 3.0)
-        entries = [(u, i, s[u] * t[i]) for u in range(2) for i in range(2)]
-        rm = RatingsMatrix.from_entries(2, 2, entries, scale=(1.0, 6.0))
+        rm = RatingsMatrix(2, 2, [0, 0, 1, 1], [0, 1, 0, 1],
+                           [s[u] * t[i] for u in range(2) for i in range(2)],
+                           scale=(1.0, 6.0))
         model = train_als(
             rm, AlsConfig(rank=1, lam=1e-9, max_iterations=50, convergence_tol=0.0)
         )
@@ -428,7 +429,7 @@ class TestTrainAls:
         entries = [(u, i, float(rng.integers(1, 6)))
                    for u in range(15) for i in range(11)
                    if (u + i) % 4 == 0 or rng.random() < 0.3]
-        rm = RatingsMatrix.from_entries(15, 11, entries)
+        rm = RatingsMatrix(15, 11, *zip(*entries))
         for j in range(1, 6):
             history = []
             model = train_als(
@@ -486,18 +487,18 @@ class TestTrainAls:
         assert not np.array_equal(m1.item_factors, m2.item_factors)
 
     def test_empty_ratings_rejected(self):
-        rm = RatingsMatrix.from_entries(0, 0, [])
+        rm = RatingsMatrix(0, 0, [], [], [])
         with pytest.raises(ValidationError):
             train_als(rm, AlsConfig(rank=1, lam=0.1))
 
     def test_uncovered_user_rejected(self):
-        rm = RatingsMatrix.from_entries(2, 1, [(0, 0, 3.0)])
+        rm = RatingsMatrix(2, 1, [0], [0], [3.0])
         with pytest.raises(ValidationError, match="no ratings"):
             train_als(rm, AlsConfig(rank=1, lam=0.1))
 
     def test_singular_at_zero_lambda_advises(self):
         # one rating per user cannot pin down two factors without a penalty
-        rm = RatingsMatrix.from_entries(2, 2, [(0, 0, 3.0), (1, 1, 4.0)])
+        rm = RatingsMatrix(2, 2, [0, 1], [0, 1], [3.0, 4.0])
         with pytest.raises(SolverError, match="lambda > 0"):
             train_als(rm, AlsConfig(rank=2, lam=0.0, max_iterations=3))
 
@@ -520,18 +521,18 @@ class TestTrainingRmse:
 
     def test_exact_model_zero(self):
         model = self.make_model([[2.0]], [[2.0]])
-        rm = RatingsMatrix.from_entries(1, 1, [(0, 0, 4.0)])
+        rm = RatingsMatrix(1, 1, [0], [0], [4.0])
         assert training_rmse(model, rm) == 0.0
 
     def test_single_residual(self):
         model = self.make_model([[1.0]], [[3.0]])
-        rm = RatingsMatrix.from_entries(1, 1, [(0, 0, 4.0)])
+        rm = RatingsMatrix(1, 1, [0], [0], [4.0])
         assert training_rmse(model, rm) == 1.0
 
     def test_symmetric_residuals(self):
         # predictions (3, 3) against ratings (4, 2): residuals +1 and -1
         model = self.make_model([[1.0]], [[3.0], [3.0]])
-        rm = RatingsMatrix.from_entries(1, 2, [(0, 0, 4.0), (0, 1, 2.0)])
+        rm = RatingsMatrix(1, 2, [0, 0], [0, 1], [4.0, 2.0])
         assert training_rmse(model, rm) == pytest.approx(1.0, abs=1e-15)
 
     @settings(max_examples=100)
@@ -556,7 +557,7 @@ class TestTrainingRmse:
 
     def test_empty_rejected(self):
         model = self.make_model([[1.0]], [[1.0]])
-        rm = RatingsMatrix.from_entries(1, 1, [])
+        rm = RatingsMatrix(1, 1, [], [], [])
         with pytest.raises(ValidationError):
             training_rmse(model, rm)
 

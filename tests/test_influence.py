@@ -641,9 +641,7 @@ class TestRankingAgainstFullSort:
         # follow in name order, not in column order.
         names, n_items = ("f3", "f0", "f4", "f1", "f2"), 8
         X = rng.random((n_items, len(names))) < 0.5
-        meta = MetadataMatrix.from_columns(
-            n_items, names, [np.flatnonzero(column).tolist() for column in X.T]
-        )
+        meta = MetadataMatrix(names, X)
         trees = [random_tree(rng, len(names), 1) for _ in range(2)]
         shadow = manual_shadow(trees, rng.normal(size=(2, 2)), meta)
         for item in range(n_items):

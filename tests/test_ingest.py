@@ -151,7 +151,7 @@ class TestLoadMetadata:
 class TestEncodeOneHot:
     def test_multi_valued_attribute(self):
         recs = [RawItemRecord("a", {"genre": frozenset({"scifi", "action"})})]
-        meta = encode_one_hot(recs)
+        meta = encode_one_hot(recs, {"a": 0}, 1)
         assert meta.feature_names == ("genre=action", "genre=scifi")
         np.testing.assert_array_equal(meta.X, [[1.0, 1.0]])
 
@@ -160,7 +160,7 @@ class TestEncodeOneHot:
             RawItemRecord("a", {"genre": frozenset({"a"})}),
             RawItemRecord("b", {"genre": frozenset({"b"})}),
         ]
-        meta = encode_one_hot(recs)
+        meta = encode_one_hot(recs, {"a": 0, "b": 1}, 2)
         assert meta.supports().tolist() == [1, 1]
         np.testing.assert_allclose(meta.marginals, [0.5, 0.5])
 
@@ -168,7 +168,7 @@ class TestEncodeOneHot:
         recs = [RawItemRecord("a", {"g": frozenset({"x"})})] + [
             RawItemRecord(f"b{i}", {"g": frozenset({"y"})}) for i in range(3)
         ]
-        meta = encode_one_hot(recs)
+        meta = encode_one_hot(recs, {"a": 0, "b0": 1, "b1": 2, "b2": 3}, 4)
         assert meta.marginals[meta.feature_index("g=x")] == 0.25
 
     def test_column_count_is_distinct_pairs(self, rng):
@@ -183,7 +183,7 @@ class TestEncodeOneHot:
                     attrs[attr] = frozenset(chosen)
                     pairs.update((attr, v) for v in chosen)
             recs.append(RawItemRecord(f"i{i}", attrs))
-        meta = encode_one_hot(recs)
+        meta = encode_one_hot(recs, {f"i{i}": i for i in range(12)}, 12)
         assert meta.n_features == len(pairs)
 
     def test_external_index_alignment(self):
@@ -200,7 +200,7 @@ class TestEncodeOneHot:
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValidationError):
-            encode_one_hot([])
+            encode_one_hot([], {}, 0)
 
 
 class TestFeatureEntropy:
@@ -362,11 +362,6 @@ class TestAlignmentHelpers:
 
 
 class TestEncodeGuards:
-    def test_empty_index_without_total_rejected(self):
-        recs = [RawItemRecord("a", {"g": frozenset({"x"})})]
-        with pytest.raises(ValidationError, match="item_index is empty"):
-            encode_one_hot(recs, item_index={})
-
     def test_empty_index_with_total_allowed(self):
         # no record matches the index, so no (attribute, value) pair is observed
         recs = [RawItemRecord("a", {"g": frozenset({"x"})})]

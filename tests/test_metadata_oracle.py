@@ -78,14 +78,7 @@ class FrozensetMetadata:
         return mat
 
 
-def encode_one_hot_oracle(records, item_index=None, n_items=None):
-    if item_index is None:
-        item_index = {}
-        for rec in records:
-            item_index.setdefault(rec.item_id, len(item_index))
-        total = len(item_index)
-    else:
-        total = n_items
+def encode_one_hot_oracle(records, item_index, n_items):
     columns: dict[str, set[int]] = {}
     for rec in records:
         idx = item_index.get(rec.item_id)
@@ -95,7 +88,8 @@ def encode_one_hot_oracle(records, item_index=None, n_items=None):
             for value in values:
                 columns.setdefault(f"{attr}={value}", set()).add(idx)
     names = tuple(sorted(columns))
-    return FrozensetMetadata(total, names, tuple(frozenset(columns[n]) for n in names))
+    return FrozensetMetadata(n_items, names,
+                             tuple(frozenset(columns[n]) for n in names))
 
 
 def filter_features_oracle(meta, spec):
@@ -190,16 +184,12 @@ def record_sets(draw):
     return n_items, records
 
 
-@given(record_sets(), st.booleans())
-def test_encode_one_hot_matches_frozenset_oracle(case, indexed):
+@given(record_sets())
+def test_encode_one_hot_matches_frozenset_oracle(case):
     n_items, records = case
-    if indexed:
-        index = {f"i{k}": (k * 3) % n_items for k in range(n_items)}
-        kwargs = {"item_index": index, "n_items": n_items}
-    else:
-        kwargs = {}
-    assert_same(encode_one_hot(records, **kwargs),
-                encode_one_hot_oracle(records, **kwargs))
+    index = {f"i{k}": (k * 3) % n_items for k in range(n_items)}
+    assert_same(encode_one_hot(records, index, n_items),
+                encode_one_hot_oracle(records, index, n_items))
 
 
 @st.composite
@@ -210,8 +200,8 @@ def matrices(draw):
         draw(st.frozensets(st.integers(0, n_items - 1))) for _ in range(n_features)
     ]
     names = draw(st.permutations([f"x{j}" for j in range(n_features)]))
-    return (MetadataMatrix.from_columns(n_items, names, columns),
-            FrozensetMetadata(n_items, tuple(names), tuple(columns)))
+    oracle = FrozensetMetadata(n_items, tuple(names), tuple(columns))
+    return MetadataMatrix(tuple(names), oracle.dense == 1.0), oracle
 
 
 SPECS = st.one_of(
@@ -273,13 +263,6 @@ def test_random_metadata_matches_frozenset_oracle(n_items, n_features, seed, spa
     expected = random_metadata_oracle(n_items, n_features, oracle_rng, tuple(span))
     assert_same(meta, expected)
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
-
-
-def test_from_columns_rejects_items_outside_range():
-    with pytest.raises(ValidationError, match="outside"):
-        MetadataMatrix.from_columns(2, ("a",), (frozenset({2}),))
-    with pytest.raises(ValidationError, match="one column per feature"):
-        MetadataMatrix.from_columns(2, ("a", "b"), (frozenset(),))
 
 
 def test_encode_rejects_index_outside_total():
