@@ -257,9 +257,9 @@ def cmd_explain(args) -> int:
         {"user_aggregate": True} if args.user_aggregate
         else {"single_item": shadow.item_ids[scope.item]}
     )
-    _emit(doc)
-    if args.svg:
+    if args.svg:  # first, so that a failed write prints no report
         write_svg(report, args.svg, top=min(args.top_k, 10))
+    _emit(doc)
     return 0
 
 

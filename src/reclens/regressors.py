@@ -5,11 +5,11 @@ Both are deterministic: identical inputs always produce identical models.
 A linear shadow's k factors are one (features, k) weight matrix and k
 intercepts, as ``fit_linear_columns`` fits them; ``predict_linear``
 multiplies fixed blocks of ``LINEAR_BLOCK`` rows by them, so a row's
-prediction never depends on the batch around it.  A tree reads its
-features as booleans: every split sends the rows where the feature is
-False left and the others right, and no tree grows deeper than
-``MAX_TREE_DEPTH`` levels, so that every fitted tree can be saved in a
-shadow file and read back.
+prediction never depends on the batch around it.  A tree is its
+breadth-first node arrays and reads its features as booleans: every split
+sends the rows where the feature is False left and the others right, and
+no tree grows deeper than ``MAX_TREE_DEPTH`` levels, so that every fitted
+tree can be saved in a shadow file and read back.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree predicts as a forest of one.  ``TreeForest.walk`` routes each
@@ -20,7 +20,8 @@ report needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -38,10 +39,10 @@ FOREST_PAIRS = 2048
 # plain X @ W rounds a row differently as the number of rows changes.
 LINEAR_BLOCK = 64
 
-# The deepest tree a shadow may hold.  Growing a tree, writing it and
-# reading it back each recurse once per level, and Python's default limit
-# of 1000 frames, less those of the callers, must cover them: a tree 989
-# levels deep still fits and saves, but its shadow file no longer loads.
+# The deepest tree a shadow may hold.  A version-1 shadow file nests one
+# JSON object per tree level, and json's encoder and decoder recurse per
+# level within Python's limit of 1000 frames: about 990 deep, a document no
+# longer encodes or decodes.  No reclens function recurses.
 MAX_TREE_DEPTH = 512
 
 
@@ -149,81 +150,60 @@ class TreeParams:
 
 
 @dataclass(frozen=True, eq=False)
-class TreeNode:
-    """Internal node (feature, children) or leaf (value).  Rows whose
-    feature is False go left, the others right.  Nodes compare by identity."""
-
-    feature: int | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-
-@dataclass(frozen=True, eq=False)
 class RegressionTree:
-    """A fitted tree.  ``root`` is the stored and serialized form; the flat
-    arrays that a ``TreeForest`` routes are built from it at construction,
-    so threads that share a tree never race to build them.  Construction
-    rejects a leaf whose value is not a finite number and a split whose
-    feature is not an integer index below ``n_features`` (a bool is none),
-    so a tree read from a file predicts only finite numbers.  Its growth
-    settings are its shadow kind's.  Trees compare by width and flat
-    arrays, so with no recursion at any depth."""
+    """A fitted tree as breadth-first node lists: ``feature[i]`` is node i's
+    split feature, or -1 at a leaf, and ``value[i]`` a leaf's prediction (a
+    split's is not read).  The s-th split's children are nodes 2s + 1 and
+    2s + 2, left then right; rows whose feature is False go left.
+    Construction rejects a leaf value that is not a finite number, a split
+    feature that is not an integer index below ``n_features`` (a bool is
+    none), a split without children and lists that are not one tree, so a
+    tree read from a file predicts only finite numbers.  Its growth settings
+    are its shadow kind's."""
 
-    root: TreeNode
+    feature: InitVar[list]
+    value: InitVar[list]
     n_features: int
 
-    def __post_init__(self):
-        # Breadth-first node arrays.  A leaf's children are the leaf itself,
-        # so rows that reach a shallow leaf stay there for the later levels.
-        nodes, levels = [self.root], [0]
-        feature, left, right, value = [], [], [], []
-        for i, node in enumerate(nodes):  # nodes grows while it is walked
-            if node.is_leaf:
-                if not is_finite_real(node.value):
+    def __post_init__(self, feature, value):
+        n = len(feature)
+        if not n or len(value) != n:
+            raise ValidationError(f"{n} features and {len(value)} values are not one tree")
+        # A leaf is its own child, as TreeForest._route needs, and tests
+        # feature 0: numpy gathers slower when negative indices are mixed in.
+        # levels holds the level of each node that the splits so far place.
+        left, right = list(range(n)), list(range(n))
+        features, values, levels = [0] * n, [np.nan] * n, [0]
+        for i, f in enumerate(feature):
+            if i >= len(levels):
+                raise ValidationError(f"tree node {i} is no split's child")
+            index = isinstance(f, (int, np.integer)) and not isinstance(f, bool)
+            if index and f == -1:
+                if not is_finite_real(value[i]):
                     raise ValidationError(
-                        f"tree node {i} holds leaf value {node.value!r}, not a "
+                        f"tree node {i} holds leaf value {value[i]!r}, not a "
                         "finite number"
                     )
-                feature.append(0)
-                left.append(i)
-                right.append(i)
-                value.append(node.value)
-                continue
-            if (
-                node.left is None
-                or node.right is None
-                or not isinstance(node.feature, (int, np.integer))
-                or isinstance(node.feature, bool)
-                or not 0 <= node.feature < self.n_features
-            ):
+                values[i] = value[i]
+            elif index and 0 <= f < self.n_features and len(levels) + 1 < n:
+                features[i], left[i], right[i] = f, len(levels), len(levels) + 1
+                levels += [levels[i] + 1] * 2
+            else:
                 raise ValidationError(
                     f"tree node {i} is neither a leaf nor a split on one of "
                     f"{self.n_features} features"
                 )
-            feature.append(node.feature)
-            left.append(len(nodes))
-            right.append(len(nodes) + 1)
-            value.append(np.nan)
-            nodes += [node.left, node.right]
-            levels += [levels[i] + 1] * 2
-        for name, values, dtype in (
-            ("_feature", feature, np.intp),
-            ("_left", left, np.intp),
-            ("_right", right, np.intp),
-            ("_value", value, np.float64),
-        ):
-            object.__setattr__(self, name, np.array(values, dtype=dtype))
-        object.__setattr__(self, "_depth", max(levels))
+        for name, nodes in (("_feature", features), ("_left", left), ("_right", right)):
+            object.__setattr__(self, name, np.array(nodes, dtype=np.intp))
+        object.__setattr__(self, "_value", np.array(values, dtype=np.float64))
+        object.__setattr__(self, "_depth", levels[-1])  # levels never fall
 
     @property
     def depth(self) -> int:
         """Splits on the longest root-to-leaf path: 0 for a lone leaf."""
         return self._depth
+
+    root = property(lambda self: NodeView(self, 0), doc="Node 0, as a view.")
 
     def __eq__(self, other):
         # equal_nan, because split nodes hold NaN values.
@@ -231,6 +211,20 @@ class RegressionTree:
             np.array_equal(getattr(self, a), getattr(other, a), equal_nan=True)
             for a in ("_feature", "_left", "_right", "_value")
         ) and self.n_features == other.n_features
+
+
+@dataclass(frozen=True)
+class NodeView:
+    """A tree's node ``index``; ``left`` and ``right`` are None at a leaf."""
+
+    tree: RegressionTree
+    index: int
+
+    left = property(lambda self: self._child(self.tree._left[self.index]))
+    right = property(lambda self: self._child(self.tree._right[self.index]))
+
+    def _child(self, i):
+        return None if i == self.index else NodeView(self.tree, int(i))
 
 
 @dataclass(frozen=True)
@@ -430,21 +424,6 @@ def _binary_split(X, y, rows, params):
     return int(candidates[np.argmax(gain)])
 
 
-def _grow(X, y, rows, depth, params) -> TreeNode:
-    targets = y[rows]
-    if depth >= params.max_depth or np.ptp(targets) == 0.0:
-        return TreeNode(value=float(targets.mean()))
-    feature = _binary_split(X, y, rows, params)
-    if feature is None:
-        return TreeNode(value=float(targets.mean()))
-    go_right = X[rows, feature]
-    return TreeNode(
-        feature=feature,
-        left=_grow(X, y, rows[~go_right], depth + 1, params),
-        right=_grow(X, y, rows[go_right], depth + 1, params),
-    )
-
-
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
     """Greedy CART regression over 0/1 features: variance-reduction
     splits, mean-valued leaves.
@@ -464,5 +443,16 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
     if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
     X = _boolean(X)
-    root = _grow(X, y, np.arange(len(y)), 0, params)
-    return RegressionTree(root=root, n_features=X.shape[1])
+    # First in, first out: nodes are grown in the order the tree numbers them.
+    feature, value, todo = [], [], deque([(np.arange(len(y)), 0)])
+    while todo:
+        rows, depth = todo.popleft()
+        targets, split = y[rows], None
+        if depth < params.max_depth and np.ptp(targets) != 0.0:
+            split = _binary_split(X, y, rows, params)
+        feature.append(-1 if split is None else split)
+        value.append(float(targets.mean()) if split is None else np.nan)
+        if split is not None:
+            go_right = X[rows, split]
+            todo += [(rows[~go_right], depth + 1), (rows[go_right], depth + 1)]
+    return RegressionTree(feature, value, X.shape[1])

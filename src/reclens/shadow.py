@@ -41,7 +41,6 @@ from .errors import (
 from .regressors import (
     RegressionTree,
     TreeForest,
-    TreeNode,
     TreeParams,
     check_ridge,
     fit_linear_columns,
@@ -503,30 +502,40 @@ def measure_agreement(
     )
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"value": node.value}
-    return {
-        "feature": node.feature,
-        "threshold": SPLIT_THRESHOLD,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_doc(tree: RegressionTree) -> dict:
+    """A tree's nested version-1 node documents, built from the last node
+    back, so that each split finds its children's."""
+    feature, left, right, value = (
+        a.tolist() for a in (tree._feature, tree._left, tree._right, tree._value))
+    docs = [None] * len(value)
+    for i in reversed(range(len(docs))):
+        if left[i] == i:
+            docs[i] = {"value": value[i]}
+        else:
+            docs[i] = {"feature": feature[i], "threshold": SPLIT_THRESHOLD,
+                       "left": docs[left[i]], "right": docs[right[i]]}
+    return docs[0]
 
 
-def _node_from_dict(doc: dict) -> TreeNode:
-    if "value" in doc:
-        return TreeNode(value=doc["value"])
-    if doc["threshold"] != SPLIT_THRESHOLD:
-        raise ValidationError(
-            f"tree split threshold {doc['threshold']!r} is not "
-            f"{SPLIT_THRESHOLD}; features are 0/1"
-        )
-    return TreeNode(
-        feature=doc["feature"],
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+def _tree_from_doc(root: dict, n_features) -> RegressionTree:
+    """The tree of nested version-1 node documents, read in the order that
+    ``RegressionTree`` numbers nodes."""
+    nodes, feature, value = [root], [], []
+    for node in nodes:  # nodes grows while it is walked
+        if "value" in node:
+            feature.append(-1)
+            value.append(node["value"])
+            continue
+        if node["threshold"] != SPLIT_THRESHOLD:
+            raise ValidationError(
+                f"tree split threshold {node['threshold']!r} is not "
+                f"{SPLIT_THRESHOLD}; features are 0/1"
+            )
+        # -1 marks a leaf, so a split on it splits on no feature.
+        feature.append(None if node["feature"] == -1 else node["feature"])
+        value.append(np.nan)
+        nodes += [node["left"], node["right"]]
+    return RegressionTree(feature, value, n_features)
 
 
 def _kind_doc(kind: ShadowKind) -> dict:
@@ -542,7 +551,7 @@ def _predictor_docs(shadow: ShadowModel) -> list[dict]:
     """A file document per tree, or per weight column."""
     settings = _kind_doc(shadow.kind)
     if shadow.forest is not None:
-        return [{**settings, "n_features": t.n_features, "root": _node_to_dict(t.root)}
+        return [{**settings, "n_features": t.n_features, "root": _tree_doc(t)}
                 for t in shadow.forest.trees]
     return [{**settings, "weights": w.tolist(), "intercept": float(b)}
             for w, b in zip(shadow.weights.T, shadow.intercepts)]
@@ -585,9 +594,8 @@ def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
             continue
         raise ValidationError(f"predictor {j} {problem}")
     if family == "tree":
-        return {"forest": TreeForest([RegressionTree(
-            root=_node_from_dict(doc["root"]), n_features=doc["n_features"],
-        ) for doc in docs])}
+        return {"forest": TreeForest([_tree_from_doc(doc["root"], doc["n_features"])
+                                      for doc in docs])}
     return {
         "weights": np.stack([array_from_json(doc["weights"], f"predictor {j} weights")
                              for j, doc in enumerate(docs)], axis=1),

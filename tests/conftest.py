@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
-from reclens.regressors import RegressionTree, TreeForest, TreeNode, TreeParams
+from reclens.regressors import RegressionTree, TreeForest, TreeParams
 from reclens.shadow import LinearKind, ShadowModel, TreeKind
 
 # Property tests draw the same examples on every run, so a tier-1 result is
@@ -74,10 +74,62 @@ def complete_low_rank_ratings(
     )
 
 
+def tree_of(node, n_features: int) -> RegressionTree:
+    """The tree of a nested node, a leaf value or a (feature, left, right)
+    tuple, with its nodes numbered level by level, left before right."""
+    nodes, feature, value = [node], [], []
+    for node in nodes:  # nodes grows while it is walked
+        if isinstance(node, tuple):
+            feature.append(node[0])
+            value.append(np.nan)
+            nodes += node[1:]
+        else:
+            feature.append(-1)
+            value.append(node)
+    return RegressionTree(feature, value, n_features)
+
+
 def leaf_tree(value: float, n_features: int) -> RegressionTree:
-    return RegressionTree(
-        root=TreeNode(value=float(value)), n_features=n_features,
-    )
+    return RegressionTree([-1], [float(value)], n_features)
+
+
+def chain_tree(values, n_features: int) -> RegressionTree:
+    """len(values) - 1 splits in a chain: split j sends the rows with feature
+    j set right, to the leaf values[j], and the rest down to split j + 1;
+    the rows with none of them set reach values[-1]."""
+    node = float(values[-1])
+    for j in range(len(values) - 2, -1, -1):
+        node = (j, node, float(values[j]))
+    return tree_of(node, n_features)
+
+
+def is_split(tree: RegressionTree) -> list:
+    """Whether each node splits, from its value alone: NaN at a split, a
+    finite number at a leaf."""
+    return np.isnan(tree._value).tolist()
+
+
+def node_children(tree: RegressionTree) -> list:
+    """Each node's (left, right) children, None at a leaf, from the
+    breadth-first numbering alone and not from the tree's child arrays:
+    the s-th split's children are the next two nodes not yet taken."""
+    children, taken = [], 1
+    for split in is_split(tree):
+        children.append((taken, taken + 1) if split else None)
+        taken += 2 if split else 0
+    return children
+
+
+def node_rows(tree: RegressionTree, X) -> tuple[list, list]:
+    """The rows of X that reach each node, and each node's level, by the
+    same numbering as ``node_children``."""
+    rows, levels = [np.arange(len(X))], [0]
+    for i, (f, split) in enumerate(zip(tree._feature.tolist(), is_split(tree))):
+        if split:
+            right = np.asarray(X)[rows[i], f] == 1
+            rows += [rows[i][~right], rows[i][right]]
+            levels += [levels[i] + 1] * 2
+    return rows, levels
 
 
 def predict_tree(tree: RegressionTree, X) -> np.ndarray:
@@ -85,24 +137,28 @@ def predict_tree(tree: RegressionTree, X) -> np.ndarray:
     return TreeForest((tree,)).predict_batch(X)[:, 0]
 
 
+def walk_path(tree: RegressionTree, x) -> tuple[list, float]:
+    """The features tested on one row's path, in order, and its leaf value,
+    by walking ``node_children``, independently of the child arrays that
+    batch routing reads."""
+    children, i, tested = node_children(tree), 0, []
+    while children[i] is not None:
+        tested.append(int(tree._feature[i]))
+        i = children[i][bool(x[tested[-1]])]
+    return tested, float(tree._value[i])
+
+
 def walk_tree(tree: RegressionTree, x) -> float:
-    """One row's prediction by walking the tree's node objects from its
-    root, independently of the flat arrays that batch routing reads."""
-    node = tree.root
-    while not node.is_leaf:
-        node = node.right if bool(x[node.feature]) else node.left
-    return node.value
+    """One row's prediction by ``walk_path``."""
+    return walk_path(tree, x)[1]
 
 
 def path_oracle(tree, X):
     """(rows, features): the features tested on each row's path, once per
-    row, found by walking the tree's node objects."""
+    row, found by ``walk_path``."""
     rows, features = [], []
     for r, x in enumerate(X):
-        tested, node = set(), tree.root
-        while not node.is_leaf:
-            tested.add(node.feature)
-            node = node.right if bool(x[node.feature]) else node.left
+        tested = set(walk_path(tree, x)[0])
         rows += [r] * len(tested)
         features += sorted(tested)
     return np.array(rows, dtype=np.intp), np.array(features, dtype=np.intp)
@@ -120,16 +176,7 @@ def flip_oracle(tree, X, rows, features):
 
 def repeat_tree(n_features: int) -> RegressionTree:
     """x0 at the root; x2 under its left child, x0 again under its right."""
-    return RegressionTree(
-        root=TreeNode(
-            feature=0,
-            left=TreeNode(feature=2, left=TreeNode(value=1.0),
-                          right=TreeNode(value=2.0)),
-            right=TreeNode(feature=0, left=TreeNode(value=3.0),
-                           right=TreeNode(value=4.0)),
-        ),
-        n_features=n_features,
-    )
+    return tree_of((0, (2, 1.0, 2.0), (0, 3.0, 4.0)), n_features)
 
 
 def random_tree(rng: np.random.Generator, n_features: int, depth: int) -> RegressionTree:
@@ -138,11 +185,10 @@ def random_tree(rng: np.random.Generator, n_features: int, depth: int) -> Regres
     and each leaf one of five values, so leaves often tie."""
     def grow(level):
         if level == depth or (level and rng.random() < 0.25):
-            return TreeNode(value=float(rng.integers(-2, 3)) / 2)
-        return TreeNode(feature=int(rng.integers(n_features)),
-                        left=grow(level + 1), right=grow(level + 1))
+            return float(rng.integers(-2, 3)) / 2
+        return (int(rng.integers(n_features)), grow(level + 1), grow(level + 1))
 
-    return RegressionTree(root=grow(0), n_features=n_features)
+    return tree_of(grow(0), n_features)
 
 
 def manual_shadow(

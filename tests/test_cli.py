@@ -562,6 +562,20 @@ class TestExplain:
         content = svg_path.read_text()
         assert content.count('class="bar"') == 4
 
+    def test_unwritable_svg_prints_no_report(self, tmp_path, shadow_fixture, capsys):
+        """A chart that cannot be written fails the run before the report is
+        printed, so stdout holds nothing for a caller to take as a result."""
+        meta, _, shadow_path = shadow_fixture
+        capsys.readouterr()
+        code = main([
+            "explain", "--shadow", str(shadow_path), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1", "--svg", str(tmp_path / "no" / "x.svg"),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: cannot write {tmp_path / 'no' / 'x.svg'}")
+
     def test_unknown_id_lists_nearest(self, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         code = main([
@@ -752,6 +766,9 @@ class TestBrokenFiles:
     @pytest.mark.parametrize("edit, detail", [
         ("leaf", "holds leaf value nan, not a finite number"),
         ("feature", "is neither a leaf nor a split on one of"),
+        ("float", "is neither a leaf nor a split on one of"),
+        ("minus-one", "is neither a leaf nor a split on one of"),
+        ("child", "lacks field 'right'"),
     ])
     def test_tree_node_of_wrong_type(self, tmp_path, shadow_fixture, capsys, edit,
                                      detail):
@@ -759,12 +776,14 @@ class TestBrokenFiles:
 
         def break_node(doc):
             node = doc["predictors"][0]["root"]
-            if edit == "feature":
-                node["feature"] = True
-                return
-            while "value" not in node:
-                node = node["left"]
-            node["value"] = float("nan")
+            if edit == "child":
+                del node["right"]
+            elif edit == "leaf":
+                while "value" not in node:
+                    node = node["left"]
+                node["value"] = float("nan")
+            else:
+                node["feature"] = {"feature": True, "float": 1.5, "minus-one": -1}[edit]
 
         bad = _edit_json(shadow_path, tmp_path / "badnode.json", break_node)
         self._assert_one_error(capsys, [

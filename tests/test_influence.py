@@ -41,6 +41,7 @@ from conftest import (
     manual_shadow,
     path_oracle,
     random_tree,
+    walk_path,
     walk_tree,
 )
 
@@ -399,14 +400,8 @@ def exact_influences_oracle(shadow, meta, user, rows):
 
 
 def features_on_paths(tree, X):
-    """Features tested on the path of any row of X, walking the node objects."""
-    found = set()
-    for x in X:
-        node = tree.root
-        while not node.is_leaf:
-            found.add(node.feature)
-            node = node.right if bool(x[node.feature]) else node.left
-    return found
+    """Features tested on the path of any row of X, by ``walk_path``."""
+    return {f for x in X for f in walk_path(tree, x)[0]}
 
 
 @st.composite

@@ -14,7 +14,6 @@ from reclens.regressors import (
     MAX_TREE_DEPTH,
     RegressionTree,
     TreeForest,
-    TreeNode,
     TreeParams,
     fit_linear,
     fit_linear_columns,
@@ -23,13 +22,18 @@ from reclens.regressors import (
 )
 
 from conftest import (
+    chain_tree,
     fit_linear_oracle,
     flip_oracle,
+    is_split,
     leaf_tree,
+    node_children,
+    node_rows,
     path_oracle,
     predict_tree,
     random_tree,
     repeat_tree,
+    tree_of,
     walk_tree,
 )
 
@@ -65,7 +69,10 @@ def best_split_oracle(X, y, rows, params):
     binary split replaced.
 
     Ties break to the lowest feature index, then the lowest threshold
-    (guaranteed by ascending iteration with a strict improvement test).
+    (guaranteed by ascending iteration with a strict improvement test).  A
+    gain within 1e-12 of the node's SSE of the best so far ties with it: a
+    column and its complement are one partition, whose gain the two child
+    SSEs, subtracted in either order, round apart by more than 1e-15.
     """
     n = len(rows)
     parent_sse = sse(y[rows])
@@ -79,7 +86,7 @@ def best_split_oracle(X, y, rows, params):
             if n_left < params.min_leaf or n - n_left < params.min_leaf:
                 continue
             gain = parent_sse - sse(y[rows[left]]) - sse(y[rows[~left]])
-            if gain > best_gain + 1e-15:
+            if gain > best_gain + 1e-12 * parent_sse:
                 best_gain = gain
                 best = (feature, float(threshold))
     return best
@@ -87,24 +94,20 @@ def best_split_oracle(X, y, rows, params):
 
 def grow_oracle(X, y, params) -> RegressionTree:
     """The tree that recursive greedy growth with ``best_split_oracle``
-    builds on 0/1 X."""
+    builds on 0/1 X, grown as nested (feature, left, right) tuples."""
 
     def grow(rows, depth):
         targets = y[rows]
         if depth >= params.max_depth or np.ptp(targets) == 0.0:
-            return TreeNode(value=float(targets.mean()))
+            return float(targets.mean())
         split = best_split_oracle(X, y, rows, params)
         if split is None:
-            return TreeNode(value=float(targets.mean()))
+            return float(targets.mean())
         feature, threshold = split
         go_left = X[rows, feature] <= threshold
-        return TreeNode(
-            feature=feature,
-            left=grow(rows[go_left], depth + 1),
-            right=grow(rows[~go_left], depth + 1),
-        )
+        return (feature, grow(rows[go_left], depth + 1), grow(rows[~go_left], depth + 1))
 
-    return RegressionTree(root=grow(np.arange(len(y)), 0), n_features=X.shape[1])
+    return tree_of(grow(np.arange(len(y)), 0), X.shape[1])
 
 
 def best_tree_mae_oracle(X, y, depth: int) -> float:
@@ -306,8 +309,7 @@ class TestFitTree:
     def test_constant_target_is_single_leaf(self):
         X = np.array([[0.0], [1.0], [0.0]])
         tree = fit_tree(X, np.full(3, 2.5), TreeParams(max_depth=4))
-        assert tree.root.is_leaf
-        assert tree.root.value == 2.5
+        assert tree == leaf_tree(2.5, 1)
 
     def test_single_binary_feature_perfect_split(self):
         X = np.array([[0.0], [1.0], [0.0], [1.0]])
@@ -364,39 +366,26 @@ class TestFitTree:
         X = (rng.random((12, 2)) < 0.5).astype(float)
         y = rng.normal(size=12)
         tree = fit_tree(X, y, TreeParams(max_depth=6, min_leaf=3))
-
-        def check(node, rows):
-            if node.is_leaf:
-                assert len(rows) >= 3
-                return
-            left = rows[X[rows, node.feature] == 0.0]
-            right = rows[X[rows, node.feature] == 1.0]
-            check(node.left, left)
-            check(node.right, right)
-
-        check(tree.root, np.arange(12))
+        assert tree.depth > 0
+        for split, rows in zip(is_split(tree), node_rows(tree, X)[0]):
+            assert split or len(rows) >= 3
 
     def test_leaf_values_are_training_means(self, rng):
         X = (rng.random((25, 3)) < 0.5).astype(float)
         y = rng.normal(size=25)
         tree = fit_tree(X, y, TreeParams(max_depth=2))
-
-        def check(node, rows):
-            if node.is_leaf:
-                assert node.value == pytest.approx(y[rows].mean(), abs=1e-12)
-                return
-            mask = X[rows, node.feature] == 0.0
-            check(node.left, rows[mask])
-            check(node.right, rows[~mask])
-
-        check(tree.root, np.arange(25))
+        assert tree.depth > 0
+        reached = node_rows(tree, X)[0]
+        for split, value, rows in zip(is_split(tree), tree._value, reached):
+            if not split:
+                assert value == pytest.approx(y[rows].mean(), abs=1e-12)
 
     def test_tie_breaks_to_lowest_feature_then_threshold(self):
         # both features split y identically; feature 0 must win
         X = np.array([[0, 0], [0, 0], [1, 1], [1, 1]], dtype=float)
         y = np.array([0.0, 0.0, 1.0, 1.0])
         tree = fit_tree(X, y, TreeParams(max_depth=1))
-        assert tree.root.feature == 0
+        assert tree._feature[0] == 0
 
     @pytest.mark.parametrize(
         "column, y",
@@ -413,7 +402,7 @@ class TestFitTree:
         x = np.array(column, dtype=float)
         X = np.column_stack([x, 1.0 - x])
         tree = fit_tree(X, np.array(y), TreeParams(max_depth=1))
-        assert tree.root.feature == 0
+        assert tree._feature[0] == 0
 
     def test_deterministic(self, rng):
         X = (rng.random((20, 4)) < 0.5).astype(float)
@@ -431,12 +420,13 @@ class TestFitTree:
 
 @st.composite
 def binary_problems(draw):
-    """0/1 design with duplicated and complemented columns shuffled in,
-    continuous targets, and a random depth and minimum leaf size."""
+    """0/1 design of density 1% to 90% with duplicated and complemented
+    columns shuffled in, continuous or constant targets, and a random depth
+    and minimum leaf size."""
     n = draw(st.integers(2, 40))
     n_base = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    X = (rng.random((n, n_base)) < draw(st.floats(0.1, 0.9))).astype(float)
+    X = (rng.random((n, n_base)) < draw(st.floats(0.01, 0.9))).astype(float)
     copies = draw(st.lists(
         st.tuples(st.integers(0, n_base - 1), st.booleans()), max_size=4
     ))
@@ -444,9 +434,10 @@ def binary_problems(draw):
                                for j, flip in copies])
     X = X[:, rng.permutation(X.shape[1])]
     params = TreeParams(
-        max_depth=draw(st.integers(0, 5)), min_leaf=draw(st.integers(1, 3))
+        max_depth=draw(st.integers(0, 8)), min_leaf=draw(st.integers(1, 3))
     )
-    return X, rng.normal(size=n), params
+    y = np.full(n, 1.5) if draw(st.integers(0, 3)) == 0 else rng.normal(size=n)
+    return X, y, params
 
 
 class TestBinarySplitAgainstOracle:
@@ -462,69 +453,93 @@ class TestBinarySplitAgainstOracle:
             left = X[rows, feature] <= 0.5
             return sse(y[rows]) - sse(y[rows[left]]) - sse(y[rows[~left]])
 
-        def check(node, rows, depth):
+        for f, split, rows, depth in zip(fast._feature.tolist(), is_split(fast),
+                                         *node_rows(fast, X)):
             expected = None
             if depth < params.max_depth and np.ptp(y[rows]) > 0.0:
                 expected = best_split_oracle(X, y, rows, params)
-            if node.is_leaf:
+            if not split:
                 assert expected is None
-                return
+                continue
             assert expected is not None and expected[1] == 0.5
-            assert gain(rows, node.feature) == pytest.approx(
-                gain(rows, expected[0]), rel=1e-9
-            )
-            left = X[rows, node.feature] == 0.0
-            check(node.left, rows[left], depth + 1)
-            check(node.right, rows[~left], depth + 1)
+            assert gain(rows, f) == pytest.approx(gain(rows, expected[0]), rel=1e-9)
 
-        check(fast.root, np.arange(len(y)), 0)
+    @settings(max_examples=150)
+    @given(binary_problems())
+    def test_whole_tree_matches_oracle(self, problem):
+        """Node for node, the same splits in the same places and the same
+        leaf bits as recursive growth with the quantile search."""
+        X, y, params = problem
+        assert fit_tree(X, y, params) == grow_oracle(X, y, params)
 
 
 class TestTreeStructure:
     @pytest.mark.parametrize(
-        "root",
+        "feature, value, message",
         [
-            TreeNode(feature=0, value=None),
-            TreeNode(feature=2, left=TreeNode(value=1.0), right=TreeNode(value=2.0)),
-            TreeNode(feature=-1, left=TreeNode(value=1.0), right=TreeNode(value=2.0)),
+            ([0], [np.nan], "tree node 0 is neither a leaf nor a split on one of 2"),
+            ([0, -1], [np.nan, 1.0], "tree node 0 is neither a leaf nor a split"),
+            ([2, -1, -1], [0, 1.0, 2.0], "tree node 0 is neither a leaf nor a split"),
+            ([-2, -1, -1], [0, 1.0, 2.0], "tree node 0 is neither a leaf nor a split"),
+            ([0, True, -1, -1, -1], [0, 0, 1.0, 2.0, 3.0], "tree node 1 is neither"),
+            ([0, -1, 1.5, -1, -1], [0, 1.0, 0, 2.0, 3.0], "tree node 2 is neither"),
+            ([-1.0], [1.0], "tree node 0 is neither a leaf nor a split"),
+            ([0, -1, -1], [0, 1.0, np.inf], "tree node 2 holds leaf value inf, not a"),
+            ([-1], [True], "tree node 0 holds leaf value True, not a finite number"),
+            ([-1], ["1.0"], "tree node 0 holds leaf value '1.0', not a finite"),
+            ([], [], "0 features and 0 values are not one tree"),
+            ([-1], [1.0, 2.0], "1 features and 2 values are not one tree"),
+            ([-1, -1, -1], [1.0, 2.0, 3.0], "tree node 1 is no split's child"),
+            ([-1, 0, -1], [1.0, 0, 2.0], "tree node 1 is no split's child"),
+            ([0, -1, -1, -1, -1], [0, 1.0, 2.0, 3.0, 4.0], "node 3 is no split's"),
         ],
-        ids=["no-children", "feature-past-end", "negative-feature"],
+        ids=["no-children", "one-child", "feature-past-end", "negative-feature",
+             "bool-feature", "float-feature", "float-leaf-mark", "infinite-leaf",
+             "bool-leaf", "string-leaf", "empty", "lengths-differ", "leaf-root",
+             "split-under-leaf", "extra-leaves"],
     )
-    def test_malformed_node_rejected(self, root):
-        with pytest.raises(ValidationError, match="neither a leaf nor a split"):
-            RegressionTree(root=root, n_features=2)
+    def test_malformed_node_rejected(self, feature, value, message):
+        with pytest.raises(ValidationError, match=message):
+            RegressionTree(feature, value, 2)
 
     def test_depth_is_longest_path(self, rng):
-        """``depth``, read from the flat arrays, equals a recursive count
-        of splits over the node objects."""
+        """``depth`` equals a recursive count of splits over the children
+        that the breadth-first numbering gives."""
 
-        def depth_oracle(node):
-            if node.is_leaf:
+        def depth_oracle(children, i=0):
+            if children[i] is None:
                 return 0
-            return 1 + max(depth_oracle(node.left), depth_oracle(node.right))
+            return 1 + max(depth_oracle(children, c) for c in children[i])
 
         for depth in range(6):
             for _ in range(20):
                 tree = random_tree(rng, 3, depth)
-                assert tree.depth == depth_oracle(tree.root) <= depth
+                assert tree.depth == depth_oracle(node_children(tree)) <= depth
+
+    def test_root_views_the_arrays(self, rng):
+        """``root`` and its ``left`` and ``right`` are views of the nodes
+        that the numbering gives, with None below a leaf."""
+        for _ in range(20):
+            tree = random_tree(rng, 3, 4)
+            children, views = node_children(tree), [tree.root]
+            for view in views:  # views grows while it is walked
+                assert view.tree is tree
+                kids = children[view.index]
+                if kids is None:
+                    assert view.left is None and view.right is None
+                else:
+                    assert (view.left.index, view.right.index) == kids
+                    views += [view.left, view.right]
+            assert [v.index for v in views] == list(range(len(children)))
 
     def test_deepest_trees_compare_without_recursion(self):
-        """Trees MAX_TREE_DEPTH levels deep compare by their flat arrays;
-        their nodes compare by identity."""
-
-        def chain(values):
-            # Split j sends the rows with feature j set right, to values[j].
-            node = TreeNode(value=values[-1])
-            for j in range(len(values) - 2, -1, -1):
-                node = TreeNode(feature=j, left=node, right=TreeNode(value=values[j]))
-            return RegressionTree(root=node, n_features=MAX_TREE_DEPTH)
-
+        """Trees MAX_TREE_DEPTH levels deep compare by their arrays."""
         values = [float(v) for v in range(MAX_TREE_DEPTH + 1)]
-        tree, same = chain(values), chain(values)
+        tree, same = (chain_tree(values, MAX_TREE_DEPTH) for _ in range(2))
         assert tree.depth == MAX_TREE_DEPTH
-        assert tree == same and tree.root != same.root
+        assert tree == same
         values[MAX_TREE_DEPTH // 2] = -1.0
-        assert tree != chain(values)
+        assert tree != chain_tree(values, MAX_TREE_DEPTH)
         assert leaf_tree(1.0, 2) != leaf_tree(1.0, 3)
         assert leaf_tree(1.0, 2) != leaf_tree(1.0, 2).root
 
@@ -655,14 +670,10 @@ class TestPredict:
         yd = np.sin(3 * rng.normal(size=60)) + Xd[:, 0] * Xd[:, 1]
         deep = fit_tree(Xd, yd, TreeParams(max_depth=5, min_leaf=4))
 
-        def leaf_depths(node, depth=0):
-            if node.is_leaf:
-                return {depth}
-            return leaf_depths(node.left, depth + 1) | leaf_depths(node.right, depth + 1)
-
-        assert len(leaf_depths(deep.root)) > 1
+        levels = node_rows(deep, Xd)[1]
+        assert len({lv for split, lv in zip(is_split(deep), levels) if not split}) > 1
         stump = fit_tree(X, y, TreeParams(max_depth=0))
-        assert stump.root.is_leaf
+        assert stump.depth == 0
         for model, data in (
             (tree, X), (tree, X == 1.0), (deep, Xd), (stump, Xd), (stump, Xd[:0])
         ):

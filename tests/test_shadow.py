@@ -10,9 +10,9 @@ from reclens.regressors import (
     MAX_TREE_DEPTH,
     RegressionTree,
     TreeForest,
-    TreeNode,
     TreeParams,
     fit_linear_columns,
+    fit_tree,
 )
 from reclens import shadow as shadow_module
 from reclens.shadow import (
@@ -30,10 +30,13 @@ from reclens.shadow import (
 )
 
 from conftest import (
+    chain_tree,
     identity_meta,
     leaf_tree,
     make_meta,
     manual_shadow,
+    random_tree,
+    repeat_tree,
     shadow_factors,
 )
 
@@ -238,8 +241,7 @@ class TestTrainShadow:
         meta = make_meta(2, {"a": {0}, "b": {1}})
         tree, linear = TreeKind(TreeParams(max_depth=0)), LinearKind(ridge=0.0)
         forest = TreeForest([leaf_tree(1.0, 2)] * 2)
-        split_tree = RegressionTree(TreeNode(feature=0, left=TreeNode(value=0.0),
-                                             right=TreeNode(value=1.0)), 2)
+        split_tree = RegressionTree([0, -1, -1], [np.nan, 0.0, 1.0], 2)
         w, b = np.ones((2, 2)), np.zeros(2)
 
         def build(kind, **factors):
@@ -410,16 +412,8 @@ class TestLatentAgreement:
             item_factors=np.array([[1.2, 4.0], [0.6, 7.0]]),
         )
         # factor 1 predicted with residuals (0.2, 0.4); factor 2 exact
-        f1 = RegressionTree(
-            root=TreeNode(feature=0,
-                          left=TreeNode(value=1.0), right=TreeNode(value=1.0)),
-            n_features=2,
-        )
-        f2 = RegressionTree(
-            root=TreeNode(feature=0,
-                          left=TreeNode(value=7.0), right=TreeNode(value=4.0)),
-            n_features=2,
-        )
+        f1 = RegressionTree([0, -1, -1], [np.nan, 1.0, 1.0], 2)
+        f2 = RegressionTree([0, -1, -1], [np.nan, 7.0, 4.0], 2)
         shadow = manual_shadow([f1, f2], np.ones((1, 2)), meta)
         per_factor, mean = latent_agreement(shadow, baseline, meta, [0, 1])
         np.testing.assert_allclose(per_factor, [0.3, 0.0], atol=1e-15)
@@ -439,18 +433,7 @@ class TestObservationalAgreement:
         directly as leaf values vs item factors."""
         n = len(values)
         meta = identity_meta(n)
-
-        def chain(vals):
-            # depth-(n-1) caterpillar: item i -> vals[i]
-            node = TreeNode(value=float(vals[n - 1]))
-            for i in range(n - 2, -1, -1):
-                node = TreeNode(
-                    feature=i,
-                    left=node, right=TreeNode(value=float(vals[i])),
-                )
-            return node
-
-        tree = RegressionTree(root=chain(values), n_features=n)
+        tree = chain_tree(values, n)  # item i -> values[i]
         baseline = FactorModel(
             rank=1, lam=0.0, user_factors=np.ones((1, 1)),
             item_factors=np.array(truths, dtype=float).reshape(-1, 1),
@@ -683,6 +666,32 @@ class TestPersistence:
             for user in range(4):
                 assert loaded.predict(user, a) == shadow.predict(user, a)
 
+
+    @pytest.mark.parametrize("trees", ["random", "repeat", "fitted", "chain"])
+    def test_trees_load_back_equal_and_save_the_same_bytes(self, rng, tmp_path,
+                                                           trees):
+        """Hand-built trees, fitted trees and a chain MAX_TREE_DEPTH levels
+        deep in a max_depth-512 shadow load back equal, and the loaded
+        shadow saves the same bytes."""
+        width = MAX_TREE_DEPTH if trees == "chain" else 6
+        meta = identity_meta(width)
+        factors = {
+            "random": lambda: [random_tree(rng, width, d) for d in range(6)],
+            "repeat": lambda: [repeat_tree(width), leaf_tree(0.5, width)],
+            "fitted": lambda: [fit_tree(meta.X, rng.normal(size=width),
+                                        TreeParams(max_depth=d)) for d in (0, 2, 4)],
+            "chain": lambda: [chain_tree(np.arange(width + 1.0), width)],
+        }[trees]()
+        shadow = manual_shadow(factors, rng.random((3, len(factors))), meta)
+        if trees == "chain":
+            assert shadow.kind == TreeKind(TreeParams(MAX_TREE_DEPTH))
+        path, again = tmp_path / "shadow.json", tmp_path / "again.json"
+        save_shadow(shadow, path)
+        loaded = load_shadow(path)
+        assert loaded.forest.trees == shadow.forest.trees
+        assert loaded.kind == shadow.kind
+        save_shadow(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
 
     def tree_file(self, rng, tmp_path):
         baseline = random_model(rng, 3, 8, 2)
