@@ -540,9 +540,7 @@ def experiment_config_from_dict(
     if "feature_pool" in sim_doc:
         _check_keys(sim_doc["feature_pool"], "sim.feature_pool",
                     *_config_keys(FeatureFilterSpec))
-    als_doc = section("als", AlsConfig, {"lam": ("lambda", "lam")})
-    if "lambda" in als_doc and "lam" in als_doc:
-        raise ValidationError("als holds both 'lambda' and 'lam'; keep one")
+    als_doc = section("als", AlsConfig, {"lam": ("lambda",)})
     shadow_doc = top.pop("shadow", {})
     kind_name = (
         shadow_doc.get("kind", "tree") if isinstance(shadow_doc, dict) else "tree"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -20,7 +21,7 @@ from .errors import SolverError, ValidationError, check_seed, check_types
 MODEL_FORMAT = "reclens-factor-model"
 MODEL_VERSION = 1
 # Bytes that one chunk of an ALS half-step holds at a time (see
-# _chunk_layout).
+# _solve_half).
 ALS_CHUNK_BYTES = 1 << 20
 
 
@@ -47,34 +48,32 @@ class AlsConfig:
 
 
 class _RowGroups(NamedTuple):
-    """One side's ratings in bucket order, built once by :func:`_row_groups`.
+    """One side's ratings in (count, row) order, built once by
+    :func:`_row_groups`.
 
-    Rows are ordered by (rating count, row index).  ``counts[p]`` is the
-    rating count of the row at bucket position ``p`` and ``position[r]`` is
-    the bucket position of row ``r``.  ``other``, ``vals`` and ``source``
-    hold every rating's other-side index, value and original position,
-    with each row's ratings in one contiguous run.  Each bucket is a
-    ``(row_lo, row_hi, count, flat_lo, flat_hi)`` tuple: bucket positions
-    ``row_lo:row_hi`` all rate ``count`` entries, held at
-    ``flat_lo:flat_hi`` of the flat arrays.
+    ``counts[p]`` is the rating count of the row at position ``p``, whose
+    ratings start at ``offsets[p]`` of the flat arrays (``offsets`` ends
+    with nnz), and ``position[r]`` is the position of row ``r``.
+    ``other``, ``vals`` and ``source`` hold every rating's other-side
+    index, value and original position, with each row's ratings in one
+    contiguous run.
     """
 
     counts: np.ndarray
+    offsets: np.ndarray
     position: np.ndarray
     other: np.ndarray
     vals: np.ndarray
     source: np.ndarray
-    buckets: tuple
 
 
 def _row_groups(n_rows, idx_row, idx_other, vals) -> _RowGroups:
     """The ratings laid out for :func:`_solve_half`, built once per side.
 
     Rows are sorted by (count, row) and their ratings follow in that order,
-    each row's in its original order, so every count bucket is one
-    contiguous slice that reshapes to a dense (rows, count) block, and so
-    is every run of consecutive buckets that :func:`_chunk_layout` makes a
-    chunk.  Takes O(nnz) memory.
+    each row's in its original order, so any run of consecutive rows is one
+    contiguous slice, and its rows of one count reshape to a dense
+    (rows, count) block.  Takes O(nnz) memory.
     """
     counts = np.bincount(idx_row, minlength=n_rows)
     perm = np.argsort(counts, kind="stable")
@@ -85,96 +84,74 @@ def _row_groups(n_rows, idx_row, idx_other, vals) -> _RowGroups:
     key = position[idx_row].astype(np.min_scalar_type(max(n_rows - 1, 0)))
     source = np.argsort(key, kind="stable")
     counts = counts[perm]
-    flat_start = np.concatenate(([0], np.cumsum(counts)))
-    values, row_lo = np.unique(counts, return_index=True)
-    row_hi = np.append(row_lo[1:], n_rows)
-    buckets = tuple(
-        (int(lo), int(hi), int(count), int(flat_start[lo]), int(flat_start[hi]))
-        for lo, hi, count in zip(row_lo, row_hi, values)
-    )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
     return _RowGroups(
-        counts, position, idx_other[source], vals[source], source, buckets
+        counts, offsets, position, idx_other[source], vals[source], source
     )
 
 
-def _chunk_layout(groups: _RowGroups, k: int) -> tuple:
-    """Consecutive bucket positions cut into the chunks that
-    :func:`_solve_half` solves one at a time, for rank ``k``.
-
-    A row rating n entries holds 8 * (n * (k + 1) + k * (k + 2)) bytes
-    while its chunk is solved: its gathered factors and predictions, and
-    its Gram matrix, right-hand side and solution.  Chunks are filled in
-    bucket order, with whole count buckets while they fit in
-    ``ALS_CHUNK_BYTES``; a bucket larger than that is cut into runs of rows
-    that each fit, and only a row larger than the cap on its own makes a
-    chunk over it.  Each chunk is a ``(row_lo, row_hi, flat_lo, flat_hi,
-    pieces)`` tuple over bucket positions and the flat arrays, and each of
-    its pieces is a bucket's ``(row_lo, row_hi, count, flat_lo, flat_hi)``
-    relative to the chunk.
-    """
-    runs, held = [], 0
-    for r0, r1, count, f0, _ in groups.buckets:
-        row_bytes = 8 * (count * (k + 1) + k * (k + 2))
-        step = max(1, ALS_CHUNK_BYTES // row_bytes)
-        for lo in range(r0, r1, step):
-            hi = min(lo + step, r1)
-            if not runs or held + (hi - lo) * row_bytes > ALS_CHUNK_BYTES:
-                runs.append([])
-                held = 0
-            runs[-1].append((lo, hi, count, f0 + (lo - r0) * count,
-                             f0 + (hi - r0) * count))
-            held += (hi - lo) * row_bytes
-    chunks = []
-    for run in runs:
-        c0, e0, c1, e1 = run[0][0], run[0][3], run[-1][1], run[-1][4]
-        chunks.append((c0, c1, e0, e1, tuple(
-            (r0 - c0, r1 - c0, count, f0 - e0, f1 - e0)
-            for r0, r1, count, f0, f1 in run
-        )))
-    return tuple(chunks)
-
-
-def _solve_half(groups: _RowGroups, chunks, other, lam, pred=None):
+def _solve_half(groups: _RowGroups, other, lam, pred=None):
     """Solve every row's regularized normal equations, chunk by chunk.
 
     Row r's system is ``(F_r^T F_r + lam * n_r * I) x = F_r^T v_r``, where
     F_r holds the other-side factors of the n_r entries row r rated and v_r
-    their ratings.  The chunks of :func:`_chunk_layout` are solved one at a
-    time, in bucket order, by :func:`_solve_chunk`, so memory stays
-    O(ALS_CHUNK_BYTES + rows * k + nnz) whatever the rank.  Every row's
-    system is formed and solved on its own, so the result does not depend
-    on the chunking, to the last bit.  The diagonal carries lam * n_r
-    (count-weighted regularization, ALS-WR), so the k x k systems are
-    positive definite whenever lam > 0.
+    their ratings.  A row rating n entries holds
+    8 * (n * (k + 1) + k * (k + 2)) bytes while it is solved: its gathered
+    factors and predictions, and its Gram matrix, right-hand side and
+    solution.  A chunk takes consecutive rows, in (count, row) order, while
+    they fit in ``ALS_CHUNK_BYTES``; only a row over the cap on its own
+    makes a chunk larger than it.  The chunks are solved one at a time by
+    :func:`_solve_chunk`, so memory stays O(ALS_CHUNK_BYTES + rows * k +
+    nnz) whatever the rank.  Every row's system is formed and solved on its
+    own, so the result does not depend on the chunking, to the last bit.
+    The diagonal carries lam * n_r (count-weighted regularization, ALS-WR),
+    so the k x k systems are positive definite whenever lam > 0.
 
     When ``pred`` is given, it receives every rating's prediction under
     the new factors, in the ratings' original order.
     """
-    x = np.empty((len(groups.counts), other.shape[1]))
-    for chunk in chunks:
-        _solve_chunk(groups, chunk, other, lam, x, pred)
+    n_rows, k = len(groups.counts), other.shape[1]
+    # held[p]: the bytes of the rows before position p.
+    held = [0, *np.cumsum(8 * (groups.counts * (k + 1) + k * (k + 2))).tolist()]
+    x = np.empty((n_rows, k))
+    c0 = 0
+    while c0 < n_rows:
+        fit = bisect_right(held, held[c0] + ALS_CHUNK_BYTES, c0)
+        c1 = max(c0 + 1, fit - 1)
+        _solve_chunk(groups, c0, c1, other, lam, x, pred)
+        c0 = c1
     return np.take(x, groups.position, axis=0)
 
 
-def _solve_chunk(groups: _RowGroups, chunk, other, lam, x, pred):
-    """One chunk of :func:`_solve_half`, whose arrays are freed on return.
+def _solve_chunk(groups: _RowGroups, c0, c1, other, lam, x, pred):
+    """Rows ``c0:c1`` of :func:`_solve_half`, whose arrays are freed on
+    return.
 
-    One ``np.take`` gathers the other side's factors for the chunk's
-    ratings; each of its pieces is then a (rows, n_r, k) view whose Gram
-    matrices and right-hand sides are written in place, and one batched
-    solve writes the chunk's rows of ``x`` (in bucket order).  ``pred``,
-    when given, receives the chunk's ratings' predictions.
+    One ``np.take`` gathers the other side's factors for the rows'
+    ratings; each run of rows of one count is then a (rows, n_r, k) view
+    whose Gram matrices and right-hand sides are written in place, and one
+    batched solve writes rows ``c0:c1`` of ``x`` (in (count, row) order).
+    ``pred``, when given, receives these ratings' predictions.
     """
-    c0, c1, e0, e1, pieces = chunk
     k = other.shape[1]
+    e0, e1 = int(groups.offsets[c0]), int(groups.offsets[c1])
     F = np.take(other, groups.other[e0:e1], axis=0)
+    # Each run of rows of one count, as (r0, r1, count, f0, f1) relative to
+    # the chunk.  The counts ascend, so bisecting them as a list finds each
+    # run's end, for less than numpy calls cost on so few rows.
+    counts, runs, r0, f0 = groups.counts[c0:c1].tolist(), [], 0, 0
+    while r0 < c1 - c0:
+        r1 = bisect_right(counts, counts[r0], r0)
+        f1 = f0 + (r1 - r0) * counts[r0]
+        runs.append((r0, r1, counts[r0], f0, f1))
+        r0, f0 = r1, f1
     A = np.empty((c1 - c0, k, k))
     b = np.empty((c1 - c0, 1, k))
-    for r0, r1, count, f0, f1 in pieces:
+    vals = groups.vals[e0:e1]
+    for r0, r1, count, f0, f1 in runs:
         Fb = F[f0:f1].reshape(r1 - r0, count, k)
         np.matmul(Fb.transpose(0, 2, 1), Fb, out=A[r0:r1])
-        np.matmul(groups.vals[e0 + f0:e0 + f1].reshape(r1 - r0, 1, count), Fb,
-                  out=b[r0:r1])
+        np.matmul(vals[f0:f1].reshape(r1 - r0, 1, count), Fb, out=b[r0:r1])
     A[:, np.arange(k), np.arange(k)] += lam * groups.counts[c0:c1, None]
     try:
         x[c0:c1] = np.linalg.solve(A, b.reshape(c1 - c0, k, 1))[..., 0]
@@ -183,13 +160,13 @@ def _solve_chunk(groups: _RowGroups, chunk, other, lam, x, pred):
             "singular normal equations during ALS; use lambda > 0"
         ) from None
     if pred is not None:
-        flat = np.empty(e1 - e0)
-        for r0, r1, count, f0, f1 in pieces:
+        out = np.empty(e1 - e0)
+        for r0, r1, count, f0, f1 in runs:
             np.einsum(
                 "rnk,rk->rn", F[f0:f1].reshape(r1 - r0, count, k),
-                x[c0 + r0:c0 + r1], out=flat[f0:f1].reshape(r1 - r0, count),
+                x[c0 + r0:c0 + r1], out=out[f0:f1].reshape(r1 - r0, count),
             )
-        pred[groups.source[e0:e1]] = flat
+        pred[groups.source[e0:e1]] = out
 
 
 def train_als(
@@ -202,12 +179,11 @@ def train_als(
 
     Item factors start uniform in [0, 1/sqrt(k)) from the seeded generator
     and the user half-step runs first, so results are bit-identical for a
-    fixed config.  Each side's row layout and its chunks are built once,
-    before the first iteration, since the rank is fixed for the run.  The
-    item half-step also fills in each rating's prediction, from which the
-    iteration's RMSE is taken; the "no ratings" checks read the counts of
-    the two row layouts.  A rank above min(users, items) is refused before
-    anything is allocated.
+    fixed config.  Each side's row layout is built once, before the first
+    iteration.  The item half-step also fills in each rating's prediction,
+    from which the iteration's RMSE is taken; the "no ratings" checks read
+    the counts of the two row layouts.  A rank above min(users, items) is
+    refused before anything is allocated.
     """
     if ratings.nnz < 1:
         raise ValidationError("cannot factorize an empty ratings matrix")
@@ -227,18 +203,14 @@ def train_als(
         if unrated:
             raise ValidationError(f"{unrated} {side}(s) have no ratings")
     k = cfg.rank
-    user_chunks = _chunk_layout(by_user, k)
-    item_chunks = _chunk_layout(by_item, k)
     rng = np.random.default_rng(cfg.seed)
     item_factors = rng.random((ratings.n_items, k)) / np.sqrt(k)
     user_factors = np.zeros((ratings.n_users, k))
     pred = np.empty(ratings.nnz)
     prev_rmse = np.inf
     for iteration in range(cfg.max_iterations):
-        user_factors = _solve_half(by_user, user_chunks, item_factors, cfg.lam)
-        item_factors = _solve_half(
-            by_item, item_chunks, user_factors, cfg.lam, pred
-        )
+        user_factors = _solve_half(by_user, item_factors, cfg.lam)
+        item_factors = _solve_half(by_item, user_factors, cfg.lam, pred)
         rmse = float(np.sqrt(np.mean((pred - ratings.ratings) ** 2)))
         if on_iteration is not None:
             on_iteration(iteration, rmse)

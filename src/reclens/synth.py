@@ -457,7 +457,6 @@ def random_metadata(
     n_features: int,
     rng: np.random.Generator,
     marginal_range: tuple[float, float] = (0.05, 0.95),
-    prefix: str = "f",
 ) -> MetadataMatrix:
     """A synthetic item universe: independent binary columns whose
     marginals are drawn uniformly from ``marginal_range``.
@@ -471,7 +470,7 @@ def random_metadata(
     for j in range(n_features):
         p = lo + rng.random() * (hi - lo)
         np.less(rng.random(n_items), p, out=X[:, j])
-    names = tuple(f"{prefix}{j:0{width}d}" for j in range(n_features))
+    names = tuple(f"f{j:0{width}d}" for j in range(n_features))
     return MetadataMatrix(names, X)
 
 
@@ -535,11 +534,10 @@ class HypothesisResult:
         }
 
 
-def _run_repetition(cfg: ExperimentConfig, rep: int, meta: MetadataMatrix | None):
+def _run_repetition(cfg: ExperimentConfig, rep: int):
     seeds = np.random.SeedSequence(entropy=(cfg.seed, rep)).spawn(6)
     rngs = [np.random.default_rng(s) for s in seeds]
-    if meta is None:
-        meta = random_metadata(cfg.n_items, cfg.n_meta_features, rng=rngs[0])
+    meta = random_metadata(cfg.n_items, cfg.n_meta_features, rng=rngs[0])
     pool_meta = filter_features(meta, cfg.sim.feature_pool)
     pool = [meta.feature_index(name) for name in pool_meta.feature_names]
     profiles = generate_profiles(pool, cfg.sim, rng=rngs[1])
@@ -589,9 +587,7 @@ def _run_repetition(cfg: ExperimentConfig, rep: int, meta: MetadataMatrix | None
     return samples
 
 
-def run_hypothesis_experiment(
-    cfg: ExperimentConfig, meta: MetadataMatrix | None = None
-) -> HypothesisResult:
+def run_hypothesis_experiment(cfg: ExperimentConfig) -> HypothesisResult:
     """Full pipeline per repetition: simulate, factorize, shadow, explain,
     score against true / semi-random / random feature sets, then Welch
     tests with effect sizes on the condition pairs.
@@ -602,7 +598,7 @@ def run_hypothesis_experiment(
     """
     def one(rep: int):
         try:
-            return _run_repetition(cfg, rep, meta)
+            return _run_repetition(cfg, rep)
         except ReclensError as exc:
             raise ReclensError(f"repetition {rep}: {exc}") from exc
 

@@ -1,0 +1,84 @@
+"""CLI output bytes do not depend on how many threads OpenBLAS runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from conftest import write_metadata_jsonl, write_ratings_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def cli_outputs(data, out, threads):
+    """Run train at ranks 8 and 50, a depth-4 tree shadow of the rank-50
+    model, and explain for one item and one user aggregate, each as its own
+    process with ``OPENBLAS_NUM_THREADS=threads``.  Returns every file the
+    commands wrote and each one's exit code, stdout and stderr, with ``out``
+    replaced by a fixed name."""
+    out.mkdir()
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(ROOT / "src")}
+    meta = ["--metadata", str(data / "meta.jsonl")]
+    commands = [
+        *(["train", "--ratings", str(data / "ratings.csv"), "--rank", rank,
+           "--seed", "3", "--out", str(out / f"model{rank}.json")]
+          for rank in ("8", "50")),
+        ["shadow", "--model", str(out / "model50.json"), *meta, "--kind", "tree",
+         "--depth", "4", "--seed", "5", "--out", str(out / "tree.json")],
+        ["explain", "--shadow", str(out / "tree.json"), *meta, "--user", "u7",
+         "--item", "m11", "--model", str(out / "model50.json")],
+        ["explain", "--shadow", str(out / "tree.json"), *meta, "--user", "u7",
+         "--user-aggregate", "--top-k", "500"],
+    ]
+    runs = []
+    for argv in commands:
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from reclens.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            capture_output=True, text=True, env=env,
+        )
+        runs.append((argv[0], done.returncode,
+                     done.stdout.replace(str(out), "OUT"),
+                     done.stderr.replace(str(out), "OUT")))
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    return runs, files
+
+
+def test_cli_bytes_independent_of_blas_threads(tmp_path):
+    """Models, a tree shadow and its report, and both kinds of explain are
+    the same bytes with one and with two OpenBLAS threads, on data with
+    more than 128 features after the entropy filter and a rank of 50.
+
+    The linear shadow is not here yet: its ridge solve in
+    ``fit_linear_columns`` goes through LAPACK, whose bits change with the
+    thread count from about 128 unknowns up, so its bytes are known to
+    differ between the two runs.  It joins this test once that solve is
+    made independent of the thread count."""
+    rng = np.random.default_rng(20261019)
+    n_users, n_items, n_features = 120, 180, 160
+    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+            for u in range(n_users)
+            for i in rng.choice(n_items, size=int(rng.integers(20, 60)),
+                                replace=False)]
+    rows += [(f"u{i % n_users}", f"m{i}", 3, 0) for i in range(n_items)]
+    data = tmp_path / "data"
+    data.mkdir()
+    write_ratings_csv(data / "ratings.csv", rows)
+    marginals = rng.uniform(0.05, 0.5, n_features)
+    write_metadata_jsonl(data / "meta.jsonl", {
+        f"m{i}": {"tag": [f"t{j:03d}" for j in range(n_features)
+                          if rng.random() < marginals[j]]}
+        for i in range(n_items)
+    })
+
+    one = cli_outputs(data, tmp_path / "one", 1)
+    runs, files = one
+    assert [code for _, code, _, _ in runs] == [0] * len(runs), runs
+    assert len(json.loads(files["tree.json"])["feature_names"]) >= 128
+    assert len(files) == 4
+    assert cli_outputs(data, tmp_path / "two", 2) == one

@@ -370,9 +370,9 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
 
 def test_train_matches_bucket_oracle_half_steps(tmp_path, rng, monkeypatch, capsys):
     """train writes the same model bytes and the same per-iteration RMSE
-    lines whether each half-step gathers once in bucket order and takes the
-    RMSE from the item half-step, or gathers and scatters bucket by bucket
-    and recomputes every prediction from the factors."""
+    lines whether each half-step solves chunks of rows in (count, row) order
+    and takes the RMSE from the item half-step, or gathers and scatters
+    bucket by bucket and recomputes every prediction from the factors."""
     rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
             for u in range(20) for i in range(30) if rng.random() < 0.3]
     write_ratings_csv(tmp_path / "ratings.csv", rows)
@@ -392,12 +392,7 @@ def test_train_matches_bucket_oracle_half_steps(tmp_path, rng, monkeypatch, caps
     from reclens import factorize
 
     monkeypatch.setattr(factorize, "_row_groups", row_groups_buckets_oracle)
-    monkeypatch.setattr(factorize, "_chunk_layout", lambda groups, k: None)
-    monkeypatch.setattr(
-        factorize, "_solve_half",
-        lambda groups, chunks, other, lam, pred=None:
-            solve_half_buckets_oracle(groups, other, lam, pred),
-    )
+    monkeypatch.setattr(factorize, "_solve_half", solve_half_buckets_oracle)
     assert run(tmp_path / "oracles") == shipped
 
 
@@ -1414,7 +1409,7 @@ class TestSynthCommand:
             (lambda d: d["sim"]["feature_pool"].update(kinds=1),
              "unknown sim.feature_pool key 'kinds'"),
             (lambda d: d["als"].update(rnak=2), "did you mean 'rank'?"),
-            (lambda d: d["als"].update(lam=0.2), "both 'lambda' and 'lam'"),
+            (lambda d: d["als"].update(lam=0.2), "did you mean 'lambda'?"),
             (lambda d: d["shadow"].update(ridge=1.0),
              "unknown tree shadow key 'ridge'"),
             (lambda d: d["shadow"].update(kind="forest"),
@@ -1517,7 +1512,7 @@ class TestSynthCommand:
             assert cfg.als.lam == doc["als"]["lambda"]
             assert cfg.shadow_kind.params.max_depth == doc["shadow"]["max_depth"]
         linear = dict(docs[0], shadow={"kind": "linear", "ridge": 0.5},
-                      als={"rank": 2, "lam": 0.3})
+                      als={"rank": 2, "lambda": 0.3})
         cfg = experiment_config_from_dict(linear)
         assert cfg.shadow_kind.ridge == 0.5 and cfg.als.lam == 0.3
 

@@ -10,7 +10,6 @@ from reclens import factorize
 from reclens.errors import SolverError, ValidationError
 from reclens.factorize import (
     AlsConfig,
-    _chunk_layout,
     _row_groups,
     _solve_half,
     load_model,
@@ -52,6 +51,16 @@ def solve_half_oracle(n_rows, idx_row, idx_other, vals, other, lam, k):
     return np.linalg.solve(A, b[..., None])[..., 0]
 
 
+def count_runs(groups):
+    """``(r0, r1, count, f0, f1)`` of each run of rows of one rating count
+    in the layout of ``_row_groups``, whose counts ascend: positions
+    ``r0:r1`` rate ``count`` entries each, held at ``f0:f1`` of the flat
+    arrays."""
+    for count in np.unique(groups.counts):
+        r0, r1 = np.searchsorted(groups.counts, [count, count + 1])
+        yield r0, r1, int(count), groups.offsets[r0], groups.offsets[r1]
+
+
 def solve_half_whole_oracle(groups, other, lam, pred=None):
     """One ALS half-step over the whole side at once, on the layout of
     ``_row_groups``: one ``np.take`` of the other side's factors for every
@@ -62,7 +71,7 @@ def solve_half_whole_oracle(groups, other, lam, pred=None):
     F = np.take(other, groups.other, axis=0)
     A = np.empty((n_rows, k, k))
     b = np.empty((n_rows, 1, k))
-    for r0, r1, count, f0, f1 in groups.buckets:
+    for r0, r1, count, f0, f1 in count_runs(groups):
         Fb = F[f0:f1].reshape(r1 - r0, count, k)
         np.matmul(Fb.transpose(0, 2, 1), Fb, out=A[r0:r1])
         np.matmul(groups.vals[f0:f1].reshape(r1 - r0, 1, count), Fb, out=b[r0:r1])
@@ -75,19 +84,13 @@ def solve_half_whole_oracle(groups, other, lam, pred=None):
         ) from None
     if pred is not None:
         flat = np.empty(len(F))
-        for r0, r1, count, f0, f1 in groups.buckets:
+        for r0, r1, count, f0, f1 in count_runs(groups):
             np.einsum(
                 "rnk,rk->rn", F[f0:f1].reshape(r1 - r0, count, k), x[r0:r1],
                 out=flat[f0:f1].reshape(r1 - r0, count),
             )
         pred[groups.source] = flat
     return np.take(x, groups.position, axis=0)
-
-
-def solve_half(groups, other, lam, pred=None):
-    """``_solve_half`` on the chunks ``train_als`` would lay out."""
-    chunks = _chunk_layout(groups, other.shape[1])
-    return _solve_half(groups, chunks, other, lam, pred)
 
 
 class BucketGroups(NamedTuple):
@@ -187,7 +190,7 @@ class TestSolveHalf:
     def test_matches_outer_product_oracle(self, problem):
         n_rows, idx_row, idx_other, vals, other, lam, k = problem
         groups = _row_groups(n_rows, idx_row, idx_other, vals)
-        got = solve_half(groups, other, lam)
+        got = _solve_half(groups, other, lam)
         want = solve_half_oracle(*problem)
         assert got.shape == want.shape == (n_rows, k)
         assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
@@ -202,7 +205,7 @@ class TestSolveHalf:
         ):
             other = rng.normal(size=(n_other, k))
             got_pred, want_pred = np.full(len(vals), np.nan), np.empty(len(vals))
-            got = solve_half(
+            got = _solve_half(
                 _row_groups(n_rows, idx_row, idx_other, vals), other, lam, got_pred
             )
             want = solve_half_buckets_oracle(
@@ -215,7 +218,7 @@ class TestSolveHalf:
     def test_unrated_row_is_singular(self):
         groups = _row_groups(2, np.array([0]), np.array([0]), np.array([3.0]))
         with pytest.raises(SolverError, match="lambda > 0"):
-            solve_half(groups, np.ones((1, 2)), 0.1)
+            _solve_half(groups, np.ones((1, 2)), 0.1)
 
 
 @st.composite
@@ -244,50 +247,61 @@ def uneven_triplets(draw):
     return users[order], items[order], vals, n_users, n_items, k, lam, rng, cap
 
 
+def solve_in_chunks(groups, other, lam, pred, cap, chunks):
+    """``_solve_half`` under a chunk cap of ``cap`` bytes; ``chunks``
+    receives the ``(c0, c1)`` row ranges it hands to ``_solve_chunk``, in
+    order, even when the solve raises."""
+    solve_chunk = factorize._solve_chunk
+
+    def spy(groups, c0, c1, *rest):
+        chunks.append((c0, c1))
+        return solve_chunk(groups, c0, c1, *rest)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorize, "ALS_CHUNK_BYTES", cap)
+        mp.setattr(factorize, "_solve_chunk", spy)
+        return _solve_half(groups, other, lam, pred)
+
+
 def check_layout(groups, chunks, k, cap):
-    """Assert that ``chunks`` tile the bucket positions and the flat arrays
-    in order, that each piece lies in one bucket, that a bucket within the
-    cap is never cut, and that only a single row exceeds the cap.  Returns
-    which of "several chunks", "split bucket" and "over-cap row" occur."""
-    kinds = set()
-    if len(chunks) > 1:
-        kinds.add("several chunks")
-    row_at, flat_at, pieces = 0, 0, []
-    for c0, c1, e0, e1, chunk_pieces in chunks:
-        assert (c0, e0) == (row_at, flat_at) and c1 > c0
-        held = 0
-        for r0, r1, count, f0, f1 in chunk_pieces:
-            assert (c0 + r0, e0 + f0) == (row_at, flat_at)
-            assert (groups.counts[c0 + r0:c0 + r1] == count).all()
-            assert f1 - f0 == (r1 - r0) * count
-            row_at, flat_at = c0 + r1, e0 + f1
-            held += 8 * (count * (k + 1) + k * (k + 2)) * (r1 - r0)
-            pieces.append((c0 + r0, c0 + r1))
-        assert (c1, e1) == (row_at, flat_at)
+    """Assert that ``chunks`` are contiguous row ranges that cover every
+    row and every rating once, in order; that each stays within the cap
+    unless it is one row; and that each takes rows while they fit, so the
+    next row would overflow it.  Returns which of "several chunks", "cut
+    count run" and "over-cap row" occur."""
+    counts, offsets = groups.counts, groups.offsets
+    assert np.array_equal(np.diff(offsets), counts)
+    row_bytes = 8 * (counts * (k + 1) + k * (k + 2))
+    kinds = {"several chunks"} if len(chunks) > 1 else set()
+    at, ratings = 0, []
+    for c0, c1 in chunks:
+        assert c0 == at and c1 > c0
+        held = row_bytes[c0:c1].sum()
         if held > cap:
             assert c1 - c0 == 1
             kinds.add("over-cap row")
-    assert (row_at, flat_at) == (len(groups.counts), len(groups.vals))
-    for r0, r1, count, _, _ in groups.buckets:
-        cut = [p for p in pieces if r0 <= p[0] < r1]
-        if len(cut) > 1:
-            kinds.add("split bucket")
-            assert 8 * (count * (k + 1) + k * (k + 2)) * (r1 - r0) > cap
+        if c1 < len(counts):
+            assert held + row_bytes[c1] > cap
+        if c0 > 0 and counts[c0 - 1] == counts[c0]:
+            kinds.add("cut count run")
+        ratings.append(groups.source[offsets[c0]:offsets[c1]])
+        at = c1
+    assert at == len(counts)
+    assert np.array_equal(np.sort(np.concatenate(ratings)),
+                          np.arange(len(groups.vals)))
     return kinds
 
 
 def chunked_and_whole(n_rows, idx_row, idx_other, vals, other, lam, cap):
-    """``(x, pred)`` of one half-step solved in the chunks laid out under
-    ``cap``, and of the whole-half oracle; plus the chunk kinds seen."""
+    """``(x, pred)`` of one half-step solved in chunks under ``cap``, and of
+    the whole-half oracle; plus the chunks solved and their kinds."""
     groups = _row_groups(n_rows, idx_row, idx_other, vals)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(factorize, "ALS_CHUNK_BYTES", cap)
-        chunks = _chunk_layout(groups, other.shape[1])
-    kinds = check_layout(groups, chunks, other.shape[1], cap)
     got_pred, want_pred = np.full(len(vals), np.nan), np.full(len(vals), np.nan)
-    got = _solve_half(groups, chunks, other, lam, got_pred)
+    chunks = []
+    got = solve_in_chunks(groups, other, lam, got_pred, cap, chunks)
+    kinds = check_layout(groups, chunks, other.shape[1], cap)
     want = solve_half_whole_oracle(groups, other, lam, want_pred)
-    return (got, got_pred), (want, want_pred), kinds
+    return (got, got_pred), (want, want_pred), chunks, kinds
 
 
 class TestChunkedSolveHalf:
@@ -300,23 +314,43 @@ class TestChunkedSolveHalf:
             (n_items, items, users, n_users),
         ):
             other = rng.normal(size=(n_other, k))
-            (got, got_pred), (want, want_pred), _ = chunked_and_whole(
+            (got, got_pred), (want, want_pred), _, _ = chunked_and_whole(
                 n_rows, idx_row, idx_other, vals, other, lam, cap
             )
             assert np.array_equal(got, want)
             assert np.array_equal(got_pred, want_pred)
 
-    def test_every_kind_of_chunk(self, rng):
+    @staticmethod
+    def eight_rows(rng, cap):
         # At rank 2 a row of count n holds 24 * n + 64 bytes: six rows of
-        # one rating (88 bytes each) are cut into runs of two under a
-        # 200-byte cap, and a row of fifty (1264 bytes) is a chunk over it.
+        # one rating (88 bytes each), a row of two (112 bytes) and a row of
+        # fifty (1264 bytes).
         idx_row = np.concatenate([np.arange(6), np.full(50, 6), [7, 7]])
         idx_other = rng.integers(0, 4, len(idx_row))
         vals = rng.uniform(1.0, 5.0, len(idx_row))
-        (got, got_pred), (want, want_pred), kinds = chunked_and_whole(
-            8, idx_row, idx_other, vals, rng.normal(size=(4, 2)), 0.5, 200
+        return chunked_and_whole(
+            8, idx_row, idx_other, vals, rng.normal(size=(4, 2)), 0.5, cap
         )
-        assert kinds == {"several chunks", "split bucket", "over-cap row"}
+
+    def test_every_kind_of_chunk(self, rng):
+        # Under a 200-byte cap the rows of one rating are cut into runs of
+        # two, the row of two is a chunk of its own, and the row of fifty
+        # is a chunk over the cap.
+        (got, got_pred), (want, want_pred), chunks, kinds = self.eight_rows(
+            rng, 200
+        )
+        assert chunks == [(0, 2), (2, 4), (4, 6), (6, 7), (7, 8)]
+        assert kinds == {"several chunks", "cut count run", "over-cap row"}
+        assert np.array_equal(got, want)
+        assert np.array_equal(got_pred, want_pred)
+
+    @pytest.mark.parametrize("cap, want_chunks", [
+        (1, [(p, p + 1) for p in range(8)]),  # below any one row
+        (1 << 20, [(0, 8)]),                  # above the whole side
+    ])
+    def test_cap_extremes(self, rng, cap, want_chunks):
+        (got, got_pred), (want, want_pred), chunks, _ = self.eight_rows(rng, cap)
+        assert chunks == want_chunks
         assert np.array_equal(got, want)
         assert np.array_equal(got_pred, want_pred)
 
@@ -330,14 +364,12 @@ class TestChunkedSolveHalf:
         vals = np.linspace(1.0, 5.0, len(idx_row))
         other = np.array([[1.0, 0.0], [0.0, 1.0]])
         groups = _row_groups(7, idx_row, idx_other, vals)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(factorize, "ALS_CHUNK_BYTES", 250)
-            chunks = _chunk_layout(groups, 2)
-        assert len(chunks) == 4 and chunks[-1][:2] == (6, 7)
         with pytest.raises(SolverError) as want:
             solve_half_whole_oracle(groups, other, 0.0)
+        chunks = []
         with pytest.raises(SolverError) as got:
-            _solve_half(groups, chunks, other, 0.0, np.empty(len(vals)))
+            solve_in_chunks(groups, other, 0.0, np.empty(len(vals)), 250, chunks)
+        assert len(chunks) == 4 and chunks[-1] == (6, 7)
         assert str(got.value) == str(want.value)
         assert "use lambda > 0" in str(got.value)
 
@@ -356,9 +388,6 @@ class TestChunkedSolveHalf:
         other = rng.normal(size=(n_other, k))
         groups = _row_groups(n_rows, idx_row, idx_other, vals)
         cap = 1 << 16
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(factorize, "ALS_CHUNK_BYTES", cap)
-            chunks = _chunk_layout(groups, k)
 
         def traced(solve):
             tracing = tracemalloc.is_tracing()
@@ -374,7 +403,9 @@ class TestChunkedSolveHalf:
                 if not tracing:
                     tracemalloc.stop()
 
-        peak, x, pred = traced(lambda p: _solve_half(groups, chunks, other, 0.1, p))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(factorize, "ALS_CHUNK_BYTES", cap)
+            peak, x, pred = traced(lambda p: _solve_half(groups, other, 0.1, p))
         bound = cap + 2 * x.nbytes + pred.nbytes + (16 << 10)
         assert peak <= bound
         oracle_peak, want, want_pred = traced(
