@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_types
+from .errors import FormatError, ValidationError, check_types, is_finite_real
 
 
 # Array rows that write_json encodes at once, which bounds its working set.
@@ -40,6 +40,16 @@ def check_ids(kind: str, ids, n_rows: int | None = None) -> None:
         raise ValidationError(f"{kind} id {repeated!r} is repeated")
 
 
+def check_scale(scale) -> None:
+    """Raise ``ValidationError`` unless the rating scale (low, high) is two
+    finite numbers with low < high."""
+    lo, hi = scale
+    if not (is_finite_real(lo) and is_finite_real(hi)):
+        raise ValidationError(f"rating scale {scale} is not two finite numbers")
+    if not lo < hi:
+        raise ValidationError(f"rating scale {scale} must satisfy low < high")
+
+
 @dataclass(frozen=True)
 class RatingsMatrix:
     """Sparse (user, item, rating) triplets: the ground-truth matrix.
@@ -64,9 +74,8 @@ class RatingsMatrix:
         object.__setattr__(self, "ratings", _frozen_array(self.ratings, np.float64))
         if not (len(self.users) == len(self.items) == len(self.ratings)):
             raise ValidationError("users, items and ratings must have equal length")
+        check_scale(self.scale)
         lo, hi = self.scale
-        if not lo < hi:
-            raise ValidationError(f"rating scale {self.scale} must satisfy low < high")
         if self.nnz:
             if self.users.min() < 0 or self.users.max() >= self.n_users:
                 raise ValidationError("user index out of range")

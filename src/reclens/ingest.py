@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .datamodel import MetadataMatrix, RatingsMatrix
+from .datamodel import MetadataMatrix, RatingsMatrix, check_scale
 from .errors import (
     InsufficientDataError,
     ParseError,
@@ -107,24 +107,44 @@ def load_ratings(
     """Parse a ratings file into a dense-indexed matrix.
 
     The first line must be a header starting with ``userId``.  Duplicate
-    (user, item) rows keep the last occurrence.  Users and items are
-    re-indexed in order of first appearance; the external ids are kept on
-    the returned matrix.
+    (user, item) rows keep the position of the first and the rating of the
+    last.  Users and items are re-indexed in order of first appearance; the
+    external ids are kept on the returned matrix.  The scale is checked
+    before the file is opened.
 
-    The file is parsed ``RATINGS_BLOCK`` lines at a time with one split per
-    block.  A file that is irregular in any way (a bad header, field count,
-    id or rating, or bytes that are not UTF-8) is parsed again line by line
-    by :func:`_load_ratings_lines`, which names the offending line, so the
-    errors are those of the per-line parser.
+    The file is read once, ``RATINGS_BLOCK`` lines at a time with one split
+    per block.  Only a block that is irregular (blank lines aside) is read
+    again, on its own and line by line, by :func:`_parse_lines`, which names
+    the first bad line.
     """
-    path = Path(path)
-    try:
-        parsed = _parse_ratings_blocks(path, scale)
-    except UnicodeDecodeError:
-        parsed = None
-    if parsed is None:
-        return _load_ratings_lines(path, scale)
-    user_index, item_index, users, items, ratings = parsed
+    check_scale(scale)
+    path, (lo, hi) = Path(path), scale
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    block, first_line = [], 2  # first_line: the line number of block[0]
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            if not fh.readline().lower().lstrip("\ufeff").startswith("userid"):
+                raise ParseError(f"{path}:1: expected a header line starting with userId")
+            while True:
+                first_line += len(block)
+                block = []
+                block.extend(islice(fh, RATINGS_BLOCK))
+                if not block:
+                    break
+                try:
+                    uids, iids, values = _split_block(block, lo, hi)
+                except ValueError:
+                    uids, iids, values = _parse_lines(block, first_line, path, lo, hi)
+                blocks.append((_dense_codes(user_index, uids),
+                               _dense_codes(item_index, iids), values))
+        except UnicodeDecodeError as exc:
+            # extend kept the lines decoded before the bad bytes; a bad one
+            # among them is reported first, as a line-by-line read would.
+            _parse_lines(block, first_line, path, lo, hi)
+            raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
+    users, items, ratings = map(np.concatenate, zip(*blocks))
     keys = users * len(item_index) + items
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
@@ -159,107 +179,67 @@ def _dense_codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
         return _dense_codes(index, keys)
 
 
-def _parse_ratings_blocks(path: Path, scale: tuple[float, float]):
-    """(user_index, item_index, users, items, ratings) with every row kept,
-    duplicates included; None if the file is irregular anywhere."""
-    lo, hi = scale
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    users, items = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    ratings = [np.empty(0)]
-    with open(path, "r", encoding="utf-8") as fh:
-        if not fh.readline().lower().lstrip("\ufeff").startswith("userid"):
-            return None
-        while lines := list(islice(fh, RATINGS_BLOCK)):
-            commas = [line.count(",") for line in lines]
-            if not 2 <= min(commas) <= max(commas) <= 3:
-                lines = [line for line in lines if line.strip()]
-                if not lines:
-                    continue
-                commas = [line.count(",") for line in lines]
-                if not 2 <= min(commas) <= max(commas) <= 3:
-                    return None
-            if min(commas) != max(commas):
-                # Pad 3-field rows with an empty timestamp field.
-                lines = [line if c == 3 else line + ","
-                         for line, c in zip(lines, commas)]
-            stride = max(commas) + 1
-            fields = ",".join(lines).split(",")
-            uids = list(map(str.strip, fields[0::stride]))
-            iids = list(map(str.strip, fields[1::stride]))
-            if "" in uids or "" in iids:
-                return None
-            try:
-                # float ignores the whitespace that str.strip removes, bar
-                # \x1c-\x1f, on which it raises and the file falls back.
-                block = np.fromiter(map(float, fields[2::stride]), np.float64,
-                                    len(lines))
-            except ValueError:
-                return None
-            if not ((block >= lo) & (block <= hi)).all():
-                return None
-            users.append(_dense_codes(user_index, uids))
-            items.append(_dense_codes(item_index, iids))
-            ratings.append(block)
-    return (user_index, item_index, np.concatenate(users), np.concatenate(items),
-            np.concatenate(ratings))
+def _split_block(lines: list[str], lo: float, hi: float):
+    """(user ids, item ids, ratings) of a block of data lines by one split
+    of the joined block; ``ValueError`` if a line is irregular: not blank,
+    yet not 3 or 4 fields, an id empty, or a rating that ``float`` rejects
+    or that lies outside [lo, hi]."""
+    commas = [line.count(",") for line in lines]
+    if not 2 <= min(commas) <= max(commas) <= 3:
+        # An all-blank block leaves min() nothing: ValueError, line by line.
+        lines = [line for line in lines if line.strip()]
+        commas = [line.count(",") for line in lines]
+        if not 2 <= min(commas) <= max(commas) <= 3:
+            raise ValueError("not 3 or 4 fields")
+    if min(commas) != max(commas):
+        # Pad 3-field rows with an empty timestamp field.
+        lines = [line if c == 3 else line + "," for line, c in zip(lines, commas)]
+    stride = max(commas) + 1
+    fields = ",".join(lines).split(",")
+    uids = list(map(str.strip, fields[0::stride]))
+    iids = list(map(str.strip, fields[1::stride]))
+    if "" in uids or "" in iids:
+        raise ValueError("an empty id")
+    # float ignores the whitespace that str.strip removes, bar \x1c-\x1f,
+    # on which it raises and _parse_lines reads the block.
+    ratings = np.fromiter(map(float, fields[2::stride]), np.float64, len(lines))
+    if not ((ratings >= lo) & (ratings <= hi)).all():
+        raise ValueError("a rating outside the scale")
+    return uids, iids, ratings
 
 
-def _load_ratings_lines(
-    path: Path,
-    scale: tuple[float, float] = (1.0, 5.0),
-) -> RatingsMatrix:
-    """:func:`load_ratings` one line at a time: the error path, whose
-    messages name the offending line, and the reference the block parser
-    is tested against."""
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
-    cells: dict[tuple[int, int], float] = {}
-    lo, hi = scale
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = _text_lines(fh, path)
-        header = next(lines, "")
-        if not header.lower().lstrip("\ufeff").startswith("userid"):
-            raise ParseError(f"{path}:1: expected a header line starting with userId")
-        for lineno, line in enumerate(lines, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) not in (3, 4):
-                raise ParseError(
-                    f"{path}:{lineno}: expected 3 or 4 comma-separated fields, "
-                    f"got {len(parts)}"
-                )
-            uid, iid, rating_text = parts[0].strip(), parts[1].strip(), parts[2].strip()
-            if not uid or not iid:
-                raise ParseError(f"{path}:{lineno}: empty user or item id")
-            try:
-                rating = float(rating_text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: rating {rating_text!r} is not a number"
-                ) from None
-            if not lo <= rating <= hi:
-                raise ValidationError(
-                    f"{path}:{lineno}: rating {rating} outside scale [{lo}, {hi}]"
-                )
-            u = user_index.setdefault(uid, len(user_index))
-            i = item_index.setdefault(iid, len(item_index))
-            cells[(u, i)] = rating
-    users = np.fromiter((u for u, _ in cells), dtype=np.int64, count=len(cells))
-    items = np.fromiter((i for _, i in cells), dtype=np.int64, count=len(cells))
-    ratings = np.fromiter(cells.values(), dtype=np.float64, count=len(cells))
-    return RatingsMatrix(
-        n_users=len(user_index),
-        n_items=len(item_index),
-        users=users,
-        items=items,
-        ratings=ratings,
-        scale=scale,
-        user_ids=tuple(user_index),
-        item_ids=tuple(item_index),
-    )
+def _parse_lines(block: list[str], first_lineno: int, path: Path, lo, hi):
+    """:func:`_split_block` one line at a time, the first being line
+    ``first_lineno`` of ``path``: the block's rows, or the ``ParseError`` or
+    ``ValidationError`` that names its first bad line."""
+    uids, iids, ratings = [], [], []
+    for lineno, line in enumerate(block, start=first_lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) not in (3, 4):
+            raise ParseError(
+                f"{path}:{lineno}: expected 3 or 4 comma-separated fields, "
+                f"got {len(parts)}"
+            )
+        uid, iid, rating_text = parts[0].strip(), parts[1].strip(), parts[2].strip()
+        if not uid or not iid:
+            raise ParseError(f"{path}:{lineno}: empty user or item id")
+        try:
+            rating = float(rating_text)
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: rating {rating_text!r} is not a number"
+            ) from None
+        if not lo <= rating <= hi:
+            raise ValidationError(
+                f"{path}:{lineno}: rating {rating} outside scale [{lo}, {hi}]"
+            )
+        uids.append(uid)
+        iids.append(iid)
+        ratings.append(rating)
+    return uids, iids, np.array(ratings, dtype=np.float64)
 
 
 # The JSON types of one attribute value (a bool is an int).

@@ -14,8 +14,8 @@ A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree predicts as a forest of one.  ``TreeForest.walk`` routes each
 (tree, row) pair once and reads off it the leaf, the features tested on
-the path and each one's flip effect, which is all that an influence
-report needs.
+the path, each at the first node that tests it, and each one's flip
+effect, which is all that an influence report needs.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class RegressionTree:
         n = len(feature)
         if not n or len(value) != n:
             raise ValidationError(f"{n} features and {len(value)} values are not one tree")
-        # A leaf is its own child, as TreeForest._route needs, and tests
+        # A leaf is its own child, as TreeForest._descend needs, and tests
         # feature 0: numpy gathers slower when negative indices are mixed in.
         # levels holds the level of each node that the splits so far place.
         left, right = list(range(n)), list(range(n))
@@ -239,8 +239,8 @@ class TreeForest:
     least), so memory stays bounded for any number of trees and rows.  A
     lone ``RegressionTree`` routes as a forest of one.  ``predict_batch``
     routes every pair to its leaf; ``walk`` also keeps the route, to find
-    the features on each path and flip each one from where the path first
-    tests it.
+    the features on each path at the splits marked as their first test, and
+    flip each one from there.  Both descend by one loop, ``_descend``.
     """
 
     trees: tuple
@@ -263,6 +263,18 @@ class TreeForest:
         object.__setattr__(
             self, "_depth", np.array([t.depth for t in trees], dtype=np.intp)
         )
+        # Where a path first tests a feature: at each split whose feature no
+        # ancestor tests.  Each step climbs every split's ancestry one level.
+        first_test = self._left != np.arange(len(self._left))
+        node = np.flatnonzero(first_test)
+        parent = np.full(len(first_test), -1)
+        parent[self._left[node]] = parent[self._right[node]] = node
+        up = parent[node]
+        while len(node):
+            node, up = node[up >= 0], up[up >= 0]
+            first_test[node[self._feature[up] == self._feature[node]]] = False
+            up = parent[up]
+        object.__setattr__(self, "_first_test", first_test)
 
     @property
     def n_trees(self) -> int:
@@ -290,26 +302,20 @@ class TreeForest:
             )
         return X
 
-    def _route(self, X, trees, rows, visited=None):
-        """Leaf node of each pair (tree ``trees[i]``, row ``X[rows[i]]``),
-        one level per step from the tree's root; with ``visited``, the node
-        array of every level is appended to it.  A leaf's children are the
-        leaf itself, so pairs that reach a shallow leaf stay there for the
-        later levels."""
-        node = self._root[trees]
-        for _ in range(self._depth[trees].max(initial=0)):
+    def _descend(self, X, node, rows, steps, flipped, visited=None):
+        """Node reached from ``node[i]`` in ``steps`` levels by row
+        ``X[rows[i]]``, with its value in column ``flipped[i]`` negated
+        unless ``flipped`` is None; with ``visited``, the node array of
+        every level is appended to it.  A leaf's children are the leaf
+        itself, so pairs that reach a shallow leaf stay there for the later
+        levels."""
+        for _ in range(steps):
             if visited is not None:
                 visited.append(node)
-            node = np.where(X[rows, self._feature[node]], self._right[node],
-                            self._left[node])
-        return node
-
-    def _reroute(self, X, node, rows, flipped, steps):
-        """Leaf node reached from ``node[i]`` in ``steps`` levels by row
-        ``X[rows[i]]`` with its value in column ``flipped[i]`` negated."""
-        for _ in range(steps):
             tested = self._feature[node]
-            x = X[rows, tested] != (tested == flipped)
+            x = X[rows, tested]
+            if flipped is not None:
+                x = x != (tested == flipped)
             node = np.where(x, self._right[node], self._left[node])
         return node
 
@@ -322,7 +328,8 @@ class TreeForest:
         for group in self.groups(n):
             trees = np.tile(np.arange(group.start, group.stop), n)
             rows = np.repeat(np.arange(n), len(group))
-            leaves = self._route(X, trees, rows)
+            leaves = self._descend(X, self._root[trees], rows,
+                                   self._depth[group.start:group.stop].max(), None)
             out[:, group.start:group.stop] = self._value[leaves].reshape(n, len(group))
         return out
 
@@ -336,48 +343,42 @@ class TreeForest:
         Returns (predicted, trees, rows, features, effects): ``predicted``
         is the (len(group), rows) array of each pair's leaf value.  Each
         triple (trees[i], rows[i], features[i]) names a feature tested on
-        that pair's path, once, ordered by tree, row, then feature; no other
-        feature can change the tree's prediction for the row.  ``effects[i]``
-        is f_t(x | x_j = 1) - f_t(x | x_j = 0) for t = trees[i],
-        x = X[rows[i]], j = features[i].
+        that pair's path, once, ordered by tree, row, then the level at
+        which the path first tests the feature; no other feature can change
+        the tree's prediction for the row.  ``effects[i]`` is
+        f_t(x | x_j = 1) - f_t(x | x_j = 0) for t = trees[i], x = X[rows[i]],
+        j = features[i].
 
         The side of a flip where x_j keeps its value is the path's own leaf.
         The other side leaves the path at the first node that tests j, for
         its other child, and routes on from there reading x_j flipped, so a
         tree that tests j again lower down still reads the flipped value.
+        Those first nodes are the splits whose feature no ancestor tests.
         """
         X = self._checked(X)
         if group is None:
             group = range(self.n_trees)
-        n, width = X.shape
+        n = len(X)
         pair_trees, pair_rows = np.divmod(np.arange(group.start * n, group.stop * n), n)
+        levels = self._depth[group.start:group.stop].max()
         visited = []
-        leaves = self._route(X, pair_trees, pair_rows, visited=visited)
+        leaves = self._descend(X, self._root[pair_trees], pair_rows, levels, None,
+                               visited)
         predicted = self._value[leaves].reshape(len(group), n)
-        levels = len(visited)
         if not levels:
             empty = np.empty(0, np.intp)
             return predicted, empty, empty, empty, np.empty(0)
-        nodes = np.array(visited)
-        # Every split on a path as one key that sorts by pair, feature, then
-        # level; the first key of each (pair, feature) is the shallowest
-        # node that tests the feature.
-        level, pairs = np.nonzero(self._left[nodes] != nodes)
-        keys = (pairs * width + self._feature[nodes[level, pairs]]) * levels + level
-        keys.sort()
-        tested, level = np.divmod(keys, levels)
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(tested[1:], tested[:-1], out=first[1:])
-        tested, level = tested[first], level[first]
-        pairs, features = np.divmod(tested, width)
-        trees, rows = pair_trees[pairs], pair_rows[pairs]
-        start = nodes[level, pairs]
+        nodes = np.stack(visited, axis=1)
+        # Row-major order: by pair, so by tree and row, then by path level.
+        pairs, level = np.nonzero(self._first_test[nodes])
+        start = nodes[pairs, level]
+        trees, rows, features = pair_trees[pairs], pair_rows[pairs], self._feature[start]
         held = X[rows, features]
         # The other child of the first node that tests the feature is at
         # least one level down, so levels - 1 steps reach a leaf from it.
-        other = self._reroute(
+        other = self._descend(
             X, np.where(held, self._left[start], self._right[start]), rows,
-            features, levels - 1,
+            levels - 1, features,
         )
         kept, flipped = self._value[leaves[pairs]], self._value[other]
         effects = np.where(held, kept - flipped, flipped - kept)

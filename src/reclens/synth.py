@@ -462,14 +462,14 @@ def random_metadata(
     marginals are drawn uniformly from ``marginal_range``.
 
     Column j takes one draw for its marginal p, then ``n_items`` uniform
-    draws u, and holds the items where u < p; it is written straight into
-    the boolean items x features array."""
+    draws u, and holds the items where u < p.  All of them come from one
+    (features, 1 + items) draw, row j being column j's draws in that
+    order, so the stream is the one that a draw per column would read."""
     lo, hi = marginal_range
     width = len(str(n_features - 1)) if n_features > 1 else 1
+    draws = rng.random((n_features, n_items + 1))
     X = np.empty((n_items, n_features), dtype=np.bool_)
-    for j in range(n_features):
-        p = lo + rng.random() * (hi - lo)
-        np.less(rng.random(n_items), p, out=X[:, j])
+    np.less(draws[:, 1:].T, lo + draws[:, 0] * (hi - lo), out=X)
     names = tuple(f"f{j:0{width}d}" for j in range(n_features))
     return MetadataMatrix(names, X)
 

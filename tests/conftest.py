@@ -155,12 +155,12 @@ def walk_tree(tree: RegressionTree, x) -> float:
 
 def path_oracle(tree, X):
     """(rows, features): the features tested on each row's path, once per
-    row, found by ``walk_path``."""
+    row in the order the path first tests them, found by ``walk_path``."""
     rows, features = [], []
     for r, x in enumerate(X):
-        tested = set(walk_path(tree, x)[0])
+        tested = dict.fromkeys(walk_path(tree, x)[0])
         rows += [r] * len(tested)
-        features += sorted(tested)
+        features += list(tested)
     return np.array(rows, dtype=np.intp), np.array(features, dtype=np.intp)
 
 

@@ -24,6 +24,7 @@ from reclens.synth import ExperimentConfig, SimConfig
 
 from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
 from test_influence import influences_per_tree_oracle, walked_factors
+from test_ingest import load_ratings_lines_oracle
 from test_factorize import row_groups_buckets_oracle, solve_half_buckets_oracle
 
 
@@ -358,7 +359,7 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
     shipped = run(tmp_path / "shipped")
     from reclens import ingest, shadow as shadow_mod
 
-    monkeypatch.setattr(ingest, "load_ratings", ingest._load_ratings_lines)
+    monkeypatch.setattr(ingest, "load_ratings", load_ratings_lines_oracle)
 
     def per_factor_fits(X, Y, ridge):
         fits = [fit_linear_oracle(X, Y[:, j], ridge) for j in range(Y.shape[1])]
@@ -693,6 +694,32 @@ def test_bad_metadata_value_is_one_error_line(
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {bad}:3: {message}"]
+    assert captured.out == ""
+
+
+_BAD_SCALES = [
+    (["--scale-min", "nan"], "rating scale (nan, 5.0) is not two finite numbers"),
+    (["--scale-min", "5", "--scale-max", "1"],
+     "rating scale (5.0, 1.0) must satisfy low < high"),
+    (["--scale-max", "inf"], "rating scale (1.0, inf) is not two finite numbers"),
+]
+
+
+@pytest.mark.parametrize("flags, message", _BAD_SCALES)
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_bad_scale_is_one_error_line(tmp_path, rng, capsys, flags, message, command):
+    """A rating scale that is not two finite numbers with low < high ends in
+    exit 1 and one error line about the scale, not about a rating line."""
+    ratings, meta = make_identity_fixture(tmp_path, rng)
+    argv = {
+        "train": ["train", "--ratings", str(ratings), "--rank", "2",
+                  "--out", str(tmp_path / "m.json")],
+        "sweep": ["sweep", "--ratings", str(ratings), "--metadata", str(meta)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
 
 

@@ -79,6 +79,15 @@ class TestRatingsMatrix:
         with pytest.raises(ValidationError):
             RatingsMatrix(1, 1, [0], [1], [3.0])
 
+    @pytest.mark.parametrize("scale, message", [
+        ((5.0, 1.0), "must satisfy low < high"),
+        ((1.0, float("inf")), "is not two finite numbers"),
+        ((float("nan"), 5.0), "is not two finite numbers"),
+    ])
+    def test_bad_scale_rejected(self, scale, message):
+        with pytest.raises(ValidationError, match=message):
+            RatingsMatrix(1, 1, [0], [0], [3.0], scale=scale)
+
     def test_rating_outside_scale_rejected(self):
         with pytest.raises(ValidationError, match="scale"):
             RatingsMatrix(1, 1, [0], [0], [6.0], scale=(1.0, 5.0))

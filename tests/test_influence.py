@@ -568,7 +568,7 @@ class TestForestAgainstPerTreeOracle:
 
     def test_one_walk_per_tree_group(self, rng, monkeypatch):
         # Each group of factor trees is routed once from the roots and has
-        # at most one pass for the flipped sides; nothing predicts the
+        # at most one descent for the flipped sides; nothing predicts the
         # factors again.
         n_items, d = 30, 8
         X = (rng.random((n_items, d)) < 0.5).astype(float)
@@ -586,8 +586,7 @@ class TestForestAgainstPerTreeOracle:
                 return original(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((TreeForest, "_route"), (TreeForest, "_reroute"),
-                          (TreeForest, "predict_batch"),
+        for cls, name in ((TreeForest, "_descend"), (TreeForest, "predict_batch"),
                           (ShadowModel, "predicted_factors_batch")):
             monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
         for pairs, scope in ((2048, SingleItem(4)), (2048, ItemSet(tuple(range(30)))),
@@ -597,9 +596,9 @@ class TestForestAgainstPerTreeOracle:
                                               if isinstance(scope, ItemSet) else 1))
             calls.clear()
             explain(shadow, meta, InfluenceQuery(0, scope), top_k=d)
-            assert calls.count("_route") == groups
-            assert calls.count("_reroute") <= groups
-            assert set(calls) <= {"_route", "_reroute"}
+            descents = calls.count("_descend")
+            assert groups <= descents <= 2 * groups
+            assert set(calls) == {"_descend"}
         assert groups == 3
 
 

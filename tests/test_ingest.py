@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import entropy as scipy_entropy
 
 from reclens import ingest
+from reclens.datamodel import RatingsMatrix
 from reclens.errors import InsufficientDataError, ParseError, ValidationError
 from reclens.ingest import (
     FeatureFilterSpec,
@@ -81,6 +82,17 @@ class TestLoadRatings:
             fh.write("1,10,4.0\n")
         with pytest.raises(ParseError, match=":1:"):
             load_ratings(path)
+
+    @pytest.mark.parametrize("scale, message", [
+        ((float("nan"), 5.0), r"rating scale \(nan, 5.0\) is not two finite numbers"),
+        ((5.0, 1.0), r"rating scale \(5.0, 1.0\) must satisfy low < high"),
+        ((1.0, float("inf")), r"rating scale \(1.0, inf\) is not two finite numbers"),
+        ((1.0, "5"), "is not two finite numbers"),
+    ])
+    def test_bad_scale_rejected_before_the_file_is_read(self, tmp_path, scale,
+                                                        message):
+        with pytest.raises(ValidationError, match=message):
+            load_ratings(tmp_path / "missing.csv", scale=scale)
 
 
 class TestLoadMetadata:
@@ -372,6 +384,55 @@ class TestEncodeGuards:
 
 # -------------------------------------------- block parser vs per-line oracle
 
+def load_ratings_lines_oracle(path, scale=(1.0, 5.0)):
+    """``load_ratings`` one line at a time: the per-line parser that the
+    block reader replaced.  A dict assigned row by row keeps each repeated
+    pair at its first position with its last rating."""
+    user_index, item_index, cells = {}, {}, {}
+    lo, hi = scale
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = ingest._text_lines(fh, path)
+        header = next(lines, "")
+        if not header.lower().lstrip("\ufeff").startswith("userid"):
+            raise ParseError(f"{path}:1: expected a header line starting with userId")
+        for lineno, line in enumerate(lines, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) not in (3, 4):
+                raise ParseError(
+                    f"{path}:{lineno}: expected 3 or 4 comma-separated fields, "
+                    f"got {len(parts)}"
+                )
+            uid, iid, rating_text = parts[0].strip(), parts[1].strip(), parts[2].strip()
+            if not uid or not iid:
+                raise ParseError(f"{path}:{lineno}: empty user or item id")
+            try:
+                rating = float(rating_text)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: rating {rating_text!r} is not a number"
+                ) from None
+            if not lo <= rating <= hi:
+                raise ValidationError(
+                    f"{path}:{lineno}: rating {rating} outside scale [{lo}, {hi}]"
+                )
+            u = user_index.setdefault(uid, len(user_index))
+            i = item_index.setdefault(iid, len(item_index))
+            cells[(u, i)] = rating
+    return RatingsMatrix(
+        n_users=len(user_index),
+        n_items=len(item_index),
+        users=np.array([u for u, _ in cells], dtype=np.int64),
+        items=np.array([i for _, i in cells], dtype=np.int64),
+        ratings=np.array(list(cells.values()), dtype=np.float64),
+        scale=scale,
+        user_ids=tuple(user_index),
+        item_ids=tuple(item_index),
+    )
+
+
 # Ids and ratings that parse, some only after stripping whitespace (\x1c and
 # \x0c are whitespace to str.strip) or through float's wider syntax.
 _IDS = ["1", "2", "3", "u4", "10"] * 4 + [" 5 ", "\t1", "\ufeff1", "\u00e9"]
@@ -444,8 +505,8 @@ def _outcome(load, path):
 
 
 class TestBlockParser:
-    """``load_ratings`` parses blocks of lines; the per-line parser it falls
-    back to on any irregularity is the oracle."""
+    """``load_ratings`` splits blocks of lines at once and reads only an
+    irregular block line by line; the per-line parser is the oracle."""
 
     @settings(max_examples=200)
     @given(data=_ratings_files(), block=st.integers(1, 4))
@@ -455,16 +516,25 @@ class TestBlockParser:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "RATINGS_BLOCK", block)
             assert _outcome(load_ratings, path) == _outcome(
-                ingest._load_ratings_lines, path
+                load_ratings_lines_oracle, path
             )
+
+    @staticmethod
+    def spy_on_parse_lines(monkeypatch):
+        """The (first line number, lines) of every ``_parse_lines`` call."""
+        calls, original = [], ingest._parse_lines
+
+        def spy(block, first_lineno, path, lo, hi):
+            calls.append((first_lineno, list(block)))
+            return original(block, first_lineno, path, lo, hi)
+
+        monkeypatch.setattr(ingest, "_parse_lines", spy)
+        return calls
 
     def test_regular_file_needs_no_fallback(self, tmp_path, monkeypatch):
         """Blank lines, CRLF, a BOM, padded fields and mixed 3/4-field rows
-        are all regular: the block parser alone reads them."""
-        def no_fallback(path, scale):
-            raise AssertionError("fell back to the per-line parser")
-
-        monkeypatch.setattr(ingest, "_load_ratings_lines", no_fallback)
+        are all regular: no block is read line by line."""
+        calls = self.spy_on_parse_lines(monkeypatch)
         monkeypatch.setattr(ingest, "RATINGS_BLOCK", 3)
         path = tmp_path / "r.csv"
         path.write_bytes(
@@ -476,6 +546,68 @@ class TestBlockParser:
         assert rm.users.tolist() == [0, 1, 0, 1]
         assert rm.items.tolist() == [0, 0, 1, 1]
         assert rm.ratings.tolist() == [2.0, 3.5, 5.0, 1.0]
+        assert calls == []
+
+    def test_only_the_bad_block_is_read_line_by_line(self, tmp_path, monkeypatch):
+        calls = self.spy_on_parse_lines(monkeypatch)
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 3)
+        path = tmp_path / "r.csv"
+        write_ratings_csv(path, [("1", str(i), 3.0) for i in range(7)]
+                          + [("1", "7", "x")] + [("2", "8", 4.0)] * 3)
+        with pytest.raises(ParseError, match=r"r\.csv:9: rating 'x' is not a number"):
+            load_ratings(path)
+        assert [(first, len(lines)) for first, lines in calls] == [(8, 3)]
+        assert calls[0][1][1].startswith("1,7,x")
+
+    def test_padded_rating_in_a_later_block_loads(self, tmp_path, monkeypatch):
+        """float rejects a rating padded with \\x1c, which str.strip removes:
+        that block is read line by line and loads as the oracle reads it."""
+        calls = self.spy_on_parse_lines(monkeypatch)
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 2)
+        path = tmp_path / "r.csv"
+        path.write_text("userId,movieId,rating\n1,a,4\n2,b,3\n3,a,2\n"
+                        "1,c,5\x1c\n2,a,1\n", encoding="utf-8")
+        rm = load_ratings(path)
+        assert rm.ratings.tolist() == [4.0, 3.0, 2.0, 5.0, 1.0]
+        assert (rm.user_ids, rm.item_ids) == (("1", "2", "3"), ("a", "b", "c"))
+        assert [first for first, _ in calls] == [4]
+        assert _outcome(load_ratings, path) == _outcome(
+            load_ratings_lines_oracle, path
+        )
+
+    def test_non_utf8_byte_is_one_error_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 2)
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"userId,movieId,rating\n1,a,4\n2,b,3\n3,\xff,2\n")
+        with pytest.raises(ParseError) as info:
+            load_ratings(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: not valid UTF-8 (")
+        assert "\n" not in message
+        assert _outcome(load_ratings, path) == _outcome(
+            load_ratings_lines_oracle, path
+        )
+
+    @pytest.mark.parametrize("bad_row, expected", [
+        (100, r"r\.csv:102: rating 'x' is not a number"), (1900, "not valid UTF-8")])
+    def test_bad_line_and_undecodable_bytes_first_one_wins(
+        self, tmp_path, bad_row, expected
+    ):
+        """Text is decoded some kilobytes at a time: a bad line decoded before
+        the bytes that are not UTF-8 is reported, one after them is not."""
+        rows = [f"{u % 50},{u},3" for u in range(2000)]
+        rows[bad_row] = "1,1,x"
+        rows[1500] = "1,\udcff,3"
+        data = "\n".join(["userId,movieId,rating", *rows]).encode(
+            "utf-8", "surrogateescape")
+        path = tmp_path / "r.csv"
+        path.write_bytes(data)
+        assert data.index(b"\xff") > 8192
+        with pytest.raises(ParseError, match=expected):
+            load_ratings(path)
+        assert _outcome(load_ratings, path) == _outcome(
+            load_ratings_lines_oracle, path
+        )
 
     def test_duplicates_across_blocks_keep_first_position_last_rating(
         self, tmp_path, monkeypatch
@@ -489,7 +621,7 @@ class TestBlockParser:
         assert rm.items.tolist() == [0, 1, 2]
         assert rm.ratings.tolist() == [2.5, 5.0, 3.0]
         assert _outcome(load_ratings, path) == _outcome(
-            ingest._load_ratings_lines, path
+            load_ratings_lines_oracle, path
         )
 
     def test_error_names_line_beyond_first_block(self, tmp_path, monkeypatch):

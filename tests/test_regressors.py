@@ -586,19 +586,22 @@ class TestPaths:
 
 class TestForest:
     """A forest gives each tree's own predictions, and its walk each tree's
-    leaves, path features and flip effects, whatever the group size."""
+    leaves, path features and flip effects, whatever the group size, in
+    (tree, row, path level) order."""
 
     @pytest.mark.parametrize("pairs", [1, 27, 65536])
     def test_matches_each_tree(self, rng, monkeypatch, pairs):
         monkeypatch.setattr(regressors, "FOREST_PAIRS", pairs)
         X = (rng.random((9, 5)) < 0.5).astype(float)
+        # The last tree tests x3 above x1 and x0, so its paths list their
+        # features out of index order.
         trees = [leaf_tree(0.25, 5)] + [
             fit_tree(X, rng.normal(size=9), TreeParams(max_depth=depth))
             for depth in (1, 3, 2)
-        ] + [repeat_tree(5)]
+        ] + [repeat_tree(5), tree_of((3, (1, 1.0, 2.0), (0, 3.0, 4.0)), 5)]
         forest = TreeForest(trees)
         assert [len(g) for g in forest.groups(len(X))] == {
-            1: [1, 1, 1, 1, 1], 27: [3, 2], 65536: [5]}[pairs]
+            1: [1] * 6, 27: [3, 3], 65536: [6]}[pairs]
         predicted = forest.predict_batch(X)
         assert predicted.flags.c_contiguous
         walked = np.column_stack([[walk_tree(t, x) for x in X] for t in trees])
@@ -610,7 +613,9 @@ class TestForest:
                     np.concatenate([f for _, f in paths]),
                     np.concatenate([flip_oracle(t, X, r, f)
                                     for t, (r, f) in zip(trees, paths)])]
-        for group in (range(5), range(1, 3), range(3, 5)):
+        rows, features = paths[5]
+        assert features[rows == 0].tolist() == [3, 0 if X[0, 3] else 1]
+        for group in (range(6), range(1, 3), range(3, 6)):
             predicted, *got = forest.walk(X, group)
             np.testing.assert_array_equal(predicted, walked[:, group.start:group.stop].T)
             keep = np.isin(tree_ids, list(group))
