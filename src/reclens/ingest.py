@@ -112,10 +112,13 @@ def load_ratings(
     external ids are kept on the returned matrix.  The scale is checked
     before the file is opened.
 
-    The file is read once, ``RATINGS_BLOCK`` lines at a time with one split
-    per block.  Only a block that is irregular (blank lines aside) is read
-    again, on its own and line by line, by :func:`_parse_lines`, which names
-    the first bad line.
+    The file is read once, ``RATINGS_BLOCK`` lines at a time.  A regular
+    block (ASCII, no blank lines or whitespace to strip, all lines of 3
+    fields or all of 4, valid ids and ratings) is split in one go by
+    :func:`_split_block`.  Any other block is read again, on its own and
+    line by line, by :func:`_parse_lines`, which strips whitespace, skips
+    blank lines, takes 3- and 4-field lines mixed, and names the first bad
+    line.
     """
     check_scale(scale)
     path, (lo, hi) = Path(path), scale
@@ -146,12 +149,15 @@ def load_ratings(
             raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
     users, items, ratings = map(np.concatenate, zip(*blocks))
     keys = users * len(item_index) + items
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-    if not first.all():
+    # A plain sort finds repeated pairs many times faster than the stable
+    # argsort that resolving them needs.
+    ordered = np.sort(keys)
+    if (ordered[1:] == ordered[:-1]).any():
         # A repeated pair keeps the position of its first row and the
         # rating of its last, as a dict assigned row by row would.
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
         last = np.concatenate((first[1:], [True]))
         ratings[order[first]] = ratings[order[last]]
         keep = np.sort(order[first])
@@ -179,29 +185,33 @@ def _dense_codes(index: dict[str, int], keys: list[str]) -> np.ndarray:
         return _dense_codes(index, keys)
 
 
+# The ASCII characters that str.strip removes, bar the line end "\n".
+_PADDING = "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+
+
 def _split_block(lines: list[str], lo: float, hi: float):
-    """(user ids, item ids, ratings) of a block of data lines by one split
-    of the joined block; ``ValueError`` if a line is irregular: not blank,
-    yet not 3 or 4 fields, an id empty, or a rating that ``float`` rejects
-    or that lies outside [lo, hi]."""
-    commas = [line.count(",") for line in lines]
-    if not 2 <= min(commas) <= max(commas) <= 3:
-        # An all-blank block leaves min() nothing: ValueError, line by line.
-        lines = [line for line in lines if line.strip()]
-        commas = [line.count(",") for line in lines]
-        if not 2 <= min(commas) <= max(commas) <= 3:
-            raise ValueError("not 3 or 4 fields")
-    if min(commas) != max(commas):
-        # Pad 3-field rows with an empty timestamp field.
-        lines = [line if c == 3 else line + "," for line, c in zip(lines, commas)]
-    stride = max(commas) + 1
-    fields = ",".join(lines).split(",")
-    uids = list(map(str.strip, fields[0::stride]))
-    iids = list(map(str.strip, fields[1::stride]))
+    """(user ids, item ids, ratings) of a regular block of data lines:
+    ASCII, no whitespace but the line ends, every line of 3 fields or
+    every line of 4, no id empty, and every rating one that ``float`` reads
+    within [lo, hi].  Any other block raises ``ValueError``.
+
+    The block takes a fixed number of string calls, whatever its length:
+    one split of the text with each line end made a field of its own.
+    With every line w fields wide, each (w + 1)-th field is a line end.
+    """
+    text = "".join(lines)
+    if not text.endswith("\n"):
+        text += "\n"  # the last line of a file without a final newline
+    if not text.isascii() or any(c in text for c in _PADDING):
+        raise ValueError("whitespace to strip")
+    fields = text.replace("\n", ",\n,").split(",")[:-1]
+    stride, rest = divmod(len(fields), len(lines))
+    ends = fields[stride - 1::stride]
+    if rest or stride not in (4, 5) or ends != ["\n"] * len(lines):
+        raise ValueError("not 3 or 4 fields on every line")
+    uids, iids = fields[0::stride], fields[1::stride]
     if "" in uids or "" in iids:
         raise ValueError("an empty id")
-    # float ignores the whitespace that str.strip removes, bar \x1c-\x1f,
-    # on which it raises and _parse_lines reads the block.
     ratings = np.fromiter(map(float, fields[2::stride]), np.float64, len(lines))
     if not ((ratings >= lo) & (ratings <= hi)).all():
         raise ValueError("a rating outside the scale")
@@ -209,9 +219,10 @@ def _split_block(lines: list[str], lo: float, hi: float):
 
 
 def _parse_lines(block: list[str], first_lineno: int, path: Path, lo, hi):
-    """:func:`_split_block` one line at a time, the first being line
-    ``first_lineno`` of ``path``: the block's rows, or the ``ParseError`` or
-    ``ValidationError`` that names its first bad line."""
+    """The rows of a block read one line at a time, the first being line
+    ``first_lineno`` of ``path``: blank lines skipped, whitespace stripped
+    from each line and field, 3 or 4 fields to a line; or the
+    ``ParseError`` or ``ValidationError`` that names its first bad line."""
     uids, iids, ratings = [], [], []
     for lineno, line in enumerate(block, start=first_lineno):
         line = line.strip()

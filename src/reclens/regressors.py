@@ -10,6 +10,11 @@ breadth-first node arrays and reads its features as booleans: every split
 sends the rows where the feature is False left and the others right, and
 no tree grows deeper than ``MAX_TREE_DEPTH`` levels, so that every fitted
 tree can be saved in a shadow file and read back.
+``fit_trees`` grows the k factor trees of a shadow together, level by
+level.  On sparse X (below ``SPARSE_DENSITY`` ones) it scores each level's
+splits from X's ones with one ``bincount`` per group of nodes, capped by
+``SPLIT_CELLS``; on denser X each node runs ``_binary_split`` over every
+column.  Both give each tree bit for bit as growing it alone would.
 A ``TreeForest`` routes the k factor trees of a shadow together, one numpy
 step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree predicts as a forest of one.  ``TreeForest.walk`` routes each
@@ -20,7 +25,6 @@ effect, which is all that an influence report needs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -44,6 +48,19 @@ LINEAR_BLOCK = 64
 # level within Python's limit of 1000 frames: about 990 deep, a document no
 # longer encodes or decodes.  No reclens function recurses.
 MAX_TREE_DEPTH = 512
+
+# The share of X's cells set to 1 below which fit_trees finds splits from
+# X's ones rather than from every cell of every node.  On random 0/1 rows
+# shaped like the MovieLens-100k metadata (1346 x 323; rank-12 depth-3 and
+# rank-50 depth-8 forests) the sparse search took a third of the dense
+# one's time at 1% ones, the same near 10%, and 3-5 times as long at 50%,
+# about the share of synth's metadata.
+SPARSE_DENSITY = 0.1
+
+# Units of work that one step of the sparse split search holds at once:
+# a node's (node, feature) cells plus the ones that fill them.  Each step
+# takes one node at least; this bounds the grower's memory (fit_trees).
+SPLIT_CELLS = 1 << 16
 
 
 def predict_linear(
@@ -427,33 +444,177 @@ def _binary_split(X, y, rows, params):
 
 def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree:
     """Greedy CART regression over 0/1 features: variance-reduction
-    splits, mean-valued leaves.
+    splits, mean-valued leaves; the one-column case of :func:`fit_trees`.
 
     X is boolean, or numeric with every entry 0 or 1 (read as boolean);
     any other X raises ``ValidationError``.  A split sends the rows where
-    its feature is False left, and one sufficient-statistics pass per node
-    scores all features at once, breaking ties to the lowest feature
-    index.
+    its feature is False left, and each node's split is the feature of
+    highest gain, ties broken to the lowest feature index.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split
     improves on.
     """
-    X = np.asarray(X)
     y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or len(X) != len(y) or len(y) < 1:
+    if y.ndim != 1:
+        raise ValidationError("X must be 2-d with one row per target value")
+    return fit_trees(X, y[:, None], params)[0]
+
+
+def fit_trees(X: np.ndarray, Y: np.ndarray, params: TreeParams) -> list[RegressionTree]:
+    """One :func:`fit_tree` tree per column of Y, all grown together, one
+    level at a time; each tree is bit-identical to growing it alone.
+
+    A node of depth below ``params.max_depth`` whose targets vary splits
+    on the feature of highest gain with at least ``min_leaf`` rows on each
+    side, scored by :func:`_binary_split`'s arithmetic; any other node is
+    a leaf holding its rows' mean.  Each node's rows stay in ascending
+    order, so every sum adds the same numbers in the same order whichever
+    search runs.  Nodes are numbered breadth-first per tree: the children
+    of a level's splits, left then right, are the next level in order.
+
+    With fewer than ``SPARSE_DENSITY`` of X's cells set, one search per
+    level reads only X's ones (:func:`_sparse_splits`); otherwise each node
+    scores every column (:func:`_dense_splits`).  Memory: besides X, Y and
+    the trees, the grower holds at most about 128 bytes per (tree, row)
+    pair and 64 bytes per unit of ``SPLIT_CELLS``, the (node, feature)
+    cells and entries that the sparse search scores at once; a single node
+    of more cells and entries than that is scored alone.
+    """
+    X = np.asarray(X)
+    Y = np.asarray(Y, dtype=np.float64)
+    if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y) or len(Y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
     X = _boolean(X)
-    # First in, first out: nodes are grown in the order the tree numbers them.
-    feature, value, todo = [], [], deque([(np.arange(len(y)), 0)])
-    while todo:
-        rows, depth = todo.popleft()
-        targets, split = y[rows], None
-        if depth < params.max_depth and np.ptp(targets) != 0.0:
-            split = _binary_split(X, y, rows, params)
-        feature.append(-1 if split is None else split)
-        value.append(float(targets.mean()) if split is None else np.nan)
-        if split is not None:
-            go_right = X[rows, split]
-            todo += [(rows[~go_right], depth + 1), (rows[go_right], depth + 1)]
-    return RegressionTree(feature, value, X.shape[1])
+    n, k = Y.shape
+    if not k:
+        return []
+    if np.count_nonzero(X) < SPARSE_DENSITY * X.size:
+        search = _sparse_splits(X)
+    else:
+        search = _dense_splits(X)
+    # The level's nodes' trees, then each (node, row) pair, by node then row.
+    tree = np.arange(k)
+    node, row = np.repeat(tree, n), np.tile(np.arange(n), k)
+    levels = []
+    for depth in range(params.max_depth + 1):
+        size = np.bincount(node, minlength=len(tree))
+        start = np.cumsum(size) - size
+        targets = Y[row, tree[node]]
+        mean = _segment_means(targets, start, size)
+        split = np.full(len(tree), -1)
+        if depth < params.max_depth:
+            spread = (np.maximum.reduceat(targets, start)
+                      - np.minimum.reduceat(targets, start))
+            varied = np.flatnonzero(spread != 0.0)
+            if len(varied):
+                split[varied] = search(Y, tree, row, start, size, mean, varied, params)
+        levels.append((tree, split, np.where(split < 0, mean, np.nan)))
+        splits = split >= 0
+        kept = splits[node]
+        node, row = node[kept], row[kept]
+        child = 2 * (np.cumsum(splits) - 1)[node] + X[row, split[node]]
+        order = np.argsort(child, kind="stable")
+        node, row, tree = child[order], row[order], np.repeat(tree[splits], 2)
+        if not len(tree):
+            break
+    trees, feature, value = (np.concatenate(a) for a in zip(*levels))
+    order = np.argsort(trees, kind="stable")
+    cuts = np.cumsum(np.bincount(trees, minlength=k))[:-1]
+    return [
+        RegressionTree(f.tolist(), v.tolist(), X.shape[1])
+        for f, v in zip(np.split(feature[order], cuts), np.split(value[order], cuts))
+    ]
+
+
+def _segment_means(values, start, size):
+    """The mean of each segment ``values[s:s + n]``, bit-identical to that
+    slice's ``mean()``: segments of one length are the rows of one 2-D
+    array, and numpy sums each row as it sums a 1-D array."""
+    mean = np.empty(len(size))
+    order = np.argsort(size, kind="stable")
+    lengths = size[order]
+    for group in np.split(order, np.flatnonzero(np.diff(lengths)) + 1):
+        width = size[group[0]]
+        block = values[start[group][:, None] + np.arange(width)]
+        mean[group] = block.sum(axis=1) / width
+    return mean
+
+
+def _dense_splits(X):
+    """The split search that runs :func:`_binary_split` on each node."""
+
+    def search(Y, tree, row, start, size, mean, nodes, params):
+        split = np.empty(len(nodes), np.intp)
+        for j, i in enumerate(nodes.tolist()):
+            rows = row[start[i]:start[i] + size[i]]
+            best = _binary_split(X, Y[:, tree[i]], rows, params)
+            split[j] = -1 if best is None else best
+        return split
+
+    return search
+
+
+def _sparse_splits(X):
+    """The split search that reads only X's ones, for all nodes of a level
+    at once, with :func:`_binary_split`'s result at every node.
+
+    A node's column is oriented so that its first row reads 0: where that
+    row holds a 0, ``s1`` sums the targets of the column's ones in the
+    node's rows, and where it holds a 1, those of its zeros.  A row-wise
+    index of X's ones, built once, lists both, and a ``bincount`` keyed by
+    (node, feature) adds up each kind.  Each key's entries come in
+    ascending row order, so ``s1`` adds what ``_binary_split``'s
+    row-by-row column sum adds, in its order, bar zeros.  (With one column
+    numpy sums that column pairwise instead, but a lone feature needs no
+    gain to win.)  ``n1`` counts each column's ones either way: the gain
+    and the ``min_leaf`` test are symmetric in ``n0`` and ``n1``.
+    """
+    n_features = X.shape[1]
+    ones = np.count_nonzero(X, axis=1)
+    indptr = np.cumsum(ones) - ones
+    indices = np.nonzero(X)[1]
+
+    def row_ones(rows):
+        """How many ones each of X[rows] holds, and their features, by row."""
+        count = ones[rows]
+        offset = np.repeat(indptr[rows] - (np.cumsum(count) - count), count)
+        return count, indices[offset + np.arange(len(offset))]
+
+    def search(Y, tree, row, start, size, mean, nodes, params):
+        # Chunks of consecutive nodes whose cells and entries, counted from
+        # the chunk's first node, stay below SPLIT_CELLS.
+        first = row[start[nodes]]
+        cost = (n_features + np.add.reduceat(ones[row], start)[nodes]
+                + size[nodes] * ones[first])
+        chunk = (np.cumsum(cost) - cost) // SPLIT_CELLS
+        split = np.empty(len(nodes), np.intp)
+        for part in np.split(np.arange(len(nodes)), np.flatnonzero(np.diff(chunk)) + 1):
+            ids, m = nodes[part], len(part)
+            n = size[ids]
+            local = np.repeat(np.arange(m), n)
+            pos = np.repeat(start[ids] - (np.cumsum(n) - n), n) + np.arange(len(local))
+            rows = row[pos]
+            centred = Y[rows, tree[ids][local]] - mean[ids][local]
+            base, cells = local * n_features, m * n_features
+            count, f = row_ones(rows)
+            key = np.repeat(base, count) + f
+            n1 = np.bincount(key, minlength=cells)
+            s1 = np.bincount(key, np.repeat(centred, count), minlength=cells)
+            # Where a node's first row holds a 1, s1 sums the column's zeros.
+            count, f = row_ones(first[part])
+            held = np.repeat(np.arange(m) * n_features, count) + f
+            count, f = row_ones(first[part][local])
+            zero = ~X[np.repeat(rows, count), f]
+            key = np.repeat(base, count) + f
+            weights = np.where(zero, np.repeat(centred, count), 0.0)
+            s1[held] = np.bincount(key, weights, minlength=cells)[held]
+            n1, s1 = n1.reshape(m, n_features), s1.reshape(m, n_features)
+            n0 = n[:, None] - n1
+            candidate = (n1 >= params.min_leaf) & (n0 >= params.min_leaf)
+            gain = np.full((m, n_features), -np.inf)
+            np.divide(s1 * s1 * n[:, None], n0 * n1, out=gain, where=candidate)
+            split[part] = np.where(candidate.any(axis=1), gain.argmax(axis=1), -1)
+        return split
+
+    return search

@@ -44,7 +44,7 @@ from .regressors import (
     TreeParams,
     check_ridge,
     fit_linear_columns,
-    fit_tree,
+    fit_trees,
     predict_linear,
 )
 
@@ -296,8 +296,7 @@ def train_shadow(
         weights, intercepts = fit_linear_columns(X, Y, kind.ridge)
         factors = {"weights": weights, "intercepts": intercepts}
     else:
-        trees = [fit_tree(X, Y[:, j], kind.params) for j in range(baseline.rank)]
-        factors = {"forest": TreeForest(trees)}
+        factors = {"forest": TreeForest(fit_trees(X, Y, kind.params))}
     return ShadowModel(
         **factors,
         user_factors=baseline.user_factors,

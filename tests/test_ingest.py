@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -504,6 +507,21 @@ def _outcome(load, path):
             rm.users.tolist(), rm.items.tolist(), rm.ratings.tolist())
 
 
+@pytest.fixture(scope="module")
+def benchmark_ratings(tmp_path_factory):
+    """The ratings file that the benchmark reads, as
+    ``perfbench/gen_ml100k.py`` writes it at its full size."""
+    script = Path(__file__).resolve().parents[1] / "perfbench" / "gen_ml100k.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen_ml100k", script)
+    module = importlib.util.module_from_spec(spec)
+    out = tmp_path_factory.mktemp("bench")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(sys.modules, spec.name, module)  # for its dataclasses
+        spec.loader.exec_module(module)
+        module.write(out, module.SIZES["full"], 777)
+    return out / "ratings.csv"
+
+
 class TestBlockParser:
     """``load_ratings`` splits blocks of lines at once and reads only an
     irregular block line by line; the per-line parser is the oracle."""
@@ -531,9 +549,10 @@ class TestBlockParser:
         monkeypatch.setattr(ingest, "_parse_lines", spy)
         return calls
 
-    def test_regular_file_needs_no_fallback(self, tmp_path, monkeypatch):
-        """Blank lines, CRLF, a BOM, padded fields and mixed 3/4-field rows
-        are all regular: no block is read line by line."""
+    def test_irregular_blocks_are_read_line_by_line(self, tmp_path, monkeypatch):
+        """Blank lines, padded fields and mixed 3/4-field rows make a block
+        irregular: it is read line by line and loads as the oracle reads it.
+        The last block, without a final newline, is regular."""
         calls = self.spy_on_parse_lines(monkeypatch)
         monkeypatch.setattr(ingest, "RATINGS_BLOCK", 3)
         path = tmp_path / "r.csv"
@@ -546,7 +565,65 @@ class TestBlockParser:
         assert rm.users.tolist() == [0, 1, 0, 1]
         assert rm.items.tolist() == [0, 0, 1, 1]
         assert rm.ratings.tolist() == [2.0, 3.5, 5.0, 1.0]
+        assert [first for first, _ in calls] == [2, 5]
+
+    def test_benchmark_file_needs_no_fallback(self, benchmark_ratings, monkeypatch):
+        calls = self.spy_on_parse_lines(monkeypatch)
+        assert len(load_ratings(benchmark_ratings).ratings) == 100_000
         assert calls == []
+
+    @pytest.mark.parametrize("fields, ending, bom, final", [
+        (3, "\n", False, True), (4, "\n", False, True), (3, "\r\n", True, True),
+        (4, "\r\n", True, True), (4, "\r", False, True), (3, "\n", True, False),
+        (4, "\r\n", False, False),
+    ])
+    def test_uniform_files_need_no_fallback(
+        self, benchmark_ratings, tmp_path, monkeypatch, fields, ending, bom, final
+    ):
+        """3-field and 4-field files, with LF, CRLF or CR line ends, a BOM
+        or none, and a final newline or none, split block by block."""
+        calls = self.spy_on_parse_lines(monkeypatch)
+        lines = benchmark_ratings.read_text(encoding="utf-8").splitlines()[:9001]
+        lines = [",".join(line.split(",")[:fields]) for line in lines]
+        text = ending.join(lines) + (ending if final else "")
+        text = ("\ufeff" if bom else "") + text
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcome = _outcome(load_ratings, path)
+        assert calls == [] and len(outcome[-1]) > 8000
+        assert outcome == _outcome(load_ratings_lines_oracle, path)
+
+    @pytest.mark.parametrize("line", [
+        " 7,x,3,1", "7 ,x,3,1", "7,x,3,1 ", "7,x,\x1c3,1", "7,x,3\x1c,1", "7,x,3",
+        "7,x", "7,x,3,1,1", "", "   ", "\u00e97,x,3,1", "7,\u0663,3,1", "7,x,\u0663,1",
+        ",x,3,1", "7,,3,1", "7,x,x,1", "7,x,9,1",
+    ])
+    def test_one_irregular_line_reads_its_block_line_by_line(
+        self, tmp_path, monkeypatch, line
+    ):
+        """Padding, a field too many or too few, a blank line, non-ASCII
+        text, an empty id or a bad rating: only that line's block is read
+        line by line, and the file loads, or fails, as the oracle has it."""
+        calls = self.spy_on_parse_lines(monkeypatch)
+        monkeypatch.setattr(ingest, "RATINGS_BLOCK", 4)
+        rows = [f"{u % 3},{u},{1 + u % 5},88" for u in range(12)]
+        rows[5] = line
+        path = tmp_path / "r.csv"
+        path.write_text("\n".join(["userId,movieId,rating,timestamp", *rows]) + "\n",
+                        encoding="utf-8")
+        assert _outcome(load_ratings, path) == _outcome(load_ratings_lines_oracle, path)
+        assert [first for first, _ in calls] == [6]
+
+    def test_line_widths_that_even_out_are_irregular(self, tmp_path, monkeypatch):
+        """A 3-field and a 5-field line among 4-field ones average four
+        fields a line; the block is still read line by line."""
+        calls = self.spy_on_parse_lines(monkeypatch)
+        path = tmp_path / "r.csv"
+        path.write_text("userId,movieId,rating,timestamp\n1,a,4,0\n2,b,3\n"
+                        "3,c,2,5,9\n4,d,1,0\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=r"r\.csv:4: expected 3 or 4 .*, got 5"):
+            load_ratings(path)
+        assert [first for first, _ in calls] == [2]
 
     def test_only_the_bad_block_is_read_line_by_line(self, tmp_path, monkeypatch):
         calls = self.spy_on_parse_lines(monkeypatch)

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +20,10 @@ from reclens.regressors import (
     fit_linear,
     fit_linear_columns,
     fit_tree,
+    fit_trees,
     predict_linear,
 )
+from reclens.synth import random_metadata
 
 from conftest import (
     chain_tree,
@@ -471,6 +475,189 @@ class TestBinarySplitAgainstOracle:
         leaf bits as recursive growth with the quantile search."""
         X, y, params = problem
         assert fit_tree(X, y, params) == grow_oracle(X, y, params)
+
+
+def fit_tree_fifo_oracle(X, y, params) -> RegressionTree:
+    """One tree grown node by node, first in first out, with each node's
+    split from ``_binary_split``: the per-tree grower that ``fit_trees``
+    replaced.  Its queue visits nodes in the order the tree numbers them."""
+    X = regressors._boolean(np.asarray(X))
+    y = np.asarray(y, dtype=np.float64)
+    feature, value, todo = [], [], deque([(np.arange(len(y)), 0)])
+    while todo:
+        rows, depth = todo.popleft()
+        targets, split = y[rows], None
+        if depth < params.max_depth and np.ptp(targets) != 0.0:
+            split = regressors._binary_split(X, y, rows, params)
+        feature.append(-1 if split is None else split)
+        value.append(float(targets.mean()) if split is None else np.nan)
+        if split is not None:
+            go_right = X[rows, split]
+            todo += [(rows[~go_right], depth + 1), (rows[go_right], depth + 1)]
+    return RegressionTree(feature, value, X.shape[1])
+
+
+@st.composite
+def sparse_designs(draw):
+    """A 0/1 design of density 1% to 60%, one to five base columns with
+    duplicated and complemented ones shuffled in, and a generator for the
+    rest of the problem.  Row 0 holds a single 1 in about a third of the
+    designs."""
+    n = draw(st.integers(1, 40))
+    n_base = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.random((n, n_base)) < draw(st.floats(0.01, 0.6))
+    copies = draw(st.lists(
+        st.tuples(st.integers(0, n_base - 1), st.booleans()), max_size=4
+    ))
+    X = np.column_stack([X] + [~X[:, j] if flip else X[:, j] for j, flip in copies])
+    X = X[:, rng.permutation(X.shape[1])]
+    if draw(st.integers(0, 2)) == 0:
+        X[0] = False
+        X[0, draw(st.integers(0, X.shape[1] - 1))] = True
+    return X, rng
+
+
+@st.composite
+def forest_problems(draw):
+    """A design, one to five target columns, each constant one time in
+    four, and a depth from 0 to 8 and a minimum leaf of 1 to 3."""
+    X, rng = draw(sparse_designs())
+    Y = rng.normal(size=(len(X), draw(st.integers(1, 5))))
+    for j in range(Y.shape[1]):
+        if draw(st.integers(0, 3)) == 0:
+            Y[:, j] = 1.5
+    params = TreeParams(
+        max_depth=draw(st.integers(0, 8)), min_leaf=draw(st.integers(1, 3))
+    )
+    return X, Y, params
+
+
+@st.composite
+def split_levels(draw):
+    """A design, targets for up to four trees, and a level of nodes: each
+    a tree and an ascending set of at least two rows, the first node's
+    rows starting at row 0.  Also a cap on the cells scored at once."""
+    X, rng = draw(sparse_designs())
+    Y = rng.normal(size=(len(X), 4))
+    Y[:, 3] = 1.5
+    nodes = []
+    for i in range(draw(st.integers(1, 6))):
+        take = rng.random(len(X)) < draw(st.floats(0.2, 1.0))
+        take[0] = take[0] or i == 0
+        rows = np.flatnonzero(take)
+        if len(rows) >= 2:
+            nodes.append((draw(st.integers(0, 3)), rows))
+    cells = draw(st.sampled_from([1, 7, regressors.SPLIT_CELLS]))
+    return X, Y, nodes, TreeParams(min_leaf=draw(st.integers(1, 3))), cells
+
+
+class TestLevelwiseGrower:
+    @settings(max_examples=200)
+    @given(split_levels())
+    def test_sparse_search_matches_binary_split_per_node(self, level):
+        X, Y, nodes, params, cells = level
+        if not nodes:
+            return
+        tree = np.array([t for t, _ in nodes])
+        row = np.concatenate([rows for _, rows in nodes])
+        size = np.array([len(rows) for _, rows in nodes])
+        start = np.cumsum(size) - size
+        mean = np.array([Y[rows, t].mean() for t, rows in nodes])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regressors, "SPLIT_CELLS", cells)
+            search = regressors._sparse_splits(X)
+            found = search(Y, tree, row, start, size, mean, np.arange(len(tree)),
+                           params)
+        expected = [regressors._binary_split(X, Y[:, t], rows, params)
+                    for t, rows in nodes]
+        assert found.tolist() == [-1 if e is None else e for e in expected]
+
+    @settings(max_examples=200)
+    @given(forest_problems(), st.sampled_from([1, 7, regressors.SPLIT_CELLS]))
+    def test_forest_matches_fifo_oracle_with_either_search(self, problem, cells):
+        """Both searches, forced on the same input, grow the oracle's trees:
+        the same splits in the same places and the same leaf bits."""
+        X, Y, params = problem
+        expected = [fit_tree_fifo_oracle(X, Y[:, j], params) for j in range(Y.shape[1])]
+        for density in (0.0, 1.0):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(regressors, "SPARSE_DENSITY", density)
+                mp.setattr(regressors, "SPLIT_CELLS", cells)
+                assert fit_trees(X, Y, params) == expected
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_nodes_of_hundreds_of_rows_match_the_oracle(self, density, rng,
+                                                        monkeypatch):
+        """Node means over more than 128 rows, where numpy's pairwise sum
+        recurses, keep the oracle's bits under both searches."""
+        monkeypatch.setattr(regressors, "SPARSE_DENSITY", density)
+        X = rng.random((700, 12)) < 0.05
+        Y = rng.normal(size=(700, 3)) * np.array([1.0, 1e-3, 1e3])
+        params = TreeParams(max_depth=6, min_leaf=2)
+        assert fit_trees(X, Y, params) == [
+            fit_tree_fifo_oracle(X, y, params) for y in Y.T]
+
+    @pytest.mark.parametrize("density", [0.0, 1.0])
+    def test_first_row_with_a_single_one(self, density, monkeypatch):
+        """The root's first row holds one 1, in column 1, so that column's
+        n1 and s1 count its zeros.  Column 1 is column 0's complement and
+        column 2 its copy: one partition three times, and column 0 wins."""
+        monkeypatch.setattr(regressors, "SPARSE_DENSITY", density)
+        X = np.array([[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 1],
+                      [0, 1, 0, 0]], dtype=bool)
+        y = np.array([3.1, -0.7, 2.9, -1.3, 3.3])
+        params = TreeParams(max_depth=3)
+        tree = fit_tree(X, y, params)
+        assert tree == fit_tree_fifo_oracle(X, y, params)
+        assert tree._feature[0] == 0
+
+    def test_fit_tree_is_a_forest_of_one(self, rng):
+        X = rng.random((30, 6)) < 0.2
+        Y = rng.normal(size=(30, 3))
+        params = TreeParams(max_depth=4, min_leaf=2)
+        assert fit_trees(X, Y, params) == [fit_tree(X, y, params) for y in Y.T]
+        assert fit_trees(X, Y[:, :0], params) == []
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 2, 1), (4, 2)])
+    def test_targets_must_be_one_row_per_sample(self, shape):
+        with pytest.raises(ValidationError, match="one row per target"):
+            fit_trees(np.ones((3, 2)), np.ones(shape), TreeParams())
+        with pytest.raises(ValidationError, match="one row per target"):
+            fit_tree(np.ones((3, 2)), np.ones(shape[:1] + (1,)), TreeParams())
+
+    def test_search_follows_the_share_of_ones(self, monkeypatch):
+        """Metadata as sparse as the benchmark's (1.25% ones) takes the
+        sparse search, synth's random metadata (about half ones) the dense."""
+        calls = []
+        for name in ("_sparse_splits", "_dense_splits"):
+            search = getattr(regressors, name)
+            monkeypatch.setattr(regressors, name, lambda X, name=name, search=search: (
+                calls.append(name), search(X))[1])
+        sparse = np.random.default_rng(12).random((1346, 323)) < 0.0125
+        dense = random_metadata(200, 200, np.random.default_rng(7)).X
+        assert sparse.mean() < regressors.SPARSE_DENSITY < 0.4 < dense.mean()
+        for X in (sparse, dense):
+            fit_trees(X, np.random.default_rng(3).normal(size=(len(X), 2)),
+                      TreeParams(max_depth=2))
+        assert calls == ["_sparse_splits", "_dense_splits"]
+
+    def test_memory_stays_within_the_stated_bound(self):
+        """A rank-50, depth-8 forest on benchmark-sized sparse metadata
+        allocates at most 128 bytes per (tree, row) pair and 64 bytes per
+        unit of ``SPLIT_CELLS``, as ``fit_trees`` states."""
+        rng = np.random.default_rng(21)
+        X = rng.random((1346, 323)) < 0.0125
+        Y = rng.normal(size=(1346, 50))
+        bound = 128 * Y.size + 64 * regressors.SPLIT_CELLS
+        tracemalloc.start()
+        try:
+            trees = fit_trees(X, Y, TreeParams(max_depth=8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(t.depth for t in trees) == 8
+        assert peak <= bound
 
 
 class TestTreeStructure:
