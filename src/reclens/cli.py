@@ -20,7 +20,7 @@ import numpy as np
 # process pays only for the command it is: ``train`` never loads the
 # shadow, influence or synth modules, only ``sweep``/``synth`` load
 # ``concurrent.futures``, and ``difflib`` loads only to word an error.
-from .datamodel import MetadataMatrix, read_json, write_json
+from .datamodel import MetadataMatrix, open_output, read_json, write_json
 from .errors import ReclensError, ValidationError, check_seed
 
 if TYPE_CHECKING:
@@ -33,13 +33,6 @@ def _eprint(*args):
 
 def _emit(record: dict):
     print(json.dumps(record, sort_keys=True))
-
-
-def _write_jsonl(rows, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True))
-            fh.write("\n")
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
@@ -92,15 +85,20 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
-def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None) -> int:
-    """External id -> dense index, with nearest-id suggestions on miss."""
+def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None,
+               count: int) -> int:
+    """External id -> dense index, with nearest-id suggestions on miss;
+    without ids, ``wanted`` must be an index below ``count``."""
     if ids is None:
         try:
-            return int(wanted)
+            index = int(wanted)
         except ValueError:
             raise ValidationError(
                 f"model carries no {kind} ids; pass a numeric index"
             ) from None
+        if not 0 <= index < count:
+            raise ValidationError(f"{kind} index {index} out of range [0, {count})")
+        return index
     try:
         return ids.index(wanted)
     except ValueError:
@@ -198,12 +196,17 @@ def cmd_shadow(args) -> int:
     report = measure_agreement(
         shadow, model, meta, item_set=args.measure, seed=args.seed
     )
-    save_shadow(shadow, args.out)
     label = args.measure
     if args.measure == "eval" and shadow.eval_is_train:
         label = "train-set"
     doc = {"command": "shadow", "measured_on": label, **report.to_dict()}
-    write_json(doc, str(args.out) + ".report.json")
+    # The shadow file is replaced once the report's bytes are written out,
+    # and the report right after it; a failure before that keeps both old
+    # files.
+    with open_output(str(args.out) + ".report.json") as fh:
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        fh.flush()
+        save_shadow(shadow, args.out)
     _emit(doc)
     return 0
 
@@ -227,11 +230,12 @@ def cmd_explain(args) -> int:
     meta = restrict_items(
         select_features(full, shadow.feature_names), shadow.item_indices
     )
-    user = _lookup_id("user", args.user, shadow.user_ids)
+    user = _lookup_id("user", args.user, shadow.user_ids, shadow.n_users)
     if args.user_aggregate:
         scope = ItemSet(tuple(int(i) for i in shadow.item_indices))
     else:
-        item = _lookup_id("item", args.item, shadow.item_ids)
+        item = _lookup_id("item", args.item, shadow.item_ids,
+                          len(shadow.item_ids))
         try:
             shadow.rows_of_items([item])
         except IndexError:
@@ -452,7 +456,8 @@ def cmd_sweep(args) -> int:
         threads=args.threads,
     )
     if args.out:
-        _write_jsonl(rows, args.out)
+        with open_output(args.out) as fh:
+            fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     table_rows = [
         [
             _cell_label(r["cell"]),
@@ -668,18 +673,14 @@ def main(argv=None) -> int:
     except MemoryError as exc:
         _eprint(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
         return 1
+    except ReclensError as exc:  # first: a failed write is also an OSError
+        _eprint(f"error: {exc}")
+        return 1
     except OSError as exc:
         if exc.filename is None:
             _eprint(f"error: {exc}")
-            return 1
-        outputs = [str(p) for p in (getattr(args, "out", None),
-                                    getattr(args, "svg", None)) if p]
-        outputs += [p + ".report.json" for p in outputs]
-        verb = "write" if str(exc.filename) in outputs else "read"
-        _eprint(f"error: cannot {verb} {exc.filename}: {exc.strerror or exc}")
-        return 1
-    except ReclensError as exc:
-        _eprint(f"error: {exc}")
+        else:
+            _eprint(f"error: cannot read {exc.filename}: {exc.strerror or exc}")
         return 1
 
 

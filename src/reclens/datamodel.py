@@ -7,16 +7,21 @@ so they can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
 
-from .errors import FormatError, ValidationError, check_types, is_finite_real
+from .errors import FormatError, OutputError, ValidationError, check_types, is_finite_real
 
 
 # Array rows that write_json encodes at once, which bounds its working set.
 JSON_ROWS = 256
+
+# Numbers the temporary files that open_output creates in this process.
+_TEMP_IDS = count()
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -209,6 +214,42 @@ def read_json(path):
             raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
 
 
+@contextmanager
+def open_output(path):
+    """Yield a UTF-8 text handle, with "\\n" newlines, whose text replaces
+    ``path`` whole when the block ends without an exception; otherwise
+    ``path`` is left as it was.
+
+    The text goes to a new temporary file beside ``path``, created as
+    ``open`` creates a file (mode 0o666 less the umask), and ``os.replace``
+    moves it onto ``path``, so a symlink at ``path`` is replaced rather than
+    written through.  On any exception the temporary file is removed, and an
+    ``OSError`` comes out as an ``OutputError`` that names ``path``:
+    ``cannot write <path>: <reason>``.
+    """
+    path = os.fspath(path)
+    temp = None
+    try:
+        while temp is None:
+            name = os.path.join(os.path.dirname(path),
+                                f".reclens-{os.getpid()}-{next(_TEMP_IDS)}.tmp")
+            try:
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            except FileExistsError:
+                continue
+            temp = name
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as exc:
+        if temp is not None:
+            with suppress(OSError):
+                os.unlink(temp)
+        if isinstance(exc, OSError) and not isinstance(exc, OutputError):
+            raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+
+
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` to ``path`` as one line of sorted-key JSON: the bytes of
     ``json.dumps(doc, sort_keys=True)`` with each array read as its
@@ -219,7 +260,7 @@ def write_json(doc: dict, path) -> None:
     at a time.  Encoded whole, a rank-20 MovieLens-100k model's factors held
     6.8 MB of floats and text at once, which set the peak RSS of ``train``.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("{")
         for i, key in enumerate(sorted(doc)):
             value = doc[key]

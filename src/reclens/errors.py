@@ -22,6 +22,11 @@ class FormatError(ReclensError):
     mistypes a field; the message names the file."""
 
 
+class OutputError(ReclensError, OSError):
+    """An output file could not be written; the message names the file.
+    It is an ``OSError`` too, as the failed write that caused it was."""
+
+
 class SolverError(ReclensError):
     """A linear system could not be solved (typically singular at zero
     regularization)."""

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix, predict_rating
+from .datamodel import FactorModel, MetadataMatrix, open_output, predict_rating
 from .errors import EstimatorMismatchError, ValidationError
 from .shadow import ShadowModel
 
@@ -300,6 +300,5 @@ def _svg_escape(text: str) -> str:
 
 
 def write_svg(report: InfluenceReport, path: str | Path, top: int = 10) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(influence_report_svg(report, top=top))
-        fh.write("\n")
+    with open_output(path) as fh:
+        fh.write(influence_report_svg(report, top=top) + "\n")

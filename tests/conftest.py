@@ -257,6 +257,27 @@ def write_metadata_jsonl(path, records: dict[str, dict[str, list[str]]]):
             fh.write("\n")
 
 
+def write_wide_data(data):
+    """Seeded ratings and metadata in directory ``data`` whose metadata keeps
+    more than 128 of its 160 tag features after the entropy filter, so that
+    solves of that many unknowns run."""
+    rng = np.random.default_rng(20261019)
+    n_users, n_items, n_features = 120, 180, 160
+    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
+            for u in range(n_users)
+            for i in rng.choice(n_items, size=int(rng.integers(20, 60)),
+                                replace=False)]
+    rows += [(f"u{i % n_users}", f"m{i}", 3, 0) for i in range(n_items)]
+    data.mkdir()
+    write_ratings_csv(data / "ratings.csv", rows)
+    marginals = rng.uniform(0.05, 0.5, n_features)
+    write_metadata_jsonl(data / "meta.jsonl", {
+        f"m{i}": {"tag": [f"t{j:03d}" for j in range(n_features)
+                          if rng.random() < marginals[j]]}
+        for i in range(n_items)
+    })
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0xC0FFEE)

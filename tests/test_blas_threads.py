@@ -6,9 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from conftest import write_metadata_jsonl, write_ratings_csv
+from conftest import write_wide_data
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,22 +57,8 @@ def test_cli_bytes_independent_of_blas_threads(tmp_path):
     thread count from about 128 unknowns up, so its bytes are known to
     differ between the two runs.  It joins this test once that solve is
     made independent of the thread count."""
-    rng = np.random.default_rng(20261019)
-    n_users, n_items, n_features = 120, 180, 160
-    rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
-            for u in range(n_users)
-            for i in rng.choice(n_items, size=int(rng.integers(20, 60)),
-                                replace=False)]
-    rows += [(f"u{i % n_users}", f"m{i}", 3, 0) for i in range(n_items)]
     data = tmp_path / "data"
-    data.mkdir()
-    write_ratings_csv(data / "ratings.csv", rows)
-    marginals = rng.uniform(0.05, 0.5, n_features)
-    write_metadata_jsonl(data / "meta.jsonl", {
-        f"m{i}": {"tag": [f"t{j:03d}" for j in range(n_features)
-                          if rng.random() < marginals[j]]}
-        for i in range(n_items)
-    })
+    write_wide_data(data)
 
     one = cli_outputs(data, tmp_path / "one", 1)
     runs, files = one

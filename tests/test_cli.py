@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import tempfile
@@ -572,6 +573,25 @@ class TestExplain:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: cannot write {tmp_path / 'no' / 'x.svg'}")
 
+    @pytest.mark.parametrize("user", ["6", "9999", "-1"])
+    def test_numeric_user_out_of_range(self, tmp_path, shadow_fixture, capsys,
+                                       user):
+        """A shadow without user ids takes a user index, which must name one
+        of its users."""
+        meta, _, shadow_path = shadow_fixture
+        bare = _edit_json(shadow_path, tmp_path / "noids.json",
+                          lambda doc: doc.update(user_ids=None))
+        capsys.readouterr()
+        argv = ["explain", "--shadow", str(bare), "--metadata", str(meta),
+                "--item", "m1", "--user"]
+        assert main([*argv, user]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: user index {user} out of range [0, 6)"
+        ]
+        assert main([*argv, "5"]) == 0
+
     def test_unknown_id_lists_nearest(self, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         code = main([
@@ -1119,6 +1139,82 @@ class TestBrokenFiles:
         err_lines = capsys.readouterr().err.splitlines()
         assert len(err_lines) == 1
         assert err_lines[0].startswith(f"error: cannot write {tmp_path}: ")
+
+
+    def test_directory_as_model_and_output(self, tmp_path, shadow_fixture, capsys):
+        """The read of ``--model`` fails first, and is named as a read."""
+        meta = shadow_fixture[0]
+        capsys.readouterr()
+        code = main([
+            "shadow", "--model", str(tmp_path), "--metadata", str(meta),
+            "--out", str(tmp_path),
+        ])
+        assert code == 1
+        err_lines = capsys.readouterr().err.splitlines()
+        assert len(err_lines) == 1
+        assert err_lines[0].startswith(f"error: cannot read {tmp_path}: ")
+
+
+class TestFailedWrites:
+    """A command whose output outgrows the file-size limit exits 1 with one
+    error line naming the file, and leaves the previous file's bytes and no
+    temporary file.  The limit is set in the child alone, with
+    ``RLIMIT_FSIZE``; Python ignores ``SIGXFSZ``, so the write fails with
+    ``EFBIG``."""
+
+    @pytest.mark.parametrize("command, limit, failed", [
+        ("train", 100, "model.json"),
+        ("shadow", 100, "shadow.json.report.json"),
+        ("shadow", 1024, "shadow.json"),
+        ("sweep", 100, "sweep.jsonl"),
+        ("synth", 100, "synth.json"),
+        ("explain", 100, "chart.svg"),
+    ])
+    def test_size_limit_keeps_previous_files(self, tmp_path, trained_fixture,
+                                             shadow_fixture, command, limit,
+                                             failed):
+        ratings = trained_fixture[0]
+        meta, model_path, shadow_path = shadow_fixture
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"ranks": [2], "kinds": ["linear", "tree"],
+                                    "depths": [2]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        outputs = {"shadow": ["shadow.json", "shadow.json.report.json"]}.get(
+            command, [failed])
+        for name in outputs:
+            (out / name).write_text(f"previous {name}\n")
+        argv = {
+            "train": ["train", "--ratings", str(ratings), "--rank", "2",
+                      "--out", str(out / "model.json")],
+            "shadow": ["shadow", "--model", str(model_path), "--metadata",
+                       str(meta), "--out", str(out / "shadow.json")],
+            "sweep": ["sweep", "--ratings", str(ratings), "--metadata", str(meta),
+                      "--grid", str(grid), "--iters", "2",
+                      "--out", str(out / "sweep.jsonl")],
+            "synth": ["synth", "--config", str(synth_config(tmp_path)),
+                      "--out", str(out / "synth.json")],
+            "explain": ["explain", "--shadow", str(shadow_path), "--metadata",
+                        str(meta), "--user", "u0", "--item", "m1",
+                        "--svg", str(out / "chart.svg")],
+        }[command]
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "reclens.cli", *argv],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE,
+                                                  (limit, limit)),
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stdout == ""
+        assert [line for line in done.stderr.splitlines()
+                if line.startswith("error:")] == [
+            f"error: cannot write {out / failed}: File too large"
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(outputs)
+        for name in outputs:
+            assert (out / name).read_text() == f"previous {name}\n"
 
 
 class TestSweep:

@@ -1,17 +1,22 @@
+import errno
+import itertools
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from reclens import datamodel
 from reclens.datamodel import (
+    JSON_ROWS,
     FactorModel,
     MetadataMatrix,
     RatingsMatrix,
     predict_rating,
     write_json,
 )
-from reclens.errors import ValidationError
+from reclens.errors import OutputError, ValidationError
 
 from conftest import make_meta
 
@@ -219,3 +224,88 @@ def test_write_json_is_one_dumps_line(tmp_path, arrays):
     write_json(doc, path)
     lists = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in doc.items()}
     assert path.read_bytes() == (json.dumps(lists, sort_keys=True) + "\n").encode()
+
+
+@pytest.mark.parametrize("failure", [
+    MemoryError(), KeyboardInterrupt(),
+    OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+], ids=["memory", "interrupt", "disk-full"])
+def test_failed_encode_keeps_previous_file(tmp_path, monkeypatch, failure):
+    """An encoder that fails after the first ``JSON_ROWS`` block has gone to
+    the temporary file leaves the previous file as it was and no temporary
+    file behind.  An ``OSError`` comes out naming the destination."""
+    path = tmp_path / "doc.json"
+    path.write_text("previous\n")
+    seen = []
+
+    def dumps(value, **kwargs):
+        if isinstance(value, list) and len(value) == JSON_ROWS:
+            seen.append(sorted(p.name for p in tmp_path.iterdir()))
+            if len(seen) == 2:
+                raise failure
+        return json.dumps(value, **kwargs)
+
+    monkeypatch.setattr(datamodel, "json", type("Json", (), {"dumps": dumps}))
+    doc = {"a": np.arange(3.0 * JSON_ROWS)}
+    expected = (OutputError if isinstance(failure, OSError) else type(failure))
+    with pytest.raises(expected) as caught:
+        write_json(doc, path)
+    assert len(seen) == 2 and len(seen[1]) == 2, seen  # the temporary file
+    assert path.read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
+    if expected is OutputError:
+        assert str(caught.value) == f"cannot write {path}: No space left on device"
+        assert isinstance(caught.value, OSError)
+
+
+def test_new_file_mode_follows_umask(tmp_path):
+    """A written file gets the mode ``open`` would give it, 0o666 less the
+    umask, whether it is new or replaces a file of another mode."""
+    old = os.umask(0o027)
+    try:
+        with open(tmp_path / "by_open.json", "w"):
+            pass
+        write_json({}, tmp_path / "new.json")
+        (tmp_path / "old.json").write_text("previous\n")
+        os.chmod(tmp_path / "old.json", 0o600)
+        write_json({}, tmp_path / "old.json")
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"by_open.json": 0o640, "new.json": 0o640, "old.json": 0o640}
+
+
+def test_symlink_at_output_is_replaced(tmp_path):
+    """A symlink at the output path is replaced by the new file; the file it
+    pointed to keeps its bytes."""
+    target = tmp_path / "target.json"
+    target.write_text("target\n")
+    link = tmp_path / "out.json"
+    link.symlink_to(target)
+    write_json({"x": 1}, link)
+    assert not link.is_symlink()
+    assert link.read_text() == '{"x": 1}\n'
+    assert target.read_text() == "target\n"
+
+
+def test_temporary_name_clash_takes_the_next_name(tmp_path, monkeypatch):
+    """A file already at the next temporary name is left alone, and the
+    writer creates the one after it."""
+    monkeypatch.setattr(datamodel, "_TEMP_IDS", itertools.count())
+    taken = tmp_path / f".reclens-{os.getpid()}-0.tmp"
+    taken.write_text("someone else's\n")
+    write_json({"x": 1}, tmp_path / "out.json")
+    assert taken.read_text() == "someone else's\n"
+    assert (tmp_path / "out.json").read_text() == '{"x": 1}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == [taken.name, "out.json"]
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unwritable_destination_names_it(tmp_path, where):
+    """A destination whose directory is missing, or that is a directory,
+    fails with one error naming it and leaves no temporary file."""
+    path = tmp_path / "no" / "x.json" if where == "missing" else tmp_path
+    with pytest.raises(OutputError, match=f"^cannot write {path}: "):
+        write_json({}, path)
+    assert list(tmp_path.parent.glob(".reclens-*")) == []
+    assert list(tmp_path.iterdir()) == []
