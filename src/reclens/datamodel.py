@@ -25,6 +25,17 @@ _TEMP_IDS = count()
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array of ``dtype`` that no caller can
+    write through.
+
+    A read-only ndarray of ``dtype`` that owns its memory is taken as it
+    is, without a copy: whoever made it read-only gave up writing it, as
+    :func:`~reclens.ingest.load_ratings` does with the arrays it builds.
+    Anything else, a writeable array or a view of one included, is copied.
+    """
+    if (type(values) is np.ndarray and values.dtype == dtype
+            and values.base is None and not values.flags.writeable):
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -88,7 +99,8 @@ class RatingsMatrix:
                 raise ValidationError("item index out of range")
             if self.ratings.min() < lo or self.ratings.max() > hi:
                 raise ValidationError(f"rating outside declared scale {self.scale}")
-            pairs = np.sort(self.users * self.n_items + self.items)
+            pairs = self.users * self.n_items + self.items
+            pairs.sort()
             if (pairs[1:] == pairs[:-1]).any():
                 raise ValidationError("duplicate (user, item) pair")
         check_ids("user", self.user_ids, self.n_users)
@@ -225,7 +237,9 @@ def open_output(path):
     moves it onto ``path``, so a symlink at ``path`` is replaced rather than
     written through.  On any exception the temporary file is removed, and an
     ``OSError`` comes out as an ``OutputError`` that names ``path``:
-    ``cannot write <path>: <reason>``.
+    ``cannot write <path>: <reason>``.  When the block raises, the text
+    still buffered is dropped rather than flushed, so the block's own
+    exception comes out, not one from writing that text.
     """
     path = os.fspath(path)
     temp = None
@@ -238,8 +252,15 @@ def open_output(path):
             except FileExistsError:
                 continue
             temp = name
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        fh = open(fd, "w", encoding="utf-8", newline="\n")
+        try:
             yield fh
+        except BaseException:
+            # Closing the file beneath the buffers drops their text unwritten,
+            # so a flush that would fail cannot replace the body's exception.
+            fh.buffer.raw.close()
+            raise
+        fh.close()
         os.replace(temp, path)
     except BaseException as exc:
         if temp is not None:

@@ -54,9 +54,13 @@ class _RowGroups(NamedTuple):
     ``counts[p]`` is the rating count of the row at position ``p``, whose
     ratings start at ``offsets[p]`` of the flat arrays (``offsets`` ends
     with nnz), and ``position[r]`` is the position of row ``r``.
-    ``other``, ``vals`` and ``source`` hold every rating's other-side
-    index, value and original position, with each row's ratings in one
-    contiguous run.
+    ``other`` and ``source`` hold every rating's other-side index and
+    original position, with each row's ratings in one contiguous run;
+    ``vals`` is the ratings' values as given, in their original order, so
+    the value at flat position ``f`` is ``vals[source[f]]``.  ``other`` and
+    ``source`` are stored in the integer type :func:`_index_dtype` picks,
+    so below 2**31 a layout adds 8 bytes per rating to the values it
+    shares.
     """
 
     counts: np.ndarray
@@ -67,13 +71,21 @@ class _RowGroups(NamedTuple):
     source: np.ndarray
 
 
+def _index_dtype(largest: int) -> np.dtype:
+    """The integer type of a layout's index arrays whose entries reach
+    ``largest``: int32 below 2**31, int64 from there on.  Indices take the
+    same values in either, so the type sets only the layout's size."""
+    return np.dtype(np.int32 if largest < 2**31 else np.int64)
+
+
 def _row_groups(n_rows, idx_row, idx_other, vals) -> _RowGroups:
     """The ratings laid out for :func:`_solve_half`, built once per side.
 
     Rows are sorted by (count, row) and their ratings follow in that order,
     each row's in its original order, so any run of consecutive rows is one
     contiguous slice, and its rows of one count reshape to a dense
-    (rows, count) block.  Takes O(nnz) memory.
+    (rows, count) block.  The values are not copied.  Takes O(nnz)
+    memory: 8 bytes per rating kept, and about 8 more while it is built.
     """
     counts = np.bincount(idx_row, minlength=n_rows)
     perm = np.argsort(counts, kind="stable")
@@ -82,12 +94,14 @@ def _row_groups(n_rows, idx_row, idx_other, vals) -> _RowGroups:
     # A stable sort has one result, so the key's dtype sets only its speed:
     # numpy radix-sorts keys of 16 bits or fewer.
     key = position[idx_row].astype(np.min_scalar_type(max(n_rows - 1, 0)))
-    source = np.argsort(key, kind="stable")
+    order = np.argsort(key, kind="stable")
+    del key
     counts = counts[perm]
     offsets = np.concatenate(([0], np.cumsum(counts)))
-    return _RowGroups(
-        counts, offsets, position, idx_other[source], vals[source], source
-    )
+    largest_other = int(idx_other.max()) if len(idx_other) else 0
+    other = idx_other.astype(_index_dtype(largest_other))[order]
+    source = order.astype(_index_dtype(max(len(order) - 1, 0)))
+    return _RowGroups(counts, offsets, position, other, vals, source)
 
 
 def _solve_half(groups: _RowGroups, other, lam, pred=None):
@@ -97,12 +111,12 @@ def _solve_half(groups: _RowGroups, other, lam, pred=None):
     F_r holds the other-side factors of the n_r entries row r rated and v_r
     their ratings.  A row rating n entries holds
     8 * (n * (k + 1) + k * (k + 2)) bytes while it is solved: its gathered
-    factors and predictions, and its Gram matrix, right-hand side and
-    solution.  A chunk takes consecutive rows, in (count, row) order, while
-    they fit in ``ALS_CHUNK_BYTES``; only a row over the cap on its own
-    makes a chunk larger than it.  The chunks are solved one at a time by
-    :func:`_solve_chunk`, so memory stays O(ALS_CHUNK_BYTES + rows * k +
-    nnz) whatever the rank.  Every row's system is formed and solved on its
+    factors and values (whose buffer then takes its predictions), and its
+    Gram matrix, right-hand side and solution.  A chunk takes consecutive
+    rows, in (count, row) order, while they fit in ``ALS_CHUNK_BYTES``;
+    only a row over the cap on its own makes a chunk larger than it.  The
+    chunks are solved one at a time by :func:`_solve_chunk`, so memory
+    stays O(ALS_CHUNK_BYTES + rows * k + nnz) whatever the rank.  Every row's system is formed and solved on its
     own, so the result does not depend on the chunking, to the last bit.
     The diagonal carries lam * n_r (count-weighted regularization, ALS-WR),
     so the k x k systems are positive definite whenever lam > 0.
@@ -128,10 +142,11 @@ def _solve_chunk(groups: _RowGroups, c0, c1, other, lam, x, pred):
     return.
 
     One ``np.take`` gathers the other side's factors for the rows'
-    ratings; each run of rows of one count is then a (rows, n_r, k) view
-    whose Gram matrices and right-hand sides are written in place, and one
-    batched solve writes rows ``c0:c1`` of ``x`` (in (count, row) order).
-    ``pred``, when given, receives these ratings' predictions.
+    ratings, and indexing by ``source`` gathers their values; each run of
+    rows of one count is then a (rows, n_r, k) view whose Gram matrices and
+    right-hand sides are written in place, and one batched solve writes
+    rows ``c0:c1`` of ``x`` (in (count, row) order).  ``pred``, when
+    given, receives these ratings' predictions.
     """
     k = other.shape[1]
     e0, e1 = int(groups.offsets[c0]), int(groups.offsets[c1])
@@ -147,7 +162,7 @@ def _solve_chunk(groups: _RowGroups, c0, c1, other, lam, x, pred):
         r0, f0 = r1, f1
     A = np.empty((c1 - c0, k, k))
     b = np.empty((c1 - c0, 1, k))
-    vals = groups.vals[e0:e1]
+    vals = groups.vals[groups.source[e0:e1]]
     for r0, r1, count, f0, f1 in runs:
         Fb = F[f0:f1].reshape(r1 - r0, count, k)
         np.matmul(Fb.transpose(0, 2, 1), Fb, out=A[r0:r1])
@@ -160,13 +175,13 @@ def _solve_chunk(groups: _RowGroups, c0, c1, other, lam, x, pred):
             "singular normal equations during ALS; use lambda > 0"
         ) from None
     if pred is not None:
-        out = np.empty(e1 - e0)
+        # The values are spent, so their buffer takes the predictions.
         for r0, r1, count, f0, f1 in runs:
             np.einsum(
                 "rnk,rk->rn", F[f0:f1].reshape(r1 - r0, count, k),
-                x[c0 + r0:c0 + r1], out=out[f0:f1].reshape(r1 - r0, count),
+                x[c0 + r0:c0 + r1], out=vals[f0:f1].reshape(r1 - r0, count),
             )
-        pred[groups.source[e0:e1]] = out
+        pred[groups.source[e0:e1]] = vals
 
 
 def train_als(
@@ -211,7 +226,10 @@ def train_als(
     for iteration in range(cfg.max_iterations):
         user_factors = _solve_half(by_user, item_factors, cfg.lam)
         item_factors = _solve_half(by_item, user_factors, cfg.lam, pred)
-        rmse = float(np.sqrt(np.mean((pred - ratings.ratings) ** 2)))
+        # The next item half-step writes every prediction again, so the
+        # squared residuals can take their place.
+        pred -= ratings.ratings
+        rmse = float(np.sqrt(np.mean(np.square(pred, out=pred))))
         if on_iteration is not None:
             on_iteration(iteration, rmse)
         if prev_rmse - rmse < cfg.convergence_tol:

@@ -119,12 +119,21 @@ def load_ratings(
     line by line, by :func:`_parse_lines`, which strips whitespace, skips
     blank lines, takes 3- and 4-field lines mixed, and names the first bad
     line.
+
+    The ratings are held once on their way in: each block's user codes,
+    item codes and ratings (8 bytes each) are appended to buffers that
+    grow in place by half, the buffers are cut to length at the end, and
+    the matrix takes them as they are, read-only, without a copy.  Beyond
+    one block's strings, the loader so holds at most 36 bytes per row,
+    against the 24 it returns.
     """
     check_scale(scale)
     path, (lo, hi) = Path(path), scale
     user_index: dict[str, int] = {}
     item_index: dict[str, int] = {}
-    blocks = [(np.empty(0, np.int64), np.empty(0, np.int64), np.empty(0))]
+    # The rows read so far are the first ``rows`` of each buffer.
+    users, items = np.empty(RATINGS_BLOCK, np.int64), np.empty(RATINGS_BLOCK, np.int64)
+    ratings, rows = np.empty(RATINGS_BLOCK), 0
     block, first_line = [], 2  # first_line: the line number of block[0]
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -140,28 +149,24 @@ def load_ratings(
                     uids, iids, values = _split_block(block, lo, hi)
                 except ValueError:
                     uids, iids, values = _parse_lines(block, first_line, path, lo, hi)
-                blocks.append((_dense_codes(user_index, uids),
-                               _dense_codes(item_index, iids), values))
+                end = rows + len(values)
+                if end > len(ratings):
+                    for buffer in (users, items, ratings):
+                        buffer.resize(end + end // 2, refcheck=False)
+                users[rows:end] = _dense_codes(user_index, uids)
+                items[rows:end] = _dense_codes(item_index, iids)
+                ratings[rows:end] = values
+                rows = end
         except UnicodeDecodeError as exc:
             # extend kept the lines decoded before the bad bytes; a bad one
             # among them is reported first, as a line-by-line read would.
             _parse_lines(block, first_line, path, lo, hi)
             raise ParseError(f"{path}: not valid UTF-8 ({exc})") from None
-    users, items, ratings = map(np.concatenate, zip(*blocks))
-    keys = users * len(item_index) + items
-    # A plain sort finds repeated pairs many times faster than the stable
-    # argsort that resolving them needs.
-    ordered = np.sort(keys)
-    if (ordered[1:] == ordered[:-1]).any():
-        # A repeated pair keeps the position of its first row and the
-        # rating of its last, as a dict assigned row by row would.
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
-        last = np.concatenate((first[1:], [True]))
-        ratings[order[first]] = ratings[order[last]]
-        keep = np.sort(order[first])
-        users, items, ratings = users[keep], items[keep], ratings[keep]
+    for buffer in (users, items, ratings):
+        buffer.resize(rows, refcheck=False)
+    users, items, ratings = _resolve_repeats(users, items, ratings, len(item_index))
+    for array in (users, items, ratings):
+        array.setflags(write=False)
     return RatingsMatrix(
         n_users=len(user_index),
         n_items=len(item_index),
@@ -172,6 +177,26 @@ def load_ratings(
         user_ids=tuple(user_index),
         item_ids=tuple(item_index),
     )
+
+
+def _resolve_repeats(users, items, ratings, n_items):
+    """The rows with each repeated (user, item) pair resolved: the pair
+    keeps the position of its first row and the rating of its last, as a
+    dict assigned row by row would.  Without a repeat, the arrays given."""
+    keys = users * n_items + items
+    # A plain sort, in place, finds repeated pairs many times faster than
+    # the stable argsort that resolving them needs.
+    keys.sort()
+    if not (keys[1:] == keys[:-1]).any():
+        return users, items, ratings
+    keys = users * n_items + items
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1]))
+    last = np.concatenate((first[1:], [True]))
+    ratings[order[first]] = ratings[order[last]]
+    keep = np.sort(order[first])
+    return users[keep], items[keep], ratings[keep]
 
 
 def _dense_codes(index: dict[str, int], keys: list[str]) -> np.ndarray:

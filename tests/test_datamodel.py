@@ -2,6 +2,10 @@ import errno
 import itertools
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,69 @@ class TestFactorModel:
                         user_factors=np.ones((1, 2)), item_factors=np.ones((1, 2)))
 
 
+def ratings_of(users, items, ratings):
+    return RatingsMatrix(3, 4, users=users, items=items, ratings=ratings)
+
+
+def model_of(user_factors, item_factors):
+    return FactorModel(rank=2, lam=0.1, user_factors=user_factors,
+                       item_factors=item_factors)
+
+
+# Each container, its array fields, and arrays of the dtypes it stores.
+CONTAINERS = {
+    "ratings": (ratings_of, ("users", "items", "ratings"),
+                lambda: (np.array([0, 2, 1, 2]), np.array([3, 0, 1, 2]),
+                         np.array([1.0, 2.5, 4.0, 5.0]))),
+    "model": (model_of, ("user_factors", "item_factors"),
+              lambda: (np.arange(6.0).reshape(3, 2).copy(),
+                       np.arange(8.0).reshape(4, 2).copy())),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTAINERS))
+class TestCopySemantics:
+    """A container never stores an array that a caller can still write:
+    writeable arrays, and views of them, are copied; a read-only array of
+    the stored dtype that owns its memory is kept as it is."""
+
+    def test_writeable_inputs_are_copied(self, kind):
+        build, fields, arrays = CONTAINERS[kind]
+        given = arrays()
+        # A read-only view whose base stays writeable is copied too.
+        view = given[-1].view()
+        view.setflags(write=False)
+        obj = build(*given[:-1], view)
+        want = [a.copy() for a in given]
+        for a in given:
+            a[...] = 0
+        for name, a, w in zip(fields, given, want):
+            stored = getattr(obj, name)
+            assert not stored.flags.writeable, name
+            assert not np.shares_memory(stored, a), name
+            assert np.array_equal(stored, w), name
+
+    def test_read_only_owned_arrays_are_kept(self, kind):
+        build, fields, arrays = CONTAINERS[kind]
+        given = arrays()
+        for a in given:
+            a.setflags(write=False)
+        obj = build(*given)
+        assert all(getattr(obj, name) is a for name, a in zip(fields, given))
+
+    def test_read_only_arrays_of_another_dtype_are_converted(self, kind):
+        build, fields, arrays = CONTAINERS[kind]
+        given = [a.astype(np.int32 if a.dtype == np.int64 else np.float32)
+                 for a in arrays()]
+        for a in given:
+            a.setflags(write=False)
+        obj = build(*given)
+        for name, want in zip(fields, arrays()):
+            stored = getattr(obj, name)
+            assert stored.dtype == want.dtype and not stored.flags.writeable
+            assert np.array_equal(stored, want)
+
+
 class TestDenseAttributeRow:
     def test_partial_support(self):
         meta = make_meta(1, {"a": {0}, "b": set(), "c": {0}, "d": set()})
@@ -256,6 +323,51 @@ def test_failed_encode_keeps_previous_file(tmp_path, monkeypatch, failure):
     if expected is OutputError:
         assert str(caught.value) == f"cannot write {path}: No space left on device"
         assert isinstance(caught.value, OSError)
+
+
+# Run in a child process, so the file-size limit binds nothing else.
+FAILED_BODY_UNDER_SIZE_LIMIT = textwrap.dedent("""
+    import errno, json, os, resource, sys
+    from reclens import datamodel
+
+    failure = {"memory": MemoryError("encoder"),
+               "disk-full": OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}
+    calls = []
+
+    def dumps(value, **kwargs):
+        calls.append(value)
+        if len(calls) == 4:
+            raise failure[sys.argv[2]]
+        return json.dumps(value, **kwargs)
+
+    datamodel.json = type("Json", (), {"dumps": dumps})
+    resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+    try:
+        datamodel.write_json({"a": "x" * 200, "b": 1, "c": 2}, sys.argv[1])
+    except BaseException as exc:
+        print(type(exc).__name__, exc, sep=": ")
+""")
+
+
+@pytest.mark.parametrize("failure, error", [
+    ("memory", "MemoryError: encoder"),
+    ("disk-full", "OutputError: cannot write {path}: No space left on device"),
+], ids=["memory", "disk-full"])
+def test_body_exception_survives_a_failed_flush(tmp_path, failure, error):
+    """Under a 100-byte file-size limit, an encoder that fails on its fourth
+    call, with 200 bytes of text still buffered, comes out as its own
+    exception: the buffered text is dropped, not flushed into "File too
+    large".  An ``OSError`` from the body still names the destination, and
+    no file is left behind."""
+    path = tmp_path / "out.json"
+    done = subprocess.run(
+        [sys.executable, "-c", FAILED_BODY_UNDER_SIZE_LIMIT, str(path), failure],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(datamodel.__file__).parents[1])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == error.format(path=path) + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_new_file_mode_follows_umask(tmp_path):

@@ -69,12 +69,13 @@ def solve_half_whole_oracle(groups, other, lam, pred=None):
     floats."""
     n_rows, k = len(groups.counts), other.shape[1]
     F = np.take(other, groups.other, axis=0)
+    vals = groups.vals[groups.source]
     A = np.empty((n_rows, k, k))
     b = np.empty((n_rows, 1, k))
     for r0, r1, count, f0, f1 in count_runs(groups):
         Fb = F[f0:f1].reshape(r1 - r0, count, k)
         np.matmul(Fb.transpose(0, 2, 1), Fb, out=A[r0:r1])
-        np.matmul(groups.vals[f0:f1].reshape(r1 - r0, 1, count), Fb, out=b[r0:r1])
+        np.matmul(vals[f0:f1].reshape(r1 - r0, 1, count), Fb, out=b[r0:r1])
     A[:, np.arange(k), np.arange(k)] += lam * groups.counts[:, None]
     try:
         x = np.linalg.solve(A, b.reshape(n_rows, k, 1))[..., 0]
@@ -413,6 +414,46 @@ class TestChunkedSolveHalf:
         )
         assert oracle_peak > bound
         assert np.array_equal(x, want) and np.array_equal(pred, want_pred)
+
+
+class TestRowGroupsLayout:
+    @staticmethod
+    def problem(rng, nnz=20_000, n_rows=300, n_other=500):
+        idx_row = rng.integers(0, n_rows, nnz)
+        idx_other = rng.integers(0, n_other, nnz)
+        return n_rows, idx_row, idx_other, rng.uniform(1.0, 5.0, nnz)
+
+    def test_at_most_sixteen_bytes_per_rating(self, rng):
+        """A rating's other-side index, value and original position take at
+        most 16 bytes: two int32 indices, and its float64 value shared with
+        the array given, not copied."""
+        n_rows, idx_row, idx_other, vals = self.problem(rng)
+        groups = _row_groups(n_rows, idx_row, idx_other, vals)
+        assert groups.vals is vals
+        assert groups.other.nbytes + groups.source.nbytes == 8 * len(vals)
+        per_rating = groups.other.nbytes + groups.vals.nbytes + groups.source.nbytes
+        assert per_rating <= 16 * len(vals)
+
+    @pytest.mark.parametrize("largest, want", [
+        (0, np.int32), (2**31 - 1, np.int32), (2**31, np.int64), (2**40, np.int64),
+    ])
+    def test_index_dtype_is_int32_below_two_to_the_31(self, largest, want):
+        assert factorize._index_dtype(largest) == np.dtype(want)
+
+    def test_int64_layout_solves_the_same(self, rng, monkeypatch):
+        """A layout whose indices are int64, as above 2**31, gives the same
+        solution and predictions, to the last bit, as the int32 one."""
+        n_rows, idx_row, idx_other, vals = self.problem(rng)
+        other = rng.normal(size=(500, 4))
+        narrow = _row_groups(n_rows, idx_row, idx_other, vals)
+        monkeypatch.setattr(factorize, "_index_dtype", lambda largest: np.dtype(np.int64))
+        wide = _row_groups(n_rows, idx_row, idx_other, vals)
+        assert (narrow.other.dtype, wide.other.dtype) == (np.int32, np.int64)
+        assert (narrow.source.dtype, wide.source.dtype) == (np.int32, np.int64)
+        p32, p64 = np.empty(len(vals)), np.empty(len(vals))
+        x32 = _solve_half(narrow, other, 0.1, p32)
+        x64 = _solve_half(wide, other, 0.1, p64)
+        assert np.array_equal(x32, x64) and np.array_equal(p32, p64)
 
 
 class TestTrainAls:

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import sys
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,59 @@ class TestLoadRatings:
             fh.write("1,10,4.0\n")
         with pytest.raises(ParseError, match=":1:"):
             load_ratings(path)
+
+    @staticmethod
+    def write_100k(path, rng):
+        """100,000 distinct (user, item) pairs of 943 users and 1682 items,
+        in random order, with ratings and timestamps."""
+        keys = rng.choice(943 * 1682, size=100_000, replace=False)
+        users, items = np.divmod(keys, 1682)
+        stars = rng.integers(1, 6, len(keys))
+        times = rng.integers(874_724_710, 893_286_638, len(keys))
+        write_ratings_csv(path, zip(users + 1, items + 1, stars, times))
+
+    def test_peak_memory_within_two_and_a_half_times_the_result(
+        self, tmp_path, rng
+    ):
+        """Reading 100k ratings holds at most 2.5 times the bytes of the
+        arrays it returns: the ratings are appended to buffers, not kept
+        block by block and joined, and the matrix takes them uncopied."""
+        path = tmp_path / "r.csv"
+        self.write_100k(path, rng)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rm = load_ratings(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        returned = rm.users.nbytes + rm.items.nbytes + rm.ratings.nbytes
+        assert (rm.nnz, returned) == (100_000, 2_400_000)
+        assert peak <= 2.5 * returned
+
+    def test_arrays_own_their_rows_alone(self, tmp_path, rng):
+        """Each returned array is read-only and owns exactly its rows'
+        memory, which it shares with no other array; so does each array
+        after repeated pairs are resolved."""
+        path = tmp_path / "r.csv"
+        self.write_100k(path, rng)
+        unique = load_ratings(path)
+        lines = path.read_text().splitlines(keepends=True)
+        with open(path, "a") as fh:
+            fh.writelines(lines[1:4])
+        repeated = load_ratings(path)
+        assert repeated.nnz == unique.nnz == 100_000
+        for rm in (unique, repeated):
+            arrays = (rm.users, rm.items, rm.ratings)
+            for a in arrays:
+                assert a.base is None and a.flags.owndata
+                assert not a.flags.writeable and a.nbytes == 8 * rm.nnz
+            for a, b in combinations(arrays, 2):
+                assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("scale, message", [
         ((float("nan"), 5.0), r"rating scale \(nan, 5.0\) is not two finite numbers"),
