@@ -94,7 +94,7 @@ def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None,
             index = int(wanted)
         except ValueError:
             raise ValidationError(
-                f"model carries no {kind} ids; pass a numeric index"
+                f"shadow file carries no {kind} ids; pass a numeric index"
             ) from None
         if not 0 <= index < count:
             raise ValidationError(f"{kind} index {index} out of range [0, {count})")
@@ -232,17 +232,15 @@ def cmd_explain(args) -> int:
     )
     user = _lookup_id("user", args.user, shadow.user_ids, shadow.n_users)
     if args.user_aggregate:
-        scope = ItemSet(tuple(int(i) for i in shadow.item_indices))
+        scope = ItemSet(tuple(shadow.item_indices.tolist()))
     else:
         item = _lookup_id("item", args.item, shadow.item_ids,
                           len(shadow.item_ids))
-        try:
-            shadow.rows_of_items([item])
-        except IndexError:
+        if item not in shadow.row_of_item:
             raise ValidationError(
                 f"item {args.item!r} is pruned (it kept no metadata features) "
                 "or unknown to the shadow model"
-            ) from None
+            )
         scope = SingleItem(item)
     query = InfluenceQuery(user=user, scope=scope)
     baseline = None
@@ -370,18 +368,15 @@ def run_sweep(
 
     def train_base(key):
         rank, lam = key
-        # Checked before the seed is drawn, which a negative rank would fail
-        # with a bare ValueError.
-        cfg = AlsConfig(rank=rank, lam=lam, max_iterations=iters)
-        als_seed = int(
-            np.random.SeedSequence(entropy=(seed, rank, hash(lam) & 0xFFFF)).
-            generate_state(1)[0]
-        )
-        return train_als(ratings, replace(cfg, seed=als_seed))
-
-    def safe_base(key):
         try:
-            return train_base(key)
+            # Checked before the seed is drawn, which a negative rank would
+            # fail with a bare ValueError.
+            cfg = AlsConfig(rank=rank, lam=lam, max_iterations=iters)
+            als_seed = int(
+                np.random.SeedSequence(entropy=(seed, rank, hash(lam) & 0xFFFF)).
+                generate_state(1)[0]
+            )
+            return train_als(ratings, replace(cfg, seed=als_seed))
         except ReclensError as exc:
             return exc
 
@@ -408,11 +403,11 @@ def run_sweep(
                 "observational_mae": report.observational_mae,
                 "error": None,
             }
-        except (ReclensError, np.linalg.LinAlgError) as exc:
+        except ReclensError as exc:
             return failed(exc)
 
     def run_all(run):
-        baselines.update(zip(base_keys, run(safe_base, base_keys)))
+        baselines.update(zip(base_keys, run(train_base, base_keys)))
         return [{"cell": cell, **row}
                 for cell, row in zip(cells, run(fit_and_measure, cells))]
 
@@ -586,6 +581,25 @@ def experiment_config_from_dict(
 # ----------------------------------------------------------------- main
 
 
+def _ratings_flags(p) -> None:
+    """The ratings and ALS flags of ``train`` and ``sweep``."""
+    p.add_argument("--ratings", required=True)
+    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--scale-min", type=float, default=1.0)
+    p.add_argument("--scale-max", type=float, default=5.0)
+
+
+def _shadow_flags(p) -> None:
+    """The metadata and shadow flags of ``shadow`` and ``sweep``."""
+    p.add_argument("--metadata", required=True)
+    p.add_argument("--ridge", type=float, default=None)
+    p.add_argument("--split", type=float, default=0.8)
+    p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")
+    p.add_argument("--entropy-threshold", type=float, default=0.01)
+    p.add_argument("--min-features", type=int, default=1)
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reclens",
@@ -595,29 +609,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train the baseline factor model")
-    p.add_argument("--ratings", required=True)
+    _ratings_flags(p)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--iters", type=int, default=None)
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--scale-min", type=float, default=1.0)
-    p.add_argument("--scale-max", type=float, default=5.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("shadow", help="train and score a shadow model")
     p.add_argument("--model", required=True)
-    p.add_argument("--metadata", required=True)
+    _shadow_flags(p)
     p.add_argument("--kind", choices=["linear", "tree"], default="tree")
     p.add_argument("--depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=None)
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")
-    p.add_argument("--entropy-threshold", type=float, default=0.01)
-    p.add_argument("--min-features", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_shadow)
 
@@ -634,18 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_explain)
 
     p = sub.add_parser("sweep", help="grid over model and shadow parameters")
-    p.add_argument("--ratings", required=True)
-    p.add_argument("--metadata", required=True)
+    _ratings_flags(p)
+    _shadow_flags(p)
     p.add_argument("--grid", help="JSON grid config; omit for the built-in grid")
-    p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--split", type=float, default=0.8)
-    p.add_argument("--measure", choices=["eval", "train", "all"], default="eval")
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--entropy-threshold", type=float, default=0.01)
-    p.add_argument("--min-features", type=int, default=1)
-    p.add_argument("--scale-min", type=float, default=1.0)
-    p.add_argument("--scale-max", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -45,6 +45,11 @@ class StatsError(ReclensError):
     """A statistical test received degenerate samples."""
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer; bools are not numbers here."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def is_finite_real(value) -> bool:
     """True for a finite int or float; bools are not numbers here."""
     return (isinstance(value, Real) and not isinstance(value, bool)
@@ -57,8 +62,7 @@ def check_types(owner, integers=(), reals=(), flags=()):
     int or float, each of ``flags`` a bool.  A bool is neither an integer
     nor a real here, so ``true`` in a config file is no count."""
     checks = (
-        (integers, "an integer",
-         lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
+        (integers, "an integer", is_integer),
         (reals, "a finite number", is_finite_real),
         (flags, "true or false", lambda v: isinstance(v, bool)),
     )

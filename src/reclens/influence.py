@@ -26,15 +26,26 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datamodel import FactorModel, MetadataMatrix, open_output, predict_rating
-from .errors import EstimatorMismatchError, ValidationError
+from .errors import EstimatorMismatchError, ValidationError, is_integer
 from .shadow import ShadowModel
 
 RatingFn = Callable[[np.ndarray], float]
 
 
+def _item_index(item) -> int:
+    """``item`` as an int; ``ValidationError`` unless it is an integer, since
+    ``int()`` would read 3.7, "3" and True as items."""
+    if not is_integer(item):
+        raise ValidationError(f"item {item!r} is not an integer index")
+    return int(item)
+
+
 @dataclass(frozen=True)
 class SingleItem:
     item: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "item", _item_index(self.item))
 
 
 @dataclass(frozen=True)
@@ -42,7 +53,7 @@ class ItemSet:
     items: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "items", tuple(int(i) for i in self.items))
+        object.__setattr__(self, "items", tuple(map(_item_index, self.items)))
         if not self.items:
             raise ValidationError("item_set scope requires at least one item")
 
@@ -222,9 +233,10 @@ def explain(
     rows = shadow.rows_of_items(items)
     warnings = []
     # An item set that spans the whole item universe includes the training
-    # items by construction, so it is not warned about.
-    whole = isinstance(query.scope, ItemSet) and np.isin(
-        shadow.item_indices, items).all()
+    # items by construction, so it is not warned about.  Every item is in
+    # the universe, so it spans it when it has as many distinct items.
+    whole = isinstance(query.scope, ItemSet) and len(set(items)) == len(
+        shadow.row_of_item)
     outside = 0 if whole else int(np.count_nonzero(~shadow.in_eval[rows]))
     if outside:
         warnings.append(

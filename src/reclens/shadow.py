@@ -17,7 +17,7 @@ distinct item once and gather those factors for every pair and block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -105,8 +105,9 @@ class ShadowModel:
     each feature's position in name order; ``name_array``, the feature
     names as an object array, for indexing by a ranking; ``zero_pairs``, an
     object array of ``(name, 0.0)`` pairs in name order, which ``explain``
-    ranks after every feature that moved; and ``in_eval``, whether each
-    row's item is in ``eval_items``.
+    ranks after every feature that moved; ``row_of_item``, a dict from each
+    baseline item to its metadata row (the last, for a repeated item); and
+    ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
     user_factors: np.ndarray
@@ -185,8 +186,6 @@ class ShadowModel:
         name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
             len(names)
         )
-        # Later rows win for a repeated item, as in a dict built row by row.
-        rows = np.argsort(self.item_indices, kind="stable")
         for name, value in (
             ("name_rank", name_rank),
             ("name_array", np.array(names, dtype=object)),
@@ -194,8 +193,8 @@ class ShadowModel:
                 ((name, 0.0) for name in sorted(names)), dtype=object,
                 count=len(names),
             )),
-            ("_sorted_items", self.item_indices[rows]),
-            ("_sorted_rows", rows),
+            ("row_of_item", {item: row for row, item in
+                             enumerate(self.item_indices.tolist())}),
             ("in_eval", np.isin(self.item_indices, self.eval_items)),
         ):
             object.__setattr__(self, name, value)
@@ -209,23 +208,17 @@ class ShadowModel:
         return self.user_factors.shape[0]
 
     def rows_of_items(self, items: Sequence[int] | np.ndarray) -> np.ndarray:
-        """The metadata row behind each baseline item, by one sorted
-        lookup; ``IndexError`` for an item outside the item universe."""
-        try:
-            ids = np.asarray(items, dtype=np.int64).reshape(-1)
-        except OverflowError:  # an id past int64 is in no item universe
-            known = set(self.item_indices.tolist())
-            missing = next(i for i in items if int(i) not in known)
-        else:
-            pos = np.searchsorted(self._sorted_items, ids, side="right") - 1
-            found = pos >= 0
-            found[found] = self._sorted_items[pos[found]] == ids[found]
-            if found.all():
-                return self._sorted_rows[pos]
-            missing = ids[~found][0]
-        raise IndexError(
-            f"item {missing} is not in the shadow model's item universe"
-        )
+        """The metadata row behind each baseline item, from ``row_of_item``;
+        ``IndexError`` for an item outside the item universe, which holds
+        no bool, string or fractional number."""
+        if isinstance(items, np.ndarray):
+            items = items.tolist()
+        rows = [None if isinstance(i, (bool, np.bool_)) else self.row_of_item.get(i)
+                for i in items]
+        if None in rows:
+            raise IndexError(f"item {items[rows.index(None)]} is not in the "
+                             "shadow model's item universe")
+        return np.array(rows, dtype=np.intp)
 
     def predicted_factors_batch(self, X: np.ndarray) -> np.ndarray:
         """f_1 .. f_k for every row of X: a C-contiguous (rows, k) array.
@@ -442,13 +435,7 @@ class AgreementReport:
             raise ValidationError("agreement metrics must be non-negative")
 
     def to_dict(self) -> dict:
-        return {
-            "per_factor_mae": list(self.per_factor_mae),
-            "mean_latent_mae": self.mean_latent_mae,
-            "observational_mae": self.observational_mae,
-            "observational_mse": self.observational_mse,
-            "faithfulness": self.faithfulness,
-        }
+        return asdict(self)
 
 
 def measure_agreement(

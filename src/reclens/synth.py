@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -519,19 +519,7 @@ class HypothesisResult:
         return [s.score for s in self.samples if s.condition == condition]
 
     def to_dict(self) -> dict:
-        return {
-            "samples": [
-                {
-                    "condition": s.condition,
-                    "rep": s.rep,
-                    "user": s.user,
-                    "score": s.score,
-                }
-                for s in self.samples
-            ],
-            "means": self.means,
-            "tests": self.tests,
-        }
+        return asdict(self)
 
 
 def _run_repetition(cfg: ExperimentConfig, rep: int):

@@ -592,6 +592,22 @@ class TestExplain:
         ]
         assert main([*argv, "5"]) == 0
 
+    @pytest.mark.parametrize("key, message", [
+        ("user_ids", "shadow file carries no user ids; pass a numeric index"),
+        ("item_ids", "shadow file carries no item ids"),
+    ], ids=["user_ids", "item_ids"])
+    def test_shadow_without_ids_is_one_error_line(self, tmp_path, shadow_fixture,
+                                                  capsys, key, message):
+        """Without ids, ``--user u1`` and ``--item m3`` name nothing; the
+        error names the shadow file as the one that lacks them."""
+        meta, _, shadow_path = shadow_fixture
+        bare = _edit_json(shadow_path, tmp_path / "noids.json",
+                          lambda doc: doc.update({key: None}))
+        capsys.readouterr()
+        assert main(["explain", "--shadow", str(bare), "--metadata", str(meta),
+                     "--user", "u1", "--item", "m3"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_unknown_id_lists_nearest(self, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         code = main([
@@ -692,6 +708,12 @@ _VALUE_RULE = "; it must be a string, number or boolean, or a list of them"
      """attribute 'id' holds {"x": 1}""" + _VALUE_RULE),
     ({"item_id": None, "attributes": {"id": ["m0"]}},
      "item_id must be a string or a number, not null"),
+    ({"item_id": "", "attributes": {"id": ["m2"]}}, "item_id must be non-empty"),
+    ({"item_id": "m2", "attributes": {"": ["m2"]}},
+     "empty attribute name on item 'm2'"),
+    ({"attributes": {"id": ["m2"]}}, "record must have an item_id field"),
+    (["m2", {"id": ["m2"]}], "record must have an item_id field"),
+    ({"item_id": "m2", "attributes": ["id"]}, "attributes must be an object"),
 ])
 @pytest.mark.parametrize("command", ["shadow", "explain"])
 def test_bad_metadata_value_is_one_error_line(
@@ -715,6 +737,61 @@ def test_bad_metadata_value_is_one_error_line(
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {bad}:3: {message}"]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flags, message", [
+    ("train", ["--tol", "-1"], "convergence_tol must be >= 0"),
+    ("shadow", ["--split", "0"], "train_fraction must be in (0, 1]"),
+    ("shadow", ["--min-leaf", "0"], "min_leaf must be >= 1"),
+    ("shadow", ["--min-features", "0"], "min_features must be >= 1"),
+    ("explain", ["--top-k", "0"], "top_k must be >= 1"),
+    ("synth", ["--threads", "0"], "threads must be >= 1"),
+], ids=["train-tol", "shadow-split", "shadow-min-leaf", "shadow-min-features",
+        "explain-top-k", "synth-threads"])
+def test_bad_flag_value_is_one_error_line(
+    tmp_path, trained_fixture, shadow_fixture, capsys, command, flags, message
+):
+    """A flag value out of its range ends in exit 1 and one error line, and
+    writes no output."""
+    ratings, meta, model_path = trained_fixture
+    out = tmp_path / "out.json"
+    argv = {
+        "train": ["train", "--ratings", str(ratings), "--rank", "2",
+                  "--out", str(out)],
+        "shadow": ["shadow", "--model", str(model_path), "--metadata", str(meta),
+                   "--out", str(out)],
+        "explain": ["explain", "--shadow", str(shadow_fixture[2]),
+                    "--metadata", str(meta), "--user", "u0", "--item", "m1"],
+        "synth": ["synth", "--config", str(synth_config(tmp_path)),
+                  "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv + flags) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_blank_metadata_lines_are_skipped(tmp_path, shadow_fixture, capsys):
+    """Blank and whitespace-only lines of a metadata file are no records:
+    the shadow and its explanation are those of the file without them."""
+    meta, model_path, shadow_path = shadow_fixture
+    lines = meta.read_text().splitlines()
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n".join(["", *lines[:3], "  ", *lines[3:], ""]) + "\n")
+    again = tmp_path / "again.json"
+    assert main([
+        "shadow", "--model", str(model_path), "--metadata", str(blank),
+        "--kind", "tree", "--depth", "12", "--split", "1.0", "--seed", "2",
+        "--out", str(again),
+    ]) == 0
+    assert again.read_bytes() == shadow_path.read_bytes()
+    explained = []
+    for metadata in (meta, blank):
+        capsys.readouterr()
+        assert main(["explain", "--shadow", str(shadow_path), "--metadata",
+                     str(metadata), "--user", "u1", "--item", "m3"]) == 0
+        explained.append(capsys.readouterr().out)
+    assert explained[0] == explained[1]
 
 
 _BAD_SCALES = [
@@ -1331,6 +1408,29 @@ class TestSweep:
         ]
         assert max(tree_maes) < min(linear_maes) / 100
 
+    def test_builtin_grid_runs(self, tmp_path, rng, capsys):
+        """Without ``--grid`` the sweep runs every cell of ``SweepGrid()``;
+        50 users and items leave room for its largest rank."""
+        n = 50
+        flags = rng.random((n, 8)) < 0.5
+        ratings, meta = tmp_path / "ratings.csv", tmp_path / "meta.jsonl"
+        write_ratings_csv(ratings, [
+            (f"u{u}", f"m{i}", round(rng.uniform(1.0, 5.0), 3), 0)
+            for u in range(n) for i in range(n)
+        ])
+        write_metadata_jsonl(meta, {
+            f"m{i}": {"flag": [f"f{j}" for j in np.flatnonzero(flags[i])]}
+            for i in range(n)
+        })
+        out = tmp_path / "sweep.jsonl"
+        capsys.readouterr()
+        assert main(["sweep", "--ratings", str(ratings), "--metadata", str(meta),
+                     "--iters", "2", "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["cell"] for r in rows] == SweepGrid().cells(ridge=0.1)
+        assert all(r["error"] is None for r in rows)
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(rows)
+
     def test_default_grid_includes_reference_cells(self):
         cells = SweepGrid().cells(ridge=0.1)
         keys = {(c["rank"], c["lambda"], c["kind"], c.get("depth")) for c in cells}
@@ -1514,6 +1614,25 @@ class TestSynthCommand:
             outputs.append((out.read_bytes(), captured.out))
         assert outputs[0] == outputs[1]
 
+    def test_one_repetition_prints_untested_rows(self, tmp_path, capsys):
+        """One score per condition leaves Welch's test undefined: each
+        comparison prints as a ``-`` row that carries the reason, and the
+        written results hold it as that comparison's error."""
+        config = synth_config(tmp_path, n_reps=1, users_per_rep=1)
+        out = tmp_path / "result.json"
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+        reason = "welch_t needs at least 2 values per sample"
+        comparisons = ["true_vs_semi_random", "semi_random_vs_random",
+                       "true_vs_random"]
+        table = capsys.readouterr().out.split("\n\n")[1].splitlines()
+        assert [line.split(None, 3) for line in table[1:]] == [
+            [key, "-", "-", reason] for key in comparisons
+        ]
+        assert json.loads(out.read_text())["tests"] == {
+            key: {"error": reason} for key in comparisons
+        }
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         config = synth_config(tmp_path)
         out1 = tmp_path / "r1.json"
@@ -1550,6 +1669,11 @@ class TestSynthCommand:
              f"max_depth must be <= {MAX_TREE_DEPTH}"),
             (lambda d: d["als"].update(rank=25),
              "repetition 0: rank 25 exceeds min(users, items) = min(30, 24)"),
+            (lambda d: d["sim"].update(scale_bounds=[5, 1]),
+             "scale_bounds must satisfy low < high"),
+            (lambda d: d["sim"].update(scale_bounds=["a", 1]),
+             "mistyped value for scale_bounds: ('a', 1) is not two finite "
+             "numbers"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -317,6 +318,29 @@ class TestExplain:
         assert clean.warnings == ()
         assert any("outside" in w for w in flagged.warnings)
 
+    def test_only_a_set_spanning_the_universe_is_not_warned(self, rng):
+        """An item set is taken as the whole universe when it holds every
+        item, however often; one that misses an item is warned about even
+        when repeats make it as long as the universe."""
+        baseline = FactorModel(
+            rank=1, lam=0.0,
+            user_factors=rng.random((2, 1)),
+            item_factors=rng.random((8, 1)),
+        )
+        meta = identity_meta(8)
+        shadow = train_shadow(
+            baseline, meta, TreeKind(TreeParams(max_depth=8)), split=(0.75, 0)
+        )
+        universe = shadow.item_indices.tolist()
+        dropped = int(shadow.eval_items[0])
+        short = [i for i in universe if i != dropped] + [int(shadow.train_items[0])]
+        assert len(short) == len(universe)
+        for items, warned in ((universe, False), (universe[::-1] * 2, False),
+                              (short, True)):
+            report = explain(shadow, meta, InfluenceQuery(0, ItemSet(items)),
+                             top_k=2)
+            assert bool(report.warnings) == warned, items
+
     def test_baseline_rating_only_for_single_item(self, rng):
         baseline = FactorModel(
             rank=1, lam=0.0,
@@ -372,6 +396,28 @@ class TestExplain:
                                  baseline=mirror)
                 assert report.shadow_rating == report.baseline_rating
                 assert report.shadow_rating == shadow.predict(user, meta.X[row])
+
+    @pytest.mark.parametrize("item", [3.5, 3.0, np.float64(3.0), "3", True,
+                                      np.True_, None], ids=[
+        "fraction", "whole-float", "numpy-float", "string", "bool", "numpy-bool",
+        "none"])
+    def test_item_must_be_an_integer(self, item):
+        """``int()`` would read each of these as an item; the scopes refuse
+        them and name the value."""
+        message = f"^item {re.escape(repr(item))} is not an integer index$"
+        with pytest.raises(ValidationError, match=message):
+            SingleItem(item)
+        with pytest.raises(ValidationError, match=message):
+            ItemSet((1, item))
+
+    def test_numpy_integers_are_items(self):
+        shadow, meta = linear_shadow_three_features()
+        assert SingleItem(np.int64(2)) == SingleItem(2)
+        assert type(SingleItem(np.uint8(2)).item) is int
+        assert ItemSet(np.array([3, 1], dtype=np.int32)).items == (3, 1)
+        report = explain(shadow, meta, InfluenceQuery(0, SingleItem(np.int64(2))),
+                         top_k=3)
+        assert report.to_dict()["scope"] == {"single_item": 2}
 
     def test_feature_names_must_match(self):
         shadow, _ = linear_shadow_three_features()

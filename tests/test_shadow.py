@@ -190,6 +190,20 @@ class TestTrainShadow:
         with pytest.raises(IndexError, match=f"^item {missing} is not"):
             shadow.rows_of_items([keep[0], missing, 2**70])
 
+    @pytest.mark.parametrize("item", ["3", True, np.True_, 3.5],
+                             ids=["string", "bool", "numpy-bool", "fraction"])
+    def test_rows_of_items_finds_only_integer_items(self, rng, item):
+        """A string, a bool or a fractional number names no item, though
+        numpy would read "3" as 3, True as 1 and 3.5 as 3."""
+        baseline = random_model(rng, 3, 6, 2)
+        shadow = train_shadow(baseline, identity_meta(6),
+                              TreeKind(TreeParams(max_depth=2)), split=(1.0, 0))
+        assert shadow.rows_of_items([3, 1, np.int64(4), 2.0]).tolist() == [3, 1, 4, 2]
+        with pytest.raises(IndexError, match=(
+            f"^item {item} is not in the shadow model's item universe$"
+        )):
+            shadow.rows_of_items([0, item])
+
     @pytest.mark.parametrize("ridge", [float("inf"), float("nan"), -0.5, "1",
                                        False])
     def test_linear_kind_ridge_must_be_finite_and_non_negative(self, ridge):
