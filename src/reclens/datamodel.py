@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from itertools import chain, count
 
 import numpy as np
@@ -72,7 +72,10 @@ class RatingsMatrix:
 
     Indices are dense and 0-based; external identifiers, when known, live in
     ``user_ids`` / ``item_ids`` (position = dense index), one unique id per
-    user or item.
+    user or item.  Construction sorts the (user, item) pairs to reject a
+    repeated one, unless ``pairs_unique`` promises that none repeats, as
+    :func:`~reclens.ingest.load_ratings` does once its own sort has found
+    or resolved every repeat.
     """
 
     n_users: int
@@ -83,8 +86,10 @@ class RatingsMatrix:
     scale: tuple[float, float] = (1.0, 5.0)
     user_ids: tuple[str, ...] | None = None
     item_ids: tuple[str, ...] | None = None
+    _: KW_ONLY
+    pairs_unique: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, pairs_unique):
         object.__setattr__(self, "users", _frozen_array(self.users, np.int64))
         object.__setattr__(self, "items", _frozen_array(self.items, np.int64))
         object.__setattr__(self, "ratings", _frozen_array(self.ratings, np.float64))
@@ -99,6 +104,7 @@ class RatingsMatrix:
                 raise ValidationError("item index out of range")
             if self.ratings.min() < lo or self.ratings.max() > hi:
                 raise ValidationError(f"rating outside declared scale {self.scale}")
+        if self.nnz and not pairs_unique:
             pairs = self.users * self.n_items + self.items
             pairs.sort()
             if (pairs[1:] == pairs[:-1]).any():

@@ -176,6 +176,7 @@ def load_ratings(
         scale=scale,
         user_ids=tuple(user_index),
         item_ids=tuple(item_index),
+        pairs_unique=True,
     )
 
 
@@ -183,7 +184,11 @@ def _resolve_repeats(users, items, ratings, n_items):
     """The rows with each repeated (user, item) pair resolved: the pair
     keeps the position of its first row and the rating of its last, as a
     dict assigned row by row would.  Without a repeat, the arrays given."""
-    keys = users * n_items + items
+    # The keys are formed in place, so that the check holds one temporary
+    # of 8 bytes per row; it is the only sort of the pairs on a load
+    # without repeats (load_ratings builds the matrix with pairs_unique).
+    keys = users * n_items
+    keys += items
     # A plain sort, in place, finds repeated pairs many times faster than
     # the stable argsort that resolving them needs.
     keys.sort()
@@ -308,7 +313,10 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            if not isinstance(obj, dict) or "item_id" not in obj:
+            if not isinstance(obj, dict):
+                raise ParseError(f"{path}:{lineno}: record must be a JSON object, "
+                                 f"not {_json_excerpt(obj)}")
+            if "item_id" not in obj:
                 raise ParseError(f"{path}:{lineno}: record must have an item_id field")
             item_id = obj["item_id"]
             if isinstance(item_id, bool) or not isinstance(item_id, (str, int, float)):

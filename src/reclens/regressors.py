@@ -3,13 +3,18 @@ regression trees over 0/1 features.
 
 Both are deterministic: identical inputs always produce identical models.
 A linear shadow's k factors are one (features, k) weight matrix and k
-intercepts, as ``fit_linear_columns`` fits them; ``predict_linear``
-multiplies fixed blocks of ``LINEAR_BLOCK`` rows by them, so a row's
-prediction never depends on the batch around it.  A tree is its
-breadth-first node arrays and reads its features as booleans: every split
-sends the rows where the feature is False left and the others right, and
-no tree grows deeper than ``MAX_TREE_DEPTH`` levels, so that every fitted
-tree can be saved in a shadow file and read back.
+intercepts, as ``fit_linear_columns`` fits them: it forms the exact Gram
+matrix of the intercept-augmented X from X's nonzeros (integer counts on
+0/1 X), factors it once by a Cholesky written in elementwise numpy, and
+substitutes all k right-hand sides together.  It calls no BLAS or LAPACK
+routine and adds every sum in a fixed order, so its bits do not depend on
+the BLAS thread count, and each column has the bits of its own fit.
+``predict_linear`` multiplies fixed blocks of ``LINEAR_BLOCK`` rows by the
+weights, so a row's prediction never depends on the batch around it.
+A tree is its breadth-first node arrays and reads its features as
+booleans: every split sends the rows where the feature is False left and
+the others right, and no tree grows deeper than ``MAX_TREE_DEPTH`` levels,
+so that every fitted tree can be saved in a shadow file and read back.
 ``fit_trees`` grows the k factor trees of a shadow together, level by
 level.  On sparse X (below ``SPARSE_DENSITY`` ones) it scores each level's
 splits from X's ones with one ``bincount`` per group of nodes, capped by
@@ -62,6 +67,12 @@ SPARSE_DENSITY = 0.1
 # takes one node at least; this bounds the grower's memory (fit_trees).
 SPLIT_CELLS = 1 << 16
 
+# Pairs of nonzeros in one row whose products fit_linear_columns sums at
+# once while it forms the Gram matrix (_gram): each step holds about 48
+# bytes per pair besides the (features + 1)^2 matrix.  Each step takes one
+# row at least.
+GRAM_PAIRS = 1 << 15
+
 
 def predict_linear(
     X: np.ndarray, weights: np.ndarray, intercepts: np.ndarray
@@ -110,13 +121,22 @@ def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, 
 def fit_linear_columns(
     X: np.ndarray, Y: np.ndarray, ridge: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`fit_linear` for each column of Y, forming the Gram matrix of
-    the intercept-augmented X once for all of them: a C-ordered (features,
+    """:func:`fit_linear` for each column of Y, from one factorization of
+    the Gram matrix of the intercept-augmented X: a C-ordered (features,
     k) weight matrix and k intercepts.
 
-    Each column gets its own right-hand side and its own solve, so every
-    column is bit-identical to a separate :func:`fit_linear` call; one
-    solve with all columns at once would not be.
+    No float copy of X is made and no BLAS or LAPACK routine runs.  The
+    unknowns are ordered by how many of X's entries are nonzero in their
+    column, fewest first, the intercept last.  The Gram matrix G is summed
+    from the products of X's nonzeros (:func:`_gram`), and each column's
+    right-hand side from X's nonzeros times its targets, both in row
+    order; on 0/1 X, G holds exact counts.  G is factored once as U^T U
+    (:func:`_cholesky`), and all columns are substituted together
+    (:func:`_substitute`).  Every step is elementwise and takes the
+    updates of an entry one by one in a fixed order, so each column is
+    bit-identical to a separate :func:`fit_linear` call, and no bit
+    depends on how many threads BLAS runs.  A pivot that is not above the
+    rounding residue of its diagonal entry raises ``SolverError``.
     """
     X = np.asarray(X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -124,21 +144,107 @@ def fit_linear_columns(
         raise ValidationError("X must be 2-d with one row per target value")
     check_ridge(ridge)
     n, d = X.shape
-    # The intercept-augmented X is the only float copy of X.
-    A = np.empty((n, d + 1))
-    A[:, :d] = X
-    A[:, d] = 1.0
-    G = A.T @ A
-    G[np.diag_indices(d)] += ridge  # intercept column left unpenalized
-    Z = np.empty((d + 1, Y.shape[1]))
-    for j in range(Y.shape[1]):
-        try:
-            Z[:, j] = np.linalg.solve(G, A.T @ Y[:, j])
-        except np.linalg.LinAlgError:
+    k = Y.shape[1]
+    if not k:
+        return np.empty((d, 0)), np.empty(0)
+    # X's nonzeros row by row, each row ending with its intercept entry,
+    # and each entry's unknown: rare features come first, so that their
+    # elimination fills in few entries of U.
+    ones = np.count_nonzero(X, axis=1)
+    rows, features = np.nonzero(X)
+    ends = np.cumsum(ones)
+    value = np.insert(np.asarray(X[rows, features], dtype=np.float64), ends, 1.0)
+    by_count = np.argsort(np.bincount(features, minlength=d), kind="stable")
+    position = np.empty(d + 1, np.intp)
+    position[by_count], position[d] = np.arange(d), d
+    unknown = position[np.insert(features, ends, d)]
+    rows = np.repeat(np.arange(n), ones + 1)
+    G = _gram(unknown, value, ones + 1, d + 1)
+    G[np.arange(d), np.arange(d)] += ridge  # intercept left unpenalized
+    above = _cholesky(G)
+    Z = np.empty((d + 1, k))
+    for j in range(k):
+        Z[:, j] = np.bincount(unknown, value * Y[rows, j], minlength=d + 1)
+    _substitute(G, above, Z)
+    return Z[position[:d]], Z[d]
+
+
+def _gram(unknown, value, count, p):
+    """The upper triangle of the (p, p) Gram matrix of the entries given
+    row by row, ``count[r]`` of them in row r; the lower one is 0.
+
+    Each (f, g) entry sums the products of the rows' (f, g) entry pairs
+    in row order, one ``bincount`` per run of rows holding at most
+    ``GRAM_PAIRS`` pairs (one row at least), and the runs' sums in order.
+    Products of ones are 1.0, so on 0/1 X every sum is an exact count.
+    """
+    pairs = count * (count + 1) // 2
+    run = (np.cumsum(pairs) - pairs) // GRAM_PAIRS
+    cuts = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [len(count)]))
+    start = np.concatenate(([0], np.cumsum(count)))
+    # Entries from each one to the end of its row, itself included.
+    after = np.repeat(start[1:], count) - np.arange(start[-1])
+    G = np.zeros(p * p)
+    for lo, hi in zip(start[cuts[:-1]], start[cuts[1:]]):
+        n = after[lo:hi]
+        a = np.repeat(np.arange(lo, hi), n)
+        b = a + np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n)
+        f, g = unknown[a], unknown[b]
+        G += np.bincount(np.minimum(f, g) * p + np.maximum(f, g),
+                         value[a] * value[b], minlength=p * p)
+    return G.reshape(p, p)
+
+
+def _cholesky(G):
+    """Overwrite G, upper-triangular, with the upper-triangular U such that
+    U^T U = G, row by row, and return for each row j the rows above it
+    that are nonzero in column j.
+
+    Row j is G's row less the sum of the products of those rows, each
+    scaled by its entry in column j; the sum runs over them in order, and
+    a skipped row would have added 0.  (A numpy sum along the first axis
+    of a 2-d array adds row by row; only along the last axis does it add
+    pairwise.)  A pivot that is NaN or at most ``p * eps`` times its
+    diagonal entry in G, the residue that rounding can leave where the
+    exact pivot is 0, raises ``SolverError``.
+    """
+    p = len(G)
+    floor = p * np.finfo(np.float64).eps * G.diagonal()
+    above = []
+    for j in range(p):
+        rows = G[:j, j].nonzero()[0]
+        row = G[j, j:]
+        if len(rows):
+            products = G[rows, j:] * G[rows, j, None]
+            # The last row is one column wide, where sum would go pairwise.
+            row -= products.sum(axis=0) if p - j > 1 else products.cumsum()[-1]
+        if not row[0] > floor[j]:
             raise SolverError(
                 "normal equations are singular; use ridge > 0 to regularize"
-            ) from None
-    return Z[:d], Z[d]
+            )
+        row[0] = np.sqrt(row[0])
+        row[1:] /= row[0]
+        above.append(rows)
+    return above
+
+
+def _substitute(U, above, Z):
+    """Overwrite each column z of Z with the solution of U^T U x = z, where
+    ``above`` lists U's nonzeros as :func:`_cholesky` returns them.
+
+    The forward step takes from row j the sum, in order, of the solved
+    rows above it times their entries in column j; the back step subtracts
+    each solved row, times its column, from the rows above it.  Both work
+    elementwise along the columns, so each column gets the bits it would
+    get alone.
+    """
+    for j, rows in enumerate(above):
+        if len(rows):
+            Z[j] -= np.cumsum(Z[rows] * U[rows, j, None], axis=0)[-1]
+        Z[j] /= U[j, j]
+    for j, rows in reversed(list(enumerate(above))):
+        Z[j] /= U[j, j]
+        Z[rows] -= np.multiply.outer(U[rows, j], Z[j])
 
 
 @dataclass(frozen=True)

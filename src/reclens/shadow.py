@@ -268,7 +268,7 @@ def train_shadow(
             raise ValidationError("item_indices out of baseline range")
     train_fraction, seed = split
     if not 0.0 < train_fraction <= 1.0:
-        raise ValidationError("train_fraction must be in (0, 1]")
+        raise ValidationError("split must be in (0, 1]")
     check_seed(seed)
     n = meta.n_items
     rng = np.random.default_rng(seed)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
+from reclens.errors import SolverError
 from reclens.regressors import RegressionTree, TreeForest, TreeParams
 from reclens.shadow import LinearKind, ShadowModel, TreeKind
 
@@ -233,14 +235,78 @@ def shadow_factors(shadow: ShadowModel):
 
 
 def fit_linear_oracle(X, y, ridge) -> tuple[np.ndarray, float]:
-    """(w, b) from the ridge normal equations formed and solved for one
-    target alone."""
+    """(w, b) from the ridge normal equations formed with BLAS and solved
+    by LAPACK for one target alone: a cross-check of ``fit_linear``'s
+    arithmetic, equal to it only within rounding."""
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     G = A.T @ A
     G[np.diag_indices(d)] += ridge
     z = np.linalg.solve(G, A.T @ y)
     return z[:d], float(z[d])
+
+
+def fit_linear_reference(X, y, ridge) -> tuple[np.ndarray, float]:
+    """(w, b) for one target by the arithmetic of ``fit_linear_columns``,
+    written as plain scalar loops: its bits, step by step.
+
+    The unknowns are the features by ascending count of nonzeros (ties by
+    index), then the intercept.  Each Gram entry and right-hand side sums
+    its products over the rows in order.  Row j of U is G's row j less the
+    products of the rows above, summed in order; so is row j of the forward
+    substitution, and the back substitution subtracts each solved row from
+    the rows above it in turn.  Zero products are added as they come, where
+    ``fit_linear_columns`` skips them: for finite inputs that changes no
+    bit.  Forms the Gram matrix from all rows in one run, as
+    ``fit_linear_columns`` does up to ``GRAM_PAIRS`` pairs.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    p = d + 1
+    counts = [sum(1 for r in range(n) if X[r, f] != 0) for f in range(d)]
+    order = sorted(range(d), key=lambda f: counts[f])
+    cols = [[float(v) for v in X[:, f]] for f in order] + [[1.0] * n]
+    y = [float(v) for v in y]
+    G = [[0.0] * p for _ in range(p)]
+    for a in range(p):
+        for b in range(a, p):
+            for r in range(n):
+                if cols[a][r] != 0 and cols[b][r] != 0:
+                    G[a][b] += cols[a][r] * cols[b][r]
+    for a in range(d):
+        G[a][a] += ridge
+    floor = [p * np.finfo(np.float64).eps * G[a][a] for a in range(p)]
+    U = [[0.0] * p for _ in range(p)]
+    for j in range(p):
+        row = []
+        for m in range(j, p):
+            total = 0.0
+            for t in range(j):
+                total += U[t][j] * U[t][m]
+            row.append(G[j][m] - total)
+        if not row[0] > floor[j]:
+            raise SolverError("normal equations are singular; use ridge > 0 "
+                              "to regularize")
+        U[j][j] = math.sqrt(row[0])
+        for m in range(j + 1, p):
+            U[j][m] = row[m - j] / U[j][j]
+    z = [0.0] * p
+    for a in range(p):
+        for r in range(n):
+            if cols[a][r] != 0:
+                z[a] += cols[a][r] * y[r]
+    for j in range(p):
+        total = 0.0
+        for t in range(j):
+            total += U[t][j] * z[t]
+        z[j] = (z[j] - total) / U[j][j]
+    for j in reversed(range(p)):
+        z[j] /= U[j][j]
+        for t in range(j):
+            z[t] -= U[t][j] * z[j]
+    w = np.empty(d)
+    w[order] = z[:d]
+    return w, z[d]
 
 
 def write_ratings_csv(path, rows, header="userId,movieId,rating,timestamp"):

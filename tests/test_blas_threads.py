@@ -12,8 +12,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def cli_outputs(data, out, threads):
-    """Run train at ranks 8 and 50, a depth-4 tree shadow of the rank-50
-    model, and explain for one item and one user aggregate, each as its own
+    """Run train at ranks 8 and 50, a depth-4 tree and a linear shadow of
+    the rank-50 model, explain for one item and one user aggregate on each,
+    and a two-cell sweep (a linear and a tree cell), each as its own
     process with ``OPENBLAS_NUM_THREADS=threads``.  Returns every file the
     commands wrote and each one's exit code, stdout and stderr, with ``out``
     replaced by a fixed name."""
@@ -27,10 +28,18 @@ def cli_outputs(data, out, threads):
           for rank in ("8", "50")),
         ["shadow", "--model", str(out / "model50.json"), *meta, "--kind", "tree",
          "--depth", "4", "--seed", "5", "--out", str(out / "tree.json")],
-        ["explain", "--shadow", str(out / "tree.json"), *meta, "--user", "u7",
-         "--item", "m11", "--model", str(out / "model50.json")],
-        ["explain", "--shadow", str(out / "tree.json"), *meta, "--user", "u7",
-         "--user-aggregate", "--top-k", "500"],
+        ["shadow", "--model", str(out / "model50.json"), *meta, "--kind",
+         "linear", "--seed", "5", "--out", str(out / "linear.json")],
+        *(command
+          for shadow in ("tree", "linear")
+          for command in (
+              ["explain", "--shadow", str(out / f"{shadow}.json"), *meta,
+               "--user", "u7", "--item", "m11", "--model", str(out / "model50.json")],
+              ["explain", "--shadow", str(out / f"{shadow}.json"), *meta,
+               "--user", "u7", "--user-aggregate", "--top-k", "500"],
+          )),
+        ["sweep", "--ratings", str(data / "ratings.csv"), *meta, "--grid",
+         str(data / "grid.json"), "--iters", "5", "--out", str(out / "sweep.jsonl")],
     ]
     runs = []
     for argv in commands:
@@ -48,21 +57,21 @@ def cli_outputs(data, out, threads):
 
 
 def test_cli_bytes_independent_of_blas_threads(tmp_path):
-    """Models, a tree shadow and its report, and both kinds of explain are
-    the same bytes with one and with two OpenBLAS threads, on data with
-    more than 128 features after the entropy filter and a rank of 50.
-
-    The linear shadow is not here yet: its ridge solve in
-    ``fit_linear_columns`` goes through LAPACK, whose bits change with the
-    thread count from about 128 unknowns up, so its bytes are known to
-    differ between the two runs.  It joins this test once that solve is
-    made independent of the thread count."""
+    """Models, a tree and a linear shadow with their reports, both kinds of
+    explain on each, and a sweep with a linear cell are the same bytes with
+    one and with two OpenBLAS threads, on data with more than 128 features
+    after the entropy filter and a rank of 50."""
     data = tmp_path / "data"
     write_wide_data(data)
+    (data / "grid.json").write_text(json.dumps(
+        {"ranks": [50], "kinds": ["linear", "tree"], "depths": [4]}))
 
     one = cli_outputs(data, tmp_path / "one", 1)
     runs, files = one
     assert [code for _, code, _, _ in runs] == [0] * len(runs), runs
-    assert len(json.loads(files["tree.json"])["feature_names"]) >= 128
-    assert len(files) == 4
+    assert len(json.loads(files["linear.json"])["feature_names"]) >= 128
+    assert len(files) == 7
+    rows = [json.loads(line) for line in files["sweep.jsonl"].splitlines()]
+    assert [row["cell"]["kind"] for row in rows] == ["linear", "tree"]
+    assert [row["error"] for row in rows] == [None, None], rows
     assert cli_outputs(data, tmp_path / "two", 2) == one

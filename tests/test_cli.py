@@ -23,7 +23,7 @@ from reclens.regressors import MAX_TREE_DEPTH
 from reclens.shadow import load_shadow
 from reclens.synth import ExperimentConfig, SimConfig
 
-from conftest import fit_linear_oracle, write_metadata_jsonl, write_ratings_csv
+from conftest import fit_linear_reference, write_metadata_jsonl, write_ratings_csv
 from test_influence import influences_per_tree_oracle, walked_factors
 from test_ingest import load_ratings_lines_oracle
 from test_factorize import row_groups_buckets_oracle, solve_half_buckets_oracle
@@ -333,7 +333,7 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
 ):
     """train and a linear shadow write the same bytes whether ratings are
     read by blocks or line by line, and whether the factors share one Gram
-    matrix or each forms its own."""
+    matrix and factorization or each runs the scalar-loop reference."""
     rows = [(f"u{u}", f"m{i}", int(rng.integers(1, 6)), 0)
             for u in range(9) for i in range(14) if rng.random() < 0.7]
     # Repeated pairs with new ratings: the later rating wins.
@@ -363,7 +363,7 @@ def test_artifacts_match_per_line_ingest_and_per_factor_fits(
     monkeypatch.setattr(ingest, "load_ratings", load_ratings_lines_oracle)
 
     def per_factor_fits(X, Y, ridge):
-        fits = [fit_linear_oracle(X, Y[:, j], ridge) for j in range(Y.shape[1])]
+        fits = [fit_linear_reference(X, Y[:, j], ridge) for j in range(Y.shape[1])]
         return np.stack([w for w, _ in fits], axis=1), np.array([b for _, b in fits])
 
     monkeypatch.setattr(shadow_mod, "fit_linear_columns", per_factor_fits)
@@ -712,7 +712,8 @@ _VALUE_RULE = "; it must be a string, number or boolean, or a list of them"
     ({"item_id": "m2", "attributes": {"": ["m2"]}},
      "empty attribute name on item 'm2'"),
     ({"attributes": {"id": ["m2"]}}, "record must have an item_id field"),
-    (["m2", {"id": ["m2"]}], "record must have an item_id field"),
+    (["m2", {"id": ["m2"]}],
+     """record must be a JSON object, not ["m2", {"id": ["m2"]}]"""),
     ({"item_id": "m2", "attributes": ["id"]}, "attributes must be an object"),
 ])
 @pytest.mark.parametrize("command", ["shadow", "explain"])
@@ -741,7 +742,7 @@ def test_bad_metadata_value_is_one_error_line(
 
 @pytest.mark.parametrize("command, flags, message", [
     ("train", ["--tol", "-1"], "convergence_tol must be >= 0"),
-    ("shadow", ["--split", "0"], "train_fraction must be in (0, 1]"),
+    ("shadow", ["--split", "0"], "split must be in (0, 1]"),
     ("shadow", ["--min-leaf", "0"], "min_leaf must be >= 1"),
     ("shadow", ["--min-features", "0"], "min_features must be >= 1"),
     ("explain", ["--top-k", "0"], "top_k must be >= 1"),

@@ -84,6 +84,13 @@ class TestRatingsMatrix:
             RatingsMatrix(25, 40, users, items, ratings)
         assert RatingsMatrix(25, 40, users[:-1], items[:-1], ratings[:-1]).nnz == 1000
 
+    def test_pairs_unique_is_a_keyword_promise_that_skips_the_check(self):
+        """``pairs_unique=True`` takes the caller's word that no pair
+        repeats; it can only be passed by name."""
+        assert RatingsMatrix(2, 2, [0, 0], [0, 0], [3.0, 4.0], pairs_unique=True).nnz == 2
+        with pytest.raises(TypeError):
+            RatingsMatrix(2, 2, [0], [0], [3.0], (1.0, 5.0), None, None, True)
+
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
             RatingsMatrix(1, 1, [0], [1], [3.0])

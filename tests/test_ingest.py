@@ -121,6 +121,28 @@ class TestLoadRatings:
         assert (rm.nnz, returned) == (100_000, 2_400_000)
         assert peak <= 2.5 * returned
 
+    @pytest.mark.parametrize("repeats", [0, 3])
+    def test_pairs_are_checked_by_one_sort(self, tmp_path, rng, monkeypatch,
+                                           repeats):
+        """load_ratings finds and resolves repeated pairs itself, and so
+        builds the matrix without its second sort of the pairs; the result
+        has no repeated pair, as the matrix's own check confirms."""
+        path = tmp_path / "r.csv"
+        self.write_100k(path, rng)
+        lines = path.read_text().splitlines(keepends=True)
+        with open(path, "a") as fh:
+            fh.writelines(lines[1:1 + repeats])
+        promised = []
+
+        def spy(*args, pairs_unique=False, **kwargs):
+            promised.append(pairs_unique)
+            return RatingsMatrix(*args, pairs_unique=pairs_unique, **kwargs)
+
+        monkeypatch.setattr(ingest, "RatingsMatrix", spy)
+        rm = load_ratings(path)
+        assert promised == [True] and rm.nnz == 100_000
+        RatingsMatrix(rm.n_users, rm.n_items, rm.users, rm.items, rm.ratings)
+
     def test_arrays_own_their_rows_alone(self, tmp_path, rng):
         """Each returned array is read-only and owns exactly its rows'
         memory, which it shares with no other array; so does each array
