@@ -68,9 +68,9 @@ SPARSE_DENSITY = 0.1
 SPLIT_CELLS = 1 << 16
 
 # Pairs of nonzeros in one row whose products fit_linear_columns sums at
-# once while it forms the Gram matrix (_gram): each step holds about 48
-# bytes per pair besides the (features + 1)^2 matrix.  Each step takes one
-# row at least.
+# once while it forms the Gram matrix (_gram): each step holds about 64
+# bytes per pair besides two (features + 1)^2 float matrices.  Each step
+# takes one row at least.
 GRAM_PAIRS = 1 << 15
 
 
