@@ -9,11 +9,16 @@ on the item's path, so every other feature reports exactly 0.0 and sorts
 by name.  ``TreeForest.walk`` routes the items through all factor trees
 together, one numpy step per tree level, in groups of trees capped by
 ``regressors.FOREST_PAIRS``, once per group; that one route gives the
-shadow rating, the path features and their flip effects.  A linear
-shadow's flip effect is the same for every item, so its
-item-set influence is (mean(x) - p) times that effect, and over the whole
-item universe it is exactly 0.0 for every feature.  ``qii_monte_carlo``
-samples from an empirical value pool and serves as a cross-check.
+shadow rating, the path features and their flip effects.  None of these
+depends on the user, so each metadata row is routed once per shadow and
+``MetadataMatrix``: the shadow keeps a memo of every row it has routed
+(``_RowMemo``; for a linear shadow, of each row's predicted factors), and
+a query walks only the rows the memo lacks, then gathers every row's
+entries from it.  A linear shadow's flip effect is the same for every
+item, so its item-set influence is (mean(x) - p) times that effect, and
+over the whole item universe it is exactly 0.0 for every feature.
+``qii_monte_carlo`` samples from an empirical value pool and serves as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -151,42 +156,144 @@ def qii_monte_carlo(
     return float(total / samples)
 
 
-def _influences(shadow, X, user, marginals):
-    """Exact-binary influence of every feature, averaged over the rows of X:
-    mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0)); and f_1 .. f_k
-    for every row, the (rows, k) array that ``predicted_factors_batch``
-    returns.
+class _RowMemo:
+    """What ``explain`` needs of the rows of one ``MetadataMatrix`` that no
+    user changes: each row's k predicted factors and, for a tree shadow,
+    its route entries, the (tree, feature, flip effect) triples of
+    ``TreeForest.walk`` in walk order, each with the feature's lean
+    x_f - p_f and its cell, the feature's column in its tree's row of
+    ``_influences``' (k, max(features, 2)) array.
+
+    The factors fill a (rows, k) array beside a mask of the rows held; the
+    entries are appended to flat buffers, a row's ``count`` entries from
+    ``start`` on.  A fill routes all the rows it is given together, in a
+    few vectorized calls.  Buffers grow into new arrays and a held entry
+    is never rewritten, so the views that a one-row gather returns stay
+    valid.  Memory: the (rows, k) factors and three per-row indices, plus
+    at most k * max_depth entries of 32 bytes for each distinct row that
+    has been queried.  The memo holds ``meta`` itself, not its id, which
+    a later matrix could reuse.
+    """
+
+    def __init__(self, shadow, meta):
+        n = meta.n_items
+        self.meta = meta
+        self.width = max(meta.n_features, 2)
+        self.factors = np.empty((n, shadow.rank))
+        self.filled = np.zeros(n, dtype=bool)
+        self.start = np.zeros(n, dtype=np.intp)
+        self.count = np.zeros(n, dtype=np.intp)
+        self.size = 0
+        self.trees = self.cells = np.empty(0, dtype=np.intp)
+        self.lean = self.effects = np.empty(0)
+
+    def fill(self, shadow, rows):
+        """Hold the distinct ``rows``: one ``walk`` per group of trees of
+        ``forest.groups``, or the linear factors."""
+        X = self.meta.X[rows]
+        forest = shadow.forest
+        if forest is None:
+            self.factors[rows] = shadow.predicted_factors_batch(X)
+            self.filled[rows] = True
+            return
+        parts = []
+        for group in forest.groups(len(rows)):
+            predicted, *entries = forest.walk(X, group)
+            self.factors[rows, group.start:group.stop] = predicted.T
+            parts.append(entries)
+        trees, at, features, effects = (
+            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+        start, end = self.size, self.size + len(trees)
+        if end > len(self.trees):
+            capacity = max(end, len(self.trees) * 3 // 2)
+            for name in ("trees", "cells", "lean", "effects"):
+                held = getattr(self, name)
+                grown = np.empty(capacity, dtype=held.dtype)
+                grown[:start] = held[:start]
+                setattr(self, name, grown)
+        cells = trees * self.width + features
+        lean = X[at, features] - self.meta.marginals[features]
+        span = slice(start, end)
+        if len(rows) == 1:
+            self.start[rows[0]], self.count[rows[0]] = start, end - start
+            self.trees[span], self.cells[span] = trees, cells
+            self.lean[span], self.effects[span] = lean, effects
+        else:  # by row, each row's entries in walk order
+            order = np.argsort(at, kind="stable")
+            for held, values in ((self.trees, trees), (self.cells, cells),
+                                 (self.lean, lean), (self.effects, effects)):
+                np.take(values, order, out=held[span])
+            count = np.bincount(at, minlength=len(rows))
+            self.start[rows] = start + np.cumsum(count) - count
+            self.count[rows] = count
+        self.size = end
+        self.filled[rows] = True
+
+    def gather(self, rows):
+        """(factors, trees, cells, lean, effects) of ``rows`` in order, a
+        repeated row as often as it repeats; one row's are views."""
+        if len(rows) == 1:
+            row = rows[0]
+            at = slice(self.start[row], self.start[row] + self.count[row])
+            factors = self.factors[row:row + 1]
+        else:
+            count = self.count[rows]
+            at = np.repeat(self.start[rows] - (np.cumsum(count) - count), count)
+            at += np.arange(len(at))
+            factors = self.factors[rows]
+        return factors, self.trees[at], self.cells[at], self.lean[at], self.effects[at]
+
+
+def _gathered(shadow, meta, rows):
+    """:meth:`_RowMemo.gather` of ``rows`` from the shadow's memo for
+    ``meta``, after filling the rows it lacks; a ``meta`` other than the
+    memo's starts a new one.  All of it runs under the shadow's lock."""
+    with shadow._memo_lock:
+        memo = shadow._memo
+        if memo is None or memo.meta is not meta:
+            memo = _RowMemo(shadow, meta)
+            object.__setattr__(shadow, "_memo", memo)
+        if len(rows) == 1:
+            if not memo.filled[rows[0]]:
+                memo.fill(shadow, rows)
+        else:
+            lacking = np.zeros(len(memo.filled), dtype=bool)
+            lacking[rows] = True
+            lacking &= ~memo.filled
+            if lacking.any():
+                memo.fill(shadow, np.flatnonzero(lacking))
+        return memo.gather(rows)
+
+
+def _influences(shadow, meta, rows, user):
+    """Exact-binary influence of every feature, averaged over the metadata
+    rows ``rows``: mean over rows of (x_f - p_f) * (m(x|f=1) - m(x|f=0));
+    and f_1 .. f_k for every row, the (rows, k) array that
+    ``predicted_factors_batch`` returns.
 
     A tree contributes only for the features tested on a row's path; any
-    other flip leaves its prediction unchanged.  One ``TreeForest.walk``
-    per group of trees gives the factor predictions, the path features and
-    their flip effects.  Each tree's sums fill one row of a (k, features)
-    array, whose rows are added in factor order.  A linear factor's flip
-    effect is its weight, whatever the row.
+    other flip leaves its prediction unchanged.  The path features, their
+    flip effects and the factors come from the shadow's row memo, which
+    walks each row once (:class:`_RowMemo`).  One ``bincount`` adds each
+    (tree, feature) cell's terms in row order into a (k, features) array,
+    whose rows are added in factor order.  A linear factor's flip effect is
+    its weight, whatever the row.
     """
     u = shadow.user_factors[user]
-    n, n_features = X.shape
-    forest = shadow.forest
-    if forest is None:
+    n_features = meta.n_features
+    factors, trees, cells, lean, effects = _gathered(shadow, meta, rows)
+    if shadow.forest is None:
         out = np.zeros(n_features)
-        out += (X.mean(axis=0) - marginals) * (shadow.weights @ u)
-        return out, shadow.predicted_factors_batch(X)
-    factors = np.empty((n, forest.n_trees))
+        out += (meta.X[rows].mean(axis=0) - meta.marginals) * (shadow.weights @ u)
+        return out, factors
     # A sum over axis 0 adds the rows one after another, in factor order,
     # when a row holds two values or more; a one-column array would be
-    # summed pairwise, so it gets a second column of zeros.
-    sums = np.zeros((forest.n_trees, max(n_features, 2)))
-    for group in forest.groups(n):
-        predicted, trees, rows, features, effects = forest.walk(X, group)
-        factors[:, group.start:group.stop] = predicted.T
-        lean = X[rows, features] - marginals[features]
-        sums[group.start:group.stop, :n_features] = np.bincount(
-            (trees - group.start) * n_features + features,
-            lean * (u[trees] * effects),
-            minlength=len(group) * n_features,
-        ).reshape(len(group), n_features)
-    sums /= n
-    return sums.sum(axis=0)[:n_features], factors
+    # summed pairwise, so its rows get a second column, of zeros.
+    k, width = shadow.forest.n_trees, max(n_features, 2)
+    # (bincount returns integers when it is given no entry.)
+    sums = np.bincount(cells, lean * (u[trees] * effects), minlength=k * width)
+    sums = sums / len(rows)
+    return sums.reshape(k, width).sum(axis=0)[:n_features], factors
 
 
 def explain(
@@ -243,7 +350,7 @@ def explain(
             f"{outside} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
-    values, factors = _influences(shadow, meta.X[rows], query.user, meta.marginals)
+    values, factors = _influences(shadow, meta, rows, query.user)
     shadow_rating = float((factors @ shadow.user_factors[query.user]).mean())
     # Only the features that moved are sorted; every other one is +0.0
     # (each sum starts from +0.0) and follows in name order.

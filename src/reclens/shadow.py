@@ -6,7 +6,8 @@ factor trees as one ``TreeForest``, so predicting every factor for a batch
 of items takes one numpy step per tree level for all trees together, in
 groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
 does not predict the factors apart: it reads them off the forest's
-``walk``, the same route that finds the features to score.  A linear
+``walk``, the same route that finds the features to score, once per
+metadata row, and keeps them in the shadow's memo of routed rows.  A linear
 shadow holds one (features, k) weight matrix and k intercepts, and every
 linear prediction goes through ``regressors.predict_linear``, whose rows do
 not depend on the batch: an item's factors, and so its ratings, are the same
@@ -17,6 +18,7 @@ distinct item once and gather those factors for every pair and block.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -107,7 +109,13 @@ class ShadowModel:
     object array of ``(name, 0.0)`` pairs in name order, which ``explain``
     ranks after every feature that moved; ``row_of_item``, a dict from each
     baseline item to its metadata row (the last, for a repeated item); and
-    ``in_eval``, whether each row's item is in ``eval_items``.
+    ``in_eval``, whether each row's item is in ``eval_items``.  These are
+    built once, here, so threads that share the shadow never race to build
+    them.  The one thing filled later is ``_memo``, ``influence.explain``'s
+    memo of the metadata rows it has routed: it starts empty, fills as
+    queries arrive, and each query reads and fills it under the shadow's
+    own ``_memo_lock``, so threads may share the shadow.  A copy or an
+    unpickled shadow starts with an empty memo.
     """
 
     user_factors: np.ndarray
@@ -180,8 +188,6 @@ class ShadowModel:
                     f"item index {self.item_indices[outside][0]} has no item id "
                     f"among {n_ids}"
                 )
-        # Built once, here, so threads that share the shadow never race to
-        # build them.
         name_rank = np.empty(len(names), dtype=np.intp)
         name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
             len(names)
@@ -196,8 +202,19 @@ class ShadowModel:
             ("row_of_item", {item: row for row, item in
                              enumerate(self.item_indices.tolist())}),
             ("in_eval", np.isin(self.item_indices, self.eval_items)),
+            ("_memo", None),
+            ("_memo_lock", threading.Lock()),
         ):
             object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        """The fields and built attributes, less the memo and its lock,
+        which a copy or an unpickled shadow makes afresh."""
+        return {name: value for name, value in self.__dict__.items()
+                if name not in ("_memo", "_memo_lock")}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, _memo=None, _memo_lock=threading.Lock())
 
     @property
     def rank(self) -> int:

@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -508,11 +512,12 @@ class TestExplainAgainstOracle:
         assert [n for n, _ in report.influences[len(values) - len(zeros):]] == zeros
 
 
-def influences_per_tree_oracle(shadow, X, user, marginals):
+def influences_per_tree_oracle(shadow, meta, rows, user):
     """``influence._influences`` for a tree shadow, one factor at a time and
-    one row at a time: each tree's path features and flip effects found by
-    walking its node objects from the root, added into the result in factor
-    order; and the factor predictions by the same walks."""
+    one row at a time, with no memo: each tree's path features and flip
+    effects found by walking its node objects from the root, added into the
+    result in factor order; and the factor predictions by the same walks."""
+    X, marginals = meta.X[rows], meta.marginals
     u = shadow.user_factors[user]
     out = np.zeros(X.shape[1])
     for j, tree in enumerate(shadow.forest.trees):
@@ -615,7 +620,8 @@ class TestForestAgainstPerTreeOracle:
     def test_one_walk_per_tree_group(self, rng, monkeypatch):
         # Each group of factor trees is routed once from the roots and has
         # at most one descent for the flipped sides; nothing predicts the
-        # factors again.
+        # factors again.  Each query gets a new MetadataMatrix of the same
+        # rows, so the shadow's row memo holds none of them.
         n_items, d = 30, 8
         X = (rng.random((n_items, d)) < 0.5).astype(float)
         meta = make_meta(n_items, {
@@ -641,11 +647,117 @@ class TestForestAgainstPerTreeOracle:
             groups = len(shadow.forest.groups(len(scope.items)
                                               if isinstance(scope, ItemSet) else 1))
             calls.clear()
-            explain(shadow, meta, InfluenceQuery(0, scope), top_k=d)
+            fresh = MetadataMatrix(meta.feature_names, meta.X)
+            explain(shadow, fresh, InfluenceQuery(0, scope), top_k=d)
             descents = calls.count("_descend")
             assert groups <= descents <= 2 * groups
             assert set(calls) == {"_descend"}
         assert groups == 3
+
+
+def memo_shadows(rng, n_items=40, d=9, rank=4):
+    """A tree shadow of fitted and hand-built trees, and a linear shadow,
+    over the same random 0/1 metadata."""
+    X = rng.random((n_items, d)) < 0.4
+    meta = make_meta(n_items, {
+        f"m{j}": set(np.flatnonzero(X[:, j]).tolist()) for j in range(d)
+    })
+    trees = [fit_tree(X, rng.normal(size=n_items), TreeParams(max_depth=3)),
+             random_tree(rng, d, 4), leaf_tree(0.5, d), random_tree(rng, d, 2)]
+    users = rng.normal(size=(3, rank))
+    return meta, [
+        manual_shadow(trees[:rank], users, meta),
+        manual_shadow((rng.normal(size=(d, rank)), rng.normal(size=rank)), users, meta),
+    ]
+
+
+def memo_queries(rng, n_items, count=30):
+    """Single items and item sets, interleaved, for three users; sets
+    repeat items, and items come back for other users."""
+    queries = []
+    for q in range(count):
+        user = q % 3
+        if q % 3:
+            queries.append(InfluenceQuery(user, SingleItem(int(rng.integers(n_items)))))
+        else:
+            items = rng.integers(n_items, size=int(rng.integers(1, 12))).tolist()
+            queries.append(InfluenceQuery(user, ItemSet(tuple(items + items[:2]))))
+    return queries
+
+
+def fresh_report(shadow, meta, query):
+    """explain on a new copy of the shadow, whose row memo is empty."""
+    return explain(dataclasses.replace(shadow), meta, query, top_k=meta.n_features)
+
+
+class TestRowMemo:
+    def test_warm_reports_are_the_fresh_bits(self, rng):
+        """Every report from one shadow, whose memo fills as the queries
+        come, is the same JSON, signed zeros included, as from a fresh
+        shadow."""
+        meta, shadows = memo_shadows(rng)
+        queries = memo_queries(rng, meta.n_items)
+        for shadow in shadows:
+            for query in queries + queries[::-1]:
+                report = explain(shadow, meta, query, top_k=meta.n_features)
+                assert report.to_json() == fresh_report(shadow, meta, query).to_json()
+            assert shadow._memo.meta is meta
+
+    def test_a_repeated_query_walks_no_tree(self, rng, monkeypatch):
+        meta, (shadow, _) = memo_shadows(rng)
+        walks = []
+        original = TreeForest.walk
+        monkeypatch.setattr(TreeForest, "walk",
+                            lambda *a, **k: walks.append(1) or original(*a, **k))
+        for scope in (SingleItem(3), ItemSet((3, 5, 5, 7)), ItemSet((7, 8))):
+            walks.clear()
+            explain(shadow, meta, InfluenceQuery(0, scope), top_k=4)
+            assert walks  # each scope holds a row not asked for before
+            for user in (0, 1, 2):
+                walks.clear()
+                explain(shadow, meta, InfluenceQuery(user, scope), top_k=4)
+                assert walks == []
+
+    def test_other_metadata_starts_a_fresh_memo(self, rng):
+        """A MetadataMatrix with the same names and other rows is not read
+        from the memo of the first; going back starts afresh again."""
+        meta, shadows = memo_shadows(rng)
+        other = MetadataMatrix(meta.feature_names, ~meta.X)
+        queries = memo_queries(rng, meta.n_items, count=12)
+        for shadow in shadows:
+            for query in queries:
+                for m in (meta, other, meta):
+                    report = explain(shadow, m, query, top_k=m.n_features)
+                    assert report.to_json() == fresh_report(shadow, m, query).to_json()
+                    assert shadow._memo.meta is m
+
+    def test_threads_sharing_a_shadow_get_the_fresh_reports(self, rng):
+        meta, shadows = memo_shadows(rng, n_items=120)
+        queries = memo_queries(rng, meta.n_items, count=60)
+        for shadow in shadows:
+            expected = [fresh_report(shadow, meta, q).to_json() for q in queries]
+            barrier = threading.Barrier(3)
+
+            def serve(order):
+                barrier.wait()
+                return {i: explain(shadow, meta, queries[i],
+                                   top_k=meta.n_features).to_json() for i in order}
+
+            orders = [range(len(queries)), range(len(queries))[::-1],
+                      rng.permutation(len(queries)).tolist()]
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                for served in pool.map(serve, orders):
+                    assert [served[i] for i in range(len(queries))] == expected
+
+    def test_copies_start_with_an_empty_memo(self, rng):
+        meta, shadows = memo_shadows(rng)
+        query = InfluenceQuery(1, ItemSet((2, 4, 4)))
+        for shadow in shadows:
+            report = explain(shadow, meta, query, top_k=5)
+            for copied in (copy.deepcopy(shadow), pickle.loads(pickle.dumps(shadow))):
+                assert copied._memo is None
+                assert copied._memo_lock is not shadow._memo_lock
+                assert explain(copied, meta, query, top_k=5) == report
 
 
 def assert_ranked_as_full_sort(shadow, meta, query, top_k):
@@ -655,7 +767,7 @@ def assert_ranked_as_full_sort(shadow, meta, query, top_k):
     scope = query.scope
     items = [scope.item] if isinstance(scope, SingleItem) else scope.items
     values, _ = influence._influences(
-        shadow, meta.X[shadow.rows_of_items(items)], query.user, meta.marginals
+        shadow, meta, shadow.rows_of_items(items), query.user
     )
     assert not (np.signbit(values) & (values == 0.0)).any()
     report = explain(shadow, meta, query, top_k=top_k)

@@ -323,12 +323,58 @@ class TestFitLinearColumns:
             else:
                 np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 5, 7, 8, 63, 64, 65, 130])
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_popcount_gram_is_the_summed_gram(self, monkeypatch, rng, n, boolean):
+        """The Gram matrix that fit_linear_columns factors is the same from
+        popcounts as from _gram's sums, run by run or whole, on 0/1 X
+        with all-zero and all-one columns, at any row count; and the
+        fits are the same bits."""
+        grams = []
+        factor = regressors._cholesky
+        monkeypatch.setattr(regressors, "_cholesky",
+                            lambda G: grams.append(G.copy()) or factor(G))
+        for _ in range(3):
+            X = rng.random((n, 12)) < rng.uniform(0.2, 0.8)
+            X[:, 3], X[:, 7] = False, True
+            X = X if boolean else X.astype(float)
+            Y = rng.normal(size=(n, 3))
+            fits = []
+            # Popcounts, then _gram whole and one row per run.
+            for density, pairs in ((0.0, 1 << 15), (2.0, 1 << 15), (2.0, 1)):
+                monkeypatch.setattr(regressors, "SPARSE_DENSITY", density)
+                monkeypatch.setattr(regressors, "GRAM_PAIRS", pairs)
+                grams.clear()
+                weights, intercepts = fit_linear_columns(X, Y, ridge=0.5)
+                fits.append((grams[0], weights, intercepts))
+            for other in fits[1:]:
+                for a, b in zip(other, fits[0]):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_popcount_gram_only_on_dense_binary_x(self, monkeypatch, rng):
+        calls = []
+        gram = regressors._gram
+        monkeypatch.setattr(regressors, "_gram",
+                            lambda *a: calls.append("sums") or gram(*a))
+        popcount = regressors._popcount_gram
+        monkeypatch.setattr(regressors, "_popcount_gram",
+                            lambda *a: calls.append("popcounts") or popcount(*a))
+        dense = rng.random((50, 8)) < 0.5
+        sparse = np.zeros((50, 8), dtype=bool)
+        sparse[np.arange(3), np.arange(3)] = True
+        for X, path in ((dense, "popcounts"), (dense.astype(float), "popcounts"),
+                        (dense * 2.0, "sums"), (sparse, "sums")):
+            calls.clear()
+            fit_linear_columns(X, rng.normal(size=(50, 2)), ridge=0.1)
+            assert calls == [path]
+
     def test_fit_calls_no_blas(self):
         """The linear fit multiplies no matrices and calls no np.linalg
         routine, so BLAS cannot change its bits."""
         banned = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
         for function in (fit_linear_columns, regressors._gram,
-                         regressors._cholesky, regressors._substitute):
+                         regressors._popcount_gram, regressors._cholesky,
+                         regressors._substitute):
             tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
             for node in ast.walk(tree):
                 assert not isinstance(node, ast.MatMult), function.__name__
