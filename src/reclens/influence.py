@@ -14,9 +14,13 @@ depends on the user, so each metadata row is routed once per shadow and
 ``MetadataMatrix``: the shadow keeps a memo of every row it has routed
 (``_RowMemo``; for a linear shadow, of each row's predicted factors), and
 a query walks only the rows the memo lacks, then gathers every row's
-entries from it.  A linear shadow's flip effect is the same for every
-item, so its item-set influence is (mean(x) - p) times that effect, and
-over the whole item universe it is exactly 0.0 for every feature.
+entries from it.  The matrix's feature names are checked against the
+shadow's once, when its memo starts.  A single item's query then does
+work in proportion to its row's path entries, plus one copy of the
+shadow's name-ordered zeros.  A linear shadow's flip effect is the same
+for every item, so its item-set influence is (mean(x) - p) times that
+effect, and over the whole item universe it is exactly 0.0 for every
+feature.
 ``qii_monte_carlo`` samples from an empirical value pool and serves as a
 cross-check.
 """
@@ -161,8 +165,9 @@ class _RowMemo:
     user changes: each row's k predicted factors and, for a tree shadow,
     its route entries, the (tree, feature, flip effect) triples of
     ``TreeForest.walk`` in walk order, each with the feature's lean
-    x_f - p_f and its cell, the feature's column in its tree's row of
-    ``_influences``' (k, max(features, 2)) array.
+    x_f - p_f.  A row's entries are in tree order, one per (tree, feature)
+    cell: ``walk`` orders them by tree, row and level, and a fill's stable
+    sort by row keeps that.
 
     The factors fill a (rows, k) array beside a mask of the rows held; the
     entries are appended to flat buffers, a row's ``count`` entries from
@@ -172,19 +177,19 @@ class _RowMemo:
     valid.  Memory: the (rows, k) factors and three per-row indices, plus
     at most k * max_depth entries of 32 bytes for each distinct row that
     has been queried.  The memo holds ``meta`` itself, not its id, which
-    a later matrix could reuse.
+    a later matrix could reuse, and is only started for a ``meta`` whose
+    feature names are the shadow's.
     """
 
     def __init__(self, shadow, meta):
         n = meta.n_items
         self.meta = meta
-        self.width = max(meta.n_features, 2)
         self.factors = np.empty((n, shadow.rank))
         self.filled = np.zeros(n, dtype=bool)
         self.start = np.zeros(n, dtype=np.intp)
         self.count = np.zeros(n, dtype=np.intp)
         self.size = 0
-        self.trees = self.cells = np.empty(0, dtype=np.intp)
+        self.trees = self.features = np.empty(0, dtype=np.intp)
         self.lean = self.effects = np.empty(0)
 
     def fill(self, shadow, rows):
@@ -206,21 +211,20 @@ class _RowMemo:
         start, end = self.size, self.size + len(trees)
         if end > len(self.trees):
             capacity = max(end, len(self.trees) * 3 // 2)
-            for name in ("trees", "cells", "lean", "effects"):
+            for name in ("trees", "features", "lean", "effects"):
                 held = getattr(self, name)
                 grown = np.empty(capacity, dtype=held.dtype)
                 grown[:start] = held[:start]
                 setattr(self, name, grown)
-        cells = trees * self.width + features
         lean = X[at, features] - self.meta.marginals[features]
         span = slice(start, end)
         if len(rows) == 1:
             self.start[rows[0]], self.count[rows[0]] = start, end - start
-            self.trees[span], self.cells[span] = trees, cells
+            self.trees[span], self.features[span] = trees, features
             self.lean[span], self.effects[span] = lean, effects
         else:  # by row, each row's entries in walk order
             order = np.argsort(at, kind="stable")
-            for held, values in ((self.trees, trees), (self.cells, cells),
+            for held, values in ((self.trees, trees), (self.features, features),
                                  (self.lean, lean), (self.effects, effects)):
                 np.take(values, order, out=held[span])
             count = np.bincount(at, minlength=len(rows))
@@ -230,7 +234,7 @@ class _RowMemo:
         self.filled[rows] = True
 
     def gather(self, rows):
-        """(factors, trees, cells, lean, effects) of ``rows`` in order, a
+        """(factors, trees, features, lean, effects) of ``rows`` in order, a
         repeated row as often as it repeats; one row's are views."""
         if len(rows) == 1:
             row = rows[0]
@@ -241,16 +245,23 @@ class _RowMemo:
             at = np.repeat(self.start[rows] - (np.cumsum(count) - count), count)
             at += np.arange(len(at))
             factors = self.factors[rows]
-        return factors, self.trees[at], self.cells[at], self.lean[at], self.effects[at]
+        return (factors, self.trees[at], self.features[at], self.lean[at],
+                self.effects[at])
 
 
 def _gathered(shadow, meta, rows):
     """:meth:`_RowMemo.gather` of ``rows`` from the shadow's memo for
-    ``meta``, after filling the rows it lacks; a ``meta`` other than the
-    memo's starts a new one.  All of it runs under the shadow's lock."""
+    ``meta``, after filling the rows it lacks.  A ``meta`` other than the
+    memo's starts a new one, once its feature names are found to be the
+    shadow's; one named otherwise raises ``ValidationError`` and leaves the
+    memo as it was.  All of it runs under the shadow's lock."""
     with shadow._memo_lock:
         memo = shadow._memo
         if memo is None or memo.meta is not meta:
+            if tuple(meta.feature_names) != tuple(shadow.feature_names):
+                raise ValidationError(
+                    "metadata feature names do not match the shadow model's features"
+                )
             memo = _RowMemo(shadow, meta)
             object.__setattr__(shadow, "_memo", memo)
         if len(rows) == 1:
@@ -274,26 +285,32 @@ def _influences(shadow, meta, rows, user):
     A tree contributes only for the features tested on a row's path; any
     other flip leaves its prediction unchanged.  The path features, their
     flip effects and the factors come from the shadow's row memo, which
-    walks each row once (:class:`_RowMemo`).  One ``bincount`` adds each
-    (tree, feature) cell's terms in row order into a (k, features) array,
-    whose rows are added in factor order.  A linear factor's flip effect is
-    its weight, whatever the row.
+    walks each row once (:class:`_RowMemo`).  For several rows, one
+    ``bincount`` adds each (tree, feature) cell's terms in row order into a
+    (k, features) array, whose rows are added in factor order.  One row has
+    at most one term per cell, held in tree order, so a ``bincount`` by
+    feature adds the same terms in the same order.  A linear factor's flip
+    effect is its weight, whatever the row.
     """
     u = shadow.user_factors[user]
     n_features = meta.n_features
-    factors, trees, cells, lean, effects = _gathered(shadow, meta, rows)
-    if shadow.forest is None:
-        out = np.zeros(n_features)
-        out += (meta.X[rows].mean(axis=0) - meta.marginals) * (shadow.weights @ u)
-        return out, factors
-    # A sum over axis 0 adds the rows one after another, in factor order,
-    # when a row holds two values or more; a one-column array would be
-    # summed pairwise, so its rows get a second column, of zeros.
-    k, width = shadow.forest.n_trees, max(n_features, 2)
+    factors, trees, features, lean, effects = _gathered(shadow, meta, rows)
     # (bincount returns integers when it is given no entry.)
-    sums = np.bincount(cells, lean * (u[trees] * effects), minlength=k * width)
-    sums = sums / len(rows)
-    return sums.reshape(k, width).sum(axis=0)[:n_features], factors
+    out = np.zeros(n_features)
+    if shadow.forest is None:
+        out += (meta.X[rows].mean(axis=0) - meta.marginals) * (shadow.weights @ u)
+    elif len(rows) == 1:
+        out += np.bincount(features, lean * (u[trees] * effects), minlength=n_features)
+    else:
+        # A sum over axis 0 adds the rows one after another, in factor
+        # order, when a row holds two values or more; a one-column array
+        # would be summed pairwise, so its rows get a second column, of zeros.
+        k, width = shadow.forest.n_trees, max(n_features, 2)
+        sums = np.bincount(trees * width + features, lean * (u[trees] * effects),
+                           minlength=k * width)
+        sums = sums / len(rows)
+        out += sums.reshape(k, width).sum(axis=0)[:n_features]
+    return out, factors
 
 
 def explain(
@@ -310,8 +327,12 @@ def explain(
     likes".  Features sort by descending |influence| with a name tie-break
     and the list is cut to ``top_k``.  A feature that no factor tree tests
     on the items' paths reports exactly 0.0; only the nonzero values are
-    sorted, and the zeros follow from the shadow's name-ordered
-    ``zero_pairs``.
+    sorted, and the zeros follow from a copy of the shadow's name-ordered
+    tuple ``zero_pairs``, with the moved features' pairs deleted.  A single
+    item's shadow rating is its row's rating, an item set's the mean of its
+    rows'.  Metadata whose feature names are not the shadow's raises
+    ``ValidationError``; they are checked once per ``meta`` object, when
+    the shadow's row memo for it starts.
     The report warns when items lie outside the evaluation split, unless
     the scope is an item set over the shadow's whole item universe.
     A ``baseline`` must be the model the shadow was trained from: the
@@ -319,10 +340,6 @@ def explain(
     """
     if top_k < 1:
         raise ValidationError("top_k must be >= 1")
-    if tuple(meta.feature_names) != tuple(shadow.feature_names):
-        raise ValidationError(
-            "metadata feature names do not match the shadow model's features"
-        )
     if not 0 <= query.user < shadow.n_users:
         raise IndexError(f"user index {query.user} out of range")
     if baseline is not None and (
@@ -333,38 +350,49 @@ def explain(
             "the baseline model is not the one the shadow model was trained "
             "from: their user ids, item ids or user factors differ"
         )
-    if isinstance(query.scope, SingleItem):
-        items = [query.scope.item]
+    scope = query.scope
+    if isinstance(scope, SingleItem):
+        row = shadow.row_of_item.get(scope.item)
+        if row is None:
+            raise IndexError(f"item {scope.item} is not in the shadow model's "
+                             "item universe")
+        rows = [row]
+        outside = 0 if shadow.in_eval[row] else 1
     else:
-        items = query.scope.items
-    rows = shadow.rows_of_items(items)
+        rows = shadow.rows_of_items(scope.items)
+        # An item set that spans the whole item universe includes the
+        # training items by construction, so it is not warned about.  Every
+        # item is in the universe, so it spans it when it has as many
+        # distinct items.
+        whole = len(set(scope.items)) == len(shadow.row_of_item)
+        outside = 0 if whole else int(np.count_nonzero(~shadow.in_eval[rows]))
     warnings = []
-    # An item set that spans the whole item universe includes the training
-    # items by construction, so it is not warned about.  Every item is in
-    # the universe, so it spans it when it has as many distinct items.
-    whole = isinstance(query.scope, ItemSet) and len(set(items)) == len(
-        shadow.row_of_item)
-    outside = 0 if whole else int(np.count_nonzero(~shadow.in_eval[rows]))
     if outside:
         warnings.append(
             f"{outside} item(s) outside the evaluation split; "
             "the explanation may be unreliable"
         )
     values, factors = _influences(shadow, meta, rows, query.user)
-    shadow_rating = float((factors @ shadow.user_factors[query.user]).mean())
+    ratings = factors @ shadow.user_factors[query.user]
+    # The mean of one rating is that rating, bit for bit.
+    shadow_rating = float(ratings[0] if len(rows) == 1 else ratings.mean())
     # Only the features that moved are sorted; every other one is +0.0
-    # (each sum starts from +0.0) and follows in name order.
+    # (each sum starts from +0.0) and follows in name order: the name-ordered
+    # zero pairs less those of the moved features, deleted from the highest
+    # name rank down, so that each rank still indexes its own pair.
     moved = np.flatnonzero(values)
-    order = np.lexsort((shadow.name_rank[moved], -np.abs(values[moved])))
+    ranks = shadow.name_rank[moved]
+    order = np.lexsort((ranks, -np.abs(values[moved])))
     top = moved[order[:top_k]]
     ranked = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
     if len(ranked) < top_k:
-        unmoved = np.ones(len(values), dtype=bool)
-        unmoved[shadow.name_rank[moved]] = False
-        ranked += tuple(shadow.zero_pairs[unmoved][:top_k - len(ranked)])
+        zeros = list(shadow.zero_pairs)
+        for rank in sorted(ranks.tolist(), reverse=True):
+            del zeros[rank]
+        ranked += tuple(zeros[:top_k - len(ranked)])
     baseline_rating = None
-    if baseline is not None and isinstance(query.scope, SingleItem):
-        baseline_rating = predict_rating(baseline, query.user, query.scope.item)
+    if baseline is not None and isinstance(scope, SingleItem):
+        baseline_rating = predict_rating(baseline, query.user, scope.item)
     return InfluenceReport(
         query=query,
         influences=ranked,

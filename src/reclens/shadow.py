@@ -105,17 +105,18 @@ class ShadowModel:
     unique; ``user_ids`` names each user factor row and ``item_ids`` covers
     every entry of ``item_indices``.  Built at construction: ``name_rank``,
     each feature's position in name order; ``name_array``, the feature
-    names as an object array, for indexing by a ranking; ``zero_pairs``, an
-    object array of ``(name, 0.0)`` pairs in name order, which ``explain``
-    ranks after every feature that moved; ``row_of_item``, a dict from each
-    baseline item to its metadata row (the last, for a repeated item); and
-    ``in_eval``, whether each row's item is in ``eval_items``.  These are
-    built once, here, so threads that share the shadow never race to build
-    them.  The one thing filled later is ``_memo``, ``influence.explain``'s
-    memo of the metadata rows it has routed: it starts empty, fills as
-    queries arrive, and each query reads and fills it under the shadow's
-    own ``_memo_lock``, so threads may share the shadow.  A copy or an
-    unpickled shadow starts with an empty memo.
+    names as an object array, for indexing by a ranking; ``zero_pairs``, a
+    tuple of ``(name, 0.0)`` pairs in name order, which ``explain`` copies
+    and, less the features that moved, ranks after them; ``row_of_item``,
+    a dict from each baseline item to its metadata row (the last, for a
+    repeated item); and ``in_eval``, whether each row's item is in
+    ``eval_items``.  These are built once, here, so threads that share the
+    shadow never race to build them.  The one thing filled later is
+    ``_memo``, ``influence.explain``'s memo of the metadata rows it has
+    routed: it starts empty, fills as queries arrive, and each query reads
+    and fills it under the shadow's own ``_memo_lock``, so threads may
+    share the shadow.  A copy or an unpickled shadow starts with an empty
+    memo.
     """
 
     user_factors: np.ndarray
@@ -195,10 +196,7 @@ class ShadowModel:
         for name, value in (
             ("name_rank", name_rank),
             ("name_array", np.array(names, dtype=object)),
-            ("zero_pairs", np.fromiter(
-                ((name, 0.0) for name in sorted(names)), dtype=object,
-                count=len(names),
-            )),
+            ("zero_pairs", tuple((name, 0.0) for name in sorted(names))),
             ("row_of_item", {item: row for row, item in
                              enumerate(self.item_indices.tolist())}),
             ("in_eval", np.isin(self.item_indices, self.eval_items)),

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.vendor import pretty
 
 from reclens.datamodel import MetadataMatrix, RatingsMatrix
 from reclens.errors import SolverError
@@ -18,6 +19,19 @@ from reclens.shadow import LinearKind, ShadowModel, TreeKind
 # repeatable; no deadline, because example run times vary with machine load.
 settings.register_profile("reclens", derandomize=True, deadline=None)
 settings.load_profile("reclens")
+
+
+def pretty_tree(tree: RegressionTree, printer, cycle) -> None:
+    """A tree as the node lists it was built from.  Hypothesis prints a
+    dataclass from its init fields, and a tree does not keep its InitVars
+    ``feature`` and ``value``, so without this a failing example that holds
+    a tree cannot be printed."""
+    feature = np.where(np.isnan(tree._value), tree._feature, -1).tolist()
+    printer.text(f"RegressionTree(feature={feature}, value={tree._value.tolist()}, "
+                 f"n_features={tree.n_features})")
+
+
+pretty.for_type_by_name("reclens.regressors", "RegressionTree", pretty_tree)
 
 
 def identity_meta(n_items: int) -> MetadataMatrix:

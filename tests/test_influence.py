@@ -10,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.vendor.pretty import pretty
 
 from reclens import influence, regressors
 from reclens.datamodel import FactorModel, MetadataMatrix
@@ -46,6 +47,7 @@ from conftest import (
     manual_shadow,
     path_oracle,
     random_tree,
+    repeat_tree,
     walk_path,
     walk_tree,
 )
@@ -423,11 +425,49 @@ class TestExplain:
                          top_k=3)
         assert report.to_dict()["scope"] == {"single_item": 2}
 
-    def test_feature_names_must_match(self):
-        shadow, _ = linear_shadow_three_features()
-        other = make_meta(4, {"x": {0}, "y": {1}, "z": {2}})
-        with pytest.raises(ValidationError):
-            explain(shadow, other, InfluenceQuery(0, SingleItem(0)), top_k=1)
+    @pytest.mark.parametrize("item", [4, -1, 2**70])
+    def test_unknown_item_raises_as_rows_of_items(self, item):
+        shadow, meta = linear_shadow_three_features()
+        with pytest.raises(IndexError) as expected:
+            shadow.rows_of_items([item])
+        message = f"^{re.escape(str(expected.value))}$"
+        for scope in (SingleItem(item), ItemSet((0, item))):
+            with pytest.raises(IndexError, match=message):
+                explain(shadow, meta, InfluenceQuery(0, scope), top_k=1)
+
+    def test_feature_names_must_match(self, rng):
+        """Metadata named otherwise than the shadow's features raises on
+        every query, before and after a memo exists for a matching matrix,
+        and leaves that memo as it was; a new matrix with the same names
+        starts a fresh memo."""
+        message = "^metadata feature names do not match the shadow model's features$"
+        meta, shadows = memo_shadows(rng)
+        renamed = MetadataMatrix(meta.feature_names[::-1], meta.X)
+        scopes = (SingleItem(3), SingleItem(5), ItemSet((3, 7, 7)))
+        for shadow in shadows:
+            with pytest.raises(ValidationError, match=message):
+                explain(shadow, renamed, InfluenceQuery(0, SingleItem(3)), top_k=1)
+            assert shadow._memo is None
+            reports = [explain(shadow, meta, InfluenceQuery(0, s), top_k=4)
+                       for s in scopes]
+            memo = shadow._memo
+            filled, size = memo.filled.copy(), memo.size
+            for _ in range(2):
+                for scope in scopes:
+                    with pytest.raises(ValidationError, match=message):
+                        explain(shadow, renamed, InfluenceQuery(1, scope), top_k=1)
+                with pytest.raises(ValidationError, match=message):
+                    influence._influences(shadow, renamed, np.array([3]), 0)
+                assert shadow._memo is memo and memo.meta is meta
+                assert memo.size == size
+                np.testing.assert_array_equal(memo.filled, filled)
+            assert [explain(shadow, meta, InfluenceQuery(0, s), top_k=4)
+                    for s in scopes] == reports
+            same = MetadataMatrix(meta.feature_names, meta.X)
+            assert explain(shadow, same, InfluenceQuery(0, scopes[0]), top_k=4) \
+                == reports[0]
+            assert shadow._memo is not memo and shadow._memo.meta is same
+            assert shadow._memo.filled.sum() == 1
 
 
 def exact_influences_oracle(shadow, meta, user, rows):
@@ -581,7 +621,8 @@ def forest_problems(draw):
 def assert_matches_oracles(shadow, meta, query, pairs):
     """explain, and the shadow's factor predictions, are the same bits with
     the factor trees walked together, ``pairs`` pairs at a time, as with
-    each tree walked from its root for each row."""
+    each tree walked from its root for each row; and the shadow rating is
+    the mean of the walked rows' ratings, a single item's included."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(regressors, "FOREST_PAIRS", pairs)
         report = explain(shadow, meta, query, top_k=meta.n_features)
@@ -592,6 +633,11 @@ def assert_matches_oracles(shadow, meta, query, pairs):
     assert report.to_json() == oracle.to_json()  # signed zeros too
     assert predicted.flags.c_contiguous
     np.testing.assert_array_equal(predicted, walked_factors(shadow, meta.X))
+    scope = query.scope
+    rows = shadow.rows_of_items(
+        [scope.item] if isinstance(scope, SingleItem) else scope.items)
+    rating = walked_factors(shadow, meta.X)[rows] @ shadow.user_factors[query.user]
+    assert report.shadow_rating.hex() == float(rating.mean()).hex()
 
 
 class TestForestAgainstPerTreeOracle:
@@ -599,6 +645,20 @@ class TestForestAgainstPerTreeOracle:
     @given(forest_problems())
     def test_explain_is_bit_identical(self, problem):
         assert_matches_oracles(*problem)
+
+    def test_failing_examples_print(self, rng):
+        """Hypothesis prints a failing example with its vendored ``pretty``,
+        which reads a dataclass's init fields; a tree keeps none of its
+        InitVars, so it prints as its node lists, alone or in a shadow."""
+        tree = repeat_tree(3)
+        text = ("RegressionTree(feature=[0, 2, 0, -1, -1, -1, -1], "
+                "value=[nan, nan, nan, 1.0, 2.0, 3.0, 4.0], n_features=3)")
+        assert pretty(tree) == text
+        meta = make_meta(4, {"a": {0}, "b": {1, 2}, "c": {3}})
+        shadow = manual_shadow([tree, leaf_tree(0.5, 3)], rng.normal(size=(2, 2)), meta)
+        printed = pretty((shadow, meta, InfluenceQuery(0, SingleItem(1)), 2))
+        assert text in printed
+        assert "RegressionTree(feature=[-1], value=[0.5], n_features=3)" in printed
 
     def test_many_trees_over_one_feature(self, rng):
         # Twelve factors' terms for one feature are added in factor order;
