@@ -42,10 +42,13 @@ def _frozen_array(values, dtype) -> np.ndarray:
 
 
 def check_ids(kind: str, ids, n_rows: int | None = None) -> None:
-    """Reject external ``kind`` ids that repeat or, when ``n_rows`` is
-    given, that do not name exactly one factor row each."""
+    """Reject external ``kind`` ids that are not strings, that repeat or,
+    when ``n_rows`` is given, that do not name exactly one factor row each."""
     if ids is None:
         return
+    for i in ids:
+        if not isinstance(i, str):
+            raise ValidationError(f"{kind} id {i!r} is not a string")
     if n_rows is not None and len(ids) != n_rows:
         raise ValidationError(
             f"{len(ids)} {kind} ids for {n_rows} {kind} factor rows"
@@ -221,9 +224,10 @@ class MetadataMatrix:
 
 
 def read_json(path):
-    """The JSON document in ``path``; a ``FormatError`` naming the file if it
-    is not valid JSON or nests deeper than the decoder can follow."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """The JSON document in ``path``, after a UTF-8 byte-order mark if one
+    starts it; a ``FormatError`` naming the file if it is not valid JSON or
+    nests deeper than the decoder can follow."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:

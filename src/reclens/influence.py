@@ -7,10 +7,10 @@ that feature alone is resampled from its marginal distribution
 shadow's rating moves only with the features that some factor tree tests
 on the item's path, so every other feature reports exactly 0.0 and sorts
 by name.  ``TreeForest.walk`` routes the items through all factor trees
-together, one numpy step per tree level, in groups of trees capped by
-``regressors.FOREST_PAIRS``, once per group; that one route gives the
-shadow rating, the path features and their flip effects.  None of these
-depends on the user, so each metadata row is routed once per shadow and
+together, one numpy step per tree level, in groups of trees of its own;
+that one route gives the shadow rating, the path features and their flip
+effects, by row, then tree, then level.  None of these depends on the
+user, so each metadata row is routed once per shadow and
 ``MetadataMatrix``: the shadow keeps a memo of every row it has routed
 (``_RowMemo``; for a linear shadow, of each row's predicted factors), and
 a query walks only the rows the memo lacks, then gathers every row's
@@ -166,13 +166,12 @@ class _RowMemo:
     its route entries, the (tree, feature, flip effect) triples of
     ``TreeForest.walk`` in walk order, each with the feature's lean
     x_f - p_f.  A row's entries are in tree order, one per (tree, feature)
-    cell: ``walk`` orders them by tree, row and level, and a fill's stable
-    sort by row keeps that.
+    cell, because ``walk`` lists them by row, then tree, then level.
 
     The factors fill a (rows, k) array beside a mask of the rows held; the
-    entries are appended to flat buffers, a row's ``count`` entries from
-    ``start`` on.  A fill routes all the rows it is given together, in a
-    few vectorized calls.  Buffers grow into new arrays and a held entry
+    entries are appended to flat buffers as ``walk`` gives them, a row's
+    ``count`` entries from ``start`` on.  A fill routes all the rows it is
+    given in one ``walk``.  Buffers grow into new arrays and a held entry
     is never rewritten, so the views that a one-row gather returns stay
     valid.  Memory: the (rows, k) factors and three per-row indices, plus
     at most k * max_depth entries of 32 bytes for each distinct row that
@@ -193,21 +192,15 @@ class _RowMemo:
         self.lean = self.effects = np.empty(0)
 
     def fill(self, shadow, rows):
-        """Hold the distinct ``rows``: one ``walk`` per group of trees of
-        ``forest.groups``, or the linear factors."""
+        """Hold the distinct ``rows``: their ``forest.walk``, or their linear
+        factors and no entries."""
         X = self.meta.X[rows]
-        forest = shadow.forest
-        if forest is None:
-            self.factors[rows] = shadow.predicted_factors_batch(X)
-            self.filled[rows] = True
-            return
-        parts = []
-        for group in forest.groups(len(rows)):
-            predicted, *entries = forest.walk(X, group)
-            self.factors[rows, group.start:group.stop] = predicted.T
-            parts.append(entries)
-        trees, at, features, effects = (
-            parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts)))
+        if shadow.forest is None:
+            none = np.empty(0, dtype=np.intp)
+            walked = shadow.predicted_factors_batch(X), none, none, none, np.empty(0)
+        else:
+            walked = shadow.forest.walk(X)
+        self.factors[rows], trees, at, features, effects = walked
         start, end = self.size, self.size + len(trees)
         if end > len(self.trees):
             capacity = max(end, len(self.trees) * 3 // 2)
@@ -216,20 +209,13 @@ class _RowMemo:
                 grown = np.empty(capacity, dtype=held.dtype)
                 grown[:start] = held[:start]
                 setattr(self, name, grown)
-        lean = X[at, features] - self.meta.marginals[features]
         span = slice(start, end)
-        if len(rows) == 1:
-            self.start[rows[0]], self.count[rows[0]] = start, end - start
-            self.trees[span], self.features[span] = trees, features
-            self.lean[span], self.effects[span] = lean, effects
-        else:  # by row, each row's entries in walk order
-            order = np.argsort(at, kind="stable")
-            for held, values in ((self.trees, trees), (self.features, features),
-                                 (self.lean, lean), (self.effects, effects)):
-                np.take(values, order, out=held[span])
-            count = np.bincount(at, minlength=len(rows))
-            self.start[rows] = start + np.cumsum(count) - count
-            self.count[rows] = count
+        self.trees[span], self.features[span] = trees, features
+        self.lean[span] = X[at, features] - self.meta.marginals[features]
+        self.effects[span] = effects
+        count = np.bincount(at, minlength=len(rows))
+        self.start[rows] = start + count.cumsum() - count
+        self.count[rows] = count
         self.size = end
         self.filled[rows] = True
 

@@ -135,9 +135,9 @@ def load_ratings(
     users, items = np.empty(RATINGS_BLOCK, np.int64), np.empty(RATINGS_BLOCK, np.int64)
     ratings, rows = np.empty(RATINGS_BLOCK), 0
     block, first_line = [], 2  # first_line: the line number of block[0]
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
-            if not fh.readline().lower().lstrip("\ufeff").startswith("userid"):
+            if not fh.readline().lower().startswith("userid"):
                 raise ParseError(f"{path}:1: expected a header line starting with userId")
             while True:
                 first_line += len(block)
@@ -304,7 +304,7 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
     """
     path = Path(path)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(_text_lines(fh, path), start=1):
             line = line.strip()
             if not line:

@@ -27,7 +27,7 @@ step per tree level, in groups of trees capped by ``FOREST_PAIRS``; a
 single tree predicts as a forest of one.  ``TreeForest.walk`` routes each
 (tree, row) pair once and reads off it the leaf, the features tested on
 the path, each at the first node that tests it, and each one's flip
-effect, which is all that an influence report needs.
+effect, which is all that an influence report needs, by row, then tree.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import SolverError, ValidationError, check_types, is_finite_real
 
-# (tree, row) pairs that a TreeForest routes at once.  Its working set is a
-# few dozen arrays of up to pairs x depth (tree, row, feature) path entries;
+# (tree, row) pairs that a TreeForest routes at once, by row, then tree.
+# Its working set is a few dozen arrays of up to pairs x depth path entries;
 # at this cap an item set as large as a depth-8, rank-50 MovieLens-100k
 # shadow's universe still runs one tree at a time, as the per-tree loop did.
 FOREST_PAIRS = 2048
@@ -314,9 +314,10 @@ class RegressionTree:
     split feature, or -1 at a leaf, and ``value[i]`` a leaf's prediction (a
     split's is not read).  The s-th split's children are nodes 2s + 1 and
     2s + 2, left then right; rows whose feature is False go left.
-    Construction rejects a leaf value that is not a finite number, a split
-    feature that is not an integer index below ``n_features`` (a bool is
-    none), a split without children and lists that are not one tree, so a
+    Construction rejects a width ``n_features`` that is not an integer
+    >= 0, a leaf value that is not a finite number, a split feature that is
+    not an integer index below ``n_features`` (a bool is none), a split
+    without children and lists that are not one tree, so a
     tree read from a file predicts only finite numbers.  Its growth settings
     are its shadow kind's."""
 
@@ -325,6 +326,9 @@ class RegressionTree:
     n_features: int
 
     def __post_init__(self, feature, value):
+        check_types(self, integers=("n_features",))
+        if self.n_features < 0:
+            raise ValidationError(f"n_features must be >= 0, got {self.n_features}")
         n = len(feature)
         if not n or len(value) != n:
             raise ValidationError(f"{n} features and {len(value)} values are not one tree")
@@ -395,8 +399,9 @@ class TreeForest:
     The trees' flat node arrays are concatenated, each tree's child indices
     offset by the position of its root.  Trees are taken in groups of
     consecutive indices with rows x trees <= ``FOREST_PAIRS`` (one tree at
-    least), so memory stays bounded for any number of trees and rows.  A
-    lone ``RegressionTree`` routes as a forest of one.  ``predict_batch``
+    least), each descending its own depth, so memory stays bounded for any
+    number of trees and rows; no caller sees the groups.  A lone
+    ``RegressionTree`` routes as a forest of one.  ``predict_batch``
     routes every pair to its leaf; ``walk`` also keeps the route, to find
     the features on each path at the splits marked as their first test, and
     flip each one from there.  Both descend by one loop, ``_descend``.
@@ -443,14 +448,14 @@ class TreeForest:
     def n_features(self) -> int:
         return self.trees[0].n_features
 
-    def groups(self, n_rows: int) -> list[range]:
-        """Consecutive tree index ranges of at most ``FOREST_PAIRS //
-        n_rows`` trees each, and of one tree at least."""
+    def _groups(self, n_rows: int):
+        """Each run of at most ``FOREST_PAIRS // n_rows`` trees (one at
+        least): its slice, and its pairs' trees and rows, by row then tree."""
         size = max(1, FOREST_PAIRS // max(n_rows, 1))
-        return [
-            range(start, min(start + size, self.n_trees))
-            for start in range(0, self.n_trees, size)
-        ]
+        for start in range(0, self.n_trees, size):
+            width = min(size, self.n_trees - start)
+            rows, trees = np.divmod(np.arange(n_rows * width), width)
+            yield slice(start, start + width), trees + start, rows
 
     def _checked(self, X: np.ndarray) -> np.ndarray:
         """X as a boolean 2-d array of this forest's width."""
@@ -484,64 +489,65 @@ class TreeForest:
         X = self._checked(X)
         n = len(X)
         out = np.empty((n, self.n_trees))
-        for group in self.groups(n):
-            trees = np.tile(np.arange(group.start, group.stop), n)
-            rows = np.repeat(np.arange(n), len(group))
-            leaves = self._descend(X, self._root[trees], rows,
-                                   self._depth[group.start:group.stop].max(), None)
-            out[:, group.start:group.stop] = self._value[leaves].reshape(n, len(group))
+        for group, trees, rows in self._groups(n):
+            leaves = self._descend(X, self._root[trees], rows, self._depth[group].max(),
+                                   None)
+            out[:, group] = self._value[leaves].reshape(n, group.stop - group.start)
         return out
 
     def walk(
-        self, X: np.ndarray, group: range | None = None
+        self, X: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Route each pair of a tree of ``group`` (default all trees) and a
-        row of X once, and read off that route everything an influence
-        report needs.
+        """Route each (tree, row) pair of X once, and read off that route
+        everything an influence report needs.
 
         Returns (predicted, trees, rows, features, effects): ``predicted``
-        is the (len(group), rows) array of each pair's leaf value.  Each
-        triple (trees[i], rows[i], features[i]) names a feature tested on
-        that pair's path, once, ordered by tree, row, then the level at
-        which the path first tests the feature; no other feature can change
-        the tree's prediction for the row.  ``effects[i]`` is
-        f_t(x | x_j = 1) - f_t(x | x_j = 0) for t = trees[i], x = X[rows[i]],
-        j = features[i].
+        is the (rows, trees) array of each pair's leaf value, bit for bit
+        :meth:`predict_batch`'s.  Each triple (trees[i], rows[i],
+        features[i]) names a feature tested on that pair's path, once,
+        ordered by row, tree, then the level at which the path first tests
+        the feature; no other feature can change the tree's prediction for
+        the row.  ``effects[i]`` is f_t(x | x_j = 1) - f_t(x | x_j = 0) for
+        t = trees[i], x = X[rows[i]], j = features[i].
 
         The side of a flip where x_j keeps its value is the path's own leaf.
         The other side leaves the path at the first node that tests j, for
         its other child, and routes on from there reading x_j flipped, so a
         tree that tests j again lower down still reads the flipped value.
         Those first nodes are the splits whose feature no ancestor tests.
+        Each group of trees lists its entries by row; one stable sort by
+        row merges several groups.
         """
         X = self._checked(X)
-        if group is None:
-            group = range(self.n_trees)
         n = len(X)
-        pair_trees, pair_rows = np.divmod(np.arange(group.start * n, group.stop * n), n)
-        levels = self._depth[group.start:group.stop].max()
-        visited = []
-        leaves = self._descend(X, self._root[pair_trees], pair_rows, levels, None,
-                               visited)
-        predicted = self._value[leaves].reshape(len(group), n)
-        if not levels:
-            empty = np.empty(0, np.intp)
-            return predicted, empty, empty, empty, np.empty(0)
-        nodes = np.stack(visited, axis=1)
-        # Row-major order: by pair, so by tree and row, then by path level.
-        pairs, level = np.nonzero(self._first_test[nodes])
-        start = nodes[pairs, level]
-        trees, rows, features = pair_trees[pairs], pair_rows[pairs], self._feature[start]
-        held = X[rows, features]
-        # The other child of the first node that tests the feature is at
-        # least one level down, so levels - 1 steps reach a leaf from it.
-        other = self._descend(
-            X, np.where(held, self._left[start], self._right[start]), rows,
-            levels - 1, features,
-        )
-        kept, flipped = self._value[leaves[pairs]], self._value[other]
-        effects = np.where(held, kept - flipped, flipped - kept)
-        return predicted, trees, rows, features, effects
+        predicted = np.empty((n, self.n_trees))
+        parts = []
+        for group, trees, rows in self._groups(n):
+            levels, visited = self._depth[group].max(), []
+            leaves = self._descend(X, self._root[trees], rows, levels, None, visited)
+            width = group.stop - group.start
+            predicted[:, group] = self._value[leaves].reshape(n, width)
+            # By pair, so by row and tree, then by path level.  Each path
+            # ends at its leaf, which is no first test.
+            nodes = np.array(visited + [leaves]).T
+            pairs, level = np.nonzero(self._first_test[nodes])
+            start = nodes[pairs, level]
+            rows, features = rows[pairs], self._feature[start]
+            held = X[rows, features]
+            # The other child of the first node that tests the feature is at
+            # least one level down, so levels - 1 steps reach a leaf from it.
+            other = self._descend(
+                X, np.where(held, self._left[start], self._right[start]), rows,
+                levels - 1, features,
+            )
+            kept, flipped = self._value[leaves[pairs]], self._value[other]
+            parts.append((trees[pairs], rows, features,
+                          np.where(held, kept - flipped, flipped - kept)))
+        if len(parts) == 1:
+            return (predicted, *parts[0])
+        trees, rows, features, effects = map(np.concatenate, zip(*parts))
+        order = np.argsort(rows, kind="stable")
+        return predicted, trees[order], rows[order], features[order], effects[order]
 
 
 def _boolean(X) -> np.ndarray:

@@ -7,11 +7,12 @@ of items takes one numpy step per tree level for all trees together, in
 groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
 does not predict the factors apart: it reads them off the forest's
 ``walk``, the same route that finds the features to score, once per
-metadata row, and keeps them in the shadow's memo of routed rows.  A linear
-shadow holds one (features, k) weight matrix and k intercepts, and every
-linear prediction goes through ``regressors.predict_linear``, whose rows do
-not depend on the batch: an item's factors, and so its ratings, are the same
-bits in ``explain``, in ``measure_agreement``'s blocks and in ``predict``.
+metadata row, and keeps them, with the route's entries by row, tree and
+level, in the shadow's memo of routed rows.  A linear shadow holds one
+(features, k) weight matrix and k intercepts, and every linear prediction
+goes through ``regressors.predict_linear``, whose rows do not depend on
+the batch: an item's factors, and so its ratings, are the same bits in
+``explain``, in ``measure_agreement``'s blocks and in ``predict``.
 Since factors depend only on the item, the agreement metrics predict each
 distinct item once and gather those factors for every pair and block.
 """

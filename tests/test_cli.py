@@ -795,6 +795,35 @@ def test_blank_metadata_lines_are_skipped(tmp_path, shadow_fixture, capsys):
     assert explained[0] == explained[1]
 
 
+def test_byte_order_marks_are_skipped(tmp_path, shadow_fixture, capsys):
+    """Metadata, model and shadow files that start with a UTF-8 byte-order
+    mark read as the same files without it: the same stdout and the same
+    output bytes."""
+    meta, model_path, shadow_path = shadow_fixture
+    marked = []
+    for path in (meta, model_path, shadow_path):
+        marked.append(tmp_path / f"marked-{path.name}")
+        marked[-1].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+
+    def run(metadata, model, shadow, out_dir):
+        out_dir.mkdir()
+        out = out_dir / "s.json"
+        capsys.readouterr()
+        assert main([
+            "shadow", "--model", str(model), "--metadata", str(metadata),
+            "--kind", "tree", "--depth", "3", "--seed", "2", "--out", str(out),
+        ]) == 0
+        assert main([
+            "explain", "--shadow", str(shadow), "--metadata", str(metadata),
+            "--model", str(model), "--user", "u1", "--item", "m3",
+        ]) == 0
+        return (capsys.readouterr(), out.read_bytes(),
+                Path(f"{out}.report.json").read_bytes())
+
+    plain = run(meta, model_path, shadow_path, tmp_path / "plain")
+    assert run(*marked, tmp_path / "marked") == plain
+
+
 _BAD_SCALES = [
     (["--scale-min", "nan"], "rating scale (nan, 5.0) is not two finite numbers"),
     (["--scale-min", "5", "--scale-max", "1"],
@@ -1108,6 +1137,36 @@ class TestBrokenFiles:
             "explain", "--shadow", str(bad), "--metadata", str(meta),
             "--user", "u0", "--item", "m1",
         ], bad, "predictor 1 reads 13 features, but the shadow names 12")
+
+    @pytest.mark.parametrize("key, number, flag, wanted", [
+        ("user_ids", 12345, "--user", "nosuch"),
+        ("item_ids", 7.5, "--item", "zzz"),
+    ], ids=["user_ids", "item_ids"])
+    def test_numeric_ids_are_one_error_line(
+        self, tmp_path, shadow_fixture, capsys, key, number, flag, wanted
+    ):
+        """Ids read from a file are strings: a number among them is one
+        error line, not a failed lookup of an unknown id."""
+        meta, _, shadow_path = shadow_fixture
+        bad = _edit_json(shadow_path, tmp_path / "numeric.json",
+                         lambda doc: doc[key].__setitem__(0, number))
+        query = {"--user": "u0", "--item": "m1", flag: wanted}
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            *(part for pair in query.items() for part in pair),
+        ], bad, f"{key[:4]} id {number!r} is not a string")
+
+    def test_fractional_tree_width(self, tmp_path, shadow_fixture, capsys):
+        meta, _, shadow_path = shadow_fixture
+
+        def fractional(doc):
+            doc["predictors"][1]["n_features"] = 12.0
+
+        bad = _edit_json(shadow_path, tmp_path / "fractional.json", fractional)
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, "mistyped value for n_features: 12.0 is not an integer")
 
     @pytest.mark.parametrize("artifact, key, damage, detail", [
         pytest.param(*case, id="-".join(case[:3])) for case in [

@@ -115,6 +115,7 @@ class TestRatingsMatrix:
             (["a", "b"], ["x", "x"], "item id 'x' is repeated"),
             (["a", "a"], ["x", "y"], "user id 'a' is repeated"),
             (["a", "b"], ["x", "y", "z"], "3 item ids for 2 item factor rows"),
+            (["a", 12345], ["x", "y"], "user id 12345 is not a string"),
         ],
     )
     def test_ids_must_name_each_row_once(self, user_ids, item_ids, message):

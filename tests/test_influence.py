@@ -677,11 +677,40 @@ class TestForestAgainstPerTreeOracle:
                     shadow, meta, InfluenceQuery(user, scope), regressors.FOREST_PAIRS
                 )
 
+    @settings(max_examples=100)
+    @given(forest_problems(), st.sampled_from([1, 7, 2048]), st.data())
+    def test_walk_lists_entries_by_row(self, problem, pairs, data):
+        """Whatever the tree groups, ``walk`` lists its entries by row, then
+        tree, then path level; its ``predicted`` is ``predict_batch``'s
+        bits; and a walk of distinct rows gives those rows' entries of the
+        whole walk, renumbered."""
+        shadow, meta = problem[:2]
+        forest, X = shadow.forest, meta.X
+        subset = data.draw(st.lists(st.integers(0, len(X) - 1), unique=True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regressors, "FOREST_PAIRS", pairs)
+            predicted, trees, rows, features, effects = forest.walk(X)
+            assert predicted.tobytes() == forest.predict_batch(X).tobytes()
+            part = forest.walk(X[subset])
+        assert (np.diff(rows * forest.n_trees + trees) >= 0).all()
+        for t, tree in enumerate(forest.trees):
+            oracle_rows, oracle_features = path_oracle(tree, X)
+            np.testing.assert_array_equal(rows[trees == t], oracle_rows)
+            np.testing.assert_array_equal(features[trees == t], oracle_features)
+        at = np.concatenate([np.flatnonzero(rows == r) for r in subset] + [[]])
+        at = at.astype(np.intp)
+        renumbered = np.repeat(np.arange(len(subset)),
+                               [np.count_nonzero(rows == r) for r in subset])
+        assert part[0].tobytes() == predicted[subset].tobytes()
+        for got, whole in zip(part[1:], (trees[at], renumbered, features[at], effects[at])):
+            assert got.tobytes() == whole.tobytes()
+
     def test_one_walk_per_tree_group(self, rng, monkeypatch):
-        # Each group of factor trees is routed once from the roots and has
-        # at most one descent for the flipped sides; nothing predicts the
-        # factors again.  Each query gets a new MetadataMatrix of the same
-        # rows, so the shadow's row memo holds none of them.
+        # A fill walks the forest once, and the walk routes each group of
+        # factor trees once from the roots and once for the flipped sides;
+        # nothing predicts the factors again.  Each query gets a new
+        # MetadataMatrix of the same rows, so the shadow's row memo holds
+        # none of them.
         n_items, d = 30, 8
         X = (rng.random((n_items, d)) < 0.5).astype(float)
         meta = make_meta(n_items, {
@@ -698,21 +727,21 @@ class TestForestAgainstPerTreeOracle:
                 return original(*args, **kwargs)
             return wrapper
 
-        for cls, name in ((TreeForest, "_descend"), (TreeForest, "predict_batch"),
+        for cls, name in ((TreeForest, "walk"), (TreeForest, "_descend"),
+                          (TreeForest, "predict_batch"),
                           (ShadowModel, "predicted_factors_batch")):
             monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
-        for pairs, scope in ((2048, SingleItem(4)), (2048, ItemSet(tuple(range(30)))),
-                             (60, ItemSet(tuple(range(30))))):
+        # 60 pairs over 30 rows make groups of 2 of the 5 trees.
+        for pairs, scope, groups in ((2048, SingleItem(4), 1),
+                                     (2048, ItemSet(tuple(range(30))), 1),
+                                     (60, ItemSet(tuple(range(30))), 3)):
             monkeypatch.setattr(regressors, "FOREST_PAIRS", pairs)
-            groups = len(shadow.forest.groups(len(scope.items)
-                                              if isinstance(scope, ItemSet) else 1))
             calls.clear()
             fresh = MetadataMatrix(meta.feature_names, meta.X)
             explain(shadow, fresh, InfluenceQuery(0, scope), top_k=d)
-            descents = calls.count("_descend")
-            assert groups <= descents <= 2 * groups
-            assert set(calls) == {"_descend"}
-        assert groups == 3
+            assert calls.count("walk") == 1
+            assert calls.count("_descend") == 2 * groups
+            assert set(calls) == {"walk", "_descend"}
 
 
 def memo_shadows(rng, n_items=40, d=9, rank=4):

@@ -470,10 +470,10 @@ def load_ratings_lines_oracle(path, scale=(1.0, 5.0)):
     pair at its first position with its last rating."""
     user_index, item_index, cells = {}, {}, {}
     lo, hi = scale
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = ingest._text_lines(fh, path)
         header = next(lines, "")
-        if not header.lower().lstrip("\ufeff").startswith("userid"):
+        if not header.lower().startswith("userid"):
             raise ParseError(f"{path}:1: expected a header line starting with userId")
         for lineno, line in enumerate(lines, start=2):
             line = line.strip()

@@ -794,6 +794,16 @@ class TestTreeStructure:
         with pytest.raises(ValidationError, match=message):
             RegressionTree(feature, value, 2)
 
+    @pytest.mark.parametrize("width, message", [
+        (2.0, "mistyped value for n_features: 2.0 is not an integer"),
+        (True, "mistyped value for n_features: True is not an integer"),
+        (-1, "n_features must be >= 0, got -1"),
+    ], ids=["float", "bool", "negative"])
+    def test_width_is_a_whole_number(self, width, message):
+        with pytest.raises(ValidationError, match=message):
+            RegressionTree([-1], [1.0], width)
+        assert RegressionTree([-1], [1.0], 0).n_features == 0
+
     def test_depth_is_longest_path(self, rng):
         """``depth`` equals a recursive count of splits over the children
         that the breadth-first numbering gives."""
@@ -842,7 +852,7 @@ class TestPaths:
     def test_path_features_per_row_once(self):
         X = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0]])
         predicted, trees, rows, features, effects = TreeForest((self.TREE,)).walk(X)
-        np.testing.assert_array_equal(predicted, [[2.0, 4.0]])
+        np.testing.assert_array_equal(predicted, [[2.0], [4.0]])
         assert trees.tolist() == [0, 0, 0]
         assert rows.tolist() == [0, 0, 1]
         assert features.tolist() == [0, 2, 0]
@@ -853,7 +863,7 @@ class TestPaths:
     def test_leaf_has_no_path(self):
         forest = TreeForest((leaf_tree(0.5, 4),))
         predicted, *path = forest.walk(np.ones((3, 4)))
-        np.testing.assert_array_equal(predicted, [[0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(predicted, [[0.5], [0.5], [0.5]])
         for part in path:
             assert len(part) == 0
 
@@ -879,7 +889,7 @@ class TestPaths:
 class TestForest:
     """A forest gives each tree's own predictions, and its walk each tree's
     leaves, path features and flip effects, whatever the group size, in
-    (tree, row, path level) order."""
+    (row, tree, path level) order."""
 
     @pytest.mark.parametrize("pairs", [1, 27, 65536])
     def test_matches_each_tree(self, rng, monkeypatch, pairs):
@@ -892,7 +902,7 @@ class TestForest:
             for depth in (1, 3, 2)
         ] + [repeat_tree(5), tree_of((3, (1, 1.0, 2.0), (0, 3.0, 4.0)), 5)]
         forest = TreeForest(trees)
-        assert [len(g) for g in forest.groups(len(X))] == {
+        assert [g.stop - g.start for g, _, _ in forest._groups(len(X))] == {
             1: [1] * 6, 27: [3, 3], 65536: [6]}[pairs]
         predicted = forest.predict_batch(X)
         assert predicted.flags.c_contiguous
@@ -907,12 +917,12 @@ class TestForest:
                                     for t, (r, f) in zip(trees, paths)])]
         rows, features = paths[5]
         assert features[rows == 0].tolist() == [3, 0 if X[0, 3] else 1]
-        for group in (range(6), range(1, 3), range(3, 6)):
-            predicted, *got = forest.walk(X, group)
-            np.testing.assert_array_equal(predicted, walked[:, group.start:group.stop].T)
-            keep = np.isin(tree_ids, list(group))
-            for a, b in zip(got, expected):
-                np.testing.assert_array_equal(a, b[keep])
+        # The oracle lists tree by tree; the walk lists row by row.
+        by_row = np.argsort(expected[1], kind="stable")
+        predicted, *got = forest.walk(X)
+        np.testing.assert_array_equal(predicted, walked)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b[by_row])
 
     def test_trees_must_share_features(self):
         with pytest.raises(ValidationError):
@@ -933,7 +943,6 @@ class TestForest:
         for call in (
             lambda: forest.predict_batch(X),
             lambda: forest.walk(X),
-            lambda: forest.walk(X, range(1)),
         ):
             with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
                 call()
