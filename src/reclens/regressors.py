@@ -516,7 +516,7 @@ class TreeForest:
         tree that tests j again lower down still reads the flipped value.
         Those first nodes are the splits whose feature no ancestor tests.
         Each group of trees lists its entries by row; one stable sort by
-        row merges several groups.
+        row merges the groups.
         """
         X = self._checked(X)
         n = len(X)
@@ -543,8 +543,6 @@ class TreeForest:
             kept, flipped = self._value[leaves[pairs]], self._value[other]
             parts.append((trees[pairs], rows, features,
                           np.where(held, kept - flipped, flipped - kept)))
-        if len(parts) == 1:
-            return (predicted, *parts[0])
         trees, rows, features, effects = map(np.concatenate, zip(*parts))
         order = np.argsort(rows, kind="stable")
         return predicted, trees[order], rows[order], features[order], effects[order]
