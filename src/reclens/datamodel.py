@@ -7,6 +7,7 @@ so they can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from contextlib import contextmanager, suppress
 from dataclasses import KW_ONLY, InitVar, dataclass, field
@@ -167,13 +168,24 @@ class FactorModel:
         return self.item_factors.shape[0]
 
 
+def _dot(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``rows @ u`` for (n, k) ``rows``, without BLAS: each row's k products
+    added in factor order onto +0.0, so its bits depend on no BLAS kernel
+    and no other row.  A numpy sum along axis 0 of a C-ordered (k, n)
+    array adds in that order, but sums one column pairwise, so one row's
+    products are added by Python's ``sum``, in order onto 0."""
+    if len(rows) == 1:
+        return np.array([sum(map(operator.mul, rows[0].tolist(), u.tolist()))])
+    return np.multiply(rows.T, u[:, None], order="C").sum(axis=0)
+
+
 def predict_rating(model: FactorModel, user: int, item: int) -> float:
-    """Raw model output u_user . i_item, without clamping."""
+    """Raw model output u_user . i_item in factor order, without clamping."""
     if not 0 <= user < model.n_users:
         raise IndexError(f"user index {user} out of range [0, {model.n_users})")
     if not 0 <= item < model.n_items:
         raise IndexError(f"item index {item} out of range [0, {model.n_items})")
-    return float(model.user_factors[user] @ model.item_factors[item])
+    return float(_dot(model.item_factors[item:item + 1], model.user_factors[user])[0])
 
 
 @dataclass(frozen=True)

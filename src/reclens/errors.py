@@ -51,16 +51,21 @@ def is_integer(value) -> bool:
 
 
 def is_finite_real(value) -> bool:
-    """True for a finite int or float; bools are not numbers here."""
-    return (isinstance(value, Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """True for a finite int or float; bools are not numbers here, nor is an
+    int beyond float's range."""
+    try:
+        return (isinstance(value, Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:
+        return False
 
 
 def check_types(owner, integers=(), reals=(), flags=()):
     """Raise ``ValidationError`` unless every named attribute of ``owner``
     has its type: each of ``integers`` an int, each of ``reals`` a finite
     int or float, each of ``flags`` a bool.  A bool is neither an integer
-    nor a real here, so ``true`` in a config file is no count."""
+    nor a real here, so ``true`` in a config file is no count.  Each real
+    is stored back as a float, so no Python int too large for numpy stays."""
     checks = (
         (integers, "an integer", is_integer),
         (reals, "a finite number", is_finite_real),
@@ -73,6 +78,8 @@ def check_types(owner, integers=(), reals=(), flags=()):
                 raise ValidationError(
                     f"mistyped value for {name}: {value!r} is not {what}"
                 )
+            if ok is is_finite_real:
+                object.__setattr__(owner, name, float(value))
 
 
 def check_seed(seed) -> None:

@@ -20,7 +20,9 @@ work in proportion to its row's path entries, plus one copy of the
 shadow's name-ordered zeros.  A linear shadow's flip effect is the same
 for every item, so its item-set influence is (mean(x) - p) times that
 effect, and over the whole item universe it is exactly 0.0 for every
-feature.
+feature.  Ratings and a linear shadow's flip effects add their k products
+in factor order, with no BLAS routine, so a report's every bit comes from
+the shadow and the metadata alone, whatever CPU kernel BLAS runs.
 ``qii_monte_carlo`` samples from an empirical value pool and serves as a
 cross-check.
 """
@@ -34,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .datamodel import FactorModel, MetadataMatrix, open_output, predict_rating
+from .datamodel import FactorModel, MetadataMatrix, _dot, open_output, predict_rating
 from .errors import EstimatorMismatchError, ValidationError, is_integer
 from .shadow import ShadowModel
 
@@ -284,7 +286,7 @@ def _influences(shadow, meta, rows, user):
     # (bincount returns integers when it is given no entry.)
     out = np.zeros(n_features)
     if shadow.forest is None:
-        out += (meta.X[rows].mean(axis=0) - meta.marginals) * (shadow.weights @ u)
+        out += (meta.X[rows].mean(axis=0) - meta.marginals) * _dot(shadow.weights, u)
     elif len(rows) == 1:
         out += np.bincount(features, lean * (u[trees] * effects), minlength=n_features)
     else:
@@ -359,7 +361,7 @@ def explain(
             "the explanation may be unreliable"
         )
     values, factors = _influences(shadow, meta, rows, query.user)
-    ratings = factors @ shadow.user_factors[query.user]
+    ratings = _dot(factors, shadow.user_factors[query.user])
     # The mean of one rating is that rating, bit for bit.
     shadow_rating = float(ratings[0] if len(rows) == 1 else ratings.mean())
     # Only the features that moved are sorted; every other one is +0.0

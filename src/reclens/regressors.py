@@ -2,17 +2,16 @@
 regression trees over 0/1 features.
 
 Both are deterministic: identical inputs always produce identical models.
+Both read X as booleans, 0/1 numbers included (:func:`_boolean`).
 A linear shadow's k factors are one (features, k) weight matrix and k
-intercepts, as ``fit_linear_columns`` fits them: it forms the exact Gram
-matrix of the intercept-augmented X, from X's nonzeros or, on 0/1 X with
-at least ``SPARSE_DENSITY`` ones, from popcounts of its packed columns
-(integer counts either way on 0/1 X), factors it once by a Cholesky
-written in elementwise numpy, and substitutes all k right-hand sides
-together.  It calls no BLAS or LAPACK routine and adds every sum in a
-fixed order, so its bits do not depend on the BLAS thread count, and each
-column has the bits of its own fit.
-``predict_linear`` multiplies fixed blocks of ``LINEAR_BLOCK`` rows by the
-weights, so a row's prediction never depends on the batch around it.
+intercepts, as ``fit_linear_columns`` fits them: it counts the Gram matrix
+of the intercept-augmented X from X's ones or, with at least
+``SPARSE_DENSITY`` ones, from popcounts of its packed columns, factors it
+once by a Cholesky written in elementwise numpy, and substitutes all k
+right-hand sides together.  ``predict_linear`` adds each row's weight rows
+in feature order, then the intercepts.  Neither calls BLAS and every sum
+runs in a fixed order, so no BLAS setting changes a bit, a fitted column
+has the bits of its own fit, and a predicted row those it has alone.
 A tree is its breadth-first node arrays and reads its features as
 booleans: every split sends the rows where the feature is False left and
 the others right, and no tree grows deeper than ``MAX_TREE_DEPTH`` levels,
@@ -44,12 +43,6 @@ from .errors import SolverError, ValidationError, check_types, is_finite_real
 # shadow's universe still runs one tree at a time, as the per-tree loop did.
 FOREST_PAIRS = 2048
 
-# Rows that predict_linear multiplies at once.  Every product has this many
-# rows, the last block padded with zero rows, so BLAS runs the same kernel
-# for every row whatever the batch size and wherever the row sits in it; a
-# plain X @ W rounds a row differently as the number of rows changes.
-LINEAR_BLOCK = 64
-
 # The deepest tree a shadow may hold.  A version-1 shadow file nests one
 # JSON object per tree level, and json's encoder and decoder recurse per
 # level within Python's limit of 1000 frames: about 990 deep, a document no
@@ -58,7 +51,7 @@ MAX_TREE_DEPTH = 512
 
 # The share of X's cells set to 1 below which fit_trees finds splits from
 # X's ones rather than from every cell of every node, and fit_linear_columns
-# sums a 0/1 X's Gram matrix from its ones rather than from popcounts.  On
+# sums X's Gram matrix from its ones rather than from popcounts.  On
 # random 0/1 rows shaped like the MovieLens-100k metadata (1346 x 323;
 # rank-12 depth-3 and rank-50 depth-8 forests) the sparse search took a
 # third of the dense one's time at 1% ones, the same near 10%, and 3-5
@@ -73,36 +66,30 @@ SPARSE_DENSITY = 0.1
 # takes one node at least; this bounds the grower's memory (fit_trees).
 SPLIT_CELLS = 1 << 16
 
-# Pairs of nonzeros in one row whose products fit_linear_columns sums at
-# once while it forms the Gram matrix (_gram): each step holds about 64
-# bytes per pair besides two (features + 1)^2 float matrices.  Each step
-# takes one row at least.
+# Pairs of ones in one row that fit_linear_columns counts at once while it
+# forms the Gram matrix (_gram): each step holds about 64 bytes per pair
+# besides two (features + 1)^2 float matrices, and one row at least.
 GRAM_PAIRS = 1 << 15
 
 
 def predict_linear(
     X: np.ndarray, weights: np.ndarray, intercepts: np.ndarray
 ) -> np.ndarray:
-    """X @ weights + intercepts for a (rows, features) X, an (features, k)
-    weight matrix and k intercepts: a C-contiguous (rows, k) array.
+    """X @ weights + intercepts for a (rows, features) 0/1 X, an (features,
+    k) weight matrix and k intercepts: a C-contiguous (rows, k) array.
 
-    X is multiplied in blocks of ``LINEAR_BLOCK`` rows, the last one padded
-    with zero rows, so each row of the result is bit-identical to that row
-    predicted alone, at any position in a batch of any size.
+    A row is the weight rows of its ones, added in feature order, plus the
+    intercepts, with no BLAS, so it has its own bits in any batch.  Step j
+    adds every row's j-th one: O(rows * k) memory besides X's ones.
     """
-    X = np.asarray(X)
-    if X.ndim != 2 or X.shape[1] != len(weights):
-        raise ValidationError(
-            f"attribute matrix has shape {X.shape}, expected (*, {len(weights)})"
-        )
-    n = len(X)
-    out = np.empty((n, weights.shape[1]))
-    block = np.zeros((LINEAR_BLOCK, X.shape[1]))
-    for start in range(0, n, LINEAR_BLOCK):
-        rows = X[start:start + LINEAR_BLOCK]
-        block[:len(rows)] = rows
-        block[len(rows):] = 0.0
-        out[start:start + len(rows)] = (block @ weights)[:len(rows)]
+    X = _boolean(X, len(weights))
+    ones = np.count_nonzero(X, axis=1)
+    features = np.nonzero(X)[1]
+    start = np.cumsum(ones) - ones
+    out = np.zeros((len(X), weights.shape[1]))
+    for j in range(ones.max(initial=0)):
+        rows = np.flatnonzero(ones > j)
+        out[rows] += weights[features[start[rows] + j]]
     out += intercepts
     return out
 
@@ -128,67 +115,59 @@ def fit_linear_columns(
     X: np.ndarray, Y: np.ndarray, ridge: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`fit_linear` for each column of Y, from one factorization of
-    the Gram matrix of the intercept-augmented X: a C-ordered (features,
-    k) weight matrix and k intercepts.
+    the Gram matrix of the intercept-augmented 0/1 X: a C-ordered
+    (features, k) weight matrix and k intercepts.
 
-    No float copy of X is made and no BLAS or LAPACK routine runs.  The
-    unknowns are ordered by how many of X's entries are nonzero in their
-    column, fewest first, the intercept last.  The Gram matrix G is summed
-    from the products of X's nonzeros (:func:`_gram`), and each column's
-    right-hand side from X's nonzeros times its targets, both in row
-    order; on 0/1 X, G holds exact counts, and when at least
-    ``SPARSE_DENSITY`` of its cells are ones the same counts come from
-    popcounts of its packed columns (:func:`_popcount_gram`).  G is
-    factored once as U^T U (:func:`_cholesky`), and all columns are
-    substituted together (:func:`_substitute`).  Every step is
-    elementwise and takes the updates of an entry one by one in a fixed
-    order, so each column is bit-identical to a separate
-    :func:`fit_linear` call, and no bit depends on how many threads BLAS
-    runs.  A pivot that is not above the
+    X is read by :func:`_boolean`, with no float copy and no BLAS or
+    LAPACK routine.  The unknowns are ordered by their column's count of
+    ones, fewest first, the intercept last.  The Gram matrix G counts the
+    pairs of ones in each row (:func:`_gram`), or, with at least
+    ``SPARSE_DENSITY`` ones, the popcounts of X's packed columns
+    (:func:`_popcount_gram`); each right-hand side sums its targets over
+    X's ones in row order.  G is factored once as U^T U (:func:`_cholesky`)
+    and all columns are substituted together (:func:`_substitute`),
+    elementwise and in a fixed order, so each column is bit-identical to a
+    separate :func:`fit_linear` call.  A pivot that is not above the
     rounding residue of its diagonal entry raises ``SolverError``.
     """
     X = np.asarray(X)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or len(X) != len(Y) or len(Y) < 1:
         raise ValidationError("X must be 2-d with one row per target value")
+    X = _boolean(X)
     check_ridge(ridge)
     n, d = X.shape
     k = Y.shape[1]
     if not k:
         return np.empty((d, 0)), np.empty(0)
-    # X's nonzeros row by row, each row ending with its intercept entry,
-    # and each entry's unknown: rare features come first, so that their
+    # X's ones row by row, each row ending with its intercept entry, and
+    # each entry's unknown: rare features come first, so that their
     # elimination fills in few entries of U.
     ones = np.count_nonzero(X, axis=1)
-    rows, features = np.nonzero(X)
-    ends = np.cumsum(ones)
-    value = np.insert(np.asarray(X[rows, features], dtype=np.float64), ends, 1.0)
+    features = np.nonzero(X)[1]
     by_count = np.argsort(np.bincount(features, minlength=d), kind="stable")
     position = np.empty(d + 1, np.intp)
     position[by_count], position[d] = np.arange(d), d
-    unknown = position[np.insert(features, ends, d)]
+    unknown = position[np.insert(features, np.cumsum(ones), d)]
     rows = np.repeat(np.arange(n), ones + 1)
-    if ones.sum() >= SPARSE_DENSITY * X.size and (value == 1.0).all():
+    if ones.sum() >= SPARSE_DENSITY * X.size:
         G = _popcount_gram(X, by_count)
     else:
-        G = _gram(unknown, value, ones + 1, d + 1)
+        G = _gram(unknown, ones + 1, d + 1)
     G[np.arange(d), np.arange(d)] += ridge  # intercept left unpenalized
     above = _cholesky(G)
     Z = np.empty((d + 1, k))
     for j in range(k):
-        Z[:, j] = np.bincount(unknown, value * Y[rows, j], minlength=d + 1)
+        Z[:, j] = np.bincount(unknown, Y[rows, j], minlength=d + 1)
     _substitute(G, above, Z)
     return Z[position[:d]], Z[d]
 
 
-def _gram(unknown, value, count, p):
-    """The upper triangle of the (p, p) Gram matrix of the entries given
-    row by row, ``count[r]`` of them in row r; the lower one is 0.
-
-    Each (f, g) entry sums the products of the rows' (f, g) entry pairs
-    in row order, one ``bincount`` per run of rows holding at most
-    ``GRAM_PAIRS`` pairs (one row at least), and the runs' sums in order.
-    Products of ones are 1.0, so on 0/1 X every sum is an exact count.
+def _gram(unknown, count, p):
+    """The upper triangle of the (p, p) Gram matrix of the ones given row
+    by row, by unknown, ``count[r]`` of them in row r; the lower one is 0.
+    Each (f, g) entry counts the rows' (f, g) pairs, one ``bincount`` per
+    run of rows holding at most ``GRAM_PAIRS`` pairs (one row at least).
     """
     pairs = count * (count + 1) // 2
     run = (np.cumsum(pairs) - pairs) // GRAM_PAIRS
@@ -202,27 +181,21 @@ def _gram(unknown, value, count, p):
         a = np.repeat(np.arange(lo, hi), n)
         b = a + np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n)
         f, g = unknown[a], unknown[b]
-        G += np.bincount(np.minimum(f, g) * p + np.maximum(f, g),
-                         value[a] * value[b], minlength=p * p)
+        G += np.bincount(np.minimum(f, g) * p + np.maximum(f, g), minlength=p * p)
     return G.reshape(p, p)
 
 
 def _popcount_gram(X, order):
-    """The upper triangle of the Gram matrix of the 0/1 columns
-    ``X[:, order]`` followed by an intercept column of ones, with the
-    bits :func:`_gram` gives it from the same entries; the lower one is 0.
-
-    Each column is packed into 64-bit words, so entry (f, g) is the
-    ``np.bitwise_count`` of the words that both columns' ``&`` leaves: the
-    number of rows where both hold a one, an exact count, as ``_gram``'s
-    sum of products of ones is.  Its working set is ceil(n / 64) words per
-    column besides G, and a boolean copy of X unless X is boolean.
+    """:func:`_gram`'s matrix for the boolean columns ``X[:, order]`` and
+    an intercept column of ones.  Each column is packed into 64-bit words,
+    so entry (f, g) is the ``np.bitwise_count`` of the words that both
+    columns' ``&`` leaves: the number of rows where both hold a one.  Its
+    working set is ceil(n / 64) words per column besides G.
     """
     n, d = X.shape
     width = (n + 7) // 8
     packed = np.zeros((d + 1, 8 * -(-n // 64)), np.uint8)
-    bits = X if X.dtype == np.bool_ else X != 0
-    packed[:d, :width] = np.packbits(bits, axis=0, bitorder="little").T[order]
+    packed[:d, :width] = np.packbits(X, axis=0, bitorder="little").T[order]
     packed[d, :width] = np.packbits(np.ones(n, np.bool_), bitorder="little")
     words = packed.view(np.uint64)
     G = np.zeros((d + 1, d + 1))
@@ -457,15 +430,6 @@ class TreeForest:
             rows, trees = np.divmod(np.arange(n_rows * width), width)
             yield slice(start, start + width), trees + start, rows
 
-    def _checked(self, X: np.ndarray) -> np.ndarray:
-        """X as a boolean 2-d array of this forest's width."""
-        X = _boolean(X)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValidationError(
-                f"attribute matrix has shape {X.shape}, expected (*, {self.n_features})"
-            )
-        return X
-
     def _descend(self, X, node, rows, steps, flipped, visited=None):
         """Node reached from ``node[i]`` in ``steps`` levels by row
         ``X[rows[i]]``, with its value in column ``flipped[i]`` negated
@@ -486,7 +450,7 @@ class TreeForest:
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         """Every tree's prediction for every row of X: a C-contiguous
         (rows, trees) array."""
-        X = self._checked(X)
+        X = _boolean(X, self.n_features)
         n = len(X)
         out = np.empty((n, self.n_trees))
         for group, trees, rows in self._groups(n):
@@ -518,7 +482,7 @@ class TreeForest:
         Each group of trees lists its entries by row; one stable sort by
         row merges the groups.
         """
-        X = self._checked(X)
+        X = _boolean(X, self.n_features)
         n = len(X)
         predicted = np.empty((n, self.n_trees))
         parts = []
@@ -548,18 +512,21 @@ class TreeForest:
         return predicted, trees[order], rows[order], features[order], effects[order]
 
 
-def _boolean(X) -> np.ndarray:
+def _boolean(X, width=None) -> np.ndarray:
     """X as a boolean array: boolean X as it is, and numeric X whose entries
     are all 0 or 1 read as booleans; any other X raises
-    ``ValidationError``."""
+    ``ValidationError``, as does X that is not 2-d with ``width`` columns,
+    when ``width`` is given."""
     X = np.asarray(X)
+    if width is not None and (X.ndim != 2 or X.shape[1] != width):
+        raise ValidationError(f"attribute matrix has shape {X.shape}, expected (*, {width})")
     if X.dtype == np.bool_:
         return X
     X = X.astype(np.float64, copy=False)
     binary = (X == 0.0) | (X == 1.0)
     if not binary.all():
         raise ValidationError(
-            f"tree features must be 0/1, but X holds {float(X[~binary][0])}"
+            f"features must be 0/1, but X holds {float(X[~binary][0])}"
         )
     return X == 1.0
 
@@ -592,10 +559,9 @@ def fit_tree(X: np.ndarray, y: np.ndarray, params: TreeParams) -> RegressionTree
     """Greedy CART regression over 0/1 features: variance-reduction
     splits, mean-valued leaves; the one-column case of :func:`fit_trees`.
 
-    X is boolean, or numeric with every entry 0 or 1 (read as boolean);
-    any other X raises ``ValidationError``.  A split sends the rows where
-    its feature is False left, and each node's split is the feature of
-    highest gain, ties broken to the lowest feature index.
+    X is read by :func:`_boolean`.  A split sends the rows where its
+    feature is False left, and each node's split is the feature of highest
+    gain, ties broken to the lowest feature index.
 
     Zero-gain splits are still taken while the target varies, so deeper
     trees can recover interactions (e.g. parity) that no single split

@@ -10,8 +10,8 @@ does not predict the factors apart: it reads them off the forest's
 metadata row, and keeps them, with the route's entries by row, tree and
 level, in the shadow's memo of routed rows.  A linear shadow holds one
 (features, k) weight matrix and k intercepts, and every linear prediction
-goes through ``regressors.predict_linear``, whose rows do not depend on
-the batch: an item's factors, and so its ratings, are the same bits in
+goes through ``regressors.predict_linear``, whose rows depend neither on
+the batch nor on BLAS: an item's factors are the same bits in
 ``explain``, in ``measure_agreement``'s blocks and in ``predict``.
 Since factors depend only on the item, the agreement metrics predict each
 distinct item once and gather those factors for every pair and block.
@@ -29,6 +29,7 @@ import numpy as np
 from .datamodel import (
     FactorModel,
     MetadataMatrix,
+    _dot,
     array_from_json,
     check_ids,
     load_artifact,
@@ -246,11 +247,11 @@ class ShadowModel:
         return predict_linear(X, self.weights, self.intercepts)
 
     def predict(self, user: int, a: np.ndarray) -> float:
-        """sum_j U[user][j] * f_j(a), as a batch of one attribute row."""
+        """sum_j U[user][j] * f_j(a), added in j order, for a 0/1 row ``a``."""
         if not 0 <= user < self.n_users:
             raise IndexError(f"user index {user} out of range [0, {self.n_users})")
-        factors = self.predicted_factors_batch(np.asarray(a)[None])[0]
-        return float(self.user_factors[user] @ factors)
+        factors = self.predicted_factors_batch(np.asarray(a)[None])
+        return float(_dot(factors, self.user_factors[user])[0])
 
 
 def train_shadow(

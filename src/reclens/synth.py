@@ -267,9 +267,9 @@ def control_profiles(
     original = sorted(profile.features)
     n = len(original)
     if mode == "semi_random":
-        n_keep = max(1, math.floor(keep_fraction * n)) if n else 0
         if keep_fraction >= 1.0:
             return profile
+        n_keep = max(1, math.floor(keep_fraction * n)) if n else 0
         kept_idx = rng.choice(n, size=n_keep, replace=False)
         kept = [original[i] for i in sorted(kept_idx)]
         candidates = [f for f in pool if f not in profile.features]
@@ -504,6 +504,16 @@ class ExperimentConfig:
             raise ValidationError("n_reps and users_per_rep must be >= 1")
         if self.n_items < 1 or self.n_meta_features < 1:
             raise ValidationError("n_items and n_meta_features must be >= 1")
+        # random_metadata draws n_items + 1 floats per feature, and
+        # simulate_ratings holds every user's rated items, in one array of
+        # 8-byte cells each, which numpy refuses beyond np.intp's range.
+        for names, n, m in (
+            ("n_items and n_meta_features", self.n_items + 1, self.n_meta_features),
+            ("sim.n_users and sim.ratings_per_user", self.sim.n_users,
+             self.sim.ratings_per_user),
+        ):
+            if n * m * 8 > np.iinfo(np.intp).max:
+                raise ValidationError(f"{names} make an array larger than numpy can index")
         if self.threads < 1:
             raise ValidationError("threads must be >= 1")
         check_seed(self.seed)

@@ -26,9 +26,11 @@ from conftest import write_wide_data
 TESTS = Path(__file__).resolve().parent
 GOLDEN = TESTS / "golden.json"
 
-# Output bits differ between OpenBLAS's CPU kernels, so every child pins
-# one.  No output depends on the thread count (tests/test_blas_threads.py
-# checks that; linear shadows solve without BLAS), but it is pinned too.
+# Models, and the ALS runs and agreement reports of shadow, sweep and
+# synth, differ between OpenBLAS's CPU kernels, so every child pins one;
+# shadow files and explain output do not (tests/test_blas_kernels.py).  No
+# output depends on the thread count (tests/test_blas_threads.py), but it
+# is pinned too.
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell"}
 
 GRID = {"ranks": [8], "kinds": ["linear", "tree"], "depths": [3]}

@@ -1776,6 +1776,58 @@ class TestSynthCommand:
             f"error: mistyped value for {key}: {value!r} is not {expected}"
         ]
 
+    @pytest.mark.parametrize("section, key, field", [
+        ("als", "lambda", "lam"), ("als", "convergence_tol", "convergence_tol"),
+        ("sim", "base_rating", "base_rating"), ("sim", "delta", "delta"),
+        (None, "keep_fraction", "keep_fraction"), ("shadow", "ridge", "ridge"),
+    ])
+    def test_real_beyond_float_is_one_error_line(self, tmp_path, capsys,
+                                                 section, key, field):
+        """An integer too large for a float is no finite number."""
+        config = synth_config(tmp_path)
+        if key == "ridge":
+            _edit_json(config, config, lambda d: d.update(shadow={"kind": "linear"}))
+        _edit_json(config, config,
+                   lambda d: (d[section] if section else d).update({key: 10**400}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f" {field}" in err[0] and "a finite number" in err[0]
+
+    def test_large_integer_real_runs_as_its_float(self, tmp_path, capsys):
+        """A config real is read as a float, so an integer lambda that numpy
+        could not multiply as an int gives the bytes of the same float."""
+        outputs = []
+        for lam in (2**70, float(2**70)):
+            config = synth_config(tmp_path, n_reps=1)
+            _edit_json(config, config, lambda d: d["als"].update({"lambda": lam}))
+            out = tmp_path / "result.json"
+            capsys.readouterr()
+            assert main(["synth", "--config", str(config), "--out", str(out)]) == 0
+            result = json.loads(out.read_text())
+            result.pop("config")  # the config is echoed as given
+            outputs.append((result, capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("section, key, names", [
+        (None, "n_items", "n_items and n_meta_features"),
+        (None, "n_meta_features", "n_items and n_meta_features"),
+        ("sim", "n_users", "sim.n_users and sim.ratings_per_user"),
+    ])
+    def test_size_beyond_numpy_is_one_error_line(self, tmp_path, capsys,
+                                                 section, key, names):
+        """A size whose array numpy cannot index is refused before any
+        array is made."""
+        config = synth_config(tmp_path)
+        _edit_json(config, config,
+                   lambda d: (d[section] if section else d).update({key: 2**70}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {names} make an array larger than numpy can index"
+        ]
+
     @pytest.mark.parametrize("value", [True, float("inf")])
     def test_mistyped_feature_pool_is_one_error_line(self, tmp_path, capsys,
                                                      value):

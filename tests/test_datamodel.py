@@ -429,3 +429,21 @@ def test_unwritable_destination_names_it(tmp_path, where):
         write_json({}, path)
     assert list(tmp_path.parent.glob(".reclens-*")) == []
     assert list(tmp_path.iterdir()) == []
+
+
+@given(seed=st.integers(0, 2**16), n=st.integers(0, 40), k=st.integers(1, 60),
+       zeros=st.booleans())
+def test_dot_adds_in_factor_order_whatever_the_batch(seed, n, k, zeros):
+    """Each row's k products are added one by one, in factor order, onto
+    +0.0: a row has the same bits alone and in any batch, and products
+    that are all -0.0 add up to +0.0."""
+    rng = np.random.default_rng(seed)
+    rows, u = rng.normal(size=(n, k)), rng.normal(size=k)
+    if zeros:
+        rows[:, :] = 0.0
+        u = -np.abs(u)
+    batch = datamodel._dot(rows, u)
+    expected = [0.0 + np.cumsum(row * u)[-1] for row in rows]
+    assert batch.tobytes() == np.array(expected).tobytes()
+    for i in range(n):
+        assert datamodel._dot(rows[i:i + 1], u).tobytes() == batch[i:i + 1].tobytes()

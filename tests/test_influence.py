@@ -636,7 +636,9 @@ def assert_matches_oracles(shadow, meta, query, pairs):
     scope = query.scope
     rows = shadow.rows_of_items(
         [scope.item] if isinstance(scope, SingleItem) else scope.items)
-    rating = walked_factors(shadow, meta.X)[rows] @ shadow.user_factors[query.user]
+    # Each row's products added one by one, in factor order.
+    products = walked_factors(shadow, meta.X)[rows] * shadow.user_factors[query.user]
+    rating = np.cumsum(products, axis=1)[:, -1]
     assert report.shadow_rating.hex() == float(rating.mean()).hex()
 
 

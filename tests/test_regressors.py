@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reclens import regressors
+from reclens import datamodel, influence, regressors
 from reclens.errors import SolverError, ValidationError
 from reclens.regressors import (
-    LINEAR_BLOCK,
     MAX_TREE_DEPTH,
     RegressionTree,
     TreeForest,
@@ -26,6 +25,7 @@ from reclens.regressors import (
     fit_trees,
     predict_linear,
 )
+from reclens.shadow import ShadowModel
 from reclens.synth import random_metadata
 
 from conftest import (
@@ -159,7 +159,9 @@ XOR_Y = np.array([0.0, 1.0, 1.0, 0.0])
 
 class TestFitLinear:
     def test_exact_interpolation(self, rng):
-        X = rng.normal(size=(20, 4))
+        # Every 0/1 row of four features, so X and the intercept column
+        # have full column rank.
+        X = np.array([[int(b) for b in f"{i:04b}"] for i in range(16)], dtype=bool)
         w_true = rng.normal(size=4)
         y = X @ w_true + 1.7
         w, b = fit_linear(X, y, ridge=1e-12)
@@ -172,18 +174,20 @@ class TestFitLinear:
         assert b == pytest.approx(3.0, abs=1e-12)
 
     def test_simple_regression_closed_form(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        y = np.array([0.0, 1.0, 2.0])
+        # One 0/1 feature: b is the mean target where it is 0, and b + w
+        # the mean where it is 1.
+        X = np.array([[0.0], [0.0], [1.0], [1.0]])
+        y = np.array([1.0, 3.0, 4.0, 6.0])
         w, b = fit_linear(X, y, ridge=0.0)
-        assert w[0] == pytest.approx(1.0, abs=1e-12)
-        assert b == pytest.approx(0.0, abs=1e-12)
+        assert w[0] == pytest.approx(3.0, abs=1e-12)
+        assert b == pytest.approx(2.0, abs=1e-12)
 
     def test_singular_advises_ridge(self):
         with pytest.raises(SolverError, match="ridge > 0"):
             fit_linear(np.zeros((3, 2)), np.array([1.0, 2.0, 3.0]), ridge=0.0)
 
     def test_growing_ridge_shrinks_weights(self, rng):
-        X = rng.normal(size=(30, 3))
+        X = rng.random((30, 3)) < 0.5
         y = rng.normal(size=30)
         norms = [
             float(np.linalg.norm(fit_linear(X, y, ridge=r)[0]))
@@ -193,7 +197,7 @@ class TestFitLinear:
         assert norms[-1] < 1e-3
 
     def test_deterministic(self, rng):
-        X = rng.normal(size=(10, 2))
+        X = rng.random((10, 2)) < 0.5
         y = rng.normal(size=10)
         w1, b1 = fit_linear(X, y, ridge=0.5)
         w2, b2 = fit_linear(X, y, ridge=0.5)
@@ -206,6 +210,20 @@ class TestFitLinear:
         for X in (np.ones((1, 3)), np.ones(2), np.ones((1, 1, 2))):
             with pytest.raises(ValidationError, match=r"expected \(\*, 2\)"):
                 predict_linear(X, weights, intercepts)
+
+    @pytest.mark.parametrize("value", [0.5, 2, -1.0, np.nan])
+    def test_non_binary_features_rejected(self, value):
+        """Fit and predict read X as the trees do: 0/1 or boolean, and any
+        other X is refused."""
+        X = np.array([[0, 1], [1, 0], [0, value]])  # integer X for value 2
+        weights, intercepts = stacked([fit_linear(np.eye(3, 2), np.ones(3), 1.0)])
+        for call in (
+            lambda: fit_linear(X, np.array([1.0, 2.0, 3.0]), ridge=1.0),
+            lambda: fit_linear_columns(X, np.ones((3, 2)), ridge=1.0),
+            lambda: predict_linear(X, weights, intercepts),
+        ):
+            with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
+                call()
 
     @pytest.mark.parametrize("ridge", [float("inf"), float("nan"), -1.0, "0.1",
                                        True, None])
@@ -222,7 +240,7 @@ def stacked(models):
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3 * LINEAR_BLOCK + 7),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 199),
        d=st.integers(1, 400), k=st.integers(1, 24), boolean=st.booleans())
 def check_linear_rows_stable(seed, n, d, k, boolean):
     """Every row of a predict_linear batch is bit-identical to that row
@@ -267,7 +285,7 @@ class TestPredictLinear:
         assert run.returncode == 0, run.stderr[-3000:]
 
     @settings(max_examples=30)
-    @given(seed=st.integers(0, 2**16), n=st.integers(0, 2 * LINEAR_BLOCK + 3),
+    @given(seed=st.integers(0, 2**16), n=st.integers(0, 131),
            d=st.integers(0, 30), k=st.integers(1, 6))
     def test_matches_matmul_oracle(self, seed, n, d, k):
         rng = np.random.default_rng(seed)
@@ -282,16 +300,17 @@ class TestPredictLinear:
 class TestFitLinearColumns:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), d=st.integers(1, 24),
-           k=st.integers(1, 6), binary=st.booleans())
-    def test_each_column_bit_identical_to_its_own_fit(self, seed, n, d, k, binary):
+           k=st.integers(1, 6), boolean=st.booleans())
+    def test_each_column_bit_identical_to_its_own_fit(self, seed, n, d, k, boolean):
         """Each column has the bits of its own fit_linear call and of the
         scalar-loop reference, and is within 1e-9 of LAPACK's solve: both
         solves are backward stable, and with ridge 0.1 these systems'
-        condition numbers stay far below 1e6."""
+        condition numbers stay far below 1e6.  Boolean X and float 0/1 X
+        fit alike."""
         rng = np.random.default_rng(seed)
-        X = rng.random((n, d))
-        if binary:
-            X = (X < 0.5).astype(float)
+        X = rng.random((n, d)) < rng.uniform(0.05, 0.95)
+        if not boolean:
+            X = X.astype(float)
         Y = rng.normal(size=(n, k))
         weights, intercepts = fit_linear_columns(X, Y, ridge=0.1)
         assert weights.shape == (d, k) and intercepts.shape == (k,)
@@ -306,22 +325,18 @@ class TestFitLinearColumns:
             np.testing.assert_allclose(weights[:, j], w, rtol=1e-9, atol=1e-9)
             assert intercepts[j] == pytest.approx(b, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("binary", [True, False])
-    def test_gram_runs_change_no_bit_of_binary_fits(self, monkeypatch, rng, binary):
-        """With one row per Gram run, a 0/1 X fits to the same bits, since
-        its Gram entries are exact counts; a real X fits to within
-        rounding."""
+    @pytest.mark.parametrize("boolean", [True, False])
+    def test_gram_runs_change_no_bit_of_binary_fits(self, monkeypatch, rng, boolean):
+        """With one row per Gram run, a 0/1 X, boolean or float, fits to
+        the same bits, since its Gram entries are exact counts."""
         X = rng.random((60, 30)) < 0.2
-        X = X if binary else X * rng.uniform(0.5, 2.0, size=X.shape)
+        X = X if boolean else X.astype(float)
         Y = rng.normal(size=(60, 4))
         whole = fit_linear_columns(X, Y, ridge=0.1)
         monkeypatch.setattr(regressors, "GRAM_PAIRS", 1)
         runs = fit_linear_columns(X, Y, ridge=0.1)
         for a, b in zip(whole, runs):
-            if binary:
-                np.testing.assert_array_equal(a, b)
-            else:
-                np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("n", [1, 5, 7, 8, 63, 64, 65, 130])
     @pytest.mark.parametrize("boolean", [True, False])
@@ -352,6 +367,8 @@ class TestFitLinearColumns:
                     np.testing.assert_array_equal(a, b)
 
     def test_popcount_gram_only_on_dense_binary_x(self, monkeypatch, rng):
+        """Dense 0/1 X takes popcounts, sparse X the sums; X that is not
+        0/1 is refused before either runs."""
         calls = []
         gram = regressors._gram
         monkeypatch.setattr(regressors, "_gram",
@@ -363,18 +380,25 @@ class TestFitLinearColumns:
         sparse = np.zeros((50, 8), dtype=bool)
         sparse[np.arange(3), np.arange(3)] = True
         for X, path in ((dense, "popcounts"), (dense.astype(float), "popcounts"),
-                        (dense * 2.0, "sums"), (sparse, "sums")):
+                        (sparse, "sums"), (sparse.astype(float), "sums")):
             calls.clear()
             fit_linear_columns(X, rng.normal(size=(50, 2)), ridge=0.1)
             assert calls == [path]
+        calls.clear()
+        with pytest.raises(ValidationError, match="0/1, but X holds 2.0"):
+            fit_linear_columns(dense * 2.0, rng.normal(size=(50, 2)), ridge=0.1)
+        assert calls == []
 
     def test_fit_calls_no_blas(self):
-        """The linear fit multiplies no matrices and calls no np.linalg
-        routine, so BLAS cannot change its bits."""
+        """The linear fit and prediction, and explain's products of factors,
+        multiply no matrices and call no np.linalg routine, so neither the
+        BLAS thread count nor its CPU kernel can change their bits."""
         banned = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
         for function in (fit_linear_columns, regressors._gram,
                          regressors._popcount_gram, regressors._cholesky,
-                         regressors._substitute):
+                         regressors._substitute, predict_linear,
+                         influence._influences, influence.explain, datamodel._dot,
+                         datamodel.predict_rating, ShadowModel.predict):
             tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
             for node in ast.walk(tree):
                 assert not isinstance(node, ast.MatMult), function.__name__

@@ -366,7 +366,8 @@ class TestShadowPredict:
         batch = shadow.predicted_factors_batch(meta.X)
         for user in range(3):
             for item in range(12):
-                expected = float(shadow.user_factors[user] @ batch[item])
+                # The products added one by one, in factor order.
+                expected = float(np.cumsum(shadow.user_factors[user] * batch[item])[-1])
                 for a in (meta.X[item], meta.X[item].astype(np.float64)):
                     assert shadow.predict(user, a) == expected
 
@@ -387,10 +388,17 @@ class TestShadowPredict:
             with pytest.raises(FormatError, match="predictor 1 is a "):
                 load_shadow(path)
 
-    @pytest.mark.parametrize("value", [0.5, 2.0, -1.0])
-    def test_non_binary_attribute_vector(self, value):
+    @pytest.mark.parametrize("value, kind", [
+        pytest.param(value, kind, id=f"{value}" if kind == "tree" else f"linear-{value}")
+        for kind in ("tree", "linear") for value in (0.5, 2.0, -1.0)
+    ])
+    def test_non_binary_attribute_vector(self, value, kind):
         meta = make_meta(2, {"a": {0}, "b": {1}})
-        shadow = manual_shadow([leaf_tree(1.0, 2)], np.ones((1, 1)), meta)
+        factors = {
+            "tree": [leaf_tree(1.0, 2)],
+            "linear": (np.ones((2, 1)), np.zeros(1)),
+        }[kind]
+        shadow = manual_shadow(factors, np.ones((1, 1)), meta)
         with pytest.raises(ValidationError, match=f"0/1, but X holds {value}"):
             shadow.predict(0, np.array([1.0, value]))
 
