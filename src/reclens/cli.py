@@ -567,7 +567,13 @@ def experiment_config_from_dict(
         if "lambda" in als_doc:
             als_doc["lam"] = als_doc.pop("lambda")
         top["sim"] = SimConfig(**sim_doc)
-        top["als"] = AlsConfig(**als_doc)
+        try:
+            top["als"] = AlsConfig(**als_doc)
+        except ValidationError as exc:
+            # The file's key is lambda, AlsConfig's field lam.
+            raise ValidationError(
+                str(exc).replace("value for lam:", "value for lambda:")
+            ) from None
         top["shadow_kind"] = (LinearKind(**shadow_doc) if params is LinearKind
                               else TreeKind(TreeParams(**shadow_doc)))
         top.update(_given(threads=threads, seed=seed))

@@ -60,12 +60,19 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def excerpt(text: str, width: int = 40) -> str:
+    """``text`` as an error message quotes it: whole up to ``width``
+    characters, otherwise its first ``width - 3`` and ``...``."""
+    return text if len(text) <= width else text[:width - 3] + "..."
+
+
 def check_types(owner, integers=(), reals=(), flags=()):
     """Raise ``ValidationError`` unless every named attribute of ``owner``
     has its type: each of ``integers`` an int, each of ``reals`` a finite
     int or float, each of ``flags`` a bool.  A bool is neither an integer
-    nor a real here, so ``true`` in a config file is no count.  Each real
-    is stored back as a float, so no Python int too large for numpy stays."""
+    nor a real here, so ``true`` in a config file is no count.  The
+    message quotes the value's :func:`excerpt`.  Each real is stored back
+    as a float, so no Python int too large for numpy stays."""
     checks = (
         (integers, "an integer", is_integer),
         (reals, "a finite number", is_finite_real),
@@ -76,7 +83,7 @@ def check_types(owner, integers=(), reals=(), flags=()):
             value = getattr(owner, name)
             if not ok(value):
                 raise ValidationError(
-                    f"mistyped value for {name}: {value!r} is not {what}"
+                    f"mistyped value for {name}: {excerpt(repr(value))} is not {what}"
                 )
             if ok is is_finite_real:
                 object.__setattr__(owner, name, float(value))

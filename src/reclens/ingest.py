@@ -24,6 +24,7 @@ from .errors import (
     InsufficientDataError,
     ParseError,
     ValidationError,
+    excerpt,
     is_finite_real,
 )
 
@@ -287,12 +288,6 @@ def _parse_lines(block: list[str], first_lineno: int, path: Path, lo, hi):
 _ATTRIBUTE_VALUE = (str, int, float)
 
 
-def _json_excerpt(value, width: int = 40) -> str:
-    """``value`` as JSON, cut to ``width`` characters for an error message."""
-    text = json.dumps(value)
-    return text if len(text) <= width else text[:width - 3] + "..."
-
-
 def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRecord]:
     """Read line-delimited JSON item records.
 
@@ -315,14 +310,14 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                 raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
             if not isinstance(obj, dict):
                 raise ParseError(f"{path}:{lineno}: record must be a JSON object, "
-                                 f"not {_json_excerpt(obj)}")
+                                 f"not {excerpt(json.dumps(obj))}")
             if "item_id" not in obj:
                 raise ParseError(f"{path}:{lineno}: record must have an item_id field")
             item_id = obj["item_id"]
             if isinstance(item_id, bool) or not isinstance(item_id, (str, int, float)):
                 raise ParseError(
                     f"{path}:{lineno}: item_id must be a string or a number, "
-                    f"not {_json_excerpt(item_id)}"
+                    f"not {excerpt(json.dumps(item_id))}"
                 )
             raw_attrs = obj.get("attributes", {})
             if not isinstance(raw_attrs, dict):
@@ -336,8 +331,8 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                 ):
                     raise ParseError(
                         f"{path}:{lineno}: attribute {name!r} holds "
-                        f"{_json_excerpt(values)}; it must be a string, number or "
-                        "boolean, or a list of them"
+                        f"{excerpt(json.dumps(values))}; it must be a string, "
+                        "number or boolean, or a list of them"
                     )
                 key = f"{source}:{name}" if source else str(name)
                 # RawItemRecord makes the frozenset of string values.

@@ -5,9 +5,8 @@ Both are deterministic: identical inputs always produce identical models.
 Both read X as booleans, 0/1 numbers included (:func:`_boolean`).
 A linear shadow's k factors are one (features, k) weight matrix and k
 intercepts, as ``fit_linear_columns`` fits them: it counts the Gram matrix
-of the intercept-augmented X from X's ones or, with at least
-``SPARSE_DENSITY`` ones, from popcounts of its packed columns, factors it
-once by a Cholesky written in elementwise numpy, and substitutes all k
+of the intercept-augmented X by popcounts of its packed columns, factors
+it once by a Cholesky written in elementwise numpy, and substitutes all k
 right-hand sides together.  ``predict_linear`` adds each row's weight rows
 in feature order, then the intercepts.  Neither calls BLAS and every sum
 runs in a fixed order, so no BLAS setting changes a bit, a fitted column
@@ -50,26 +49,18 @@ FOREST_PAIRS = 2048
 MAX_TREE_DEPTH = 512
 
 # The share of X's cells set to 1 below which fit_trees finds splits from
-# X's ones rather than from every cell of every node, and fit_linear_columns
-# sums X's Gram matrix from its ones rather than from popcounts.  On
-# random 0/1 rows shaped like the MovieLens-100k metadata (1346 x 323;
-# rank-12 depth-3 and rank-50 depth-8 forests) the sparse search took a
-# third of the dense one's time at 1% ones, the same near 10%, and 3-5
-# times as long at 50%, about the share of synth's metadata.  The popcount
-# Gram matrix took 1.5 ms against _gram's 19 ms on 200 x 200 random 0/1
-# rows at 50% ones, 5 against 10 ms on 1346 x 323 at 10%, and 5 against
-# 0.6 ms at 1.25% (a 2-vCPU Xeon, numpy 2.4.6).
+# X's ones rather than from every cell of every node; it selects nothing
+# else.  On random 0/1 rows shaped like the MovieLens-100k metadata (1346 x
+# 323; rank-12 depth-3 and rank-50 depth-8 forests) the sparse search took
+# a third of the dense one's time at 1% ones, the same near 10%, and 3-5
+# times as long at 50%, about the share of synth's metadata (a 2-vCPU
+# Xeon, numpy 2.4.6).
 SPARSE_DENSITY = 0.1
 
 # Units of work that one step of the sparse split search holds at once:
 # a node's (node, feature) cells plus the ones that fill them.  Each step
 # takes one node at least; this bounds the grower's memory (fit_trees).
 SPLIT_CELLS = 1 << 16
-
-# Pairs of ones in one row that fit_linear_columns counts at once while it
-# forms the Gram matrix (_gram): each step holds about 64 bytes per pair
-# besides two (features + 1)^2 float matrices, and one row at least.
-GRAM_PAIRS = 1 << 15
 
 
 def predict_linear(
@@ -118,17 +109,16 @@ def fit_linear_columns(
     the Gram matrix of the intercept-augmented 0/1 X: a C-ordered
     (features, k) weight matrix and k intercepts.
 
-    X is read by :func:`_boolean`, with no float copy and no BLAS or
-    LAPACK routine.  The unknowns are ordered by their column's count of
-    ones, fewest first, the intercept last.  The Gram matrix G counts the
-    pairs of ones in each row (:func:`_gram`), or, with at least
-    ``SPARSE_DENSITY`` ones, the popcounts of X's packed columns
-    (:func:`_popcount_gram`); each right-hand side sums its targets over
-    X's ones in row order.  G is factored once as U^T U (:func:`_cholesky`)
-    and all columns are substituted together (:func:`_substitute`),
-    elementwise and in a fixed order, so each column is bit-identical to a
-    separate :func:`fit_linear` call.  A pivot that is not above the
-    rounding residue of its diagonal entry raises ``SolverError``.
+    X is read by :func:`_boolean`, with no float copy and no BLAS or LAPACK
+    routine.  The unknowns are ordered by their column's count of ones,
+    fewest first, the intercept last.  The Gram matrix G counts the rows
+    where two columns both hold a one, by popcounts of X's packed columns
+    (:func:`_popcount_gram`); each right-hand side sums its targets over X's
+    ones in row order.  G is factored once as U^T U (:func:`_cholesky`) and
+    all columns are substituted together (:func:`_substitute`), elementwise
+    and in a fixed order, so each column is bit-identical to a separate
+    :func:`fit_linear` call.  A pivot that is not above the rounding residue
+    of its diagonal entry raises ``SolverError``.
     """
     X = np.asarray(X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -150,10 +140,7 @@ def fit_linear_columns(
     position[by_count], position[d] = np.arange(d), d
     unknown = position[np.insert(features, np.cumsum(ones), d)]
     rows = np.repeat(np.arange(n), ones + 1)
-    if ones.sum() >= SPARSE_DENSITY * X.size:
-        G = _popcount_gram(X, by_count)
-    else:
-        G = _gram(unknown, ones + 1, d + 1)
+    G = _popcount_gram(X, by_count)
     G[np.arange(d), np.arange(d)] += ridge  # intercept left unpenalized
     above = _cholesky(G)
     Z = np.empty((d + 1, k))
@@ -163,41 +150,23 @@ def fit_linear_columns(
     return Z[position[:d]], Z[d]
 
 
-def _gram(unknown, count, p):
-    """The upper triangle of the (p, p) Gram matrix of the ones given row
-    by row, by unknown, ``count[r]`` of them in row r; the lower one is 0.
-    Each (f, g) entry counts the rows' (f, g) pairs, one ``bincount`` per
-    run of rows holding at most ``GRAM_PAIRS`` pairs (one row at least).
-    """
-    pairs = count * (count + 1) // 2
-    run = (np.cumsum(pairs) - pairs) // GRAM_PAIRS
-    cuts = np.concatenate(([0], np.flatnonzero(np.diff(run)) + 1, [len(count)]))
-    start = np.concatenate(([0], np.cumsum(count)))
-    # Entries from each one to the end of its row, itself included.
-    after = np.repeat(start[1:], count) - np.arange(start[-1])
-    G = np.zeros(p * p)
-    for lo, hi in zip(start[cuts[:-1]], start[cuts[1:]]):
-        n = after[lo:hi]
-        a = np.repeat(np.arange(lo, hi), n)
-        b = a + np.arange(len(a)) - np.repeat(np.cumsum(n) - n, n)
-        f, g = unknown[a], unknown[b]
-        G += np.bincount(np.minimum(f, g) * p + np.maximum(f, g), minlength=p * p)
-    return G.reshape(p, p)
-
-
 def _popcount_gram(X, order):
-    """:func:`_gram`'s matrix for the boolean columns ``X[:, order]`` and
-    an intercept column of ones.  Each column is packed into 64-bit words,
-    so entry (f, g) is the ``np.bitwise_count`` of the words that both
-    columns' ``&`` leaves: the number of rows where both hold a one.  Its
-    working set is ceil(n / 64) words per column besides G.
+    """The upper triangle of the Gram matrix of the boolean columns
+    ``X[:, order]`` and an intercept column of ones; the lower one is 0.
+    Each column is packed into 64-bit words, so entry (f, g) is the
+    ``np.bitwise_count`` of the words that both columns' ``&`` leaves: the
+    number of rows where both hold a one, an exact integer.  Besides G and
+    X it holds at most about 17 * (d + 1) * ceil(n / 64) bytes, the packed
+    words and one copy of them, or one row's ``&`` and its counts, and
+    numpy's iterator buffers of at most 64 KiB.
     """
     n, d = X.shape
     width = (n + 7) // 8
     packed = np.zeros((d + 1, 8 * -(-n // 64)), np.uint8)
-    packed[:d, :width] = np.packbits(X, axis=0, bitorder="little").T[order]
+    packed[:d, :width] = np.packbits(X, axis=0, bitorder="little").T
     packed[d, :width] = np.packbits(np.ones(n, np.bool_), bitorder="little")
     words = packed.view(np.uint64)
+    words[:d] = words[order]
     G = np.zeros((d + 1, d + 1))
     for f in range(d + 1):
         G[f, f:] = np.bitwise_count(words[f] & words[f:]).sum(axis=1)

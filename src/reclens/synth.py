@@ -25,6 +25,7 @@ from .errors import (
     ValidationError,
     check_seed,
     check_types,
+    excerpt,
     is_finite_real,
 )
 from .factorize import AlsConfig, train_als
@@ -80,8 +81,8 @@ class SimConfig:
         lo, hi = self.scale_bounds
         if not (is_finite_real(lo) and is_finite_real(hi)):
             raise ValidationError(
-                f"mistyped value for scale_bounds: {self.scale_bounds!r} "
-                "is not two finite numbers"
+                "mistyped value for scale_bounds: "
+                f"{excerpt(repr(self.scale_bounds))} is not two finite numbers"
             )
         if not lo < hi:
             raise ValidationError("scale_bounds must satisfy low < high")

@@ -271,8 +271,7 @@ def fit_linear_reference(X, y, ridge) -> tuple[np.ndarray, float]:
     substitution, and the back substitution subtracts each solved row from
     the rows above it in turn.  Zero products are added as they come, where
     ``fit_linear_columns`` skips them: for finite inputs that changes no
-    bit.  Forms the Gram matrix from all rows in one run, as
-    ``fit_linear_columns`` does up to ``GRAM_PAIRS`` pairs.
+    bit.
     """
     X = np.asarray(X, dtype=np.float64)
     n, d = X.shape

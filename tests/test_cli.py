@@ -1734,6 +1734,8 @@ class TestSynthCommand:
             (lambda d: d["sim"].update(scale_bounds=["a", 1]),
              "mistyped value for scale_bounds: ('a', 1) is not two finite "
              "numbers"),
+            (lambda d: d["als"].update({"lambda": "x"}),
+             "mistyped value for lambda: 'x' is not a finite number"),
         ],
     )
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, edit, message):
@@ -1794,6 +1796,20 @@ class TestSynthCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert f" {field}" in err[0] and "a finite number" in err[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("base_rating", 10**400), ("scale_bounds", [1, 10**400]),
+    ], ids=["base_rating", "scale_bounds"])
+    def test_huge_value_is_one_short_error_line(self, tmp_path, capsys, key, value):
+        """An error line quotes a rejected value cut to 40 characters, so a
+        400-digit integer makes no 400-character line."""
+        config = synth_config(tmp_path)
+        _edit_json(config, config, lambda d: d["sim"].update({key: value}))
+        capsys.readouterr()
+        assert main(["synth", "--config", str(config)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"mistyped value for {key}: " in err[0] and len(err[0]) <= 120
 
     def test_large_integer_real_runs_as_its_float(self, tmp_path, capsys):
         """A config real is read as a float, so an integer lambda that numpy

@@ -1,4 +1,5 @@
-"""No module of the package imports a name that it never reads."""
+"""No module of the package imports a name that it never reads, and no
+module-level constant of the package goes unread by it."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,42 @@ def unused_imports(source: str) -> list[str]:
             if name not in read]
 
 
+def module_constants(source: str) -> list[str]:
+    """Each upper-case name that a module-level statement of ``source``
+    binds by assignment."""
+    constants = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            constants += [name.id for name in ast.walk(target)
+                          if isinstance(name, ast.Name) and name.id.isupper()]
+    return list(dict.fromkeys(constants))
+
+
+def read_names(source: str) -> set[str]:
+    """Each name that ``source`` reads, alone or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """Each module-level constant of the modules ``sources`` holds, by
+    name, that none of them reads, as ``module.NAME``."""
+    read = set().union(*map(read_names, sources.values()))
+    return [f"{module}.{name}" for module, source in sorted(sources.items())
+            for name in module_constants(source) if name not in read]
+
+
 def test_finds_unused_imports():
     source = (
         "from __future__ import annotations\n"
@@ -44,3 +81,20 @@ def test_finds_unused_imports():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_reads_every_name_it_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+def test_finds_unread_constants():
+    sources = {
+        "a": "import b\nLIMIT = 3\nUNUSED: int = 4\n_HIDDEN, size = 5, 6\n"
+             "def f():\n    STEP = 1\n    return b.SHARED + STEP\n",
+        "b": "from a import LIMIT\nSHARED = 2\nGONE = LIMIT\nGONE += 1\n"
+             "if __name__ == '__main__':\n    ORPHAN = 8\n",
+    }
+    assert unread_constants(sources) == ["a.UNUSED", "a._HIDDEN", "b.GONE"]
+
+
+def test_package_reads_every_module_constant():
+    """A path deleted from the package takes its tuning constants with it."""
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert sum(len(module_constants(s)) for s in sources.values()) > 0
+    assert unread_constants(sources) == []

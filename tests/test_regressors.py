@@ -297,6 +297,28 @@ class TestPredictLinear:
                                    rtol=1e-12, atol=1e-12)
 
 
+def pair_count_gram(X, order):
+    """The oracle of ``_popcount_gram``: the upper triangle of the Gram
+    matrix of the boolean columns ``X[:, order]`` and an intercept column
+    of ones, its lower one 0, each (f, g) entry counting the rows' pairs
+    of ones in columns f and g by one ``bincount``."""
+    n, d = X.shape
+    position = np.empty(d + 1, np.intp)
+    position[order], position[d] = np.arange(d), d
+    ones = np.count_nonzero(X, axis=1)
+    unknown = position[np.insert(np.nonzero(X)[1], np.cumsum(ones), d)]
+    count = ones + 1
+    start = np.concatenate(([0], np.cumsum(count)))
+    # Entries from each one to the end of its row, itself included.
+    after = np.repeat(start[1:], count) - np.arange(start[-1])
+    a = np.repeat(np.arange(start[-1]), after)
+    b = a + np.arange(len(a)) - np.repeat(np.cumsum(after) - after, after)
+    f, g = unknown[a], unknown[b]
+    p = d + 1
+    pairs = np.bincount(np.minimum(f, g) * p + np.maximum(f, g), minlength=p * p)
+    return pairs.reshape(p, p).astype(np.float64)
+
+
 class TestFitLinearColumns:
     @settings(max_examples=30)
     @given(seed=st.integers(0, 2**16), n=st.integers(1, 40), d=st.integers(1, 24),
@@ -325,78 +347,83 @@ class TestFitLinearColumns:
             np.testing.assert_allclose(weights[:, j], w, rtol=1e-9, atol=1e-9)
             assert intercepts[j] == pytest.approx(b, rel=1e-9, abs=1e-9)
 
-    @pytest.mark.parametrize("boolean", [True, False])
-    def test_gram_runs_change_no_bit_of_binary_fits(self, monkeypatch, rng, boolean):
-        """With one row per Gram run, a 0/1 X, boolean or float, fits to
-        the same bits, since its Gram entries are exact counts."""
-        X = rng.random((60, 30)) < 0.2
-        X = X if boolean else X.astype(float)
-        Y = rng.normal(size=(60, 4))
-        whole = fit_linear_columns(X, Y, ridge=0.1)
-        monkeypatch.setattr(regressors, "GRAM_PAIRS", 1)
-        runs = fit_linear_columns(X, Y, ridge=0.1)
-        for a, b in zip(whole, runs):
-            np.testing.assert_array_equal(a, b)
-
     @pytest.mark.parametrize("n", [1, 5, 7, 8, 63, 64, 65, 130])
     @pytest.mark.parametrize("boolean", [True, False])
     def test_popcount_gram_is_the_summed_gram(self, monkeypatch, rng, n, boolean):
         """The Gram matrix that fit_linear_columns factors is the same from
-        popcounts as from _gram's sums, run by run or whole, on 0/1 X
-        with all-zero and all-one columns, at any row count; and the
-        fits are the same bits."""
-        grams = []
-        factor = regressors._cholesky
-        monkeypatch.setattr(regressors, "_cholesky",
-                            lambda G: grams.append(G.copy()) or factor(G))
+        popcounts as from the pair-count oracle, on 0/1 X with all-zero and
+        all-one columns, on all-zero, all-one and 1.25%-dense X, at any row
+        count; and the fits are the same bits."""
+        grams, popcount = [], regressors._popcount_gram
+
+        def checked(X, order):
+            G = popcount(X, order)
+            grams.append((G.copy(), pair_count_gram(X, order)))
+            return G
+
+        monkeypatch.setattr(regressors, "_popcount_gram", checked)
+        problems = []
         for _ in range(3):
             X = rng.random((n, 12)) < rng.uniform(0.2, 0.8)
             X[:, 3], X[:, 7] = False, True
+            problems.append(X)
+        problems += [np.zeros((n, 12), bool), np.ones((n, 12), bool),
+                     rng.random((n, 12)) < 0.0125]
+        for X in problems:
             X = X if boolean else X.astype(float)
             Y = rng.normal(size=(n, 3))
-            fits = []
-            # Popcounts, then _gram whole and one row per run.
-            for density, pairs in ((0.0, 1 << 15), (2.0, 1 << 15), (2.0, 1)):
-                monkeypatch.setattr(regressors, "SPARSE_DENSITY", density)
-                monkeypatch.setattr(regressors, "GRAM_PAIRS", pairs)
-                grams.clear()
-                weights, intercepts = fit_linear_columns(X, Y, ridge=0.5)
-                fits.append((grams[0], weights, intercepts))
-            for other in fits[1:]:
-                for a, b in zip(other, fits[0]):
+            grams.clear()
+            fit = fit_linear_columns(X, Y, ridge=0.5)
+            (G, oracle), = grams
+            np.testing.assert_array_equal(G, oracle)
+            with monkeypatch.context() as mp:
+                mp.setattr(regressors, "_popcount_gram", pair_count_gram)
+                for a, b in zip(fit, fit_linear_columns(X, Y, ridge=0.5)):
                     np.testing.assert_array_equal(a, b)
 
-    def test_popcount_gram_only_on_dense_binary_x(self, monkeypatch, rng):
-        """Dense 0/1 X takes popcounts, sparse X the sums; X that is not
-        0/1 is refused before either runs."""
+    def test_every_binary_x_takes_popcounts(self, monkeypatch, rng):
+        """Dense and sparse 0/1 X, boolean or float, take popcounts; X that
+        is not 0/1 is refused before any Gram matrix is formed."""
         calls = []
-        gram = regressors._gram
-        monkeypatch.setattr(regressors, "_gram",
-                            lambda *a: calls.append("sums") or gram(*a))
         popcount = regressors._popcount_gram
         monkeypatch.setattr(regressors, "_popcount_gram",
                             lambda *a: calls.append("popcounts") or popcount(*a))
         dense = rng.random((50, 8)) < 0.5
         sparse = np.zeros((50, 8), dtype=bool)
         sparse[np.arange(3), np.arange(3)] = True
-        for X, path in ((dense, "popcounts"), (dense.astype(float), "popcounts"),
-                        (sparse, "sums"), (sparse.astype(float), "sums")):
+        for X in (dense, dense.astype(float), sparse, sparse.astype(float)):
             calls.clear()
             fit_linear_columns(X, rng.normal(size=(50, 2)), ridge=0.1)
-            assert calls == [path]
+            assert calls == ["popcounts"]
         calls.clear()
         with pytest.raises(ValidationError, match="0/1, but X holds 2.0"):
             fit_linear_columns(dense * 2.0, rng.normal(size=(50, 2)), ridge=0.1)
         assert calls == []
+
+    def test_popcount_memory_stays_within_the_stated_bound(self):
+        """On benchmark-sized sparse metadata the popcount Gram matrix
+        allocates at most 17 * (features + 1) * ceil(rows / 64) bytes and
+        64 KiB of numpy buffers besides G, as ``_popcount_gram`` states."""
+        X = np.random.default_rng(4).random((1346, 323)) < 0.0125
+        n, d = X.shape
+        order = np.argsort(X.sum(axis=0), kind="stable")
+        bound = 17 * (d + 1) * -(-n // 64) + (1 << 16) + 8 * (d + 1) ** 2
+        tracemalloc.start()
+        try:
+            G = regressors._popcount_gram(X, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(G, pair_count_gram(X, order))
+        assert peak <= bound
 
     def test_fit_calls_no_blas(self):
         """The linear fit and prediction, and explain's products of factors,
         multiply no matrices and call no np.linalg routine, so neither the
         BLAS thread count nor its CPU kernel can change their bits."""
         banned = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
-        for function in (fit_linear_columns, regressors._gram,
-                         regressors._popcount_gram, regressors._cholesky,
-                         regressors._substitute, predict_linear,
+        for function in (fit_linear_columns, regressors._popcount_gram,
+                         regressors._cholesky, regressors._substitute, predict_linear,
                          influence._influences, influence.explain, datamodel._dot,
                          datamodel.predict_rating, ShadowModel.predict):
             tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
