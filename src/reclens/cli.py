@@ -21,7 +21,7 @@ import numpy as np
 # shadow, influence or synth modules, only ``sweep``/``synth`` load
 # ``concurrent.futures``, and ``difflib`` loads only to word an error.
 from .datamodel import MetadataMatrix, open_output, read_json, write_json
-from .errors import ReclensError, ValidationError, check_seed
+from .errors import ReclensError, ValidationError, check_seed, excerpt
 
 if TYPE_CHECKING:
     from .synth import ExperimentConfig
@@ -61,10 +61,10 @@ def _check_keys(doc, what: str, required=(), optional=(), listing="keys"):
                 f"; did you mean {near[0]!r}?" if near
                 else f"; {listing} are {', '.join(allowed)}"
             )
-            raise ValidationError(f"unknown {what} key {key!r}{hint}")
+            raise ValidationError(f"unknown {what} key {excerpt(repr(key))}{hint}")
     for key in required:
         if key not in doc:
-            raise ValidationError(f"{what} lacks required key {key!r}")
+            raise ValidationError(f"{what} lacks required key {excerpt(repr(key))}")
     return doc
 
 
@@ -105,8 +105,10 @@ def _lookup_id(kind: str, wanted: str, ids: tuple[str, ...] | None,
         from difflib import get_close_matches
 
         near = get_close_matches(wanted, ids, n=5)
-        hint = f"; nearest: {', '.join(near)}" if near else ""
-        raise ValidationError(f"unknown {kind} id {wanted!r}{hint}") from None
+        hint = f"; nearest: {', '.join(map(excerpt, near))}" if near else ""
+        raise ValidationError(
+            f"unknown {kind} id {excerpt(repr(wanted))}{hint}"
+        ) from None
 
 
 def _prepare_metadata(item_ids, args):
@@ -238,8 +240,8 @@ def cmd_explain(args) -> int:
                           len(shadow.item_ids))
         if item not in shadow.row_of_item:
             raise ValidationError(
-                f"item {args.item!r} is pruned (it kept no metadata features) "
-                "or unknown to the shadow model"
+                f"item {excerpt(repr(args.item))} is pruned (it kept no metadata "
+                "features) or unknown to the shadow model"
             )
         scope = SingleItem(item)
     query = InfluenceQuery(user=user, scope=scope)
@@ -285,14 +287,14 @@ class SweepGrid:
             object.__setattr__(self, name, seq)
         for kind in self.kinds:
             if kind not in ("linear", "tree"):
-                raise ValidationError(f"unknown shadow kind {kind!r}")
+                raise ValidationError(f"unknown shadow kind {excerpt(repr(kind))}")
         for name, types in (("ranks", Integral), ("lambdas", Real),
                             ("depths", Integral)):
             for value in getattr(self, name):
                 if isinstance(value, bool) or not isinstance(value, types):
                     number = isinstance(value, Real) and not isinstance(value, bool)
                     raise ValidationError(
-                        f"sweep grid axis {name} holds {value!r}, not "
+                        f"sweep grid axis {name} holds {excerpt(repr(value))}, not "
                         f"{'an integer' if number else 'a number'}"
                     )
 
@@ -305,7 +307,9 @@ class SweepGrid:
                     listing="axes")
         for key, values in doc.items():
             if not isinstance(values, list):
-                raise ValidationError(f"sweep grid axis {key!r} must be a list")
+                raise ValidationError(
+                    f"sweep grid axis {excerpt(repr(key))} must be a list"
+                )
         return cls(**{key: tuple(values) for key, values in doc.items()
                       if key != "bins"})
 
@@ -547,7 +551,7 @@ def experiment_config_from_dict(
     )
     if kind_name not in ("linear", "tree"):
         raise ValidationError(
-            f"unknown shadow kind {kind_name!r}; kinds are linear, tree"
+            f"unknown shadow kind {excerpt(repr(kind_name))}; kinds are linear, tree"
         )
     params = LinearKind if kind_name == "linear" else TreeParams
     shadow_keys = ["kind", *_config_keys(params)[1]]
@@ -567,13 +571,7 @@ def experiment_config_from_dict(
         if "lambda" in als_doc:
             als_doc["lam"] = als_doc.pop("lambda")
         top["sim"] = SimConfig(**sim_doc)
-        try:
-            top["als"] = AlsConfig(**als_doc)
-        except ValidationError as exc:
-            # The file's key is lambda, AlsConfig's field lam.
-            raise ValidationError(
-                str(exc).replace("value for lam:", "value for lambda:")
-            ) from None
+        top["als"] = AlsConfig(**als_doc)
         top["shadow_kind"] = (LinearKind(**shadow_doc) if params is LinearKind
                               else TreeKind(TreeParams(**shadow_doc)))
         top.update(_given(threads=threads, seed=seed))

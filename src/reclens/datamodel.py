@@ -15,7 +15,14 @@ from itertools import chain, count
 
 import numpy as np
 
-from .errors import FormatError, OutputError, ValidationError, check_types, is_finite_real
+from .errors import (
+    FormatError,
+    OutputError,
+    ValidationError,
+    check_types,
+    excerpt,
+    is_finite_real,
+)
 
 
 # Array rows that write_json encodes at once, which bounds its working set.
@@ -42,22 +49,23 @@ def _frozen_array(values, dtype) -> np.ndarray:
     return arr
 
 
-def check_ids(kind: str, ids, n_rows: int | None = None) -> None:
-    """Reject external ``kind`` ids that are not strings, that repeat or,
-    when ``n_rows`` is given, that do not name exactly one factor row each."""
+def check_ids(kind: str, ids, n_rows: int | None = None, noun: str = "id") -> None:
+    """Reject external ``kind`` ids, or the ``noun`` they go by, that are
+    not strings, that repeat or, when ``n_rows`` is given, that do not name
+    exactly one factor row each."""
     if ids is None:
         return
     for i in ids:
         if not isinstance(i, str):
-            raise ValidationError(f"{kind} id {i!r} is not a string")
+            raise ValidationError(f"{kind} {noun} {excerpt(repr(i))} is not a string")
     if n_rows is not None and len(ids) != n_rows:
         raise ValidationError(
-            f"{len(ids)} {kind} ids for {n_rows} {kind} factor rows"
+            f"{len(ids)} {kind} {noun}s for {n_rows} {kind} factor rows"
         )
     if len(set(ids)) < len(ids):
         seen = set()
         repeated = next(i for i in ids if i in seen or seen.add(i))
-        raise ValidationError(f"{kind} id {repeated!r} is repeated")
+        raise ValidationError(f"{kind} {noun} {excerpt(repr(repeated))} is repeated")
 
 
 def check_scale(scale) -> None:
@@ -65,9 +73,12 @@ def check_scale(scale) -> None:
     finite numbers with low < high."""
     lo, hi = scale
     if not (is_finite_real(lo) and is_finite_real(hi)):
-        raise ValidationError(f"rating scale {scale} is not two finite numbers")
-    if not lo < hi:
-        raise ValidationError(f"rating scale {scale} must satisfy low < high")
+        problem = "is not two finite numbers"
+    elif not lo < hi:
+        problem = "must satisfy low < high"
+    else:
+        return
+    raise ValidationError(f"rating scale {excerpt(repr(scale))} {problem}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +158,9 @@ class FactorModel:
         )
         check_types(self, integers=("rank",), reals=("lam",))
         if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+            raise ValidationError(
+                f"rank must be >= 1, got {excerpt(repr(self.rank))}"
+            )
         if self.user_factors.ndim != 2 or self.user_factors.shape[1] != self.rank:
             raise ValidationError("user_factors must be n_users x rank")
         if self.item_factors.ndim != 2 or self.item_factors.shape[1] != self.rank:
@@ -327,20 +340,23 @@ def array_from_json(values, what: str, dtype=np.float64) -> np.ndarray:
     ``np.array`` alone would parse the string "0.5", read true as 1.0 and
     null as NaN, and truncate an index of 1.5 to 1.  Here every entry must
     be a JSON number, and every entry of an index array a whole one;
-    ``ValidationError`` names ``what`` and the first entry that is not.
+    ``ValidationError`` names ``what`` and the first entry that is not, or
+    says that the rows of a list of lists differ in length.
     """
     entries = values if isinstance(values, list) else [values]
     if set(map(type, entries)) == {list}:
+        if len(set(map(len, entries))) > 1:
+            raise ValidationError(f"{what} rows differ in length")
         entries = list(chain.from_iterable(entries))
     kinds = set(map(type, entries))
     if not kinds <= {int, float}:
         bad = next(v for v in entries if type(v) not in (int, float))
-        raise ValidationError(f"{what} holds {bad!r}, not a number")
+        raise ValidationError(f"{what} holds {excerpt(repr(bad))}, not a number")
     if dtype == np.int64 and float in kinds:
         # int() raises for an infinite or NaN entry.
         bad = next((v for v in entries if int(v) != v), None)
         if bad is not None:
-            raise ValidationError(f"{what} holds {bad!r}, not an integer")
+            raise ValidationError(f"{what} holds {excerpt(repr(bad))}, not an integer")
     return np.array(values, dtype=dtype)
 
 
@@ -355,7 +371,9 @@ def load_artifact(path, fmt: str, version: int, build):
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValidationError(f"{path}: not a {fmt} file")
     if doc.get("version") != version:
-        raise ValidationError(f"{path}: unsupported version {doc.get('version')}")
+        raise ValidationError(
+            f"{path}: unsupported version {excerpt(repr(doc.get('version')))}"
+        )
     try:
         return build(doc)
     except KeyError as exc:

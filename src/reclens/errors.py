@@ -71,8 +71,9 @@ def check_types(owner, integers=(), reals=(), flags=()):
     has its type: each of ``integers`` an int, each of ``reals`` a finite
     int or float, each of ``flags`` a bool.  A bool is neither an integer
     nor a real here, so ``true`` in a config file is no count.  The
-    message quotes the value's :func:`excerpt`.  Each real is stored back
-    as a float, so no Python int too large for numpy stays."""
+    message quotes the value's :func:`excerpt` and calls ``lam``
+    ``lambda``, as every file, config and flag does.  Each real is stored
+    back as a float, so no Python int too large for numpy stays."""
     checks = (
         (integers, "an integer", is_integer),
         (reals, "a finite number", is_finite_real),
@@ -82,8 +83,9 @@ def check_types(owner, integers=(), reals=(), flags=()):
         for name in names:
             value = getattr(owner, name)
             if not ok(value):
+                label = "lambda" if name == "lam" else name
                 raise ValidationError(
-                    f"mistyped value for {name}: {excerpt(repr(value))} is not {what}"
+                    f"mistyped value for {label}: {excerpt(repr(value))} is not {what}"
                 )
             if ok is is_finite_real:
                 object.__setattr__(owner, name, float(value))

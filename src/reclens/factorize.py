@@ -16,7 +16,7 @@ from .datamodel import (
     load_artifact,
     write_json,
 )
-from .errors import SolverError, ValidationError, check_seed, check_types
+from .errors import SolverError, ValidationError, check_seed, check_types, excerpt
 
 MODEL_FORMAT = "reclens-factor-model"
 MODEL_VERSION = 1
@@ -37,7 +37,9 @@ class AlsConfig:
         check_types(self, integers=("rank", "max_iterations", "seed"),
                     reals=("lam", "convergence_tol"))
         if self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
+            raise ValidationError(
+                f"rank must be >= 1, got {excerpt(repr(self.rank))}"
+            )
         if self.lam < 0:
             raise ValidationError("lambda must be >= 0")
         if self.max_iterations < 1:
@@ -204,7 +206,7 @@ def train_als(
         raise ValidationError("cannot factorize an empty ratings matrix")
     if cfg.rank > min(ratings.n_users, ratings.n_items):
         raise ValidationError(
-            f"rank {cfg.rank} exceeds min(users, items) = "
+            f"rank {excerpt(repr(cfg.rank))} exceeds min(users, items) = "
             f"min({ratings.n_users}, {ratings.n_items})"
         )
     by_user = _row_groups(

@@ -11,13 +11,13 @@ together, one numpy step per tree level, in groups of trees of its own;
 that one route gives the shadow rating, the path features and their flip
 effects, by row, then tree, then level.  None of these depends on the
 user, so each metadata row is routed once per shadow and
-``MetadataMatrix``: the shadow keeps a memo of every row it has routed
+``MetadataMatrix``: ``explain`` keeps a memo of every row it has routed
 (``_RowMemo``; for a linear shadow, of each row's predicted factors), and
 a query walks only the rows the memo lacks, then gathers every row's
 entries from it.  The matrix's feature names are checked against the
 shadow's once, when its memo starts.  A single item's query then does
 work in proportion to its row's path entries, plus one copy of the
-shadow's name-ordered zeros.  A linear shadow's flip effect is the same
+memo's name-ordered zeros.  A linear shadow's flip effect is the same
 for every item, so its item-set influence is (mean(x) - p) times that
 effect, and over the whole item universe it is exactly 0.0 for every
 feature.  Ratings and a linear shadow's flip effects add their k products
@@ -30,6 +30,8 @@ cross-check.
 from __future__ import annotations
 
 import json
+import threading
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .datamodel import FactorModel, MetadataMatrix, _dot, open_output, predict_rating
-from .errors import EstimatorMismatchError, ValidationError, is_integer
+from .errors import EstimatorMismatchError, ValidationError, excerpt, is_integer
 from .shadow import ShadowModel
 
 RatingFn = Callable[[np.ndarray], float]
@@ -47,7 +49,7 @@ def _item_index(item) -> int:
     """``item`` as an int; ``ValidationError`` unless it is an integer, since
     ``int()`` would read 3.7, "3" and True as items."""
     if not is_integer(item):
-        raise ValidationError(f"item {item!r} is not an integer index")
+        raise ValidationError(f"item {excerpt(repr(item))} is not an integer index")
     return int(item)
 
 
@@ -178,11 +180,24 @@ class _RowMemo:
     valid.  Memory: the (rows, k) factors and three per-row indices, plus
     at most k * max_depth entries of 32 bytes for each distinct row that
     has been queried.  The memo holds ``meta`` itself, not its id, which
-    a later matrix could reuse, and is only started for a ``meta`` whose
-    feature names are the shadow's.
+    a later matrix could reuse, and not the shadow, which ``_memos`` must
+    not keep alive; it is only started for a ``meta`` whose feature names
+    are the shadow's.
+
+    Built when it starts, and never written after, it also holds what
+    ``explain`` reads of the shadow: ``name_rank``, each feature's position
+    in name order; ``name_array``, the names as an object array;
+    ``zero_pairs``, the ``(name, 0.0)`` pairs in name order; and
+    ``in_eval``, whether each row's item is in ``eval_items``.
     """
 
     def __init__(self, shadow, meta):
+        self.name_array = np.array(shadow.feature_names, dtype=object)
+        order = self.name_array.argsort()
+        self.name_rank = order.argsort()
+        self.zero_pairs = tuple((name, 0.0) for name in self.name_array[order])
+        self.in_eval = np.isin(shadow.item_indices, shadow.eval_items)
+        self.lock = threading.Lock()
         n = meta.n_items
         self.meta = meta
         self.factors = np.empty((n, shadow.rank))
@@ -221,47 +236,56 @@ class _RowMemo:
         self.size = end
         self.filled[rows] = True
 
-    def gather(self, rows):
+    def gather(self, shadow, rows):
         """(factors, trees, features, lean, effects) of ``rows`` in order, a
-        repeated row as often as it repeats; one row's are views."""
-        if len(rows) == 1:
-            row = rows[0]
-            at = slice(self.start[row], self.start[row] + self.count[row])
-            factors = self.factors[row:row + 1]
-        else:
-            count = self.count[rows]
-            at = np.repeat(self.start[rows] - (np.cumsum(count) - count), count)
-            at += np.arange(len(at))
-            factors = self.factors[rows]
-        return (factors, self.trees[at], self.features[at], self.lean[at],
-                self.effects[at])
+        repeated row as often as it repeats, after filling the rows the memo
+        lacks, all under the memo's lock; one row's are views."""
+        with self.lock:
+            if len(rows) == 1:
+                row = rows[0]
+                if not self.filled[row]:
+                    self.fill(shadow, rows)
+                at = slice(self.start[row], self.start[row] + self.count[row])
+                factors = self.factors[row:row + 1]
+            else:
+                lacking = np.zeros(len(self.filled), dtype=bool)
+                lacking[rows] = True
+                lacking &= ~self.filled
+                if lacking.any():
+                    self.fill(shadow, np.flatnonzero(lacking))
+                count = self.count[rows]
+                at = np.repeat(self.start[rows] - (np.cumsum(count) - count), count)
+                at += np.arange(len(at))
+                factors = self.factors[rows]
+            return (factors, self.trees[at], self.features[at], self.lean[at],
+                    self.effects[at])
 
 
-def _gathered(shadow, meta, rows):
-    """:meth:`_RowMemo.gather` of ``rows`` from the shadow's memo for
-    ``meta``, after filling the rows it lacks.  A ``meta`` other than the
-    memo's starts a new one, once its feature names are found to be the
-    shadow's; one named otherwise raises ``ValidationError`` and leaves the
-    memo as it was.  All of it runs under the shadow's lock."""
-    with shadow._memo_lock:
-        memo = shadow._memo
-        if memo is None or memo.meta is not meta:
-            if tuple(meta.feature_names) != tuple(shadow.feature_names):
-                raise ValidationError(
-                    "metadata feature names do not match the shadow model's features"
-                )
-            memo = _RowMemo(shadow, meta)
-            object.__setattr__(shadow, "_memo", memo)
-        if len(rows) == 1:
-            if not memo.filled[rows[0]]:
-                memo.fill(shadow, rows)
-        else:
-            lacking = np.zeros(len(memo.filled), dtype=bool)
-            lacking[rows] = True
-            lacking &= ~memo.filled
-            if lacking.any():
-                memo.fill(shadow, np.flatnonzero(lacking))
-        return memo.gather(rows)
+# Each shadow's row memo: a memo goes with its shadow, and a copied or
+# unpickled shadow, a new object, starts with none.  The lock guards the
+# map alone; each memo's own guards its rows.
+_memos = weakref.WeakKeyDictionary()
+_memos_lock = threading.Lock()
+
+
+def _memo_of(shadow, meta) -> _RowMemo:
+    """The shadow's row memo for ``meta``.  A ``meta`` other than the
+    memo's starts a new one in its place, once its feature names are found
+    to be the shadow's; one named otherwise raises ``ValidationError``.
+    A memo that is found needs no lock, as one dict read is atomic; only
+    the check and the start of a memo go under the map's lock."""
+    memo = _memos.get(shadow)
+    if memo is None or memo.meta is not meta:
+        with _memos_lock:
+            memo = _memos.get(shadow)
+            if memo is None or memo.meta is not meta:
+                if tuple(meta.feature_names) != tuple(shadow.feature_names):
+                    raise ValidationError(
+                        "metadata feature names do not match the shadow model's "
+                        "features"
+                    )
+                memo = _memos[shadow] = _RowMemo(shadow, meta)
+    return memo
 
 
 def _influences(shadow, meta, rows, user):
@@ -282,7 +306,8 @@ def _influences(shadow, meta, rows, user):
     """
     u = shadow.user_factors[user]
     n_features = meta.n_features
-    factors, trees, features, lean, effects = _gathered(shadow, meta, rows)
+    memo = _memo_of(shadow, meta)
+    factors, trees, features, lean, effects = memo.gather(shadow, rows)
     # (bincount returns integers when it is given no entry.)
     out = np.zeros(n_features)
     if shadow.forest is None:
@@ -315,12 +340,12 @@ def explain(
     likes".  Features sort by descending |influence| with a name tie-break
     and the list is cut to ``top_k``.  A feature that no factor tree tests
     on the items' paths reports exactly 0.0; only the nonzero values are
-    sorted, and the zeros follow from a copy of the shadow's name-ordered
+    sorted, and the zeros follow from a copy of the memo's name-ordered
     tuple ``zero_pairs``, with the moved features' pairs deleted.  A single
     item's shadow rating is its row's rating, an item set's the mean of its
     rows'.  Metadata whose feature names are not the shadow's raises
     ``ValidationError``; they are checked once per ``meta`` object, when
-    the shadow's row memo for it starts.
+    the shadow's row memo for it starts (:class:`_RowMemo`).
     The report warns when items lie outside the evaluation split, unless
     the scope is an item set over the shadow's whole item universe.
     A ``baseline`` must be the model the shadow was trained from: the
@@ -345,15 +370,18 @@ def explain(
             raise IndexError(f"item {scope.item} is not in the shadow model's "
                              "item universe")
         rows = [row]
-        outside = 0 if shadow.in_eval[row] else 1
     else:
         rows = shadow.rows_of_items(scope.items)
+    memo = _memo_of(shadow, meta)
+    if isinstance(scope, SingleItem):
+        outside = 0 if memo.in_eval[row] else 1
+    else:
         # An item set that spans the whole item universe includes the
         # training items by construction, so it is not warned about.  Every
         # item is in the universe, so it spans it when it has as many
         # distinct items.
         whole = len(set(scope.items)) == len(shadow.row_of_item)
-        outside = 0 if whole else int(np.count_nonzero(~shadow.in_eval[rows]))
+        outside = 0 if whole else int(np.count_nonzero(~memo.in_eval[rows]))
     warnings = []
     if outside:
         warnings.append(
@@ -369,12 +397,12 @@ def explain(
     # zero pairs less those of the moved features, deleted from the highest
     # name rank down, so that each rank still indexes its own pair.
     moved = np.flatnonzero(values)
-    ranks = shadow.name_rank[moved]
+    ranks = memo.name_rank[moved]
     order = np.lexsort((ranks, -np.abs(values[moved])))
     top = moved[order[:top_k]]
-    ranked = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
+    ranked = tuple(zip(memo.name_array[top].tolist(), values[top].tolist()))
     if len(ranked) < top_k:
-        zeros = list(shadow.zero_pairs)
+        zeros = list(memo.zero_pairs)
         for rank in sorted(ranks.tolist(), reverse=True):
             del zeros[rank]
         ranked += tuple(zeros[:top_k - len(ranked)])

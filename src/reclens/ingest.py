@@ -42,7 +42,9 @@ class RawItemRecord:
         attrs = {}
         for name, values in self.attributes.items():
             if not name:
-                raise ValidationError(f"empty attribute name on item {self.item_id!r}")
+                raise ValidationError(
+                    f"empty attribute name on item {excerpt(repr(self.item_id))}"
+                )
             attrs[name] = frozenset(str(v) for v in values)
         object.__setattr__(self, "attributes", attrs)
 
@@ -60,10 +62,10 @@ class FeatureFilterSpec:
 
     def __post_init__(self):
         if self.kind not in _FILTER_KINDS:
-            raise ValidationError(f"unknown filter kind {self.kind!r}")
+            raise ValidationError(f"unknown filter kind {excerpt(repr(self.kind))}")
         if not is_finite_real(self.value):
             raise ValidationError(
-                f"mistyped value for {self.kind}: {self.value!r} is not a "
+                f"mistyped value for {self.kind}: {excerpt(repr(self.value))} is not a "
                 "finite number"
             )
         if self.kind == "entropy_threshold":
@@ -272,7 +274,7 @@ def _parse_lines(block: list[str], first_lineno: int, path: Path, lo, hi):
             rating = float(rating_text)
         except ValueError:
             raise ParseError(
-                f"{path}:{lineno}: rating {rating_text!r} is not a number"
+                f"{path}:{lineno}: rating {excerpt(repr(rating_text))} is not a number"
             ) from None
         if not lo <= rating <= hi:
             raise ValidationError(
@@ -330,7 +332,7 @@ def load_metadata(path: str | Path, source: str | None = None) -> list[RawItemRe
                     isinstance(v, _ATTRIBUTE_VALUE) for v in values
                 ):
                     raise ParseError(
-                        f"{path}:{lineno}: attribute {name!r} holds "
+                        f"{path}:{lineno}: attribute {excerpt(repr(name))} holds "
                         f"{excerpt(json.dumps(values))}; it must be a string, "
                         "number or boolean, or a list of them"
                     )
@@ -375,7 +377,8 @@ def encode_one_hot(
     if outside.any():
         at = int(np.argmax(outside))
         raise ValidationError(
-            f"feature {keys[at]!r} references item {rows[at]} outside [0, {n_items})"
+            f"feature {excerpt(repr(keys[at]))} references item {rows[at]} outside "
+            f"[0, {n_items})"
         )
     X = np.zeros((n_items, len(names)), dtype=np.bool_)
     X[rows, np.fromiter(map(column.__getitem__, keys), np.intp, len(keys))] = True
@@ -412,7 +415,7 @@ def filter_features(meta: MetadataMatrix, spec: FeatureFilterSpec) -> MetadataMa
         if k >= meta.n_features:
             if k > meta.n_features:
                 warnings.warn(
-                    f"top_k_entropy({k}) exceeds feature count "
+                    f"top_k_entropy({excerpt(repr(k))}) exceeds feature count "
                     f"{meta.n_features}; keeping all features"
                 )
             keep = list(range(meta.n_features))
@@ -451,7 +454,9 @@ def select_features(meta: MetadataMatrix, names: Sequence[str]) -> MetadataMatri
     index = {n: j for j, n in enumerate(meta.feature_names)}
     missing = [n for n in names if n not in index]
     if missing:
-        raise ValidationError(f"features {missing} not present in the metadata")
+        shown = ", ".join(excerpt(repr(n)) for n in missing[:3])
+        more = f" and {len(missing) - 3} more" if len(missing) > 3 else ""
+        raise ValidationError(f"features {shown}{more} not present in the metadata")
     return MetadataMatrix(tuple(names), meta.X[:, [index[n] for n in names]])
 
 

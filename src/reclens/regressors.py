@@ -34,7 +34,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .errors import SolverError, ValidationError, check_types, is_finite_real
+from .errors import SolverError, ValidationError, check_types, excerpt, is_finite_real
 
 # (tree, row) pairs that a TreeForest routes at once, by row, then tree.
 # Its working set is a few dozen arrays of up to pairs x depth path entries;
@@ -89,7 +89,9 @@ def check_ridge(ridge) -> None:
     """Raise ``ValidationError`` unless ridge is a finite number >= 0: an
     infinite ridge zeroes every weight, and NaN poisons the solve."""
     if not is_finite_real(ridge) or ridge < 0:
-        raise ValidationError(f"ridge must be a finite number >= 0, got {ridge!r}")
+        raise ValidationError(
+            f"ridge must be a finite number >= 0, got {excerpt(repr(ridge))}"
+        )
 
 
 def fit_linear(X: np.ndarray, y: np.ndarray, ridge: float) -> tuple[np.ndarray, float]:
@@ -244,7 +246,8 @@ class TreeParams:
             raise ValidationError("max_depth must be >= 0")
         if self.max_depth > MAX_TREE_DEPTH:
             raise ValidationError(
-                f"max_depth must be <= {MAX_TREE_DEPTH}, got {self.max_depth}"
+                f"max_depth must be <= {MAX_TREE_DEPTH}, got "
+                f"{excerpt(repr(self.max_depth))}"
             )
         if self.min_leaf < 1:
             raise ValidationError("min_leaf must be >= 1")
@@ -270,7 +273,9 @@ class RegressionTree:
     def __post_init__(self, feature, value):
         check_types(self, integers=("n_features",))
         if self.n_features < 0:
-            raise ValidationError(f"n_features must be >= 0, got {self.n_features}")
+            raise ValidationError(
+                f"n_features must be >= 0, got {excerpt(repr(self.n_features))}"
+            )
         n = len(feature)
         if not n or len(value) != n:
             raise ValidationError(f"{n} features and {len(value)} values are not one tree")
@@ -286,8 +291,8 @@ class RegressionTree:
             if index and f == -1:
                 if not is_finite_real(value[i]):
                     raise ValidationError(
-                        f"tree node {i} holds leaf value {value[i]!r}, not a "
-                        "finite number"
+                        f"tree node {i} holds leaf value "
+                        f"{excerpt(repr(value[i]))}, not a finite number"
                     )
                 values[i] = value[i]
             elif index and 0 <= f < self.n_features and len(levels) + 1 < n:

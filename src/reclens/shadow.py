@@ -4,22 +4,18 @@ combined with the baseline's user factors, plus its agreement metrics.
 A shadow's factors are all trees or all linear.  A tree shadow holds its
 factor trees as one ``TreeForest``, so predicting every factor for a batch
 of items takes one numpy step per tree level for all trees together, in
-groups of trees capped by ``regressors.FOREST_PAIRS``.  ``influence.explain``
-does not predict the factors apart: it reads them off the forest's
-``walk``, the same route that finds the features to score, once per
-metadata row, and keeps them, with the route's entries by row, tree and
-level, in the shadow's memo of routed rows.  A linear shadow holds one
-(features, k) weight matrix and k intercepts, and every linear prediction
-goes through ``regressors.predict_linear``, whose rows depend neither on
-the batch nor on BLAS: an item's factors are the same bits in
-``explain``, in ``measure_agreement``'s blocks and in ``predict``.
-Since factors depend only on the item, the agreement metrics predict each
-distinct item once and gather those factors for every pair and block.
+groups of trees capped by ``regressors.FOREST_PAIRS``.  A linear shadow
+holds one (features, k) weight matrix and k intercepts, and every linear
+prediction goes through ``regressors.predict_linear``, whose rows depend
+neither on the batch nor on BLAS: an item's factors are the same bits in
+``influence.explain``, in ``measure_agreement``'s blocks and in
+``predict``.  Since factors depend only on the item, the agreement
+metrics predict each distinct item once and gather those factors for
+every pair and block.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,6 +36,7 @@ from .errors import (
     ValidationError,
     check_seed,
     check_types,
+    excerpt,
     is_finite_real,
 )
 from .regressors import (
@@ -85,7 +82,7 @@ class TreeKind:
 ShadowKind = LinearKind | TreeKind
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShadowModel:
     """k per-factor regressors plus the baseline user factors.
 
@@ -105,20 +102,10 @@ class ShadowModel:
     kind's fields are None.  ``user_factors`` is finite, and every factor
     reads ``len(feature_names)`` features.  External ids, when given, are
     unique; ``user_ids`` names each user factor row and ``item_ids`` covers
-    every entry of ``item_indices``.  Built at construction: ``name_rank``,
-    each feature's position in name order; ``name_array``, the feature
-    names as an object array, for indexing by a ranking; ``zero_pairs``, a
-    tuple of ``(name, 0.0)`` pairs in name order, which ``explain`` copies
-    and, less the features that moved, ranks after them; ``row_of_item``,
-    a dict from each baseline item to its metadata row (the last, for a
-    repeated item); and ``in_eval``, whether each row's item is in
-    ``eval_items``.  These are built once, here, so threads that share the
-    shadow never race to build them.  The one thing filled later is
-    ``_memo``, ``influence.explain``'s memo of the metadata rows it has
-    routed: it starts empty, fills as queries arrive, and each query reads
-    and fills it under the shadow's own ``_memo_lock``, so threads may
-    share the shadow.  A copy or an unpickled shadow starts with an empty
-    memo.
+    every entry of ``item_indices``, and the feature names are unique
+    strings.  ``row_of_item``, built at construction, is a dict from each
+    baseline item to its metadata row (the last, for a repeated item).
+    The shadow is compared and hashed by identity.
     """
 
     user_factors: np.ndarray
@@ -181,6 +168,7 @@ class ShadowModel:
             raise ValidationError(
                 f"the factors read {width} features, but the shadow names {len(names)}"
             )
+        check_ids("feature", names, noun="name")
         check_ids("user", self.user_ids, self.n_users)
         check_ids("item", self.item_ids)
         if self.item_ids is not None:
@@ -191,30 +179,8 @@ class ShadowModel:
                     f"item index {self.item_indices[outside][0]} has no item id "
                     f"among {n_ids}"
                 )
-        name_rank = np.empty(len(names), dtype=np.intp)
-        name_rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(
-            len(names)
-        )
-        for name, value in (
-            ("name_rank", name_rank),
-            ("name_array", np.array(names, dtype=object)),
-            ("zero_pairs", tuple((name, 0.0) for name in sorted(names))),
-            ("row_of_item", {item: row for row, item in
-                             enumerate(self.item_indices.tolist())}),
-            ("in_eval", np.isin(self.item_indices, self.eval_items)),
-            ("_memo", None),
-            ("_memo_lock", threading.Lock()),
-        ):
-            object.__setattr__(self, name, value)
-
-    def __getstate__(self):
-        """The fields and built attributes, less the memo and its lock,
-        which a copy or an unpickled shadow makes afresh."""
-        return {name: value for name, value in self.__dict__.items()
-                if name not in ("_memo", "_memo_lock")}
-
-    def __setstate__(self, state):
-        self.__dict__.update(state, _memo=None, _memo_lock=threading.Lock())
+        object.__setattr__(self, "row_of_item", {
+            item: row for row, item in enumerate(self.item_indices.tolist())})
 
     @property
     def rank(self) -> int:
@@ -480,7 +446,7 @@ def measure_agreement(
     elif item_set == "all":
         items = shadow.item_indices
     else:
-        raise ValidationError(f"unknown item set {item_set!r}")
+        raise ValidationError(f"unknown item set {excerpt(repr(item_set))}")
     check_seed(seed)
     distinct, where, factors = _item_predictions(shadow, meta, items)
     per_factor, mean_mae = _latent_mae(factors[where], baseline.item_factors[items])
@@ -531,7 +497,7 @@ def _tree_from_doc(root: dict, n_features) -> RegressionTree:
             continue
         if node["threshold"] != SPLIT_THRESHOLD:
             raise ValidationError(
-                f"tree split threshold {node['threshold']!r} is not "
+                f"tree split threshold {excerpt(repr(node['threshold']))} is not "
                 f"{SPLIT_THRESHOLD}; features are 0/1"
             )
         # -1 marks a leaf, so a split on it splits on no feature.
@@ -565,7 +531,7 @@ def _family(doc: dict, what: str) -> str:
     "tree"; anything else raises ``ValidationError``."""
     if doc["type"] not in ("linear", "tree"):
         raise ValidationError(
-            f"{what} type {doc['type']!r} is neither 'linear' nor 'tree'"
+            f"{what} type {excerpt(repr(doc['type']))} is neither 'linear' nor 'tree'"
         )
     return doc["type"]
 
@@ -585,14 +551,17 @@ def _factors_from_docs(docs: list, kind: ShadowKind, names) -> dict:
         if doc["type"] != family:
             problem = f"is a {doc['type']} predictor, but the shadow kind is {family}"
         elif width != len(names):
-            problem = f"reads {width} features, but the shadow names {len(names)}"
+            problem = (f"reads {excerpt(repr(width))} features, but the shadow names "
+                       f"{len(names)}")
         # Every setting but the type and the fixed bins is the kind's; none
         # is a bool, but True == 1.
         elif field := next((f for f in settings if f not in ("type", "bins") and (
                 doc[f] != settings[f] or isinstance(doc[f], bool))), None):
-            problem = f"has {field} {doc[field]!r}, but the kind has {settings[field]!r}"
+            problem = (f"has {field} {excerpt(repr(doc[field]))}, but the kind has "
+                       f"{excerpt(repr(settings[field]))}")
         elif linear and not is_finite_real(doc["intercept"]):
-            problem = f"has intercept {doc['intercept']!r}, not a finite number"
+            problem = (f"has intercept {excerpt(repr(doc['intercept']))}, not a finite "
+                       "number")
         else:
             continue
         raise ValidationError(f"predictor {j} {problem}")

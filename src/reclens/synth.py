@@ -109,7 +109,7 @@ def generate_profiles(
     if len(pool) < cfg.features_per_profile:
         raise ValidationError(
             f"pool of {len(pool)} features cannot support "
-            f"{cfg.features_per_profile} features per profile"
+            f"{excerpt(repr(cfg.features_per_profile))} features per profile"
         )
     profiles = []
     for _ in range(cfg.n_profiles):
@@ -263,7 +263,7 @@ def control_profiles(
     originals survive.
     """
     if mode not in ("random", "semi_random"):
-        raise ValidationError(f"unknown control mode {mode!r}")
+        raise ValidationError(f"unknown control mode {excerpt(repr(mode))}")
     pool = [int(f) for f in pool]
     original = sorted(profile.features)
     n = len(original)
@@ -505,13 +505,16 @@ class ExperimentConfig:
             raise ValidationError("n_reps and users_per_rep must be >= 1")
         if self.n_items < 1 or self.n_meta_features < 1:
             raise ValidationError("n_items and n_meta_features must be >= 1")
-        # random_metadata draws n_items + 1 floats per feature, and
-        # simulate_ratings holds every user's rated items, in one array of
-        # 8-byte cells each, which numpy refuses beyond np.intp's range.
+        # random_metadata draws n_items + 1 floats per feature, simulate_ratings
+        # holds every user's rated items, and the experiment three scores per
+        # chosen user and repetition, each in one array or tuple of 8-byte
+        # cells, which numpy and Python refuse beyond np.intp's range.
         for names, n, m in (
             ("n_items and n_meta_features", self.n_items + 1, self.n_meta_features),
             ("sim.n_users and sim.ratings_per_user", self.sim.n_users,
              self.sim.ratings_per_user),
+            ("n_reps and users_per_rep", self.n_reps,
+             3 * min(self.users_per_rep, self.sim.n_users)),
         ):
             if n * m * 8 > np.iinfo(np.intp).max:
                 raise ValidationError(f"{names} make an array larger than numpy can index")

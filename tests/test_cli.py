@@ -497,6 +497,26 @@ class TestExplain:
         report = json.loads(capsys.readouterr().out.strip())
         assert len(report["influences"]) == 12
 
+    def test_metadata_without_the_shadow_features(self, tmp_path, rng, capsys):
+        """Metadata that lacks the shadow's 40 features is one error line
+        that quotes three of them and counts the rest."""
+        ratings, meta = make_identity_fixture(tmp_path, rng, n_users=4, n_items=40)
+        other = tmp_path / "other.jsonl"
+        write_metadata_jsonl(other, {f"m{i}": {"colour": [f"c{i % 3}"]}
+                                     for i in range(40)})
+        model, shadow = tmp_path / "model.json", tmp_path / "shadow.json"
+        assert main(["train", "--ratings", str(ratings), "--rank", "2",
+                     "--iters", "3", "--out", str(model)]) == 0
+        assert main(["shadow", "--model", str(model), "--metadata", str(meta),
+                     "--kind", "tree", "--depth", "2", "--out", str(shadow)]) == 0
+        capsys.readouterr()
+        assert main(["explain", "--shadow", str(shadow), "--metadata", str(other),
+                     "--user", "u0", "--item", "m1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: features 'id=m0', 'id=m1', 'id=m10' and 37 more not present "
+            "in the metadata"
+        ]
+
     def test_user_aggregate_scope(self, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture
         capsys.readouterr()
@@ -1087,16 +1107,23 @@ class TestBrokenFiles:
         pytest.param("model", lambda d: d["item_factors"][4].__setitem__(0, "0.5"),
                      "item_factors holds '0.5', not a number", id="model-string"),
         pytest.param("model", lambda d: d.update({"lambda": "abc"}),
-                     "mistyped value for lam: 'abc' is not a finite number",
+                     "mistyped value for lambda: 'abc' is not a finite number",
                      id="model-lambda"),
+        pytest.param("shadow", lambda d: d["user_factors"][2].append(0.5),
+                     "user_factors rows differ in length", id="shadow-ragged"),
+        pytest.param("model", lambda d: d["item_factors"][4].pop(),
+                     "item_factors rows differ in length", id="model-ragged"),
+        pytest.param("model", lambda d: d.update({"lambda": "x" * 300}),
+                     f"mistyped value for lambda: '{'x' * 36}... is not a finite "
+                     "number", id="model-long-lambda"),
     ])
     def test_saved_number_not_a_json_number(
         self, tmp_path, shadow_fixture, capsys, artifact, edit, detail
     ):
         """Saved factors, weights, indices and flags are JSON numbers and
-        bools of their own type: a string, a bool or null in their place,
-        an index that is not whole, or a NaN user factor is a damaged
-        file."""
+        bools of their own type, and factor rows are all as long: a string,
+        a bool or null in their place, an index that is not whole, a NaN
+        user factor or a ragged row is a damaged file."""
         meta, model_path, shadow_path = shadow_fixture
         if artifact == "linear":
             shadow_path = tmp_path / "linear.json"
@@ -1155,6 +1182,22 @@ class TestBrokenFiles:
             "explain", "--shadow", str(bad), "--metadata", str(meta),
             *(part for pair in query.items() for part in pair),
         ], bad, f"{key[:4]} id {number!r} is not a string")
+
+    @pytest.mark.parametrize("damage, detail", [
+        (lambda names: [7, *names[1:]], "feature name 7 is not a string"),
+        (lambda names: [{}, *names[1:]], "feature name {} is not a string"),
+        (lambda names: [names[1], *names[1:]], "feature name 'id=m1' is repeated"),
+    ], ids=["integer", "object", "repeated"])
+    def test_feature_names_are_unique_strings(
+        self, tmp_path, shadow_fixture, capsys, damage, detail
+    ):
+        meta, _, shadow_path = shadow_fixture
+        bad = _edit_json(shadow_path, tmp_path / "names.json", lambda doc: doc.update(
+            feature_names=damage(doc["feature_names"])))
+        self._assert_one_error(capsys, [
+            "explain", "--shadow", str(bad), "--metadata", str(meta),
+            "--user", "u0", "--item", "m1",
+        ], bad, detail)
 
     def test_fractional_tree_width(self, tmp_path, shadow_fixture, capsys):
         meta, _, shadow_path = shadow_fixture

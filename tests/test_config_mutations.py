@@ -1,11 +1,13 @@
 """Every one-field mutation of a small synth config, of its linear-shadow
 variant and of a sweep grid ends in exit 0, or in exit 1 with exactly one
-``error:`` line on stderr; no exception escapes ``cli.main``.
+``error:`` line on stderr; no stderr line reaches ``ERROR_WIDTH``
+characters, and no exception escapes ``cli.main``.
 
 Each mutation sets one field, a list entry included, to one of
-``VALUES``, deletes it, or adds one unknown key to one object.  The runs
-are fixed by the documents below and a seeded ratings fixture, about 550
-of them in all, most ending at the config check.
+``VALUES``, deletes it, or adds one unknown key, short or 300 characters
+long, to one object.  The runs are fixed by the documents below and a
+seeded ratings fixture, about 650 of them in all, most ending at the
+config check.
 """
 
 import copy
@@ -18,12 +20,17 @@ from reclens.cli import main
 
 from conftest import write_metadata_jsonl, write_ratings_csv
 
+# 10**400 is a 401-digit integer; the long string and the ragged rows are
+# for the messages that quote a value, which must quote an excerpt of it.
 VALUES = [None, True, False, -1, 1.5, 2**70, 10**400, 1e308, float("nan"), "",
-          [], {}]
+          [], {}, "x" * 300, [[1.0], [1.0, 2.0]]]
 
-# n_reps: 2**70 passes every check and asks for that many repetitions; at
-# this seed repetition 22 is the first whose ratings leave an item unrated,
-# and it ends the run with one error line.
+# An error or warning line, its "error: " and any file path included, is
+# shorter.
+ERROR_WIDTH = 300
+
+# n_reps: 2**70 asks for more score samples than a tuple can hold, and the
+# config check rejects it before any repetition runs.
 SYNTH = {
     "sim": {"n_profiles": 2, "features_per_profile": 2, "n_users": 12,
             "ratings_per_user": 5, "base_rating": 3.0, "delta": 1.0,
@@ -69,23 +76,27 @@ def mutations(doc, within=()):
                 _at(mutated, path[:-1])[path[-1]] = value
             yield f"{label}={value!r:.24}", mutated
     for path in [within, *(p for p in paths if isinstance(_at(doc, p), dict))]:
-        mutated = copy.deepcopy(doc)
-        _at(mutated, path)["extra"] = 1
-        yield ".".join(map(str, path)) + " +extra", mutated
+        for key in ("extra", "k" * 300):
+            mutated = copy.deepcopy(doc)
+            _at(mutated, path)[key] = 1
+            yield f"{'.'.join(map(str, path))} +{key:.24}", mutated
 
 
 def broken_contract(argv, capsys):
-    """None if ``main(argv)`` exits 0, or 1 with one ``error:`` line;
-    otherwise what it did."""
+    """None if ``main(argv)`` exits 0, or 1 with one ``error:`` line, and
+    writes no stderr line of ``ERROR_WIDTH`` characters; otherwise what it
+    did."""
     capsys.readouterr()
     try:
         code = main(argv)
     except BaseException as exc:  # noqa: BLE001 - any escape breaks it
         return f"raised {type(exc).__name__}: {str(exc)[:200]}"
     err = capsys.readouterr().err.splitlines()
-    if code == 0 or (code == 1 and len(err) == 1 and err[0].startswith("error: ")):
+    short = all(len(line) < ERROR_WIDTH for line in err)
+    if short and (code == 0 or (code == 1 and len(err) == 1
+                                and err[0].startswith("error: "))):
         return None
-    return f"exit {code}, stderr {err[:3]}"
+    return f"exit {code}, stderr {[line[:200] for line in err[:3]]}"
 
 
 def check_mutations(doc, path, argv, capsys, within=()):

@@ -146,8 +146,8 @@ class TestFactorModel:
     @pytest.mark.parametrize("rank, lam, message", [
         (2.0, 0.0, "mistyped value for rank: 2.0 is not an integer"),
         (True, 0.0, "mistyped value for rank: True is not an integer"),
-        (2, "0.1", "mistyped value for lam: '0.1' is not a finite number"),
-        (2, float("nan"), "mistyped value for lam: nan is not a finite number"),
+        (2, "0.1", "mistyped value for lambda: '0.1' is not a finite number"),
+        (2, float("nan"), "mistyped value for lambda: nan is not a finite number"),
     ])
     def test_rank_and_lambda_typed(self, rank, lam, message):
         with pytest.raises(ValidationError, match=message):

@@ -1,7 +1,8 @@
 """Every one-field mutation of a small model file, of a tree and a linear
 shadow file and of one metadata record, drawn as below, ends in exit 0, or
-in exit 1 with exactly one ``error:`` line on stderr; no exception escapes
-``cli.main``.
+in exit 1 with exactly one ``error:`` line on stderr; no stderr line
+reaches ``test_config_mutations.ERROR_WIDTH`` characters, and no
+exception escapes ``cli.main``.
 
 A file's fields are its keys at every level and, of each list, the first
 and the last entry and what they hold.  Each field is set to

@@ -1,5 +1,6 @@
-"""No module of the package imports a name that it never reads, and no
-module-level constant of the package goes unread by it."""
+"""No module of the package imports a name that it never reads, no
+module-level constant of the package goes unread by it, and no error
+message of the package quotes a value whole."""
 
 import ast
 from pathlib import Path
@@ -98,3 +99,56 @@ def test_package_reads_every_module_constant():
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert sum(len(module_constants(s)) for s in sources.values()) > 0
     assert unread_constants(sources) == []
+
+
+def reclens_errors(source: str) -> set[str]:
+    """``ReclensError`` and each class of ``source`` that derives from it,
+    directly or through another."""
+    errors = {"ReclensError"}
+    for node in ast.parse(source).body:
+        bases = {getattr(base, "id", None) for base in getattr(node, "bases", ())}
+        if isinstance(node, ast.ClassDef) and bases & errors:
+            errors.add(node.name)
+    return errors
+
+
+def whole_reprs(source: str, errors: set[str]) -> list[str]:
+    """Each value that the message of a raised error of ``errors`` formats
+    with ``!r``, as ``line n``: a value is quoted as ``excerpt(repr(...))``,
+    so that a long one cannot fill the error line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                and getattr(node.exc.func, "id", None) in errors):
+            found += [f"line {value.lineno}" for value in ast.walk(node.exc)
+                      if isinstance(value, ast.FormattedValue)
+                      and value.conversion == ord("r")]
+    return found
+
+
+def test_finds_whole_reprs():
+    errors = reclens_errors(
+        "class ReclensError(Exception): pass\n"
+        "class ParseError(ReclensError): pass\n"
+        "class DeepError(ParseError): pass\n"
+        "class Other(Exception): pass\n"
+    )
+    assert errors == {"ReclensError", "ParseError", "DeepError"}
+    source = (
+        "def f(x, y):\n"
+        "    if x:\n"
+        "        raise ParseError(f'bad {x!r}')\n"
+        "    if y:\n"
+        "        raise DeepError(\n"
+        "            f'{x} and {y!r}') from None\n"
+        "    raise KeyError(f'unknown {x!r}')\n"
+        "def g(x):\n"
+        "    raise ReclensError(f'bad {excerpt(repr(x))}, {x!s}')\n"
+    )
+    assert whole_reprs(source, errors) == ["line 3", "line 6"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_error_messages_quote_excerpts(module):
+    errors = reclens_errors((PACKAGE / "errors.py").read_text())
+    assert whole_reprs((PACKAGE / module).read_text(), errors) == []

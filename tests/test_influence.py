@@ -1,10 +1,13 @@
 import copy
 import dataclasses
+import gc
 import json
 import math
 import pickle
 import re
+import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -444,13 +447,14 @@ class TestExplain:
         meta, shadows = memo_shadows(rng)
         renamed = MetadataMatrix(meta.feature_names[::-1], meta.X)
         scopes = (SingleItem(3), SingleItem(5), ItemSet((3, 7, 7)))
+        memos = influence._memos
         for shadow in shadows:
             with pytest.raises(ValidationError, match=message):
                 explain(shadow, renamed, InfluenceQuery(0, SingleItem(3)), top_k=1)
-            assert shadow._memo is None
+            assert shadow not in memos
             reports = [explain(shadow, meta, InfluenceQuery(0, s), top_k=4)
                        for s in scopes]
-            memo = shadow._memo
+            memo = memos[shadow]
             filled, size = memo.filled.copy(), memo.size
             for _ in range(2):
                 for scope in scopes:
@@ -458,7 +462,7 @@ class TestExplain:
                         explain(shadow, renamed, InfluenceQuery(1, scope), top_k=1)
                 with pytest.raises(ValidationError, match=message):
                     influence._influences(shadow, renamed, np.array([3]), 0)
-                assert shadow._memo is memo and memo.meta is meta
+                assert memos[shadow] is memo and memo.meta is meta
                 assert memo.size == size
                 np.testing.assert_array_equal(memo.filled, filled)
             assert [explain(shadow, meta, InfluenceQuery(0, s), top_k=4)
@@ -466,8 +470,8 @@ class TestExplain:
             same = MetadataMatrix(meta.feature_names, meta.X)
             assert explain(shadow, same, InfluenceQuery(0, scopes[0]), top_k=4) \
                 == reports[0]
-            assert shadow._memo is not memo and shadow._memo.meta is same
-            assert shadow._memo.filled.sum() == 1
+            assert memos[shadow] is not memo and memos[shadow].meta is same
+            assert memos[shadow].filled.sum() == 1
 
 
 def exact_influences_oracle(shadow, meta, user, rows):
@@ -792,7 +796,7 @@ class TestRowMemo:
             for query in queries + queries[::-1]:
                 report = explain(shadow, meta, query, top_k=meta.n_features)
                 assert report.to_json() == fresh_report(shadow, meta, query).to_json()
-            assert shadow._memo.meta is meta
+            assert influence._memos[shadow].meta is meta
 
     def test_a_repeated_query_walks_no_tree(self, rng, monkeypatch):
         meta, (shadow, _) = memo_shadows(rng)
@@ -820,7 +824,7 @@ class TestRowMemo:
                 for m in (meta, other, meta):
                     report = explain(shadow, m, query, top_k=m.n_features)
                     assert report.to_json() == fresh_report(shadow, m, query).to_json()
-                    assert shadow._memo.meta is m
+                    assert influence._memos[shadow].meta is m
 
     def test_threads_sharing_a_shadow_get_the_fresh_reports(self, rng):
         meta, shadows = memo_shadows(rng, n_items=120)
@@ -840,15 +844,61 @@ class TestRowMemo:
                 for served in pool.map(serve, orders):
                     assert [served[i] for i in range(len(queries))] == expected
 
+    def test_threads_on_different_shadows_get_the_fresh_reports(self, rng):
+        """Four threads, more than the cores, each explain a shadow of their
+        own, switching often; every report is the fresh one, and each
+        shadow's memo ends holding every row asked of it, which a memo
+        lost to another thread's would not."""
+        meta, shadows = memo_shadows(rng, n_items=120)
+        shadows += [dataclasses.replace(shadow) for shadow in shadows]
+        queries = memo_queries(rng, meta.n_items, count=40)
+        expected = [[fresh_report(shadow, meta, q).to_json() for q in queries]
+                    for shadow in shadows]
+        asked = set()
+        for query in queries:
+            scope = query.scope
+            asked.update([scope.item] if isinstance(scope, SingleItem) else scope.items)
+        barrier = threading.Barrier(len(shadows))
+
+        def serve(shadow):
+            barrier.wait(timeout=60)
+            return [explain(shadow, meta, q, top_k=meta.n_features).to_json()
+                    for q in queries]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(shadows)) as pool:
+                served = list(pool.map(serve, shadows, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert served == expected
+        for shadow in shadows:
+            filled = influence._memos[shadow].filled
+            assert set(np.flatnonzero(filled).tolist()) == asked
+
     def test_copies_start_with_an_empty_memo(self, rng):
         meta, shadows = memo_shadows(rng)
         query = InfluenceQuery(1, ItemSet((2, 4, 4)))
         for shadow in shadows:
             report = explain(shadow, meta, query, top_k=5)
             for copied in (copy.deepcopy(shadow), pickle.loads(pickle.dumps(shadow))):
-                assert copied._memo is None
-                assert copied._memo_lock is not shadow._memo_lock
+                assert copied not in influence._memos
                 assert explain(copied, meta, query, top_k=5) == report
+                assert influence._memos[copied] is not influence._memos[shadow]
+
+    def test_a_memo_goes_with_its_shadow(self, rng):
+        """The map holds no shadow alive, and a collected shadow's memo
+        leaves it."""
+        meta, shadows = memo_shadows(rng)
+        refs = []
+        for shadow in shadows:
+            explain(shadow, meta, InfluenceQuery(0, ItemSet((1, 2, 2))), top_k=3)
+            refs.append((weakref.ref(shadow), weakref.ref(influence._memos[shadow])))
+        del shadow, shadows
+        gc.collect()
+        for shadow_ref, memo_ref in refs:
+            assert shadow_ref() is None and memo_ref() is None
 
 
 def assert_ranked_as_full_sort(shadow, meta, query, top_k):
@@ -862,8 +912,9 @@ def assert_ranked_as_full_sort(shadow, meta, query, top_k):
     )
     assert not (np.signbit(values) & (values == 0.0)).any()
     report = explain(shadow, meta, query, top_k=top_k)
-    top = np.lexsort((shadow.name_rank, -np.abs(values)))[:top_k]
-    full = tuple(zip(shadow.name_array[top].tolist(), values[top].tolist()))
+    names = shadow.feature_names
+    top = sorted(range(len(names)), key=lambda j: (-abs(values[j]), names[j]))[:top_k]
+    full = tuple((names[j], values[j].item()) for j in top)
     assert report.to_json() == dataclasses.replace(report, influences=full).to_json()
 
 

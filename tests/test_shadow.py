@@ -14,7 +14,7 @@ from reclens.regressors import (
     fit_linear_columns,
     fit_tree,
 )
-from reclens import shadow as shadow_module
+from reclens import influence, shadow as shadow_module
 from reclens.shadow import (
     AGREEMENT_BLOCK,
     LinearKind,
@@ -171,8 +171,9 @@ class TestTrainShadow:
     def test_rows_of_items_one_lookup(self, rng):
         baseline = random_model(rng, 3, 12, 2)
         keep = rng.permutation(12)[:7]
+        meta = identity_meta(7)
         shadow = train_shadow(
-            baseline, identity_meta(7), TreeKind(TreeParams(max_depth=2)),
+            baseline, meta, TreeKind(TreeParams(max_depth=2)),
             split=(0.5, 1), item_indices=keep,
         )
         items = np.concatenate([keep[::-1], keep[:3]])
@@ -180,7 +181,7 @@ class TestTrainShadow:
             shadow.rows_of_items(items), [list(keep).index(i) for i in items]
         )
         np.testing.assert_array_equal(
-            shadow.in_eval, np.isin(keep, shadow.eval_items)
+            influence._memo_of(shadow, meta).in_eval, np.isin(keep, shadow.eval_items)
         )
         missing = int(np.setdiff1d(np.arange(12), keep)[0])
         with pytest.raises(IndexError, match=(

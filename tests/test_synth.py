@@ -1,5 +1,6 @@
 import math
 import statistics
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -613,6 +614,20 @@ def fast_experiment_config(**overrides):
 
 
 class TestHypothesisExperiment:
+    def test_more_score_samples_than_a_tuple_holds(self):
+        """n_reps x chosen users x 3 conditions above what a tuple of 8-byte
+        pointers can hold is refused when the config is made; one sample
+        fewer is a config that could run."""
+        message = "^n_reps and users_per_rep make an array larger than numpy can"
+        limit = sys.maxsize // 8
+        # 40 users: a larger users_per_rep chooses all 40.
+        for n_reps, users in ((2**70, 2), (limit // 6 + 1, 2),
+                              (limit // 120 + 1, 10**9)):
+            with pytest.raises(ValidationError, match=message):
+                fast_experiment_config(n_reps=n_reps, users_per_rep=users)
+        fast_experiment_config(n_reps=limit // 6, users_per_rep=2)
+        fast_experiment_config(n_reps=limit // 120, users_per_rep=10**9)
+
     def test_reproducible_bit_for_bit(self):
         cfg = fast_experiment_config()
         r1 = run_hypothesis_experiment(cfg)
